@@ -199,12 +199,12 @@ def _mixed_measure(name: str, rho: DensityMatrix, cfg: RoofConfig):
 # bound
 # ---------------------------------------------------------------------------
 
-def _measured_inputs(obj, kind: str, cfg: RoofConfig):
+def _measured_inputs(obj, kind: str):
     """LHS and pairwise correlation values for a pure three-qubit state.
 
-    Monogamy uses concurrence, polygamy uses SCRENoA; mixed total states
-    are rejected because their bipartite LHS would need a roof value that
-    is only one-sided."""
+    Monogamy uses concurrence, polygamy uses SCRENoA, both exact closed
+    forms on the pair marginals; mixed total states are rejected because
+    their bipartite LHS would need a roof value that is only one-sided."""
     if not isinstance(obj, PureState):
         raise UsageError("bound evaluation needs a pure total state")
     if obj.n_qubits != 3:
@@ -219,8 +219,8 @@ def _measured_inputs(obj, kind: str, cfg: RoofConfig):
         q_ac = msr.concurrence_wootters(pair_c)
     else:
         lhs_base = msr.negativity_pure(obj, (0,)) ** 2
-        q_ab = msr.screnoa(pair_b, cfg)
-        q_ac = msr.screnoa(pair_c, cfg)
+        q_ab = msr.screnoa(pair_b)
+        q_ac = msr.screnoa(pair_c)
     return lhs_base, q_ab, q_ac
 
 
@@ -295,15 +295,24 @@ def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
     return bnd.BoundReport(kind, lhs, variant_rhs, pre_ok, gaps)
 
 
+# tightened theorem and prior family compared by default, per bound kind
+DEFAULT_VARIANTS = {"monogamy": "thm1,ref29", "polygamy": "thm4,ref29"}
+
+
+def _parse_variants(args) -> list:
+    text = (args.variants if args.variants is not None
+            else DEFAULT_VARIANTS[args.kind])
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
 def cmd_bound(args) -> dict:
     if args.kind == "monogamy" and (args.alpha is None or args.gamma is None):
         raise UsageError("monogamy bounds need --alpha and --gamma")
     if args.kind == "polygamy" and (args.beta is None or args.delta is None):
         raise UsageError("polygamy bounds need --beta and --delta")
     obj = load_input_state(args)
-    cfg = _roof_cfg(args)
-    lhs_base, q_ab, q_ac = _measured_inputs(obj, args.kind, cfg)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    lhs_base, q_ab, q_ac = _measured_inputs(obj, args.kind)
+    variants = _parse_variants(args)
     report = evaluate_bound_report(
         args.kind, lhs_base, q_ab, q_ac, variants=variants,
         alpha=args.alpha, gamma=args.gamma, beta=args.beta, delta=args.delta,
@@ -453,7 +462,7 @@ def figure_spec(fig_id: int, resolution: int = 101) -> tuple[SweepSpec, dict]:
     axes = [(n, a, b, resolution) for n, a, b, _ in axes]
     if kind == "monogamy":
         lhs_base, q_ab, q_ac = _measured_inputs(
-            build_state(FIG_MONO_BUILDER), "monogamy", RoofConfig())
+            build_state(FIG_MONO_BUILDER), "monogamy")
         data = {"q_ab": q_ab, "q_ac": q_ac, "lhs_base": lhs_base,
                 "t": FIG_MONO_T}
     else:
@@ -463,8 +472,7 @@ def figure_spec(fig_id: int, resolution: int = 101) -> tuple[SweepSpec, dict]:
         fixed["gamma"] = 20.0
     if fig_id == 5:
         fixed["delta"] = 0.8
-    variants = ["thm1", "ref29"] if kind == "monogamy" else ["thm4", "ref29"]
-    spec = SweepSpec(kind, axes, fixed, variants)
+    spec = SweepSpec(kind, axes, fixed, DEFAULT_VARIANTS[kind].split(","))
     return spec, data
 
 
@@ -482,7 +490,6 @@ def cmd_figure(args) -> str:
 
 def cmd_sweep(args) -> str:
     obj = load_input_state(args)
-    cfg = _roof_cfg(args)
     axes = []
     for ax in args.axis:
         try:
@@ -496,14 +503,13 @@ def cmd_sweep(args) -> str:
         if name not in AXIS_NAMES + ("k", "p", "a"):
             raise UsageError(f"cannot fix unknown parameter {name!r}")
         fixed[name] = val if val in ("edge", "top", "sqrt") else float(val)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    spec = SweepSpec(args.kind, axes, fixed, variants)
+    spec = SweepSpec(args.kind, axes, fixed, _parse_variants(args))
     missing = [n for n in (("alpha", "gamma") if args.kind == "monogamy"
                            else ("beta", "delta"))
                if n not in fixed and n not in [a[0] for a in axes]]
     if missing:
         raise UsageError(f"missing exponent parameters: {missing}")
-    lhs_base, q_ab, q_ac = _measured_inputs(obj, args.kind, cfg)
+    lhs_base, q_ab, q_ac = _measured_inputs(obj, args.kind)
     header, rows = sweep_rows(spec, lhs_base, q_ab, q_ac, args.seed)
     return rows_to_csv(header, rows)
 
@@ -625,11 +631,11 @@ def verify_monogamy(trials: int, seed: int) -> dict:
 POLY_BETAS = (0.2, 0.5, 1.0)
 
 
-def verify_polygamy(trials: int, seed: int, restarts: int = 16) -> dict:
+def verify_polygamy(trials: int, seed: int) -> dict:
     """Additive SCRENoA polygamy audit on Haar and W-class three-qubit
-    states.  Pair values come from the max roof, which can only
-    under-estimate, so a failure beyond the optimizer tolerance would be a
-    genuine candidate violation."""
+    states.  Pair values are the exact two-qubit closed form (sum mu_i)^2
+    and the LHS the exact pure-state value, so a failure beyond the
+    tolerance is a genuine violation."""
     root = np.random.SeedSequence(seed)
     tol = 2e-3
     viol, checks = [], 0
@@ -645,9 +651,8 @@ def verify_polygamy(trials: int, seed: int, restarts: int = 16) -> dict:
             psi = st.haar_random_from(rng, 3)
         rho = st.to_density(psi)
         lhs_base = msr.negativity_pure(psi, (0,)) ** 2
-        cfg = RoofConfig(restarts=restarts, seed=int(child.generate_state(1)[0]))
-        n_ab = msr.screnoa(st.reduce_pair(rho, 1), cfg)
-        n_ac = msr.screnoa(st.reduce_pair(rho, 2), cfg)
+        n_ab = msr.screnoa(st.reduce_pair(rho, 1))
+        n_ac = msr.screnoa(st.reduce_pair(rho, 2))
         for beta in POLY_BETAS:
             slack = (bnd._pow(n_ab, beta) + bnd._pow(n_ac, beta)
                      - bnd._pow(lhs_base, beta))
@@ -810,7 +815,9 @@ def make_parser() -> argparse.ArgumentParser:
                         help="evaluate bound variants on a state")
     add_state_args(pb)
     pb.add_argument("--kind", required=True, choices=["monogamy", "polygamy"])
-    pb.add_argument("--variants", default="thm1,ref29")
+    pb.add_argument("--variants", default=None,
+                    help="comma-separated; default thm1,ref29 for monogamy, "
+                         "thm4,ref29 for polygamy")
     pb.add_argument("--alpha", type=float)
     pb.add_argument("--gamma", type=float)
     pb.add_argument("--beta", type=float)
@@ -841,7 +848,9 @@ def make_parser() -> argparse.ArgumentParser:
                     help="name:start:stop:steps (repeatable, max 2)")
     ps.add_argument("--fix", action="append",
                     help="name=value; q accepts edge/top, t accepts sqrt")
-    ps.add_argument("--variants", default="thm1,ref29")
+    ps.add_argument("--variants", default=None,
+                    help="comma-separated; default thm1,ref29 for monogamy, "
+                         "thm4,ref29 for polygamy")
     return ap
 
 

@@ -1,11 +1,21 @@
 """Quantum-correlation measures on qubit registers.
 
-Pure-state and two-qubit concurrence, negativity, and the convex-roof
-machinery behind CREN / CRENoA and their squares (SCREN / SCRENoA).  The
-roof optimizer parameterizes pure-state decompositions of a rank-r state
-by m x r isometries acting on the eigendecomposition ensemble, improves
-them with coordinate-wise Givens-rotation line searches, and finishes
-minimizing roofs with a Levenberg-Marquardt polish on per-member
+Pure-state and two-qubit concurrence, negativity, the two-qubit CREN /
+CRENoA and their squares (SCREN / SCRENoA), and a convex-roof optimizer.
+
+For two qubits the CREN family has exact closed forms over the Wootters
+spectrum mu_i: CREN is the Wootters concurrence (Lee, Kim, Park, Lee,
+PRA 68, 062304, 2003) and CRENoA the concurrence of assistance sum_i mu_i
+(Laustsen, Verstraete, van Enk, QIC 3, 64, 2003).  cren / crenoa / scren /
+screnoa evaluate these directly.
+
+The roof optimizer serves what has no closed form here: the `measure`
+command's optimizer diagnostics, the three-qubit chain residual, states
+other than 2 x 2, and the roof-oracle suite that checks it against the
+closed forms.  It parameterizes pure-state decompositions of a rank-r
+state by m x r isometries acting on the eigendecomposition ensemble,
+improves them with coordinate-wise Givens-rotation line searches, and
+finishes minimizing roofs with a Levenberg-Marquardt polish on per-member
 product-state residuals.  Restarts derive independent sub-seeds from the
 configured seed and are merged deterministically (first-best wins), so
 results are reproducible and the functional core is safe for concurrent
@@ -577,26 +587,40 @@ def _require_two_qubit(rho: DensityMatrix) -> None:
 
 
 def scren(rho: DensityMatrix, cfg: RoofConfig | None = None) -> float:
-    """Square of convex-roof extended negativity (minimizing roof)."""
-    _require_two_qubit(rho)
-    res = convex_roof(rho, negativity_functional((0,)), "min", cfg)
-    return float(res.value ** 2)
+    """Square of convex-roof extended negativity, cren(rho)^2 (exact).
+
+    cfg is accepted for call compatibility and ignored.
+    """
+    return cren(rho) ** 2
 
 
 def screnoa(rho: DensityMatrix, cfg: RoofConfig | None = None) -> float:
-    """Square of convex-roof extended negativity of assistance (max roof)."""
-    _require_two_qubit(rho)
-    res = convex_roof(rho, negativity_functional((0,)), "max", cfg)
-    return float(res.value ** 2)
+    """Square of convex-roof extended negativity of assistance,
+    crenoa(rho)^2 (exact).
+
+    cfg is accepted for call compatibility and ignored.
+    """
+    return crenoa(rho) ** 2
 
 
 def cren(rho: DensityMatrix, cfg: RoofConfig | None = None) -> float:
-    """Convex-roof extended negativity (minimizing roof)."""
+    """Convex-roof extended negativity of a two-qubit state.
+
+    Equal to the Wootters concurrence (Lee, Kim, Park, Lee, PRA 68,
+    062304, 2003), so the value is exact rather than a one-sided roof
+    estimate.  cfg is accepted for call compatibility and ignored.
+    """
     _require_two_qubit(rho)
-    return float(convex_roof(rho, negativity_functional((0,)), "min", cfg).value)
+    return concurrence_wootters(rho)
 
 
 def crenoa(rho: DensityMatrix, cfg: RoofConfig | None = None) -> float:
-    """Convex-roof extended negativity of assistance (max roof)."""
+    """Convex-roof extended negativity of assistance of a two-qubit state.
+
+    Equal to the concurrence of assistance sum_i mu_i over the Wootters
+    spectrum (Laustsen, Verstraete, van Enk, QIC 3, 64, 2003), so the
+    value is exact rather than a one-sided roof estimate.  cfg is
+    accepted for call compatibility and ignored.
+    """
     _require_two_qubit(rho)
-    return float(convex_roof(rho, negativity_functional((0,)), "max", cfg).value)
+    return float(_wootters_mu(rho.mat).sum())

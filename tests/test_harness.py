@@ -351,3 +351,33 @@ def test_global_flags_before_subcommand(capsys):
                          "--measure", "concurrence"], capsys)
     assert code == 0
     assert json.loads(out)["seed"] == 3
+
+
+# -- default variants follow the bound kind -----------------------------------
+
+@pytest.mark.parametrize("kind,builder,exps,theorem", [
+    ("monogamy", EX1_BUILDER, ["--alpha", "1", "--gamma", "2"], "thm1"),
+    ("polygamy", EX2_BUILDER, ["--beta", "1", "--delta", "0.8"], "thm4"),
+])
+def test_bound_default_variants(capsys, kind, builder, exps, theorem):
+    code, out = run_cli(["bound", "--builder", builder, "--kind", kind]
+                        + exps, capsys)
+    assert code == 0
+    rec = json.loads(out)
+    assert set(rec["variant_rhs"]) == {theorem, "ref29"}
+    assert all(rec["preconditions_ok"].values())
+
+
+@pytest.mark.parametrize("kind,builder,fixes,theorem", [
+    ("monogamy", EX1_BUILDER, ["--fix", "gamma=2"], "thm1"),
+    ("polygamy", EX2_BUILDER, ["--fix", "delta=0.8"], "thm4"),
+])
+def test_sweep_default_variants(capsys, kind, builder, fixes, theorem):
+    axis = "alpha:0:2:5" if kind == "monogamy" else "beta:1:2:5"
+    code, out = run_cli(["sweep", "--builder", builder, "--kind", kind,
+                         "--axis", axis] + fixes, capsys)
+    assert code == 0
+    cols, rows = parse_csv(out)
+    assert [c for c in cols if c.startswith("rhs_")] == [f"rhs_{theorem}",
+                                                         "rhs_ref29"]
+    assert len(rows) == 5

@@ -287,3 +287,72 @@ def test_separable_states_have_zero_min_measures(rng):
     prod = to_density(product_state())
     assert screnoa(prod, cfg) <= 1e-12
     assert scren(prod, cfg) <= 1e-12
+
+
+# -- closed forms and the max roof they replaced -------------------------------
+
+def assisted_sq(mat):
+    """(sum mu_i)^2 from the singular values of Psi^T (sy x sy) Psi."""
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real
+    evals, vecs = np.linalg.eigh(mat)
+    keep = evals > 1e-14
+    psi = vecs[:, keep] * np.sqrt(evals[keep])
+    return float(np.linalg.svd(psi.T @ yy @ psi, compute_uv=False).sum()) ** 2
+
+
+def werner_state(p):
+    singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
+    mat = p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4
+    return DensityMatrix(mat.astype(complex), SystemSignature((2, 2)))
+
+
+def test_max_roof_is_one_sided_below_screnoa_closed_form():
+    # the negativity max roof stays in use as an oracle; its squared value
+    # must never exceed (sum mu)^2 and must reach it within the polygamy
+    # suite's tolerance
+    w = to_density(w_class_state(0.5, 0.5, np.sqrt(2) / 2))
+    marginals = [(reduce_pair(w, 1), 0.25), (reduce_pair(w, 2), 0.5)]
+    marginals += [(reduce_pair(to_density(haar_random_pure(3, 9100 + k)), 1),
+                   None) for k in range(3)]
+    for k, (rho, exact) in enumerate(marginals):
+        ref = assisted_sq(rho.mat)
+        if exact is not None:
+            assert ref == pytest.approx(exact, abs=1e-12)
+        res = convex_roof(rho, negativity_functional((0,)), "max",
+                          RoofConfig(restarts=16, seed=k))
+        assert res.bound_side == "lower"
+        assert res.value ** 2 <= ref + 1e-12
+        assert res.value ** 2 == pytest.approx(ref, abs=2e-3)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_closed_forms_consistent_by_rank(rng, rank):
+    for _ in range(10):
+        rho = rand_density(rng, (2, 2), rank=rank)
+        c, ca = cren(rho), crenoa(rho)
+        assert scren(rho) == pytest.approx(concurrence_wootters(rho) ** 2,
+                                           abs=1e-14)
+        assert screnoa(rho) == pytest.approx(ca ** 2, abs=1e-14)
+        assert screnoa(rho) == pytest.approx(assisted_sq(rho.mat), abs=1e-12)
+        assert c <= ca + 1e-12
+        # the roof budget is accepted and has no effect
+        assert screnoa(rho, RoofConfig(restarts=1, seed=3)) == screnoa(rho)
+        if rank == 1:
+            assert c == pytest.approx(ca, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.2, 1 / 3, 0.6, 0.9])
+def test_closed_forms_on_werner_states(p):
+    # full rank; rho_tilde = rho, so the assisted value is the fidelity 1
+    rho = werner_state(p)
+    assert cren(rho) == pytest.approx(max(0.0, (3 * p - 1) / 2), abs=1e-12)
+    assert crenoa(rho) == pytest.approx(1.0, abs=1e-12)
+    assert screnoa(rho) == pytest.approx(1.0, abs=1e-12)
+    assert cren(rho) <= crenoa(rho)
+
+
+def test_closed_forms_require_two_qubits(rng):
+    rho = rand_density(rng, (2, 2, 2), rank=2)
+    for fn in (cren, crenoa, scren, screnoa):
+        with pytest.raises(MeasureError):
+            fn(rho)
