@@ -289,7 +289,7 @@ def test_separable_states_have_zero_min_measures(rng):
     assert scren(prod, cfg) <= 1e-12
 
 
-# -- closed forms and the max roof they replaced -------------------------------
+# -- closed forms and the roofs they replaced -----------------------------------
 
 def assisted_sq(mat):
     """(sum mu_i)^2 from the singular values of Psi^T (sy x sy) Psi."""
@@ -323,6 +323,41 @@ def test_max_roof_is_one_sided_below_screnoa_closed_form():
         assert res.bound_side == "lower"
         assert res.value ** 2 <= ref + 1e-12
         assert res.value ** 2 == pytest.approx(ref, abs=2e-3)
+
+
+def test_negativity_min_roof_matches_wootters_squared():
+    # `measure --measure scren|cren` still runs this roof; its squared
+    # value must reach the closed form CREN^2 = C_W^2
+    for k in range(5):
+        rho = reduce_pair(to_density(haar_random_pure(3, 40 + k)), 1)
+        res = convex_roof(rho, negativity_functional((0,)), "min",
+                          RoofConfig(restarts=16, seed=k))
+        assert res.bound_side == "upper"
+        assert res.value ** 2 >= concurrence_wootters(rho) ** 2 - 1e-12
+        assert res.value ** 2 == pytest.approx(
+            concurrence_wootters(rho) ** 2, abs=2e-3)
+
+
+def test_negativity_min_roof_pure_and_separable(rng):
+    res = convex_roof(to_density(bell_state()), negativity_functional((0,)),
+                      "min", RoofConfig(restarts=8, seed=21))
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+    for j in range(3):
+        sep = rand_product_mixture(rng, 3)
+        res = convex_roof(sep, negativity_functional((0,)), "min",
+                          RoofConfig(restarts=8, seed=22 + j))
+        assert res.value <= 1e-6
+
+
+def test_negativity_max_roof_matches_assisted_value():
+    # the max roof from below reaches CRENoA = sum mu_i to 1e-6
+    for k in range(8):
+        rho = reduce_pair(to_density(haar_random_pure(3, 7000 + k)), 1)
+        oracle = np.sqrt(assisted_sq(rho.mat))
+        res = convex_roof(rho, negativity_functional((0,)), "max",
+                          RoofConfig(restarts=16, seed=k))
+        assert res.value <= oracle + 1e-9
+        assert res.value >= oracle - 1e-6
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
