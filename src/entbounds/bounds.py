@@ -4,11 +4,17 @@ Scalar arithmetic only: the tightened two-term lower/upper bounds with the
 (t, q) window, the three prior bound families they are compared against,
 the N-partite chained forms, and a detailed admissibility checker.  All
 correlation values (pairwise and residual) are supplied by the caller.
+
+One engine serves both bound kinds.  `SIDES` holds what differs between
+the monogamy and the polygamy side (exponent names and ranges, theorem
+name, ref28's limits, gap sign); the thm1/thm4, prior_* and chain_* pairs
+of names are bindings of one side each.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 GRACE = 1e-12  # relative grace band on admissibility comparisons
@@ -40,44 +46,85 @@ def _pow(base: float, exponent: float) -> float:
 
 
 @dataclass(frozen=True)
-class MonogamyParams:
-    """Exponent bundle (alpha, gamma, t, q) for the lower-bound family.
+class BoundParams:
+    """Exponent pair (num, den) and window (t, q) of one tightened bound:
+    (alpha, gamma, t, q) on the monogamy side, (beta, delta, t, q) on the
+    polygamy side.
 
-    Admissible ranges: gamma >= 2, 0 <= alpha <= gamma, t >= 1,
-    1 < q <= 1 + 1/t; checked by validate_params, not at construction,
+    Admissible ranges are checked by validate_params, not at construction,
     so that report-only evaluation of bad parameters is possible.
     """
 
-    alpha: float
-    gamma: float
+    num: float
+    den: float
     t: float
     q: float
 
     def __post_init__(self):
-        for name in ("alpha", "gamma", "t", "q"):
+        for name in ("num", "den", "t", "q"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise BoundsError(f"{name} must be finite, got {v}")
+
+
+MonogamyParams = PolygamyParams = BoundParams
 
 
 @dataclass(frozen=True)
-class PolygamyParams:
-    """Exponent bundle (beta, delta, t, q) for the upper-bound family.
+class Side:
+    """What differs between the monogamy and the polygamy bound families.
 
-    Admissible ranges: 0 <= delta <= 1, beta >= delta, t >= 1,
-    1 < q <= 1 + 1/t; checked by validate_params.
+    Both apply one scalar lemma to an exponent pair (num, den): the
+    monogamy side bounds Q^alpha from below with (alpha, gamma), the
+    polygamy side bounds Q^beta from above with (beta, delta).
     """
 
-    beta: float
-    delta: float
-    t: float
-    q: float
+    exponents: tuple[str, str]      # names of (num, den)
+    theorem: str                    # variant name of the tightened bound
+    lower: bool                     # True for a lower bound
+    range_names: tuple[str, str]    # the den and the num range conditions
+    range_ok: Callable[[float, float], tuple[bool, bool]]  # on (num, den)
+    ref28_p: tuple[float, float]    # interval ref28's p must lie in
+    ref28_ratio: float              # ref28 also needs num <= ratio * den
+    blank_num_below_den: bool       # sweep rows with num < den stay blank
 
-    def __post_init__(self):
-        for name in ("beta", "delta", "t", "q"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise BoundsError(f"{name} must be finite, got {v}")
+    def gap(self, lhs: float, rhs: float) -> float:
+        """Slack of the bound rhs on lhs, nonnegative when it holds."""
+        return lhs - rhs if self.lower else rhs - lhs
+
+
+SIDES = {
+    "monogamy": Side(
+        exponents=("alpha", "gamma"), theorem="thm1", lower=True,
+        range_names=("gamma_ge_2", "alpha_range"),
+        range_ok=lambda alpha, gamma: (gamma >= 2.0, 0.0 <= alpha <= gamma),
+        ref28_p=(0.5, 1.0), ref28_ratio=0.5, blank_num_below_den=False),
+    "polygamy": Side(
+        exponents=("beta", "delta"), theorem="thm4", lower=False,
+        range_names=("delta_range", "beta_ge_delta"),
+        range_ok=lambda beta, delta: (0.0 < delta <= 1.0, beta >= delta),
+        ref28_p=(0.0, 1.0), ref28_ratio=math.inf, blank_num_below_den=True),
+}
+
+PRIOR_VARIANTS = ("ref16", "ref28", "ref29")
+WINDOW_CONDITIONS = ("t_ge_1", "dominance", "q_window")
+
+
+def _side(kind: str) -> Side:
+    try:
+        return SIDES[kind]
+    except KeyError:
+        raise BoundsError(
+            f"kind must be 'monogamy' or 'polygamy', got {kind!r}") from None
+
+
+def _check_range(side: Side, num: float, den: float) -> None:
+    oks = side.range_ok(num, den)
+    if not all(oks):
+        failed = [n for n, ok in zip(side.range_names, oks) if not ok]
+        raise PreconditionError(
+            f"{failed} fail for {side.exponents[0]} = {num}, "
+            f"{side.exponents[1]} = {den}")
 
 
 @dataclass(frozen=True)
@@ -176,67 +223,49 @@ def lemma1_check(x: float, t: float, q: float, exponent: float,
     raise BoundsError(f"branch must be 'm' or 'n', got {branch!r}")
 
 
-def _window_conditions(kind: str, q_ab: float, q_ac: float, power: float,
-                       t: float, q: float) -> list[Condition]:
-    conds = [Condition("t_ge_1", t >= 1.0, f"t = {t}")]
-    ab = _pow(q_ab, power)
-    ac = _pow(q_ac, power)
-    dom_ok = ac >= t * ab * (1.0 - GRACE)
-    conds.append(Condition(
-        "dominance", dom_ok,
-        f"Q_AC^{kind} = {ac} vs t * Q_AB^{kind} = {t * ab}"))
-    if ac > 0.0:
-        lo = 1.0 + ab / ac
-    else:
-        lo = 1.0
+def _window_conditions(ab: float, ac: float, t: float,
+                       q: float) -> tuple[tuple[bool, bool, bool], float, float]:
+    """The (t, q) window hypotheses on the powered values ab = Q_AB^den and
+    ac = Q_AC^den: t >= 1, dominance ac >= t ab, and q in
+    [1 + ab/ac, 1 + 1/t].  Returns their flags and the window edges."""
+    lo = 1.0 + ab / ac if ac > 0.0 else 1.0
     hi = 1.0 + (1.0 / t if t > 0 else math.inf)
-    win_ok = (q > 1.0) and (lo * (1.0 - GRACE) <= q <= hi * (1.0 + GRACE))
-    conds.append(Condition(
-        "q_window", win_ok, f"q = {q}, window [{lo}, {hi}]"))
-    return conds
+    win_ok = q > 1.0 and lo * (1.0 - GRACE) <= q <= hi * (1.0 + GRACE)
+    return (t >= 1.0, ac >= t * ab * (1.0 - GRACE), win_ok), lo, hi
 
 
 def validate_params(kind: str, q_ab: float, q_ac: float,
-                    params: MonogamyParams | PolygamyParams) -> AdmissibilityReport:
+                    params: BoundParams) -> AdmissibilityReport:
     """Per-condition admissibility report for a bound evaluation.
 
     kind is "monogamy" or "polygamy".  Both correlation values zero makes
-    every condition pass vacuously (the bound is trivially zero).
+    every condition pass vacuously (the bound is trivially zero), unless
+    the exponent ratio num/den is undefined.
     """
     if q_ab < 0 or q_ac < 0:
         raise BoundsError("correlation values must be nonnegative")
-    if kind == "monogamy":
-        if not isinstance(params, MonogamyParams):
-            raise BoundsError("monogamy kind requires MonogamyParams")
-        power = params.gamma
-        range_conds = [
-            Condition("gamma_ge_2", params.gamma >= 2.0, f"gamma = {params.gamma}"),
-            Condition("alpha_range", 0.0 <= params.alpha <= params.gamma,
-                      f"alpha = {params.alpha}, gamma = {params.gamma}"),
-        ]
-    elif kind == "polygamy":
-        if not isinstance(params, PolygamyParams):
-            raise BoundsError("polygamy kind requires PolygamyParams")
-        power = params.delta
-        range_conds = [
-            Condition("delta_range", 0.0 <= params.delta <= 1.0,
-                      f"delta = {params.delta}"),
-            Condition("beta_ge_delta", params.beta >= params.delta,
-                      f"beta = {params.beta}, delta = {params.delta}"),
-        ]
-    else:
-        raise BoundsError(f"kind must be 'monogamy' or 'polygamy', got {kind!r}")
+    side = _side(kind)
+    if not isinstance(params, BoundParams):
+        raise BoundsError(f"{kind} kind requires BoundParams")
+    names = side.range_names + WINDOW_CONDITIONS
+    num, den, t, q = params.num, params.den, params.t, params.q
+    if q_ab == 0.0 and q_ac == 0.0 and den != 0.0:
+        return AdmissibilityReport(kind, tuple(
+            Condition(n, True, "vacuous: both correlations zero")
+            for n in names), vacuous=True)
 
-    if q_ab == 0.0 and q_ac == 0.0:
-        vac = [Condition(c.name, True, "vacuous: both correlations zero")
-               for c in range_conds]
-        vac += [Condition(n, True, "vacuous: both correlations zero")
-                for n in ("t_ge_1", "dominance", "q_window")]
-        return AdmissibilityReport(kind, tuple(vac), vacuous=True)
-
-    conds = range_conds + _window_conditions(
-        kind, q_ab, q_ac, power, params.t, params.q)
-    return AdmissibilityReport(kind, tuple(conds))
+    num_name, den_name = side.exponents
+    ab, ac = _pow(q_ab, den), _pow(q_ac, den)
+    window_oks, lo, hi = _window_conditions(ab, ac, t, q)
+    details = (
+        f"{den_name} = {den}",
+        f"{num_name} = {num}, {den_name} = {den}",
+        f"t = {t}",
+        f"Q_AC^{den_name} = {ac} vs t * Q_AB^{den_name} = {t * ab}",
+        f"q = {q}, window [{lo}, {hi}]",
+    )
+    oks = side.range_ok(num, den) + window_oks
+    return AdmissibilityReport(kind, tuple(map(Condition, names, oks, details)))
 
 
 def _lemma_coeff(t: float, q: float, e: float) -> float:
@@ -255,24 +284,29 @@ def _two_term_bound(q_ab: float, q_ac: float, exp_num: float, exp_den: float,
             + _pow(q, e - 1.0) * _pow(q_ac, exp_num))
 
 
-def thm1_lower_bound(q_ab: float, q_ac: float, p: MonogamyParams) -> float:
-    """Tightened monogamy lower bound
-    ((1+t)^(a/g) - q^(a/g-1) t^(a/g)) Q_AB^a + q^(a/g-1) Q_AC^a."""
-    report = validate_params("monogamy", q_ab, q_ac, p)
+def tightened_bound(kind: str, q_ab: float, q_ac: float,
+                    p: BoundParams) -> float:
+    """Tightened two-term bound of one side, with e = num/den:
+    ((1+t)^e - q^(e-1) t^e) Q_AB^num + q^(e-1) Q_AC^num.
+
+    A lower bound on Q_A|BC^alpha for monogamy, an upper bound on
+    Q_A|BC^beta for polygamy.  Raises PreconditionError wherever
+    validate_params reports a failed condition.
+    """
+    report = validate_params(kind, q_ab, q_ac, p)
     if not report.ok:
         raise PreconditionError(f"inadmissible: {report.failed()}")
-    return _two_term_bound(q_ab, q_ac, p.alpha, p.gamma, p.t, p.q)
+    return _two_term_bound(q_ab, q_ac, p.num, p.den, p.t, p.q)
 
 
-def thm4_upper_bound(q_ab: float, q_ac: float, p: PolygamyParams) -> float:
-    """Tightened polygamy upper bound, the (beta, delta) mirror of the
-    monogamy form."""
-    if p.delta == 0.0:
-        raise PreconditionError("delta must be positive to evaluate the bound")
-    report = validate_params("polygamy", q_ab, q_ac, p)
-    if not report.ok:
-        raise PreconditionError(f"inadmissible: {report.failed()}")
-    return _two_term_bound(q_ab, q_ac, p.beta, p.delta, p.t, p.q)
+def thm1_lower_bound(q_ab: float, q_ac: float, p: BoundParams) -> float:
+    """Tightened monogamy lower bound, p = (alpha, gamma, t, q)."""
+    return tightened_bound("monogamy", q_ab, q_ac, p)
+
+
+def thm4_upper_bound(q_ab: float, q_ac: float, p: BoundParams) -> float:
+    """Tightened polygamy upper bound, p = (beta, delta, t, q)."""
+    return tightened_bound("polygamy", q_ab, q_ac, p)
 
 
 def _check_prior_dominance(q_ab: float, q_ac: float, power: float,
@@ -284,108 +318,72 @@ def _check_prior_dominance(q_ab: float, q_ac: float, power: float,
             f"dominance Q_AC^{power} >= {name} * Q_AB^{power} fails")
 
 
-def prior_monogamy_bound(variant: str, q_ab: float, q_ac: float, *,
-                         alpha: float, gamma: float, k: float | None = None,
-                         p: float | None = None, a: float | None = None) -> float:
-    """Earlier lower-bound families used for tightness comparisons.
+def prior_bound(kind: str, variant: str, q_ab: float, q_ac: float,
+                num: float, den: float, k: float | None = None,
+                p: float | None = None, a: float | None = None) -> float:
+    """Earlier bound families of one side used for tightness comparisons.
 
-    ref16: Q_AB^a + ((1+k)^(a/g) - 1)/k^(a/g) Q_AC^a           (0 <= a <= g)
-    ref28: p^(a/g) Q_AB^a + ((1+k)^(a/g) - p^(a/g))/k^(a/g) Q_AC^a
-           with 1/2 <= p <= 1 and 0 <= a <= g/2
-    ref29: (1+a)^(a/g - 1) Q_AB^a + (1 + 1/a)^(a/g - 1) Q_AC^a
+    With e = num/den:
+    ref16: Q_AB^num + ((1+k)^e - 1)/k^e Q_AC^num
+    ref28: p^e Q_AB^num + ((1+k)^e - p^e)/k^e Q_AC^num, with
+           1/2 <= p <= 1 and alpha <= gamma/2 (monogamy) or 0 <= p <= 1
+           (polygamy)
+    ref29: (1+a)^(e-1) Q_AB^num + (1 + 1/a)^(e-1) Q_AC^num
     """
+    side = _side(kind)
     if q_ab < 0 or q_ac < 0:
         raise BoundsError("correlation values must be nonnegative")
-    if gamma < 2.0:
-        raise PreconditionError(f"gamma must be >= 2, got {gamma}")
-    if not 0.0 <= alpha <= gamma:
-        raise PreconditionError(f"alpha {alpha} outside [0, {gamma}]")
+    _check_range(side, num, den)
+    if variant not in PRIOR_VARIANTS:
+        raise BoundsError(f"unknown {kind} variant {variant!r}")
     if q_ab == 0.0 and q_ac == 0.0:
         return 0.0
-    e = alpha / gamma
-    if variant == "ref16":
-        if k is None:
-            raise BoundsError("ref16 requires k")
-        _check_prior_dominance(q_ab, q_ac, gamma, k, "k")
-        coeff = (_pow(1.0 + k, e) - 1.0) / _pow(k, e)
-        return _pow(q_ab, alpha) + coeff * _pow(q_ac, alpha)
-    if variant == "ref28":
-        if k is None or p is None:
-            raise BoundsError("ref28 requires k and p")
-        if not 0.5 <= p <= 1.0:
-            raise PreconditionError(f"ref28 needs p in [1/2, 1], got {p}")
-        if alpha > gamma / 2.0:
-            raise PreconditionError(f"ref28 needs alpha <= gamma/2, got {alpha}")
-        _check_prior_dominance(q_ab, q_ac, gamma, k, "k")
-        coeff = (_pow(1.0 + k, e) - _pow(p, e)) / _pow(k, e)
-        return _pow(p, e) * _pow(q_ab, alpha) + coeff * _pow(q_ac, alpha)
+    e = num / den
     if variant == "ref29":
         if a is None:
             raise BoundsError("ref29 requires a")
-        _check_prior_dominance(q_ab, q_ac, gamma, a, "a")
-        return (_pow(1.0 + a, e - 1.0) * _pow(q_ab, alpha)
-                + _pow(1.0 + 1.0 / a, e - 1.0) * _pow(q_ac, alpha))
-    raise BoundsError(f"unknown monogamy variant {variant!r}")
+        _check_prior_dominance(q_ab, q_ac, den, a, "a")
+        return (_pow(1.0 + a, e - 1.0) * _pow(q_ab, num)
+                + _pow(1.0 + 1.0 / a, e - 1.0) * _pow(q_ac, num))
+    if k is None or (variant == "ref28" and p is None):
+        raise BoundsError("ref16 requires k, ref28 requires k and p")
+    if variant == "ref16":
+        p = 1.0  # ref16 is ref28 at p = 1, free of ref28's extra limits
+    elif not (side.ref28_p[0] <= p <= side.ref28_p[1]
+              and num <= den * side.ref28_ratio):
+        raise PreconditionError(
+            f"ref28 limits fail: p = {p}, {side.exponents[0]} = {num}, "
+            f"{side.exponents[1]} = {den}")
+    _check_prior_dominance(q_ab, q_ac, den, k, "k")
+    coeff = (_pow(1.0 + k, e) - _pow(p, e)) / _pow(k, e)
+    return _pow(p, e) * _pow(q_ab, num) + coeff * _pow(q_ac, num)
+
+
+def prior_monogamy_bound(variant: str, q_ab: float, q_ac: float, *,
+                         alpha: float, gamma: float, k: float | None = None,
+                         p: float | None = None, a: float | None = None) -> float:
+    """Earlier lower-bound families; see prior_bound."""
+    return prior_bound("monogamy", variant, q_ab, q_ac, alpha, gamma, k, p, a)
 
 
 def prior_polygamy_bound(variant: str, q_ab: float, q_ac: float, *,
                          beta: float, delta: float, k: float | None = None,
                          p: float | None = None, a: float | None = None) -> float:
-    """Earlier upper-bound families, the (beta >= delta) mirrors of the
-    monogamy priors; ref28 here allows 0 <= p <= 1."""
-    if q_ab < 0 or q_ac < 0:
-        raise BoundsError("correlation values must be nonnegative")
-    if not 0.0 < delta <= 1.0:
-        raise PreconditionError(f"delta must be in (0, 1], got {delta}")
-    if beta < delta:
-        raise PreconditionError(f"beta {beta} below delta {delta}")
-    if q_ab == 0.0 and q_ac == 0.0:
-        return 0.0
-    e = beta / delta
-    if variant == "ref16":
-        if k is None:
-            raise BoundsError("ref16 requires k")
-        _check_prior_dominance(q_ab, q_ac, delta, k, "k")
-        coeff = (_pow(1.0 + k, e) - 1.0) / _pow(k, e)
-        return _pow(q_ab, beta) + coeff * _pow(q_ac, beta)
-    if variant == "ref28":
-        if k is None or p is None:
-            raise BoundsError("ref28 requires k and p")
-        if not 0.0 <= p <= 1.0:
-            raise PreconditionError(f"ref28 needs p in [0, 1], got {p}")
-        _check_prior_dominance(q_ab, q_ac, delta, k, "k")
-        coeff = (_pow(1.0 + k, e) - _pow(p, e)) / _pow(k, e)
-        return _pow(p, e) * _pow(q_ab, beta) + coeff * _pow(q_ac, beta)
-    if variant == "ref29":
-        if a is None:
-            raise BoundsError("ref29 requires a")
-        _check_prior_dominance(q_ab, q_ac, delta, a, "a")
-        return (_pow(1.0 + a, e - 1.0) * _pow(q_ab, beta)
-                + _pow(1.0 + 1.0 / a, e - 1.0) * _pow(q_ac, beta))
-    raise BoundsError(f"unknown polygamy variant {variant!r}")
+    """Earlier upper-bound families; see prior_bound."""
+    return prior_bound("polygamy", variant, q_ab, q_ac, beta, delta, k, p, a)
 
 
-def _check_step(step: int, pair: float, resid: float, power: float,
-                t: float, q: float, forward: bool) -> None:
-    """Hypotheses of one chain step; `forward` means the residual block
-    dominates the pair, reversed means the pair dominates the residual."""
-    if t < 1.0:
-        raise ChainStepError(step, f"t = {t} must be >= 1")
-    small, large = (pair, resid) if forward else (resid, pair)
-    sp, lp = _pow(small, power), _pow(large, power)
-    if lp < t * sp * (1.0 - GRACE):
-        raise ChainStepError(
-            step, f"dominance fails: {lp} < t * {sp} (t = {t})")
-    if sp == 0.0 and lp == 0.0:
-        return
-    lo = 1.0 + (sp / lp if lp > 0 else math.inf)
-    hi = 1.0 + 1.0 / t
-    if not (q > 1.0 and lo * (1.0 - GRACE) <= q <= hi * (1.0 + GRACE)):
-        raise ChainStepError(step, f"q = {q} outside window [{lo}, {hi}]")
+def chain_bound(kind: str, q_pairs, q_residuals, cp: ChainParams,
+                num: float, den: float) -> float:
+    """N-partite chained bound of one side.
 
-
-def _chain_bound(q_pairs, q_residuals, cp: ChainParams,
-                 exp_num: float, exp_den: float) -> float:
+    q_pairs lists Q(A, B_1) ... Q(A, B_{N-1}); q_residuals lists the
+    trailing-block values Q(A | B_2...B_{N-1}), ..., Q(A | B_{N-1}) used in
+    the per-step hypotheses (the last residual equals the last pair).  With
+    split_index m, steps 1..m treat the residual as dominant and the
+    remaining steps the pair, mirroring the two-regime chained form.
+    """
+    _check_range(_side(kind), num, den)
     n_steps = len(cp.ts)
     if len(q_pairs) != n_steps + 1:
         raise BoundsError(
@@ -397,66 +395,58 @@ def _chain_bound(q_pairs, q_residuals, cp: ChainParams,
         raise BoundsError("correlation values must be nonnegative")
     if all(v == 0.0 for v in q_pairs):
         return 0.0
-    e = exp_num / exp_den
+    e = num / den
     m = cp.split_index
     total = 0.0
     prefix = 1.0
     for r in range(n_steps):
         t_r, q_r = cp.ts[r], cp.qs[r]
         pair, resid = q_pairs[r], q_residuals[r]
+        # forward: the residual block dominates the pair; reversed: the
+        # pair dominates the residual
         forward = m is None or r < m
-        _check_step(r + 1, pair, resid, exp_den, t_r, q_r, forward)
+        small, large = (pair, resid) if forward else (resid, pair)
+        sp, lp = _pow(small, den), _pow(large, den)
+        (t_ok, dom_ok, win_ok), lo, hi = _window_conditions(sp, lp, t_r, q_r)
+        if not (t_ok and dom_ok and (win_ok or sp == lp == 0.0)):
+            raise ChainStepError(
+                r + 1, f"need t >= 1, {lp} >= t * {sp} and q in [{lo}, {hi}]; "
+                       f"got t = {t_r}, q = {q_r}")
         if forward:
             # pair term carries the lemma coefficient, residual the q power
             if pair > 0.0:
-                total += prefix * _lemma_coeff(t_r, q_r, e) * _pow(pair, exp_num)
+                total += prefix * _lemma_coeff(t_r, q_r, e) * _pow(pair, num)
             prefix *= _pow(q_r, e - 1.0)
         else:
             if pair > 0.0:
-                total += prefix * _pow(q_r, e - 1.0) * _pow(pair, exp_num)
+                total += prefix * _pow(q_r, e - 1.0) * _pow(pair, num)
             prefix *= _lemma_coeff(t_r, q_r, e)
         if resid == 0.0:
             return total
     last = q_pairs[-1]
     if last > 0.0:
-        total += prefix * _pow(last, exp_num)
+        total += prefix * _pow(last, num)
     return total
 
 
 def chain_monogamy_bound(q_pairs, q_residuals, cp: ChainParams,
                          alpha: float, gamma: float) -> float:
-    """N-partite chained lower bound.
-
-    q_pairs lists Q(A, B_1) ... Q(A, B_{N-1}); q_residuals lists the
-    trailing-block values Q(A | B_2...B_{N-1}), ..., Q(A | B_{N-1}) used in
-    the per-step hypotheses (the last residual equals the last pair).  With
-    split_index m, steps 1..m treat the residual as dominant and the
-    remaining steps the pair, mirroring the two-regime chained form.
-    """
-    if gamma < 2.0:
-        raise PreconditionError(f"gamma must be >= 2, got {gamma}")
-    if not 0.0 <= alpha <= gamma:
-        raise PreconditionError(f"alpha {alpha} outside [0, {gamma}]")
-    return _chain_bound(q_pairs, q_residuals, cp, alpha, gamma)
+    """N-partite chained lower bound; see chain_bound."""
+    return chain_bound("monogamy", q_pairs, q_residuals, cp, alpha, gamma)
 
 
 def chain_polygamy_bound(q_pairs, q_residuals, cp: ChainParams,
                          beta: float, delta: float) -> float:
-    """N-partite chained upper bound, the (beta, delta) mirror of the
-    chained lower bound."""
-    if not 0.0 < delta <= 1.0:
-        raise PreconditionError(f"delta must be in (0, 1], got {delta}")
-    if beta < delta:
-        raise PreconditionError(f"beta {beta} below delta {delta}")
-    return _chain_bound(q_pairs, q_residuals, cp, beta, delta)
+    """N-partite chained upper bound; see chain_bound."""
+    return chain_bound("polygamy", q_pairs, q_residuals, cp, beta, delta)
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """Evaluated LHS and per-variant RHS values with admissibility flags.
 
-    Gap convention: lhs - rhs for monogamy (slack of a lower bound),
-    rhs - lhs for polygamy (slack of an upper bound).
+    Gap convention (Side.gap): lhs - rhs for monogamy (slack of a lower
+    bound), rhs - lhs for polygamy (slack of an upper bound).
     """
 
     kind: str
@@ -466,10 +456,10 @@ class BoundReport:
     gaps: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        gap = _side(self.kind).gap if self.gaps else None
         for name, rhs in self.variant_rhs.items():
             if name in self.gaps and math.isfinite(rhs):
-                expect = self.lhs - rhs if self.kind == "monogamy" else rhs - self.lhs
-                if abs(self.gaps[name] - expect) > 1e-12:
+                if abs(self.gaps[name] - gap(self.lhs, rhs)) > 1e-12:
                     raise BoundsError(f"inconsistent gap for {name}")
 
     def as_dict(self) -> dict:

@@ -106,10 +106,6 @@ def load_input_state(args) -> PureState | DensityMatrix:
     return obj
 
 
-def _roof_cfg(args) -> RoofConfig:
-    return RoofConfig(restarts=args.roof_restarts, seed=args.seed)
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out and out != "-":
         with open(out, "w", encoding="utf-8") as fh:
@@ -132,7 +128,7 @@ def _fmt(v) -> str:
 
 def cmd_measure(args) -> dict:
     obj = load_input_state(args)
-    cfg = _roof_cfg(args)
+    cfg = RoofConfig(restarts=args.roof_restarts, seed=args.seed)
     record = {"measure": args.measure, "seed": args.seed, "generator": st.RNG_NAME}
     name = args.measure
     diag = None
@@ -249,12 +245,12 @@ def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
                           delta=None, t="sqrt", q="edge", k=None, p=None,
                           a=None) -> bnd.BoundReport:
     """Build a BoundReport for the requested variants at one parameter point."""
-    if kind == "monogamy":
-        exp_num, exp_den = float(alpha), float(gamma)
-    elif kind == "polygamy":
-        exp_num, exp_den = float(beta), float(delta)
-    else:
+    side = bnd.SIDES.get(kind)
+    if side is None:
         raise UsageError(f"kind must be monogamy or polygamy, got {kind!r}")
+    given = {"alpha": alpha, "gamma": gamma, "beta": beta, "delta": delta}
+    num_name, den_name = side.exponents
+    exp_num, exp_den = float(given[num_name]), float(given[den_name])
     t_val = _resolve_t(t, q_ab, q_ac, exp_den)
     q_val = _resolve_q(q, t_val, q_ab, q_ac, exp_den)
     lhs = bnd._pow(lhs_base, exp_num)
@@ -262,41 +258,32 @@ def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
     variant_rhs: dict = {}
     pre_ok: dict = {}
     gaps: dict = {}
-    theorem = "thm1" if kind == "monogamy" else "thm4"
     for v in variants:
         try:
-            if v == theorem:
-                if kind == "monogamy":
-                    params = bnd.MonogamyParams(exp_num, exp_den, t_val, q_val)
-                    rhs = bnd.thm1_lower_bound(q_ab, q_ac, params)
-                else:
-                    params = bnd.PolygamyParams(exp_num, exp_den, t_val, q_val)
-                    rhs = bnd.thm4_upper_bound(q_ab, q_ac, params)
-            elif v in ("ref16", "ref28", "ref29"):
-                kw = dict(k=k if k is not None else t_val,
-                          p=p, a=a if a is not None else t_val)
-                if v == "ref28" and kw["p"] is None:
-                    kw["p"] = 1.0
-                if kind == "monogamy":
-                    rhs = bnd.prior_monogamy_bound(
-                        v, q_ab, q_ac, alpha=exp_num, gamma=exp_den, **kw)
-                else:
-                    rhs = bnd.prior_polygamy_bound(
-                        v, q_ab, q_ac, beta=exp_num, delta=exp_den, **kw)
+            if v == side.theorem:
+                rhs = bnd.tightened_bound(
+                    kind, q_ab, q_ac,
+                    bnd.BoundParams(exp_num, exp_den, t_val, q_val))
+            elif v in bnd.PRIOR_VARIANTS:
+                rhs = bnd.prior_bound(
+                    kind, v, q_ab, q_ac, exp_num, exp_den,
+                    k=t_val if k is None else k, p=1.0 if p is None else p,
+                    a=t_val if a is None else a)
             else:
                 raise UsageError(f"unknown bound variant {v!r}")
-        except bnd.PreconditionError as exc:
+        except bnd.PreconditionError:
             pre_ok[v] = False
             variant_rhs[v] = float("nan")
             continue
         pre_ok[v] = True
         variant_rhs[v] = float(rhs)
-        gaps[v] = lhs - rhs if kind == "monogamy" else rhs - lhs
+        gaps[v] = side.gap(lhs, rhs)
     return bnd.BoundReport(kind, lhs, variant_rhs, pre_ok, gaps)
 
 
 # tightened theorem and prior family compared by default, per bound kind
-DEFAULT_VARIANTS = {"monogamy": "thm1,ref29", "polygamy": "thm4,ref29"}
+DEFAULT_VARIANTS = {kind: f"{side.theorem},ref29"
+                    for kind, side in bnd.SIDES.items()}
 
 
 def _parse_variants(args) -> list:
@@ -306,10 +293,10 @@ def _parse_variants(args) -> list:
 
 
 def cmd_bound(args) -> dict:
-    if args.kind == "monogamy" and (args.alpha is None or args.gamma is None):
-        raise UsageError("monogamy bounds need --alpha and --gamma")
-    if args.kind == "polygamy" and (args.beta is None or args.delta is None):
-        raise UsageError("polygamy bounds need --beta and --delta")
+    num_name, den_name = bnd.SIDES[args.kind].exponents
+    if getattr(args, num_name) is None or getattr(args, den_name) is None:
+        raise UsageError(
+            f"{args.kind} bounds need --{num_name} and --{den_name}")
     obj = load_input_state(args)
     lhs_base, q_ab, q_ac = _measured_inputs(obj, args.kind)
     variants = _parse_variants(args)
@@ -343,7 +330,7 @@ class SweepSpec:
     variants: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in ("monogamy", "polygamy"):
+        if self.kind not in bnd.SIDES:
             raise UsageError(f"bad sweep kind {self.kind!r}")
         if not 1 <= len(self.axes) <= 2:
             raise UsageError("sweep needs one or two axes")
@@ -366,8 +353,8 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
     grid_desc = "x".join(
         f"{name}[{_fmt(float(a[0]))},{_fmt(float(a[-1]))},{len(a)}]"
         for name, a in axis_vals)
-    theorem = "thm1" if spec.kind == "monogamy" else "thm4"
-    exp_names = ("alpha", "gamma") if spec.kind == "monogamy" else ("beta", "delta")
+    side = bnd.SIDES[spec.kind]
+    exp_names = num_name, den_name = side.exponents
     axis_names = [name for name, _ in axis_vals]
     # both exponent columns always appear, then any window-parameter axes
     value_cols = list(exp_names) + [n for n in axis_names if n not in exp_names]
@@ -385,30 +372,26 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
         values = dict(spec.fixed)
         for (name, _), v in zip(axis_vals, pt):
             values[name] = float(v)
-        kw = dict(variants=spec.variants, t=values.get("t", "sqrt"),
-                  q=values.get("q", "edge"), k=values.get("k"),
-                  p=values.get("p"), a=values.get("a"))
-        kw[exp_names[0]] = values[exp_names[0]]
-        kw[exp_names[1]] = values[exp_names[1]]
-        mask_ok = True
-        if spec.kind == "polygamy" and values["beta"] < values["delta"]:
-            mask_ok = False
-        if mask_ok:
-            report = evaluate_bound_report(spec.kind, lhs_base, q_ab, q_ac, **kw)
+        num, den = values[num_name], values[den_name]
+        if side.blank_num_below_den and num < den:
+            rhs_vals = [float("nan")] * len(spec.variants)
+            admissible = False
+            lhs = float("nan")
+        else:
+            report = evaluate_bound_report(
+                spec.kind, lhs_base, q_ab, q_ac, variants=spec.variants,
+                t=values.get("t", "sqrt"), q=values.get("q", "edge"),
+                k=values.get("k"), p=values.get("p"), a=values.get("a"),
+                **{num_name: num, den_name: den})
             rhs_vals = [report.variant_rhs.get(v, float("nan"))
                         for v in spec.variants]
             admissible = all(report.preconditions_ok.get(v, False)
                              for v in spec.variants)
             lhs = report.lhs
-        else:
-            rhs_vals = [float("nan")] * len(spec.variants)
-            admissible = False
-            lhs = float("nan")
-        if theorem in spec.variants and "ref29" in spec.variants and admissible:
-            i_t = spec.variants.index(theorem)
+        if side.theorem in spec.variants and "ref29" in spec.variants and admissible:
+            i_t = spec.variants.index(side.theorem)
             i_r = spec.variants.index("ref29")
-            gap = (rhs_vals[i_t] - rhs_vals[i_r] if spec.kind == "monogamy"
-                   else rhs_vals[i_r] - rhs_vals[i_t])
+            gap = side.gap(rhs_vals[i_t], rhs_vals[i_r])
         else:
             gap = float("nan")
         lead = [float(values.get(c, float("nan"))) for c in value_cols]
@@ -504,8 +487,7 @@ def cmd_sweep(args) -> str:
             raise UsageError(f"cannot fix unknown parameter {name!r}")
         fixed[name] = val if val in ("edge", "top", "sqrt") else float(val)
     spec = SweepSpec(args.kind, axes, fixed, _parse_variants(args))
-    missing = [n for n in (("alpha", "gamma") if args.kind == "monogamy"
-                           else ("beta", "delta"))
+    missing = [n for n in bnd.SIDES[args.kind].exponents
                if n not in fixed and n not in [a[0] for a in axes]]
     if missing:
         raise UsageError(f"missing exponent parameters: {missing}")
@@ -671,7 +653,13 @@ def verify_polygamy(trials: int, seed: int) -> dict:
     }
 
 
-def verify_roof_oracle(trials: int, seed: int, restarts: int = 32) -> dict:
+# fixed roof budgets of the roof-based suites: a suite's output is a
+# function of --trials and --seed alone
+ROOF_ORACLE_RESTARTS = 32
+CHAIN_RESTARTS = 8
+
+
+def verify_roof_oracle(trials: int, seed: int) -> dict:
     """Min-roof concurrence against the closed two-qubit formula on random
     rank-2 states (marginals of Haar three-qubit states)."""
     root = np.random.SeedSequence(seed)
@@ -682,7 +670,8 @@ def verify_roof_oracle(trials: int, seed: int, restarts: int = 32) -> dict:
         psi = st.haar_random_from(rng, 3)
         rho = st.reduce_pair(st.to_density(psi), 1)
         exact = msr.concurrence_wootters(rho)
-        cfg = RoofConfig(restarts=restarts, seed=int(child.generate_state(1)[0]))
+        cfg = RoofConfig(restarts=ROOF_ORACLE_RESTARTS,
+                         seed=int(child.generate_state(1)[0]))
         res = msr.convex_roof(rho, msr.concurrence_functional((0,)), "min", cfg)
         diff = abs(res.value - exact)
         worst = max(worst, diff)
@@ -696,7 +685,7 @@ def verify_roof_oracle(trials: int, seed: int, restarts: int = 32) -> dict:
     }
 
 
-def verify_chain(trials: int, seed: int, restarts: int = 8) -> dict:
+def verify_chain(trials: int, seed: int) -> dict:
     """Chained lower bound audit on Haar four-qubit pure states.
 
     Pairs use the closed two-qubit formula; the one mixed residual is a
@@ -718,7 +707,8 @@ def verify_chain(trials: int, seed: int, restarts: int = 8) -> dict:
         pairs = [pair_vals[j] for j in order]
         keep = tuple(sorted((0, order[1], order[2])))
         marginal = partial_trace(rho, keep)
-        cfg = RoofConfig(restarts=restarts, seed=int(child.generate_state(1)[0]))
+        cfg = RoofConfig(restarts=CHAIN_RESTARTS,
+                         seed=int(child.generate_state(1)[0]))
         res = msr.convex_roof(marginal, msr.concurrence_functional((0,)), "min", cfg)
         residuals = [res.value, pairs[2]]
         ts, qs, admissible = [], [], True
@@ -787,13 +777,10 @@ def make_parser() -> argparse.ArgumentParser:
                     "bound verification on small qubit registers.")
     ap.add_argument("--seed", type=int, default=0, help="RNG seed (pcg64)")
     ap.add_argument("--out", default="-", help="output path, '-' for stdout")
-    ap.add_argument("--roof-restarts", type=int, default=32,
-                    help="restarts for convex-roof optimizations")
     # accept the global flags after the subcommand as well
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--roof-restarts", type=int, default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_state_args(p):
@@ -810,11 +797,13 @@ def make_parser() -> argparse.ArgumentParser:
                     choices=["concurrence", "negativity", "scren", "screnoa",
                              "cren", "crenoa", "wootters"])
     pm.add_argument("--split", default=None, help="bipartition, e.g. A|BC or 0|12")
+    pm.add_argument("--roof-restarts", type=int, default=32,
+                    help="restarts for convex-roof optimizations")
 
     pb = sub.add_parser("bound", parents=[common],
                         help="evaluate bound variants on a state")
     add_state_args(pb)
-    pb.add_argument("--kind", required=True, choices=["monogamy", "polygamy"])
+    pb.add_argument("--kind", required=True, choices=list(bnd.SIDES))
     pb.add_argument("--variants", default=None,
                     help="comma-separated; default thm1,ref29 for monogamy, "
                          "thm4,ref29 for polygamy")
@@ -843,7 +832,7 @@ def make_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", parents=[common],
                         help="parameter sweep on a state")
     add_state_args(ps)
-    ps.add_argument("--kind", required=True, choices=["monogamy", "polygamy"])
+    ps.add_argument("--kind", required=True, choices=list(bnd.SIDES))
     ps.add_argument("--axis", action="append", required=True,
                     help="name:start:stop:steps (repeatable, max 2)")
     ps.add_argument("--fix", action="append",

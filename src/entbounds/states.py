@@ -109,12 +109,10 @@ def haar_random_pure(n_qubits: int, seed: int) -> PureState:
     Independent standard complex Gaussians followed by normalization give
     exact unitary invariance.
     """
+    # checked before make_rng, which rejects some seeds with its own error
     if not 1 <= n_qubits <= 10:
         raise StateError(f"n_qubits must be in [1, 10], got {n_qubits}")
-    rng = make_rng(seed)
-    d = 2 ** n_qubits
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(vec / np.linalg.norm(vec), n_qubits)
+    return haar_random_from(make_rng(seed), n_qubits)
 
 
 def haar_random_from(rng: np.random.Generator, n_qubits: int) -> PureState:

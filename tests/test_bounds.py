@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from entbounds.bounds import (
+    BoundParams,
     BoundReport,
     BoundsError,
     ChainParams,
@@ -140,6 +143,15 @@ def test_prior_monogamy_values():
         prior_monogamy_bound("refXX", 0.3, 0.4, alpha=1.0, gamma=2.0)
 
 
+def test_prior_unknown_variant_raises_at_zero_values():
+    with pytest.raises(BoundsError, match="refXX"):
+        prior_monogamy_bound("refXX", 0.0, 0.0, alpha=1.0, gamma=2.0)
+    with pytest.raises(BoundsError, match="refXX"):
+        prior_polygamy_bound("refXX", 0.0, 0.0, beta=1.0, delta=0.8)
+    # a known variant still returns the zero bound without its factors
+    assert prior_polygamy_bound("ref28", 0.0, 0.0, beta=1.0, delta=0.8) == 0.0
+
+
 def test_thm4_collapse_and_example():
     p = PolygamyParams(0.8, 0.8, EX2["t"], EX2["q"])
     expect = EX2["q_ab"] ** 0.8 + EX2["q_ac"] ** 0.8
@@ -210,6 +222,47 @@ def test_validate_reports_all_conditions():
     rep = validate_params("monogamy", EX1["q_ab"], EX1["q_ac"], p)
     names = {c.name for c in rep.conditions}
     assert {"t_ge_1", "dominance", "q_window"} <= names
+
+
+def test_validate_delta_zero_fails_range():
+    p = PolygamyParams(1.0, 0.0, 1.0, 2.0)
+    rep = validate_params("polygamy", 0.25, 0.5, p)
+    assert rep.failed() == ["delta_range"]
+    with pytest.raises(PreconditionError):
+        thm4_upper_bound(0.25, 0.5, p)
+
+
+@pytest.mark.parametrize("kind,theorem,nums,dens", [
+    ("monogamy", thm1_lower_bound, (-1e-9, 0.0, 1.0, 2.0, 2.0 + 1e-9, 3.0),
+     (0.0, 2.0 - 1e-9, 2.0, 3.0)),
+    ("polygamy", thm4_upper_bound, (0.0, 0.8 - 1e-9, 0.8, 1.0, 1.0 + 1e-9, 2.0),
+     (-1e-9, 0.0, 0.01, 0.8, 1.0, 1.0 + 1e-9)),
+])
+def test_validate_ok_iff_theorem_evaluates(kind, theorem, nums, dens):
+    # the report and the theorem share one admissibility rule: across the
+    # exponent-range edges, the zero values and a window failure (t < 1)
+    for (q_ab, q_ac), num, den, t in itertools.product(
+            ((0.25, 0.5), (0.0, 0.5), (0.0, 0.0)), nums, dens, (1.0, 0.5)):
+        p = BoundParams(num, den, t, 2.0)
+        ok = validate_params(kind, q_ab, q_ac, p).ok
+        try:
+            theorem(q_ab, q_ac, p)
+            evaluates = True
+        except PreconditionError:
+            evaluates = False
+        assert ok == evaluates, (q_ab, q_ac, num, den, t)
+
+
+@pytest.mark.parametrize("kind,params,exponent", [
+    ("monogamy", MonogamyParams(1.0, 2.0, 2.0, 1.5), "gamma"),
+    ("polygamy", PolygamyParams(1.0, 0.8, 2.0, 1.5), "delta"),
+])
+def test_validate_dominance_detail_names_exponent(kind, params, exponent):
+    rep = validate_params(kind, 0.5, 0.25, params)  # Q_AC below t * Q_AB
+    dom = next(c for c in rep.conditions if c.name == "dominance")
+    assert not dom.ok
+    assert dom.detail.startswith(f"Q_AC^{exponent} = ")
+    assert f"t * Q_AB^{exponent} = " in dom.detail
 
 
 # -- special-case identities and monotonicity --------------------------------
@@ -425,18 +478,17 @@ def test_chain_polygamy_additive_collapse():
 def test_symmetric_w_single_step_polygamy():
     # equal pairwise assisted values force t = 1 and q = 2; the upper
     # bound must still clear the exact split value
-    from entbounds.measures import RoofConfig, negativity_pure, screnoa
+    from entbounds.measures import negativity_pure, screnoa
     from entbounds.states import reduce_pair, to_density, w_class_state
 
     c = 1 / np.sqrt(3)
     psi = w_class_state(c, c, c)
     rho = to_density(psi)
     lhs = negativity_pure(psi, (0,)) ** 2
-    cfg = RoofConfig(restarts=8, seed=17)
-    # the two assisted values agree to optimizer accuracy; order them so
-    # the dominance check cannot trip on last-digit noise
-    n_ab, n_ac = sorted((screnoa(reduce_pair(rho, 1), cfg),
-                         screnoa(reduce_pair(rho, 2), cfg)))
+    # the two assisted values agree up to rounding; order them so the
+    # dominance check cannot trip on last-digit noise
+    n_ab, n_ac = sorted((screnoa(reduce_pair(rho, 1)),
+                         screnoa(reduce_pair(rho, 2))))
     beta, delta = 1.0, 0.8
     cp = ChainParams((1.0,), (2.0,))
     rhs = chain_polygamy_bound([n_ab, n_ac], [n_ac], cp, beta, delta)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -344,6 +345,68 @@ def test_out_file_writing(tmp_path, capsys):
                    "--resolution", "11"])
     assert code == 0
     assert path.read_text().startswith("# seed=0")
+
+
+def test_roof_restarts_only_on_measure(capsys):
+    # only measure runs a roof that the flag can size
+    code, out = run_cli(["measure", "--builder", EX2_BUILDER, "--keep", "0,1",
+                         "--measure", "screnoa", "--seed", "5",
+                         "--roof-restarts", "2"], capsys)
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["optimizer"]["restarts_used"] == 2
+    assert rec["value"] == pytest.approx(0.25, abs=1e-3)
+    restarts = ["--roof-restarts", "4"]
+    for args in (["bound", "--builder", EX2_BUILDER, "--kind", "polygamy",
+                  "--beta", "1", "--delta", "0.8"] + restarts,
+                 ["sweep", "--builder", EX2_BUILDER, "--kind", "polygamy",
+                  "--axis", "beta:1:2:3", "--fix", "delta=0.8"] + restarts,
+                 ["figure", "--id", "1"] + restarts,
+                 ["verify", "--suite", "lemma1", "--trials", "10"] + restarts,
+                 restarts + ["figure", "--id", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            h.main(args)
+        assert exc.value.code == 2
+
+
+# SHA-256 of stdout for fixed command lines: the figure, bound and verify
+# bytes are part of the interface and must not drift when the code does
+GOLDEN = {
+    "figure1": (["figure", "--id", "1", "--resolution", "11"],
+                "b150b8cf90edf939388344f2ffc5c19848a1bd6cc342d94c5e160408a488ef41"),
+    "figure2": (["figure", "--id", "2", "--resolution", "11"],
+                "3384c40e65572caeed9ae528dc021a02c92caa6c5cda77679b7c4f36bc1f1e26"),
+    "figure3": (["figure", "--id", "3", "--resolution", "11"],
+                "b150b8cf90edf939388344f2ffc5c19848a1bd6cc342d94c5e160408a488ef41"),
+    "figure4": (["figure", "--id", "4", "--resolution", "11"],
+                "312ed41543ac3ee0758e0e316dce6bde64ffe0b5ee65952454de8261a1ae6355"),
+    "figure5": (["figure", "--id", "5", "--resolution", "11"],
+                "eff22bb1d0b7f6612a26ef3d3c854b87f2b47078d0cf248d061bbc4511f0047e"),
+    "figure6": (["figure", "--id", "6", "--resolution", "11"],
+                "312ed41543ac3ee0758e0e316dce6bde64ffe0b5ee65952454de8261a1ae6355"),
+    # the CKW-tight W-class state on which thm1 exceeds the LHS
+    "bound-wclass-monogamy": (
+        ["bound", "--builder", "wclass:0.8,0.3,0.5196152422706632",
+         "--kind", "monogamy", "--alpha", "0.85", "--gamma", "2",
+         "--t", "1", "--q", "edge"],
+        "601fb9e2e72a07baae7f5f400dd2c11b6aac05fb3c6c371dd8f188264ff4d7ce"),
+    "bound-example2-polygamy": (
+        ["bound", "--builder", EX2_BUILDER, "--kind", "polygamy",
+         "--beta", "1", "--delta", "0.8"],
+        "dcc54c152e4687c1bb9b1c06d70470bf8d136150837899bf033149868e98406d"),
+    # min-roof residuals at the suite's fixed restart count
+    "verify-chain": (
+        ["verify", "--suite", "chain", "--trials", "4", "--seed", "13"],
+        "0f01d37ceac763ce0c51e4663738556c53b70ec82e492958b71a93d941399377"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_output_bytes(capsys, name):
+    args, digest = GOLDEN[name]
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_global_flags_before_subcommand(capsys):

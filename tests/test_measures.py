@@ -212,30 +212,27 @@ def test_ensemble_validation_rejects_mismatch():
 
 def test_screnoa_wclass_marginals():
     rho = to_density(w_class_state(0.5, 0.5, np.sqrt(2) / 2))
-    cfg = RoofConfig(restarts=16, seed=13)
-    assert screnoa(reduce_pair(rho, 1), cfg) == pytest.approx(0.25, abs=2e-3)
-    assert screnoa(reduce_pair(rho, 2), cfg) == pytest.approx(0.50, abs=2e-3)
+    assert screnoa(reduce_pair(rho, 1)) == pytest.approx(0.25, abs=2e-3)
+    assert screnoa(reduce_pair(rho, 2)) == pytest.approx(0.50, abs=2e-3)
 
 
 def test_screnoa_pure_input_exact():
     rho = to_density(bell_state())
-    cfg = RoofConfig(seed=1)
-    assert screnoa(rho, cfg) == pytest.approx(
+    assert screnoa(rho) == pytest.approx(
         negativity_pure(bell_state(), (0,)) ** 2, abs=1e-14)
 
 
 def test_scren_pure_and_separable(rng):
-    cfg = RoofConfig(restarts=8, seed=21)
-    assert scren(to_density(bell_state()), cfg) == pytest.approx(1.0, abs=1e-12)
+    assert scren(to_density(bell_state())) == pytest.approx(1.0, abs=1e-12)
     sep = rand_product_mixture(rng, 3)
-    assert scren(sep, RoofConfig(restarts=8, seed=22)) <= 1e-6
+    assert scren(sep) <= 1e-6
 
 
 def test_scren_matches_wootters_squared():
     for k in range(5):
         rho = reduce_pair(to_density(haar_random_pure(3, 40 + k)), 1)
         target = concurrence_wootters(rho) ** 2
-        assert scren(rho, RoofConfig(restarts=16, seed=k)) == pytest.approx(
+        assert scren(rho) == pytest.approx(
             target, abs=2e-3)
 
 
@@ -256,22 +253,21 @@ def test_crenoa_matches_assisted_value_oracle():
     for k in range(8):
         rho = reduce_pair(to_density(haar_random_pure(3, 7000 + k)), 1)
         oracle = assisted_value(rho.mat)
-        got = crenoa(rho, RoofConfig(restarts=16, seed=k))
-        assert got <= oracle + 1e-9   # max roof is one-sided from below
+        got = crenoa(rho)
+        assert got <= oracle + 1e-9
         assert got >= oracle - 1e-6
 
 
 def test_cren_crenoa_are_roots():
     rho = reduce_pair(to_density(haar_random_pure(3, 60)), 1)
-    cfg = RoofConfig(restarts=8, seed=6)
-    assert cren(rho, cfg) ** 2 == pytest.approx(scren(rho, cfg), abs=1e-10)
-    assert crenoa(rho, cfg) ** 2 == pytest.approx(screnoa(rho, cfg), abs=1e-10)
+    assert cren(rho) ** 2 == pytest.approx(scren(rho), abs=1e-10)
+    assert crenoa(rho) ** 2 == pytest.approx(screnoa(rho), abs=1e-10)
 
 
 def test_scren_requires_two_qubits(rng):
     rho = rand_density(rng, (2, 2, 2), rank=2)
     with pytest.raises(MeasureError):
-        scren(rho, RoofConfig(seed=1))
+        scren(rho)
 
 
 def test_separable_states_have_zero_min_measures(rng):
@@ -285,8 +281,8 @@ def test_separable_states_have_zero_min_measures(rng):
         assert res.value <= 1e-6
 
     prod = to_density(product_state())
-    assert screnoa(prod, cfg) <= 1e-12
-    assert scren(prod, cfg) <= 1e-12
+    assert screnoa(prod) <= 1e-12
+    assert scren(prod) <= 1e-12
 
 
 # -- closed forms and the roofs they replaced -----------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from entbounds.linalg import partial_trace
 from entbounds.measures import (
-    RoofConfig,
     concurrence_pure,
     concurrence_wootters,
     negativity_pure,
@@ -114,9 +113,8 @@ def test_wclass_states():
 def test_wclass_symmetric_screnoa_equal():
     c = 1 / np.sqrt(3)
     rho = to_density(w_class_state(c, c, c))
-    cfg = RoofConfig(restarts=8, seed=11)
-    ab = screnoa(reduce_pair(rho, 1), cfg)
-    ac = screnoa(reduce_pair(rho, 2), cfg)
+    ab = screnoa(reduce_pair(rho, 1))
+    ac = screnoa(reduce_pair(rho, 2))
     assert ab == pytest.approx(4.0 / 9.0, abs=2e-3)
     assert ac == pytest.approx(4.0 / 9.0, abs=2e-3)
     assert ab == pytest.approx(ac, abs=2e-3)
