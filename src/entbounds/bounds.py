@@ -1,9 +1,15 @@
 """Monogamy and polygamy bound families for bipartite correlation values.
 
-Scalar arithmetic only: the tightened two-term lower/upper bounds with the
-(t, q) window, the three prior bound families they are compared against,
-the N-partite chained forms, and a detailed admissibility checker.  All
-correlation values (pairwise and residual) are supplied by the caller.
+The tightened two-term lower/upper bounds with the (t, q) window, the
+three prior bound families they are compared against, the N-partite
+chained forms, and a detailed admissibility checker.  All correlation
+values (pairwise and residual) are supplied by the caller.
+
+The formulas and flags are written once for floats and numpy arrays: the
+scalar entry points evaluate one point in pure float arithmetic, and
+bound_grid evaluates one variant over a whole parameter grid.  Every
+power goes through _pow, elementwise on the grid (GridPow), so both give
+the same bits.
 
 One engine serves both bound kinds.  `SIDES` holds what differs between
 the monogamy and the polygamy side (exponent names and ranges, theorem
@@ -16,6 +22,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 GRACE = 1e-12  # relative grace band on admissibility comparisons
 
@@ -37,12 +45,47 @@ class ChainStepError(PreconditionError):
 
 
 def _pow(base: float, exponent: float) -> float:
-    """Power with the 0^0 = 1 convention used throughout the bounds."""
+    """Power with the 0^0 = 1 and 0^x = 0 conventions used throughout the
+    bounds; a result beyond the float range is a BoundsError."""
     if exponent == 0.0:
         return 1.0
     if base == 0.0:
         return 0.0
-    return float(base ** exponent)
+    try:
+        return float(base ** exponent)
+    except OverflowError:
+        raise BoundsError(
+            f"{base!r} ** {exponent!r} overflows the float range") from None
+
+
+class GridPow:
+    """_pow over broadcast numpy arrays, one element at a time.
+
+    np.power rounds differently from the C library pow behind Python's
+    float ** in the last bit for a few percent of inputs, so a grid must
+    take its powers through _pow to match the scalar engine bit for bit.
+    Elements where _pow raises read nan and are marked in `failed`.
+    """
+
+    def __init__(self):
+        self.failed = np.False_
+
+    def __call__(self, base, exponent) -> np.ndarray:
+        b, e = np.broadcast_arrays(base, exponent)
+        pairs = list(zip(b.ravel().tolist(), e.ravel().tolist()))
+        try:
+            out = [_pow(x, y) for x, y in pairs]
+        except (BoundsError, TypeError):  # TypeError: a complex result
+            out, bad = [], []
+            for x, y in pairs:
+                try:
+                    out.append(_pow(x, y))
+                    bad.append(False)
+                except (BoundsError, TypeError):
+                    out.append(math.nan)
+                    bad.append(True)
+            self.failed = self.failed | np.reshape(bad, b.shape)
+        return np.reshape(out, b.shape)
 
 
 @dataclass(frozen=True)
@@ -83,7 +126,8 @@ class Side:
     theorem: str                    # variant name of the tightened bound
     lower: bool                     # True for a lower bound
     range_names: tuple[str, str]    # the den and the num range conditions
-    range_ok: Callable[[float, float], tuple[bool, bool]]  # on (num, den)
+    range_ok: Callable[[float, float], tuple[bool, bool]]  # on (num, den),
+                                    # floats or arrays alike
     ref28_p: tuple[float, float]    # interval ref28's p must lie in
     ref28_ratio: float              # ref28 also needs num <= ratio * den
     blank_num_below_den: bool       # sweep rows with num < den stay blank
@@ -97,12 +141,14 @@ SIDES = {
     "monogamy": Side(
         exponents=("alpha", "gamma"), theorem="thm1", lower=True,
         range_names=("gamma_ge_2", "alpha_range"),
-        range_ok=lambda alpha, gamma: (gamma >= 2.0, 0.0 <= alpha <= gamma),
+        range_ok=lambda alpha, gamma: (gamma >= 2.0,
+                                       (0.0 <= alpha) & (alpha <= gamma)),
         ref28_p=(0.5, 1.0), ref28_ratio=0.5, blank_num_below_den=False),
     "polygamy": Side(
         exponents=("beta", "delta"), theorem="thm4", lower=False,
         range_names=("delta_range", "beta_ge_delta"),
-        range_ok=lambda beta, delta: (0.0 < delta <= 1.0, beta >= delta),
+        range_ok=lambda beta, delta: ((0.0 < delta) & (delta <= 1.0),
+                                      beta >= delta),
         ref28_p=(0.0, 1.0), ref28_ratio=math.inf, blank_num_below_den=True),
 }
 
@@ -223,14 +269,19 @@ def lemma1_check(x: float, t: float, q: float, exponent: float,
     raise BoundsError(f"branch must be 'm' or 'n', got {branch!r}")
 
 
-def _window_conditions(ab: float, ac: float, t: float,
-                       q: float) -> tuple[tuple[bool, bool, bool], float, float]:
+def _window_conditions(ab, ac, t, q):
     """The (t, q) window hypotheses on the powered values ab = Q_AB^den and
     ac = Q_AC^den: t >= 1, dominance ac >= t ab, and q in
-    [1 + ab/ac, 1 + 1/t].  Returns their flags and the window edges."""
-    lo = 1.0 + ab / ac if ac > 0.0 else 1.0
-    hi = 1.0 + (1.0 / t if t > 0 else math.inf)
-    win_ok = q > 1.0 and lo * (1.0 - GRACE) <= q <= hi * (1.0 + GRACE)
+    [1 + ab/ac, 1 + 1/t].  Returns their flags and the window edges, as
+    floats or as arrays."""
+    if isinstance(ac, np.ndarray) or isinstance(t, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo = 1.0 + np.where(ac > 0.0, ab / ac, 0.0)
+            hi = 1.0 + np.where(t > 0.0, 1.0 / t, math.inf)
+    else:  # one point: plain floats, the hot path of bound reports
+        lo = 1.0 + ab / ac if ac > 0.0 else 1.0
+        hi = 1.0 + (1.0 / t if t > 0 else math.inf)
+    win_ok = (q > 1.0) & (lo * (1.0 - GRACE) <= q) & (q <= hi * (1.0 + GRACE))
     return (t >= 1.0, ac >= t * ab * (1.0 - GRACE), win_ok), lo, hi
 
 
@@ -268,20 +319,22 @@ def validate_params(kind: str, q_ab: float, q_ac: float,
     return AdmissibilityReport(kind, tuple(map(Condition, names, oks, details)))
 
 
-def _lemma_coeff(t: float, q: float, e: float) -> float:
-    """(1 + t)^e - q^(e-1) t^e, the pair-term coefficient of the bounds."""
-    return _pow(1.0 + t, e) - _pow(q, e - 1.0) * _pow(t, e)
+def _lemma_coeff(t, q_power, e, pw=_pow):
+    """(1 + t)^e - q^(e-1) t^e, the pair-term coefficient of the bounds,
+    from q_power = q^(e-1)."""
+    return pw(1.0 + t, e) - q_power * pw(t, e)
 
 
-def _two_term_bound(q_ab: float, q_ac: float, exp_num: float, exp_den: float,
-                    t: float, q: float) -> float:
+def _two_term_bound(q_ab: float, q_ac: float, exp_num, exp_den, t, q,
+                    pw=_pow):
     e = exp_num / exp_den
     if q_ab == 0.0 and q_ac == 0.0:
         return 0.0
+    q_power = pw(q, e - 1.0)
     if q_ab == 0.0:
-        return _pow(q, e - 1.0) * _pow(q_ac, exp_num)
-    return (_lemma_coeff(t, q, e) * _pow(q_ab, exp_num)
-            + _pow(q, e - 1.0) * _pow(q_ac, exp_num))
+        return q_power * pw(q_ac, exp_num)
+    return (_lemma_coeff(t, q_power, e, pw) * pw(q_ab, exp_num)
+            + q_power * pw(q_ac, exp_num))
 
 
 def tightened_bound(kind: str, q_ab: float, q_ac: float,
@@ -309,13 +362,33 @@ def thm4_upper_bound(q_ab: float, q_ac: float, p: BoundParams) -> float:
     return tightened_bound("polygamy", q_ab, q_ac, p)
 
 
+def _prior_dominance_fails(q_ab: float, q_ac: float, power, factor, pw=_pow):
+    """Q_AC^power < factor Q_AB^power, beyond the grace band."""
+    return pw(q_ac, power) < factor * pw(q_ab, power) * (1.0 - GRACE)
+
+
 def _check_prior_dominance(q_ab: float, q_ac: float, power: float,
                            factor: float, name: str) -> None:
     if factor < 1.0:
         raise PreconditionError(f"{name} must be >= 1, got {factor}")
-    if _pow(q_ac, power) < factor * _pow(q_ab, power) * (1.0 - GRACE):
+    if _prior_dominance_fails(q_ab, q_ac, power, factor):
         raise PreconditionError(
             f"dominance Q_AC^{power} >= {name} * Q_AB^{power} fails")
+
+
+def _ref28_limits_ok(side: Side, num, den, p):
+    return ((side.ref28_p[0] <= p) & (p <= side.ref28_p[1])
+            & (num <= den * side.ref28_ratio))
+
+
+def _ref29_bound(q_ab: float, q_ac: float, num, e, a, pw=_pow):
+    return (pw(1.0 + a, e - 1.0) * pw(q_ab, num)
+            + pw(1.0 + 1.0 / a, e - 1.0) * pw(q_ac, num))
+
+
+def _ref28_bound(q_ab: float, q_ac: float, num, e, k, p, pw=_pow):
+    coeff = (pw(1.0 + k, e) - pw(p, e)) / pw(k, e)
+    return pw(p, e) * pw(q_ab, num) + coeff * pw(q_ac, num)
 
 
 def prior_bound(kind: str, variant: str, q_ab: float, q_ac: float,
@@ -343,20 +416,17 @@ def prior_bound(kind: str, variant: str, q_ab: float, q_ac: float,
         if a is None:
             raise BoundsError("ref29 requires a")
         _check_prior_dominance(q_ab, q_ac, den, a, "a")
-        return (_pow(1.0 + a, e - 1.0) * _pow(q_ab, num)
-                + _pow(1.0 + 1.0 / a, e - 1.0) * _pow(q_ac, num))
+        return _ref29_bound(q_ab, q_ac, num, e, a)
     if k is None or (variant == "ref28" and p is None):
         raise BoundsError("ref16 requires k, ref28 requires k and p")
     if variant == "ref16":
         p = 1.0  # ref16 is ref28 at p = 1, free of ref28's extra limits
-    elif not (side.ref28_p[0] <= p <= side.ref28_p[1]
-              and num <= den * side.ref28_ratio):
+    elif not _ref28_limits_ok(side, num, den, p):
         raise PreconditionError(
             f"ref28 limits fail: p = {p}, {side.exponents[0]} = {num}, "
             f"{side.exponents[1]} = {den}")
     _check_prior_dominance(q_ab, q_ac, den, k, "k")
-    coeff = (_pow(1.0 + k, e) - _pow(p, e)) / _pow(k, e)
-    return _pow(p, e) * _pow(q_ab, num) + coeff * _pow(q_ac, num)
+    return _ref28_bound(q_ab, q_ac, num, e, k, p)
 
 
 def prior_monogamy_bound(variant: str, q_ab: float, q_ac: float, *,
@@ -371,6 +441,62 @@ def prior_polygamy_bound(variant: str, q_ab: float, q_ac: float, *,
                          p: float | None = None, a: float | None = None) -> float:
     """Earlier upper-bound families; see prior_bound."""
     return prior_bound("polygamy", variant, q_ab, q_ac, beta, delta, k, p, a)
+
+
+def bound_grid(kind: str, variant: str, q_ab: float, q_ac: float, num, den,
+               t, q, k, p, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One variant of one side over a grid: num, den, t, q, k, p and a are
+    floats or arrays that broadcast together.
+
+    The side's theorem name evaluates tightened_bound with
+    BoundParams(num, den, t, q); a prior name evaluates prior_bound with
+    k, p and a (p is ignored by ref16 and ref29).  The formulas and checks
+    are theirs.  Returns (rhs, ok, failed): ok is where the scalar entry
+    point evaluates, rhs is nan elsewhere, and failed marks the points
+    where the scalar entry point raises, or may raise, something other
+    than PreconditionError (an overflowing power, a non-finite t or q, a
+    negative correlation value).  Values at failed points are unspecified.
+    """
+    side = _side(kind)
+    if variant != side.theorem and variant not in PRIOR_VARIANTS:
+        raise BoundsError(f"unknown {kind} variant {variant!r}")
+    num, den, t, q, k, p, a = (np.asarray(v, dtype=float)
+                               for v in (num, den, t, q, k, p, a))
+    failed = np.bool_(q_ab < 0 or q_ac < 0)
+    check, value = GridPow(), GridPow()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        range_oks = side.range_ok(num, den)
+        ok = range_oks[0] & range_oks[1]
+        if variant == side.theorem:
+            failed = failed | ~(np.isfinite(num) & np.isfinite(den)
+                                & np.isfinite(t) & np.isfinite(q))
+            window_oks, _, _ = _window_conditions(
+                check(q_ab, den), check(q_ac, den), t, q)
+            ok = ok & window_oks[0] & window_oks[1] & window_oks[2]
+            if q_ab == 0.0 and q_ac == 0.0:  # vacuous where num/den exists
+                ok = ok | (den != 0.0)
+            failed = failed | check.failed
+            rhs = _two_term_bound(q_ab, q_ac, num, den, t, q, value)
+        elif q_ab == 0.0 and q_ac == 0.0:
+            rhs = 0.0
+        else:
+            e = num / den
+            if variant == "ref29":
+                factor = a
+                rhs = _ref29_bound(q_ab, q_ac, num, e, a, value)
+            else:
+                factor = k
+                if variant == "ref28":
+                    ok = ok & _ref28_limits_ok(side, num, den, p)
+                rhs = _ref28_bound(q_ab, q_ac, num, e, k,
+                                   1.0 if variant == "ref16" else p, value)
+            ok = ok & ~(factor < 1.0)
+            dominance_fails = _prior_dominance_fails(q_ab, q_ac, den, factor,
+                                                     check)
+            failed = failed | (check.failed & ok)
+            ok = ok & ~dominance_fails
+        failed = failed | (value.failed & ok)
+        return np.where(ok, rhs, math.nan), ok, failed
 
 
 def chain_bound(kind: str, q_pairs, q_residuals, cp: ChainParams,
@@ -412,15 +538,17 @@ def chain_bound(kind: str, q_pairs, q_residuals, cp: ChainParams,
             raise ChainStepError(
                 r + 1, f"need t >= 1, {lp} >= t * {sp} and q in [{lo}, {hi}]; "
                        f"got t = {t_r}, q = {q_r}")
+        q_power = _pow(q_r, e - 1.0)
         if forward:
             # pair term carries the lemma coefficient, residual the q power
             if pair > 0.0:
-                total += prefix * _lemma_coeff(t_r, q_r, e) * _pow(pair, num)
-            prefix *= _pow(q_r, e - 1.0)
+                total += (prefix * _lemma_coeff(t_r, q_power, e)
+                          * _pow(pair, num))
+            prefix *= q_power
         else:
             if pair > 0.0:
-                total += prefix * _pow(q_r, e - 1.0) * _pow(pair, num)
-            prefix *= _lemma_coeff(t_r, q_r, e)
+                total += prefix * q_power * _pow(pair, num)
+            prefix *= _lemma_coeff(t_r, q_power, e)
         if resid == 0.0:
             return total
     last = q_pairs[-1]

@@ -114,14 +114,6 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))  # shortest round-trip decimal
-    return str(v)
-
-
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
@@ -220,24 +212,43 @@ def _measured_inputs(obj, kind: str):
     return lhs_base, q_ab, q_ac
 
 
-def _resolve_q(qspec, t: float, q_ab: float, q_ac: float, power: float) -> float:
-    """q may be numeric, 'edge' (data-dependent lower edge) or 'top'."""
+def _resolve_q(qspec, t, q_ab: float, q_ac: float, power, pw=bnd._pow):
+    """q may be numeric, 'edge' (data-dependent lower edge) or 'top'; on a
+    grid also an array of values, with t and power arrays as well."""
+    if isinstance(qspec, np.ndarray):
+        return qspec
     if qspec == "edge":
         if q_ac <= 0:
             raise UsageError("edge q undefined when the dominant value is 0")
-        return 1.0 + (q_ab / q_ac) ** power
+        return 1.0 + pw(q_ab / q_ac, power)
     if qspec == "top":
         return 1.0 + 1.0 / t
     return float(qspec)
 
 
-def _resolve_t(tspec, q_ab: float, q_ac: float, power: float) -> float:
-    if tspec == "sqrt":
-        if q_ab <= 0 or q_ac <= 0:
-            return 1.0
-        x = (q_ac / q_ab) ** power
-        return float(np.sqrt(x)) if x >= 1.0 else 1.0
-    return float(tspec)
+def _resolve_t(tspec, q_ab: float, q_ac: float, power, pw=bnd._pow):
+    """t may be numeric or 'sqrt': the square root of (Q_AC/Q_AB)^power,
+    floored at 1; on a grid also an array of values."""
+    if isinstance(tspec, np.ndarray):
+        return tspec
+    if tspec != "sqrt":
+        return float(tspec)
+    if q_ab <= 0 or q_ac <= 0:
+        return 1.0
+    x = pw(q_ac / q_ab, power)
+    if isinstance(x, np.ndarray):
+        return np.sqrt(np.fmax(x, 1.0))  # 1 where x < 1 or x is nan
+    return float(np.sqrt(x)) if x >= 1.0 else 1.0
+
+
+def _prior_args(side: bnd.Side, variant: str, t, k, p, a) -> tuple:
+    """(k, p, a) for one bound variant, defaulting to k = t, p = 1 and
+    a = t; the side's theorem ignores them.  An unknown variant name is a
+    UsageError."""
+    if variant != side.theorem and variant not in bnd.PRIOR_VARIANTS:
+        raise UsageError(f"unknown bound variant {variant!r}")
+    return (t if k is None else k, 1.0 if p is None else p,
+            t if a is None else a)
 
 
 def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
@@ -259,18 +270,15 @@ def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
     pre_ok: dict = {}
     gaps: dict = {}
     for v in variants:
+        prior_args = _prior_args(side, v, t_val, k, p, a)
         try:
             if v == side.theorem:
                 rhs = bnd.tightened_bound(
                     kind, q_ab, q_ac,
                     bnd.BoundParams(exp_num, exp_den, t_val, q_val))
-            elif v in bnd.PRIOR_VARIANTS:
-                rhs = bnd.prior_bound(
-                    kind, v, q_ab, q_ac, exp_num, exp_den,
-                    k=t_val if k is None else k, p=1.0 if p is None else p,
-                    a=t_val if a is None else a)
             else:
-                raise UsageError(f"unknown bound variant {v!r}")
+                rhs = bnd.prior_bound(kind, v, q_ab, q_ac, exp_num, exp_den,
+                                      *prior_args)
         except bnd.PreconditionError:
             pre_ok[v] = False
             variant_rhs[v] = float("nan")
@@ -347,11 +355,17 @@ class SweepSpec:
 
 def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
                seed: int):
-    """Grid-evaluate the requested variants; returns (header_lines, rows)."""
+    """Grid-evaluate the requested variants; returns (header_lines, rows).
+
+    The grid is one array pass through bnd.bound_grid.  Points where the
+    scalar engine would raise (an overflowing power, an unknown variant,
+    ...) are evaluated point by point with evaluate_bound_report instead,
+    in row order, so the same exception surfaces at the same point.
+    """
     axis_vals = [(name, np.linspace(start, stop, steps))
                  for name, start, stop, steps in spec.axes]
     grid_desc = "x".join(
-        f"{name}[{_fmt(float(a[0]))},{_fmt(float(a[-1]))},{len(a)}]"
+        f"{name}[{float(a[0])!r},{float(a[-1])!r},{len(a)}]"
         for name, a in axis_vals)
     side = bnd.SIDES[spec.kind]
     exp_names = num_name, den_name = side.exponents
@@ -362,47 +376,90 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
         "gap", "admissible"]
     header = [f"# seed={seed} grid={grid_desc}", ",".join(columns)]
 
-    if len(axis_vals) == 1:
-        points = [(v,) for v in axis_vals[0][1]]
+    # one array dimension per axis: a column of values, or rows x columns
+    shape = tuple(len(a) for _, a in axis_vals)
+    values = dict(spec.fixed)
+    for i, (name, a) in enumerate(axis_vals):
+        values[name] = a.reshape([-1 if j == i else 1 for j in range(len(shape))])
+    num, den = values[num_name], values[den_name]
+    blank = np.zeros(shape, dtype=bool)
+    if side.blank_num_below_den:
+        blank = np.broadcast_to(np.less(num, den), shape)
+    if blank.all():  # the scalar engine evaluates nothing, so raises nothing
+        grid = np.nan, [np.nan] * len(spec.variants), False, False
     else:
-        points = [(u, v) for u in axis_vals[0][1] for v in axis_vals[1][1]]
+        grid = _grid_report(spec, side, lhs_base, q_ab, q_ac, values)
+    lhs, rhs, admissible, redo = grid
+    lhs = np.where(blank, np.nan, lhs)
+    rhs = [np.where(blank, np.nan, r) for r in rhs]
+    admissible = ~blank & admissible
+    for idx in zip(*np.nonzero(~blank & redo)):
+        point = dict(spec.fixed)
+        for (name, a), i in zip(axis_vals, idx):
+            point[name] = float(a[i])
+        report = evaluate_bound_report(
+            spec.kind, lhs_base, q_ab, q_ac, variants=spec.variants,
+            t=point.get("t", "sqrt"), q=point.get("q", "edge"),
+            k=point.get("k"), p=point.get("p"), a=point.get("a"),
+            **{num_name: point[num_name], den_name: point[den_name]})
+        lhs[idx] = report.lhs
+        for r, v in zip(rhs, spec.variants):
+            r[idx] = report.variant_rhs[v]
+        admissible[idx] = all(report.preconditions_ok.values())
+    if side.theorem in spec.variants and "ref29" in spec.variants:
+        gap = side.gap(rhs[spec.variants.index(side.theorem)],
+                       rhs[spec.variants.index("ref29")])
+        gap = np.where(admissible, gap, np.nan)
+    else:
+        gap = np.full(shape, np.nan)
+    lead = [np.broadcast_to(values.get(c, np.nan), shape) for c in value_cols]
+    table = np.stack(lead + [lhs] + rhs + [gap], axis=-1)
+    return header, [row + [adm] for row, adm in
+                    zip(table.reshape(-1, table.shape[-1]).tolist(),
+                        admissible.ravel().tolist())]
 
-    rows = []
-    for pt in points:
-        values = dict(spec.fixed)
-        for (name, _), v in zip(axis_vals, pt):
-            values[name] = float(v)
-        num, den = values[num_name], values[den_name]
-        if side.blank_num_below_den and num < den:
-            rhs_vals = [float("nan")] * len(spec.variants)
-            admissible = False
-            lhs = float("nan")
-        else:
-            report = evaluate_bound_report(
-                spec.kind, lhs_base, q_ab, q_ac, variants=spec.variants,
-                t=values.get("t", "sqrt"), q=values.get("q", "edge"),
-                k=values.get("k"), p=values.get("p"), a=values.get("a"),
-                **{num_name: num, den_name: den})
-            rhs_vals = [report.variant_rhs.get(v, float("nan"))
-                        for v in spec.variants]
-            admissible = all(report.preconditions_ok.get(v, False)
-                             for v in spec.variants)
-            lhs = report.lhs
-        if side.theorem in spec.variants and "ref29" in spec.variants and admissible:
-            i_t = spec.variants.index(side.theorem)
-            i_r = spec.variants.index("ref29")
-            gap = side.gap(rhs_vals[i_t], rhs_vals[i_r])
-        else:
-            gap = float("nan")
-        lead = [float(values.get(c, float("nan"))) for c in value_cols]
-        rows.append(lead + [lhs] + rhs_vals + [gap, admissible])
-    return header, rows
+
+def _grid_report(spec: SweepSpec, side: bnd.Side, lhs_base: float,
+                 q_ab: float, q_ac: float, values: dict):
+    """evaluate_bound_report over broadcast grid values: (lhs, per-variant
+    rhs, admissible, redo), where redo marks the points the scalar engine
+    must evaluate because it raises there or may."""
+    pw = bnd.GridPow()
+    num_name, den_name = side.exponents
+    num = np.asarray(values[num_name], dtype=float)
+    den = np.asarray(values[den_name], dtype=float)
+    tspec, qspec = values.get("t", "sqrt"), values.get("q", "edge")
+    t = _resolve_t(tspec, q_ab, q_ac, den, pw)
+    redo = np.bool_(False)
+    if isinstance(qspec, str) and qspec == "top":
+        redo = np.asarray(t) == 0.0  # the scalar 1 / t raises there
+    with np.errstate(divide="ignore"):
+        q = _resolve_q(qspec, t, q_ab, q_ac, den, pw)
+    lhs = pw(lhs_base, num)
+    redo = redo | pw.failed
+    rhs, admissible = [], np.bool_(True)
+    for v in spec.variants:
+        try:
+            prior_args = _prior_args(side, v, t, values.get("k"),
+                                     values.get("p"), values.get("a"))
+        except UsageError:  # the scalar engine raises it: redo every point
+            redo = np.bool_(True)
+            rhs.append(np.nan)
+            continue
+        r, ok, failed = bnd.bound_grid(spec.kind, v, q_ab, q_ac, num, den,
+                                       t, q, *prior_args)
+        rhs.append(r)
+        admissible = admissible & ok
+        redo = redo | failed
+    return lhs, rhs, admissible, redo
 
 
 def rows_to_csv(header, rows) -> str:
+    """CSV text of sweep_rows output: float cells as their shortest
+    round-trip repr, then the admissible flag as 1 or 0."""
     lines = list(header)
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(repr, row[:-1])) + (",1" if row[-1] else ",0"))
     return "\n".join(lines) + "\n"
 
 
@@ -770,6 +827,13 @@ def cmd_verify(args) -> tuple[str, int]:
 # entry point
 # ---------------------------------------------------------------------------
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="entbounds",
@@ -797,7 +861,7 @@ def make_parser() -> argparse.ArgumentParser:
                     choices=["concurrence", "negativity", "scren", "screnoa",
                              "cren", "crenoa", "wootters"])
     pm.add_argument("--split", default=None, help="bipartition, e.g. A|BC or 0|12")
-    pm.add_argument("--roof-restarts", type=int, default=32,
+    pm.add_argument("--roof-restarts", type=positive_int, default=32,
                     help="restarts for convex-roof optimizations")
 
     pb = sub.add_parser("bound", parents=[common],

@@ -164,6 +164,14 @@ def test_thm4_collapse_and_example():
     assert 0.75 <= w2  # the assisted LHS stays below the upper bound
 
 
+def test_power_overflow_raises_bounds_error():
+    # e = beta/delta = 2e9 puts (1+t)^e beyond the float range
+    with pytest.raises(BoundsError, match="overflows"):
+        thm4_upper_bound(0.25, 0.5, PolygamyParams(2.0, 1e-9, 1.0, 2.0))
+    with pytest.raises(BoundsError, match="overflows"):
+        prior_polygamy_bound("ref29", 0.25, 0.5, beta=2.0, delta=1e-9, a=1.0)
+
+
 def test_prior_polygamy_values():
     w1 = prior_polygamy_bound("ref29", EX2["q_ab"], EX2["q_ac"],
                               beta=1.0, delta=0.8, a=EX2["t"])

@@ -261,6 +261,196 @@ def test_sweep_top_q_identity(capsys):
                 float(r["rhs_ref29"]), abs=1e-13)
 
 
+def scalar_sweep_rows(spec, lhs_base, q_ab, q_ac, seed):
+    """sweep_rows point by point: one evaluate_bound_report per grid point.
+    The reference the grid evaluation must match bit for bit."""
+    axis_vals = [(name, np.linspace(start, stop, steps))
+                 for name, start, stop, steps in spec.axes]
+    grid_desc = "x".join(f"{name}[{float(a[0])!r},{float(a[-1])!r},{len(a)}]"
+                         for name, a in axis_vals)
+    side = h.bnd.SIDES[spec.kind]
+    num_name, den_name = side.exponents
+    axis_names = [name for name, _ in axis_vals]
+    value_cols = [num_name, den_name] + [n for n in axis_names
+                                         if n not in side.exponents]
+    columns = value_cols + ["lhs"] + [f"rhs_{v}" for v in spec.variants] + [
+        "gap", "admissible"]
+    header = [f"# seed={seed} grid={grid_desc}", ",".join(columns)]
+    if len(axis_vals) == 1:
+        points = [(v,) for v in axis_vals[0][1]]
+    else:
+        points = [(u, v) for u in axis_vals[0][1] for v in axis_vals[1][1]]
+    rows = []
+    for pt in points:
+        values = dict(spec.fixed)
+        for (name, _), v in zip(axis_vals, pt):
+            values[name] = float(v)
+        num, den = values[num_name], values[den_name]
+        if side.blank_num_below_den and num < den:
+            rhs_vals = [float("nan")] * len(spec.variants)
+            admissible, lhs = False, float("nan")
+        else:
+            report = h.evaluate_bound_report(
+                spec.kind, lhs_base, q_ab, q_ac, variants=spec.variants,
+                t=values.get("t", "sqrt"), q=values.get("q", "edge"),
+                k=values.get("k"), p=values.get("p"), a=values.get("a"),
+                **{num_name: num, den_name: den})
+            rhs_vals = [report.variant_rhs[v] for v in spec.variants]
+            admissible = all(report.preconditions_ok[v] for v in spec.variants)
+            lhs = report.lhs
+        gap = float("nan")
+        if side.theorem in spec.variants and "ref29" in spec.variants and admissible:
+            gap = side.gap(rhs_vals[spec.variants.index(side.theorem)],
+                           rhs_vals[spec.variants.index("ref29")])
+        lead = [float(values.get(c, float("nan"))) for c in value_cols]
+        rows.append(lead + [lhs] + rhs_vals + [gap, admissible])
+    return header, rows
+
+
+def cli_outcome(args, capsys):
+    """Exit code and output of the CLI, or the type and message of the
+    exception that escapes it (the process would exit 1 with a traceback)."""
+    try:
+        code = h.main(args)
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        capsys.readouterr()
+        return ("raised", type(exc), str(exc))
+    captured = capsys.readouterr()
+    return ("exit", code, captured.out, captured.err)
+
+
+QAB0_BUILDER = "wclass:0.6,0,0.8"   # Q_AB = 0 on both sides
+ZERO_BUILDER = "wclass:1,0,0"       # product state: every value 0
+MONO_PRIORS = ["--fix", "k=1.5", "--fix", "p=0.7", "--fix", "a=2"]
+EDGE_AXES = ["--axis", "alpha:-0.5:2.5:7", "--axis", "gamma:0:4:9"]
+POLY_AXES = ["--axis", "delta:-0.25:1.25:7", "--axis", "beta:0:2:9"]
+
+GRID_CASES = {
+    # exponents on and beyond every range edge, gamma = 0 included
+    "mono-edges-sqrt-edge": (EX1_BUILDER, "monogamy", EDGE_AXES, [],
+                             "thm1,ref16,ref28,ref29"),
+    "mono-edges-number-top": (EX1_BUILDER, "monogamy", EDGE_AXES,
+                              ["--fix", "t=1.3", "--fix", "q=top"] + MONO_PRIORS,
+                              "thm1,ref16,ref28,ref29"),
+    "mono-edges-q-number": (EX1_BUILDER, "monogamy", EDGE_AXES,
+                            ["--fix", "q=1.7"], "ref29,thm1"),
+    "mono-t-axis": (EX1_BUILDER, "monogamy", ["--axis", "t:0.5:2:7"],
+                    ["--fix", "alpha=1", "--fix", "gamma=2", "--fix", "q=1.7"],
+                    "thm1,ref16,ref29"),
+    "mono-t-q-axes": (EX1_BUILDER, "monogamy",
+                      ["--axis", "t:0.8:1.6:5", "--axis", "q:0.9:2.2:9"],
+                      ["--fix", "alpha=1.5", "--fix", "gamma=3"], "thm1,ref29"),
+    "mono-q-axis-sqrt": (EX1_BUILDER, "monogamy", ["--axis", "q:1.5:1.9:9"],
+                         ["--fix", "alpha=1", "--fix", "gamma=2",
+                          "--fix", "t=sqrt"], "thm1,ref28"),
+    "mono-qab-zero": (QAB0_BUILDER, "monogamy", EDGE_AXES, [],
+                      "thm1,ref16,ref28,ref29"),
+    "mono-qab-zero-top": (QAB0_BUILDER, "monogamy", EDGE_AXES,
+                          ["--fix", "q=top"], "thm1,ref29"),
+    "mono-zero-top": (ZERO_BUILDER, "monogamy", EDGE_AXES, ["--fix", "q=top"],
+                      "thm1,ref16,ref29"),
+    "mono-zero-number": (ZERO_BUILDER, "monogamy", EDGE_AXES,
+                         ["--fix", "q=1.5", "--fix", "t=1"], "thm1,ref29"),
+    # edge q is undefined when Q_AC = 0: exit 2
+    "mono-zero-edge": (ZERO_BUILDER, "monogamy", EDGE_AXES, [], "thm1,ref29"),
+    "mono-unknown-variant": (EX1_BUILDER, "monogamy", EDGE_AXES, [],
+                             "thm1,thm4"),
+    # 1 / t at t = 0 raises ZeroDivisionError in both
+    "mono-top-t-zero": (EX1_BUILDER, "monogamy", ["--axis", "t:0:2:5"],
+                        ["--fix", "alpha=1", "--fix", "gamma=2",
+                         "--fix", "q=top"], "thm1,ref29"),
+    # a = t = 0 and k = 0 (a, k < 1 are inadmissible, not a division error);
+    # None: the kind's default variants
+    "mono-t-zero": (EX1_BUILDER, "monogamy", ["--axis", "alpha:0:2:5"],
+                    ["--fix", "gamma=2", "--fix", "t=0"], None),
+    "mono-a-zero": (EX1_BUILDER, "monogamy", EDGE_AXES, ["--fix", "a=0"],
+                    "ref29"),
+    "mono-k-zero": (EX1_BUILDER, "monogamy", EDGE_AXES,
+                    ["--fix", "k=0", "--fix", "p=0.7"], "thm1,ref16,ref28"),
+    # delta = 0 and 1 included; beta < delta rows are blank
+    "poly-edges-sqrt-edge": (EX2_BUILDER, "polygamy", POLY_AXES, [],
+                             "thm4,ref16,ref28,ref29"),
+    "poly-edges-number-top": (EX2_BUILDER, "polygamy", POLY_AXES,
+                              ["--fix", "t=1.2", "--fix", "q=top",
+                               "--fix", "k=1.1", "--fix", "p=0.5",
+                               "--fix", "a=1.05"], "thm4,ref16,ref28,ref29"),
+    "poly-beta-axis": (EX2_BUILDER, "polygamy", ["--axis", "beta:0.6:3:9"],
+                       ["--fix", "delta=0.8"], "thm4,ref29"),
+    "poly-t-axis": (EX2_BUILDER, "polygamy", ["--axis", "t:0.9:2:6"],
+                    ["--fix", "beta=1", "--fix", "delta=0.8"], "thm4,ref28"),
+    "poly-qab-zero": (QAB0_BUILDER, "polygamy", POLY_AXES, [],
+                      "thm4,ref16,ref29"),
+    "poly-qab-zero-top": (QAB0_BUILDER, "polygamy", POLY_AXES,
+                          ["--fix", "q=top"], "thm4,ref28"),
+    "poly-zero-top": (ZERO_BUILDER, "polygamy", POLY_AXES,
+                      ["--fix", "q=top"], "thm4,ref28,ref29"),
+    # every point blank: nothing is evaluated, not even the bad variant
+    "poly-all-blank": (EX2_BUILDER, "polygamy", ["--axis", "beta:0.1:0.5:4"],
+                       ["--fix", "delta=0.8"], "thm4,bogus"),
+    "poly-unknown-variant": (EX2_BUILDER, "polygamy", POLY_AXES, [],
+                             "thm4,thm1"),
+    "poly-t-zero": (EX2_BUILDER, "polygamy", POLY_AXES, ["--fix", "t=0"], None),
+    # 1 + 1/a < 0 makes the unused ref29 power complex
+    "poly-a-negative": (EX2_BUILDER, "polygamy", POLY_AXES,
+                        ["--fix", "a=-0.5"], "thm4,ref29"),
+    # (1 + t)^(beta/delta) overflows at delta = 0.0005: exit 2
+    "poly-overflow": (EX2_BUILDER, "polygamy", ["--axis", "delta:0.0005:1:5"],
+                      ["--fix", "beta=1"], "thm4,ref29"),
+    # the same powers overflow only where the window fails: no error
+    "poly-overflow-inadmissible": (EX2_BUILDER, "polygamy",
+                                   ["--axis", "delta:0.0005:0.001:3"],
+                                   ["--fix", "beta=1", "--fix", "q=5"], "thm4"),
+}
+
+
+@pytest.mark.parametrize("name", list(GRID_CASES))
+def test_sweep_grid_matches_scalar_engine(capsys, monkeypatch, name):
+    builder, kind, axes, fixes, variants = GRID_CASES[name]
+    args = ["sweep", "--builder", builder, "--kind", kind] + axes + fixes
+    if variants is not None:
+        args += ["--variants", variants]
+    grid = cli_outcome(args, capsys)
+    monkeypatch.setattr(h, "sweep_rows", scalar_sweep_rows)
+    scalar = cli_outcome(args, capsys)
+    assert grid == scalar
+    if name == "poly-all-blank":
+        _, rows = parse_csv(grid[2])
+        assert grid[1] == 0 and all(r["admissible"] == "0" for r in rows)
+
+
+def test_sweep_grid_rows_match_scalar_rows():
+    # the rows themselves, cell types included, not only their CSV text
+    for fig_id in (1, 4, 5):
+        spec, data = h.figure_spec(fig_id, 21)
+        inputs = (data["lhs_base"], data["q_ab"], data["q_ac"], 3)
+        grid = h.sweep_rows(spec, *inputs)
+        scalar = scalar_sweep_rows(spec, *inputs)
+        assert grid[0] == scalar[0]
+        assert ([[(type(v), repr(v)) for v in row] for row in grid[1]]
+                == [[(type(v), repr(v)) for v in row] for row in scalar[1]])
+
+
+def test_power_overflow_is_a_usage_error(capsys):
+    bound = ["bound", "--builder", EX2_BUILDER, "--kind", "polygamy",
+             "--beta", "1", "--delta", "0.0005"]
+    sweep = ["sweep", "--builder", EX2_BUILDER, "--kind", "polygamy",
+             "--axis", "delta:0.0005:1:5", "--fix", "beta=1"]
+    errors = []
+    for args in (bound, sweep):
+        code = h.main(args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("entbounds: error:")
+        assert "overflows" in lines[0]
+        errors.append(lines[0])
+    assert errors[0] == errors[1]
+    spec = h.SweepSpec("polygamy", [("delta", 0.0005, 1.0, 5)], {"beta": 1.0},
+                       ["thm4", "ref29"])
+    with pytest.raises(h.bnd.BoundsError, match="overflows"):
+        h.sweep_rows(spec, 0.75, 0.25, 0.5, 0)
+
+
 def test_sweep_validation(capsys):
     code = h.main(["sweep", "--builder", EX1_BUILDER, "--kind", "monogamy",
                    "--axis", "alpha:0:2:1", "--fix", "gamma=2",
@@ -369,6 +559,15 @@ def test_roof_restarts_only_on_measure(capsys):
         assert exc.value.code == 2
 
 
+def test_roof_restarts_below_one_is_a_usage_error(capsys):
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            h.main(["measure", "--builder", EX2_BUILDER, "--keep", "0,1",
+                    "--measure", "screnoa", "--roof-restarts", value])
+        assert exc.value.code == 2
+        assert "--roof-restarts: must be >= 1" in capsys.readouterr().err
+
+
 # SHA-256 of stdout for fixed command lines: the figure, bound and verify
 # bytes are part of the interface and must not drift when the code does
 GOLDEN = {
@@ -384,6 +583,11 @@ GOLDEN = {
                 "eff22bb1d0b7f6612a26ef3d3c854b87f2b47078d0cf248d061bbc4511f0047e"),
     "figure6": (["figure", "--id", "6", "--resolution", "11"],
                 "312ed41543ac3ee0758e0e316dce6bde64ffe0b5ee65952454de8261a1ae6355"),
+    # the full 101 x 101 grids at the default resolution
+    "figure1-full": (["figure", "--id", "1"],
+                     "392973b91c5726319bd256f719035f39a0d32a2553693dab2a5aa85661b168f1"),
+    "figure4-full": (["figure", "--id", "4"],
+                     "be0ae765db62d5315a3d29bb263e5aba9e85856138b93e65cbcad47223ab23a4"),
     # the CKW-tight W-class state on which thm1 exceeds the LHS
     "bound-wclass-monogamy": (
         ["bound", "--builder", "wclass:0.8,0.3,0.5196152422706632",
