@@ -222,8 +222,28 @@ def _resolve_q(qspec, t, q_ab: float, q_ac: float, power, pw=bnd._pow):
             raise UsageError("edge q undefined when the dominant value is 0")
         return 1.0 + pw(q_ab / q_ac, power)
     if qspec == "top":
+        # a grid divides anyway and has its t = 0 points redone by this
+        if not isinstance(t, np.ndarray) and t == 0:
+            raise UsageError("top q = 1 + 1/t is undefined at t = 0")
         return 1.0 + 1.0 / t
     return float(qspec)
+
+
+# the words a window parameter takes in place of a number
+WINDOW_WORDS = {"t": ("sqrt",), "q": ("edge", "top")}
+
+
+def _window_value(name: str, text: str):
+    """A command-line value of parameter name: one of its WINDOW_WORDS,
+    or a number."""
+    words = WINDOW_WORDS.get(name, ())
+    if text in words:
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        want = " or ".join(("a number",) + tuple(repr(w) for w in words))
+        raise UsageError(f"{name} must be {want}, got {text!r}") from None
 
 
 def _resolve_t(tspec, q_ab: float, q_ac: float, power, pw=bnd._pow):
@@ -311,7 +331,8 @@ def cmd_bound(args) -> dict:
     report = evaluate_bound_report(
         args.kind, lhs_base, q_ab, q_ac, variants=variants,
         alpha=args.alpha, gamma=args.gamma, beta=args.beta, delta=args.delta,
-        t=args.t, q=args.q, k=args.k, p=args.p, a=args.a)
+        t=_window_value("t", args.t), q=_window_value("q", args.q),
+        k=args.k, p=args.p, a=args.a)
     out = report.as_dict()
     out.update({
         "q_ab": q_ab, "q_ac": q_ac, "lhs_base": lhs_base,
@@ -542,7 +563,7 @@ def cmd_sweep(args) -> str:
         name, _, val = fx.partition("=")
         if name not in AXIS_NAMES + ("k", "p", "a"):
             raise UsageError(f"cannot fix unknown parameter {name!r}")
-        fixed[name] = val if val in ("edge", "top", "sqrt") else float(val)
+        fixed[name] = _window_value(name, val)
     spec = SweepSpec(args.kind, axes, fixed, _parse_variants(args))
     missing = [n for n in bnd.SIDES[args.kind].exponents
                if n not in fixed and n not in [a[0] for a in axes]]
@@ -862,7 +883,8 @@ def make_parser() -> argparse.ArgumentParser:
                              "cren", "crenoa", "wootters"])
     pm.add_argument("--split", default=None, help="bipartition, e.g. A|BC or 0|12")
     pm.add_argument("--roof-restarts", type=positive_int, default=32,
-                    help="restarts for convex-roof optimizations")
+                    help="convex-roof restarts: at most N; stops after "
+                         f"{msr.STALL_RESTARTS} restarts without improvement")
 
     pb = sub.add_parser("bound", parents=[common],
                         help="evaluate bound variants on a state")

@@ -12,19 +12,21 @@ screnoa evaluate these directly.
 The roof optimizer serves what has no closed form here: the `measure`
 command's optimizer diagnostics, the three-qubit chain residual, states
 other than 2 x 2, and the roof-oracle suite that checks it against the
-closed forms.  It parameterizes pure-state decompositions of a rank-r
-state by m x r isometries acting on the eigendecomposition ensemble,
-improves them with coordinate-wise Givens-rotation line searches, and
-finishes minimizing roofs with a Levenberg-Marquardt polish on per-member
-product-state residuals.  Restarts derive independent sub-seeds from the
-configured seed and are merged deterministically (first-best wins), so
-results are reproducible and the functional core is safe for concurrent
-use.
+closed forms.  Decompositions of a rank-r state are m x r isometries u
+acting on its eigendecomposition ensemble.  For any split, C^2 =
+4 sum |2 x 2 minors|^2 (Cauchy-Binet; Wootters, PRL 80, 2245, 1998), and
+each member's minors are one quadratic form u_i^T Q u_i, so Q gives the
+objective, closed-form Givens-rotation line searches and the
+Levenberg-Marquardt polish of minimizing roofs.  Restarts derive
+independent sub-seeds from the configured seed and are merged
+deterministically (first-best wins), so results are reproducible and the
+functional core is safe for concurrent use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -187,97 +189,97 @@ class RoofResult:
     bound_side: str
 
 
+@dataclass(frozen=True)
 class PureStateFunctional:
-    """Pure-state measure with a vectorized weighted evaluation.
+    """A pure-state measure equal to the concurrence over its split, whose
+    roof the minor-form kernel evaluates: p C(psi~ / sqrt(p)) is 2 ||2 x 2
+    minors|| of the unnormalized psi~ across the split."""
 
-    weighted_batch maps rows of unnormalized state vectors psi~ to
-    p * F(psi~ / sqrt(p)) with p = |psi~|^2, the quantity the roof
-    averages.  vanishes_on_products marks functionals that are zero
-    exactly on states that factor across the split with a single-qubit
-    first block; those roofs get the product-feasibility polish.
-    """
-
-    def __init__(self, name: str, split: Sequence[int],
-                 weighted: Callable[[np.ndarray, int], np.ndarray],
-                 scalar: Callable[[PureState], float],
-                 vanishes_on_products: bool = False):
-        self.name = name
-        self.split = tuple(split)
-        self._weighted = weighted
-        self._scalar = scalar
-        self.vanishes_on_products = vanishes_on_products and len(self.split) == 1
+    name: str
+    split: tuple[int, ...]
+    scalar: Callable[[PureState], float]
 
     def __call__(self, psi: PureState) -> float:
-        return self._scalar(psi)
-
-    def weighted_batch(self, batch: np.ndarray, n_qubits: int) -> np.ndarray:
-        return self._weighted(batch, n_qubits)
-
-
-def _split_blocks(batch: np.ndarray, n_qubits: int, split: tuple[int, ...]):
-    """Reshape batch rows to (n, d_first, d_rest) matrices of the split."""
-    nb = batch.shape[0]
-    rest = tuple(i for i in range(n_qubits) if i not in split)
-    da = 2 ** len(split)
-    tensor = batch.reshape((nb,) + (2,) * n_qubits)
-    axes = (0,) + tuple(i + 1 for i in split) + tuple(i + 1 for i in rest)
-    mats = np.ascontiguousarray(tensor.transpose(axes)).reshape(nb, da, -1)
-    return mats, axes
-
-
-def _block_gram(batch: np.ndarray, n_qubits: int,
-                split: tuple[int, ...]) -> np.ndarray:
-    """Unnormalized reduced matrices of the split block, batched."""
-    mats, _ = _split_blocks(batch, n_qubits, split)
-    return mats @ mats.conj().transpose(0, 2, 1)
+        return self.scalar(psi)
 
 
 def concurrence_functional(split: Sequence[int] = (0,)) -> PureStateFunctional:
     split = tuple(int(i) for i in split)
-
-    def weighted(batch: np.ndarray, n_qubits: int) -> np.ndarray:
-        gram = _block_gram(batch, n_qubits, split)
-        p = np.einsum("nii->n", gram).real
-        purity = np.einsum("nij,nji->n", gram, gram).real
-        return np.sqrt(np.clip(2.0 * (p * p - purity), 0.0, None))
-
-    def scalar(psi: PureState) -> float:
-        return concurrence_pure(psi, split)
-
-    return PureStateFunctional("concurrence", split, weighted, scalar,
-                               vanishes_on_products=True)
+    return PureStateFunctional("concurrence", split,
+                               lambda psi: concurrence_pure(psi, split))
 
 
 def negativity_functional(split: Sequence[int] = (0,)) -> PureStateFunctional:
     split = tuple(int(i) for i in split)
-
-    def weighted(batch: np.ndarray, n_qubits: int) -> np.ndarray:
-        gram = _block_gram(batch, n_qubits, split)
-        p = np.einsum("nii->n", gram).real
-        evals = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-        roots = np.sqrt(evals).sum(axis=1)
-        return np.clip(roots * roots - p, 0.0, None)
-
-    def scalar(psi: PureState) -> float:
-        return negativity_pure(psi, split)
-
-    return PureStateFunctional("negativity", split, weighted, scalar,
-                               vanishes_on_products=True)
+    if len(split) != 1:
+        raise MeasureError("the negativity roof needs a one-qubit first block, "
+                           f"got split {split}")
+    return PureStateFunctional("negativity", split,
+                               lambda psi: negativity_pure(psi, split))
 
 
-def _wrap_plain_functional(functional: Callable[[PureState], float]):
-    """Per-row fallback for functionals without a vectorized form."""
+def _split_blocks(batch: np.ndarray, n_qubits: int,
+                  split: tuple[int, ...]) -> np.ndarray:
+    """Reshape batch rows to (n, d_first, d_rest) matrices of the split."""
+    nb = batch.shape[0]
+    rest = tuple(i for i in range(n_qubits) if i not in split)
+    tensor = batch.reshape((nb,) + (2,) * n_qubits)
+    axes = (0,) + tuple(i + 1 for i in split) + tuple(i + 1 for i in rest)
+    return tensor.transpose(axes).reshape(nb, 2 ** len(split), -1)
 
-    def weighted(batch: np.ndarray, n_qubits: int) -> np.ndarray:
-        out = np.zeros(batch.shape[0])
-        for i, row in enumerate(batch):
-            p = float(np.vdot(row, row).real)
-            if p < 1e-14:
-                continue
-            out[i] = p * functional(PureState(row / np.sqrt(p), n_qubits))
-        return out
 
-    return weighted
+def _minor_form(rows: np.ndarray, n_qubits: int,
+                split: tuple[int, ...]) -> np.ndarray:
+    """Q of shape (r, r, K) with minors(u @ rows)_i = u_i^T Q u_i.
+
+    Q is the symmetrized bilinear form of the K 2 x 2 minors of the split
+    blocks, so its diagonal Q[i, i] holds the minors of rows[i] and u @ Q
+    is half the Jacobian of each member's minors in its isometry row.
+    """
+    s = _split_blocks(rows, n_qubits, split)
+    d_first, d_rest = s.shape[1:]
+    row_pairs = [(a, b) for a in range(d_first) for b in range(a + 1, d_first)]
+    col_pairs = [(j, k) for j in range(d_rest) for k in range(j + 1, d_rest)]
+    a, b, j, k = np.array([r + c for r in row_pairs for c in col_pairs]).T
+    form = (s[:, None, a, j] * s[None, :, b, k]
+            - s[:, None, a, k] * s[None, :, b, j])
+    return 0.5 * (form + form.transpose(1, 0, 2))
+
+
+def _member_minors(u: np.ndarray, qf: np.ndarray):
+    """(Q u_i of shape (m, r, K), minors u_i^T Q u_i of shape (m, K)),
+    with qf = Q flattened to (r, r * K)."""
+    qu = (u @ qf).reshape(u.shape[0], u.shape[1], -1)
+    return qu, np.einsum("il,ilk->ik", u, qu)
+
+
+def _weights(mu: np.ndarray) -> np.ndarray:
+    """2 ||minors|| over the last axis: p * C of each member."""
+    return 2.0 * np.sqrt((mu.real ** 2 + mu.imag ** 2).sum(axis=-1))
+
+
+def _givens_grid(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Coefficients (2, N, 3) of the rotated rows' minors on a grid.
+
+    The rotation a' = c a + s b, b' = -conj(s) a + c b with c = cos(theta)
+    and s = e^{i phi} sin(theta) maps the quadratic minors to
+    mu(a') = c^2 mu_a + cs (2 a^T Q b) + s^2 mu_b and
+    mu(b') = conj(s)^2 mu_a - c conj(s) (2 a^T Q b) + c^2 mu_b.
+    """
+    c = np.repeat(np.cos(thetas), len(phis))
+    s = np.outer(np.sin(thetas), np.exp(1j * phis)).ravel()
+    sc = s.conj()
+    grid = np.empty((2, len(c), 3), dtype=complex)
+    grid[0, :, 0] = grid[1, :, 2] = c * c
+    grid[0, :, 1], grid[0, :, 2] = c * s, s * s
+    grid[1, :, 0], grid[1, :, 1] = sc * sc, -c * sc
+    return grid
+
+
+def _givens_values(coef: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Pair objective at every grid point; coef stacks mu_a, 2 a^T Q b, mu_b."""
+    w = _weights(grid @ coef)
+    return w[0] + w[1]
 
 
 # coarse rotation angles plus a geometric ladder of small angles so that
@@ -287,66 +289,69 @@ _THETAS = np.concatenate([
     (np.pi / 18) * (3.0 ** -np.arange(1.0, 8.0)),
 ])
 _PHIS = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+_COARSE_GRID = _givens_grid(_THETAS, _PHIS)
+_COARSE_GRID.setflags(write=False)
+_ZOOM = np.linspace(-1.0, 1.0, 7)  # each refinement: 7 x 7 around the best
+
+# restarts stop after this many in a row fail to lower the best by more
+# than RoofConfig.step_tolerance; RoofConfig.restarts is the cap
+STALL_RESTARTS = 3
 
 
-def _pair_values(row_a, row_b, thetas, phis, weighted, n_qubits):
-    """Objective contributions of a Givens rotation grid on one row pair."""
-    ca = np.repeat(np.cos(thetas), len(phis))[:, None]
-    sa = (np.sin(thetas)[:, None] * np.exp(1j * phis)[None, :]).reshape(-1, 1)
-    new_a = ca * row_a[None, :] + sa * row_b[None, :]
-    new_b = -sa.conj() * row_a[None, :] + ca * row_b[None, :]
-    vals = weighted(new_a, n_qubits) + weighted(new_b, n_qubits)
-    return vals, new_a, new_b
+def _optimize_ensemble(u, qf, sign, max_iters, tol):
+    """Sweep Givens rotations over row pairs until improvement stalls.
 
-
-def _optimize_ensemble(psis, weighted, n_qubits, sign, max_iters, tol):
-    """Sweep Givens rotations over row pairs until improvement stalls."""
-    m = psis.shape[0]
-    w = weighted(psis, n_qubits)
-    total = float(sign * w.sum())
+    Works on a copy of the isometry u; a move is kept only when the
+    recomputed pair objective is lower than the current one.
+    """
+    u = u.copy()
+    qu, mu = _member_minors(u, qf)
+    w = _weights(mu)
+    m = u.shape[0]
     converged = False
     for _ in range(max_iters):
         improvement = 0.0
         for a in range(m):
             for b in range(a + 1, m):
                 cur = float(sign * (w[a] + w[b]))
-                thetas, phis = _THETAS, _PHIS
+                coef = np.array([mu[a], 2.0 * (u[a] @ qu[b]), mu[b]])
+                grid, thetas, phis = _COARSE_GRID, _THETAS, _PHIS
                 dt = np.pi / 18
                 dp = 2 * np.pi / len(phis)
                 best = cur
-                best_rows = None
+                found = False
                 # coarse grid with zoom ladder, then shrinking refinements
                 for _round in range(6):
-                    vals, new_a, new_b = _pair_values(
-                        psis[a], psis[b], thetas, phis, weighted, n_qubits)
-                    vals = sign * vals
+                    vals = sign * _givens_values(coef, grid)
                     k = int(np.argmin(vals))
                     if vals[k] < best - 1e-15:
                         best = float(vals[k])
-                        best_rows = (new_a[k], new_b[k])
+                        found = True
                         ti, pi = divmod(k, len(phis))
                         t0, p0 = thetas[ti], phis[pi]
                         dt = max(dt / 3.0, abs(t0) * 1e-3 + 1e-6)
-                    elif best_rows is None:
+                    elif not found:
                         break
                     else:
                         dt /= 3.0
-                    thetas = np.linspace(t0 - dt, t0 + dt, 7)
-                    phis = np.linspace(p0 - dp, p0 + dp, 7)
+                    thetas, phis = t0 + dt * _ZOOM, p0 + dp * _ZOOM
+                    grid = _givens_grid(thetas, phis)
                     dp /= 3.0
-                if best_rows is not None and best < cur - 1e-15:
-                    psis[a], psis[b] = best_rows
-                    pair = np.vstack([psis[a], psis[b]])
-                    w_pair = weighted(pair, n_qubits)
-                    w[a], w[b] = w_pair
-                    improvement += cur - best
-        new_total = float(sign * w.sum())
+                if not found:
+                    continue
+                c, s = np.cos(t0), np.sin(t0) * np.exp(1j * p0)
+                rows = np.array([c * u[a] + s * u[b], c * u[b] - s.conj() * u[a]])
+                qu_ab, mu_ab = _member_minors(rows, qf)
+                w_ab = _weights(mu_ab)
+                new = float(sign * (w_ab[0] + w_ab[1]))
+                if new < cur:
+                    u[[a, b]], qu[[a, b]], mu[[a, b]], w[[a, b]] = (
+                        rows, qu_ab, mu_ab, w_ab)
+                    improvement += cur - new
         if improvement < tol:
-            total = new_total
             converged = True
             break
-        total = new_total
-    return total, psis, converged
+    return float(sign * w.sum()), u, converged
 
 
 def _qr_retract(x: np.ndarray) -> np.ndarray:
@@ -357,96 +362,66 @@ def _qr_retract(x: np.ndarray) -> np.ndarray:
     return q * phase
 
 
-def _minor_residuals(u, s_blocks, col_pairs):
-    """Per-member 2 x 2 minors of the split-block matrices M_i.
-
-    Every minor vanishing means every ensemble member factors across the
-    split, so for functionals that vanish on products these are exact
-    residuals of the zero-roof feasibility problem.  They are holomorphic
-    (quadratic) in the isometry entries.
-    """
-    mats = np.einsum("il,lab->iab", u, s_blocks)
-    res = np.stack([mats[:, 0, j] * mats[:, 1, k]
-                    - mats[:, 0, k] * mats[:, 1, j] for j, k in col_pairs],
-                   axis=1)
-    return res, mats
-
-
-def _minor_jacobian(s_blocks, mats, col_pairs):
-    m, r = mats.shape[0], s_blocks.shape[0]
-    jac = np.empty((m, len(col_pairs), r), dtype=complex)
-    for p, (j, k) in enumerate(col_pairs):
-        jac[:, p, :] = (s_blocks[None, :, 0, j] * mats[:, None, 1, k]
-                        + mats[:, None, 0, j] * s_blocks[None, :, 1, k]
-                        - s_blocks[None, :, 0, k] * mats[:, None, 1, j]
-                        - mats[:, None, 0, k] * s_blocks[None, :, 1, j])
-    return jac
-
-
-def _stiefel_tangent_basis(u):
-    """Real basis of the tangent space {d: d^H u + u^H d = 0} at u."""
-    m, r = u.shape
+@lru_cache(maxsize=None)
+def _skew_basis(r: int) -> np.ndarray:
+    """Real basis (r^2, r, r) of the skew-Hermitian r x r matrices."""
     basis = []
     for a in range(r):
         for b in range(a, r):
-            t = np.zeros((r, r), dtype=complex)
-            if a == b:
-                t[a, a] = 1j
-                basis.append(u @ t)
-            else:
-                t[a, b], t[b, a] = 1.0, -1.0
-                basis.append(u @ t)
+            for z in ((1j,) if a == b else (1.0, 1j)):
                 t = np.zeros((r, r), dtype=complex)
-                t[a, b], t[b, a] = 1j, 1j
-                basis.append(u @ t)
-    if m > r:
-        full, _, _ = np.linalg.svd(u, full_matrices=True)
-        perp = full[:, r:]
-        for c in range(m - r):
-            for l in range(r):
-                e = np.zeros((m - r, r), dtype=complex)
-                e[c, l] = 1.0
-                basis.append(perp @ e)
-                basis.append(perp @ (1j * e))
+                t[a, b] = z
+                t[b, a] = -np.conj(z)
+                basis.append(t)
+    basis = np.array(basis)
+    basis.setflags(write=False)  # shared by every caller through the cache
     return basis
 
 
-def _product_polish(u, s_blocks, iters: int = 40):
-    """Levenberg-Marquardt on the minor residuals over the isometry
-    manifold.
+def _stiefel_tangent_basis(u: np.ndarray) -> np.ndarray:
+    """Real basis (n, m, r) of the tangent space {d: d^H u + u^H d = 0}."""
+    m, r = u.shape
+    basis = u @ _skew_basis(r)
+    if m > r:
+        full, _, _ = np.linalg.svd(u, full_matrices=True)
+        # perp column c placed in column l, then times 1j
+        perp = np.einsum("ac,lk->clak", full[:, r:], np.eye(r))
+        perp = np.stack([perp, 1j * perp], axis=2).reshape(-1, m, r)
+        basis = np.concatenate([basis, perp])
+    return basis
 
-    Pairwise rotations crawl once every member is nearly a product state;
-    this drives the smooth zero-residual system quadratically instead.
-    Steps are solved in an explicit tangent basis so the QR retraction
-    only contributes second-order corrections.
+
+def _product_polish(u, qf, iters: int = 40):
+    """Levenberg-Marquardt on the minors over the isometry manifold.
+
+    The residuals are every member's minors u_i^T Q u_i and the Jacobian
+    is 2 Q u_i, so all of them vanishing means every member factors across
+    the split.  Pairwise rotations crawl once every member is nearly a
+    product state; this drives the smooth zero-residual system
+    quadratically instead.  Steps are solved in an explicit tangent basis
+    so the QR retraction only contributes second-order corrections.
     """
-    d_rest = s_blocks.shape[2]
-    col_pairs = [(j, k) for j in range(d_rest) for k in range(j + 1, d_rest)]
-    res, mats = _minor_residuals(u, s_blocks, col_pairs)
-    cost = float(np.sum(np.abs(res) ** 2))
+    qu, mu = _member_minors(u, qf)
+    cost = float(np.sum(mu.real ** 2 + mu.imag ** 2))
     lam = 1e-4
     for _ in range(iters):
         if cost < 1e-30:
             break
-        jac = _minor_jacobian(s_blocks, mats, col_pairs)
         basis = _stiefel_tangent_basis(u)
-        cols = []
-        for tan in basis:
-            dz = np.einsum("ipl,il->ip", jac, tan).ravel()
-            cols.append(np.concatenate([dz.real, dz.imag]))
-        jt = np.stack(cols, axis=1)
-        rvec = np.concatenate([res.ravel().real, res.ravel().imag])
+        flat = basis.reshape(len(basis), -1)
+        dz = 2.0 * np.einsum("nil,ilk->nik", basis, qu).reshape(len(basis), -1)
+        jt = np.concatenate([dz.real, dz.imag], axis=1).T
+        rvec = np.concatenate([mu.real.ravel(), mu.imag.ravel()])
         gram = jt.T @ jt
         grad = jt.T @ rvec
         moved = False
         for _try in range(8):
-            y = np.linalg.solve(gram + lam * np.eye(gram.shape[0]), -grad)
-            step = sum(yk * tan for yk, tan in zip(y, basis))
-            cand = _qr_retract(u + step)
-            res_c, mats_c = _minor_residuals(cand, s_blocks, col_pairs)
-            cost_c = float(np.sum(np.abs(res_c) ** 2))
+            y = np.linalg.solve(gram + lam * np.eye(len(gram)), -grad)
+            cand = _qr_retract(u + (y @ flat).reshape(u.shape))
+            qu_c, mu_c = _member_minors(cand, qf)
+            cost_c = float(np.sum(mu_c.real ** 2 + mu_c.imag ** 2))
             if cost_c < cost:
-                u, res, mats, cost = cand, res_c, mats_c, cost_c
+                u, qu, mu, cost = cand, qu_c, mu_c, cost_c
                 lam = max(lam * 0.25, 1e-14)
                 moved = True
                 break
@@ -456,9 +431,17 @@ def _product_polish(u, s_blocks, iters: int = 40):
     return u
 
 
-def convex_roof(rho: DensityMatrix, functional, direction: str,
-                cfg: RoofConfig | None = None) -> RoofResult:
-    """Optimize the ensemble average of a pure-state functional over
+def _ensemble_average(members, n_qubits: int, split: tuple[int, ...]) -> float:
+    """sum_i p_i C(psi_i) over the split, from the members' own amplitudes."""
+    form = _minor_form(np.array([psi.amps for _, psi in members]), n_qubits,
+                       split)
+    probs = np.array([p for p, _ in members])
+    return float(probs @ _weights(np.einsum("iik->ik", form)))
+
+
+def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
+                direction: str, cfg: RoofConfig | None = None) -> RoofResult:
+    """Optimize the ensemble average of a concurrence-type functional over
     decompositions of rho.
 
     direction "min" searches for small averages (roof value is then an
@@ -466,19 +449,22 @@ def convex_roof(rho: DensityMatrix, functional, direction: str,
     the true maximum).  Decompositions are generated from the
     eigendecomposition via m x r isometries; restart 0 starts at the
     eigendecomposition ensemble itself, the rest at Haar-random isometries.
+    At most cfg.restarts restarts run: the loop stops after STALL_RESTARTS
+    in a row fail to lower the best by more than cfg.step_tolerance, or
+    once a minimizing roof reaches zero.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+    if not isinstance(functional, PureStateFunctional):
+        raise TypeError("convex_roof needs a PureStateFunctional such as "
+                        f"concurrence_functional(split), got {functional!r}")
     cfg = cfg or RoofConfig()
     d = rho.dim
     n_qubits = int(round(np.log2(d)))
     if 2 ** n_qubits != d:
         raise MeasureError(f"roof optimizer requires qubit registers, dim {d}")
-
-    if isinstance(functional, PureStateFunctional):
-        weighted = functional.weighted_batch
-    else:
-        weighted = _wrap_plain_functional(functional)
+    split = _check_split(functional.split, n_qubits)
+    bound_side = "upper" if direction == "min" else "lower"
 
     evals, vecs = np.linalg.eigh(rho.mat)
     idx = np.where(evals > RANK_TOL)[0]
@@ -492,73 +478,70 @@ def convex_roof(rho: DensityMatrix, functional, direction: str,
     scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T  # rows are sqrt(ev) * eigvec
 
     if rank == 1:
-        psi = PureState(scaled[0] / np.linalg.norm(scaled[0]), n_qubits)
-        value = float(weighted(psi.amps[None, :], n_qubits)[0])
-        ens = Ensemble(((1.0, psi),))
+        ens = Ensemble(((1.0, PureState(scaled[0] / np.linalg.norm(scaled[0]),
+                                        n_qubits)),))
         ens.validate_against(rho)
-        return RoofResult(value, ens, 0, True, direction,
-                          "upper" if direction == "min" else "lower")
+        value = _ensemble_average(ens.members, n_qubits, split)
+        return RoofResult(value, ens, 0, True, direction, bound_side)
 
     sign = 1.0 if direction == "min" else -1.0
-    eigen_avg = float(weighted(scaled, n_qubits).sum())
+    qf = _minor_form(scaled, n_qubits, split).reshape(rank, -1)
+    u0 = np.eye(m, rank, dtype=complex)
+    eigen_avg = float(_weights(_member_minors(u0, qf)[1]).sum())
 
-    # the zero-roof polish applies when small averages are sought for a
-    # functional that vanishes exactly on split-product states
-    can_polish = (direction == "min"
-                  and isinstance(functional, PureStateFunctional)
-                  and functional.vanishes_on_products)
-    if can_polish:
-        s_blocks, _ = _split_blocks(scaled, n_qubits, functional.split)
-        inv_weights = 1.0 / evals[idx]
+    # the zero-roof polish applies when small averages are sought: the
+    # functional vanishes exactly on split-product states
+    can_polish = direction == "min"
 
-    def try_polish(total, psis, conv):
-        u = (psis @ scaled.conj().T) * inv_weights
-        u = _product_polish(u, s_blocks)
-        cand = u @ scaled
-        total_c = float(sign * weighted(cand, n_qubits).sum())
+    def try_polish(total, u, conv):
+        cand = _product_polish(u, qf)
+        total_c = float(sign * _weights(_member_minors(cand, qf)[1]).sum())
         if total_c < total:
             return total_c, cand, True
-        return total, psis, conv
+        return total, u, conv
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_total = None
-    best_psis = None
+    best_u = None
     best_conv = False
     restarts_used = 0
+    stalled = 0
     for j in range(cfg.restarts):
         restarts_used = j + 1
         if j == 0:
-            psis = np.vstack([scaled, np.zeros((m - rank, d), dtype=complex)])
+            u = u0
         else:
             rng = np.random.Generator(np.random.PCG64(seeds[j]))
             gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-            q, _ = np.linalg.qr(gauss)
-            psis = q[:, :rank] @ scaled
+            u = np.linalg.qr(gauss)[0][:, :rank]
         stage1 = min(15, cfg.max_iters) if can_polish else cfg.max_iters
-        total, psis, conv = _optimize_ensemble(
-            psis, weighted, n_qubits, sign, stage1, cfg.step_tolerance)
+        total, u, conv = _optimize_ensemble(u, qf, sign, stage1,
+                                            cfg.step_tolerance)
         if can_polish:
-            t2, p2, c2 = try_polish(total, psis, conv)
+            t2, u2, c2 = try_polish(total, u, conv)
             if t2 < total:
                 # polish found a better basin; a short consolidation
                 # sweep plus one more polish is enough
-                total, psis, conv = t2, p2, c2
+                total, u, conv = t2, u2, c2
                 if total > 1e-12:
-                    t3, p3, c3 = _optimize_ensemble(
-                        psis, weighted, n_qubits, sign, 10, cfg.step_tolerance)
+                    t3, u3, c3 = _optimize_ensemble(u, qf, sign, 10,
+                                                    cfg.step_tolerance)
                     if t3 < total:
-                        total, psis, conv = t3, p3, c3
-                    total, psis, conv = try_polish(total, psis, conv)
+                        total, u, conv = t3, u3, c3
+                    total, u, conv = try_polish(total, u, conv)
             elif cfg.max_iters > stage1:
-                t3, p3, c3 = _optimize_ensemble(
-                    psis, weighted, n_qubits, sign, cfg.max_iters - stage1,
-                    cfg.step_tolerance)
+                t3, u3, c3 = _optimize_ensemble(
+                    u, qf, sign, cfg.max_iters - stage1, cfg.step_tolerance)
                 if t3 < total:
-                    total, psis, conv = t3, p3, c3
-                total, psis, conv = try_polish(total, psis, conv)
+                    total, u, conv = t3, u3, c3
+                total, u, conv = try_polish(total, u, conv)
+        if best_total is None or total < best_total - cfg.step_tolerance:
+            stalled = 0
+        else:
+            stalled += 1
         if best_total is None or total < best_total:
-            best_total, best_psis, best_conv = total, psis, conv
-        if can_polish and best_total <= 1e-12:
+            best_total, best_u, best_conv = total, u, conv
+        if (can_polish and best_total <= 1e-12) or stalled >= STALL_RESTARTS:
             break
 
     value = float(sign * best_total)
@@ -570,15 +553,19 @@ def convex_roof(rho: DensityMatrix, functional, direction: str,
         raise RuntimeError("roof maximum fell below eigendecomposition average")
 
     members = []
-    for row in best_psis:
+    for row in best_u @ scaled:
         p = float(np.vdot(row, row).real)
         if p < 1e-12:
             continue
         members.append((p, PureState(row / np.sqrt(p), n_qubits)))
     ens = Ensemble(tuple(members))
     ens.validate_against(rho)
-    return RoofResult(value, ens, restarts_used, best_conv, direction,
-                      "upper" if direction == "min" else "lower")
+    # the reported value must be the returned ensemble's own average
+    avg = _ensemble_average(members, n_qubits, split)
+    if abs(value - avg) > 1e-10:
+        raise RuntimeError(f"roof value {value!r} differs from its ensemble "
+                           f"average {avg!r}")
+    return RoofResult(value, ens, restarts_used, best_conv, direction, bound_side)
 
 
 def _require_two_qubit(rho: DensityMatrix) -> None:

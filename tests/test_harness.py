@@ -355,7 +355,7 @@ GRID_CASES = {
     "mono-zero-edge": (ZERO_BUILDER, "monogamy", EDGE_AXES, [], "thm1,ref29"),
     "mono-unknown-variant": (EX1_BUILDER, "monogamy", EDGE_AXES, [],
                              "thm1,thm4"),
-    # 1 / t at t = 0 raises ZeroDivisionError in both
+    # top q = 1 + 1/t at t = 0 is a usage error in both
     "mono-top-t-zero": (EX1_BUILDER, "monogamy", ["--axis", "t:0:2:5"],
                         ["--fix", "alpha=1", "--fix", "gamma=2",
                          "--fix", "q=top"], "thm1,ref29"),
@@ -430,20 +430,55 @@ def test_sweep_grid_rows_match_scalar_rows():
                 == [[(type(v), repr(v)) for v in row] for row in scalar[1]])
 
 
+def usage_error(args, capsys) -> str:
+    """The one stderr line of a CLI run that must exit 2 with no output."""
+    code = h.main(args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("entbounds: error:")
+    return lines[0]
+
+
+def test_top_q_at_t_zero_is_a_usage_error(capsys):
+    poly = ["--builder", EX2_BUILDER, "--kind", "polygamy"]
+    bound = ["bound"] + poly + ["--beta", "1", "--delta", "0.8",
+                                "--t", "0", "--q", "top"]
+    fixed_t = ["sweep"] + poly + ["--axis", "beta:1:2:3", "--fix", "delta=0.8",
+                                  "--fix", "t=0", "--fix", "q=top"]
+    t_axis = ["sweep"] + poly + ["--axis", "t:0:2:5", "--fix", "beta=1",
+                                 "--fix", "delta=0.8", "--fix", "q=top"]
+    errors = {usage_error(args, capsys) for args in (bound, fixed_t, t_axis)}
+    assert errors == {"entbounds: error: top q = 1 + 1/t is undefined at t = 0"}
+
+
+@pytest.mark.parametrize("fix", ["t=top", "t=edge", "q=sqrt", "alpha=edge",
+                                 "delta=top", "k=sqrt", "t=abc", "q=", "a=1x"])
+def test_sweep_fix_words_only_where_they_mean_something(capsys, fix):
+    name = fix.partition("=")[0]
+    err = usage_error(["sweep", "--builder", EX2_BUILDER, "--kind", "polygamy",
+                       "--axis", "beta:1:2:3", "--fix", "delta=0.8",
+                       "--fix", fix], capsys)
+    assert f"error: {name} must be a number" in err
+
+
+def test_bound_window_words_only_where_they_mean_something(capsys):
+    base = ["bound", "--builder", EX2_BUILDER, "--kind", "polygamy",
+            "--beta", "1", "--delta", "0.8"]
+    for extra in (["--t", "top"], ["--q", "sqrt"], ["--t", "abc"]):
+        assert "must be a number" in usage_error(base + extra, capsys)
+    for extra in (["--t", "sqrt", "--q", "top"], ["--t", "1.5", "--q", "2"]):
+        assert h.main(base + extra) == 0
+        capsys.readouterr()
+
+
 def test_power_overflow_is_a_usage_error(capsys):
     bound = ["bound", "--builder", EX2_BUILDER, "--kind", "polygamy",
              "--beta", "1", "--delta", "0.0005"]
     sweep = ["sweep", "--builder", EX2_BUILDER, "--kind", "polygamy",
              "--axis", "delta:0.0005:1:5", "--fix", "beta=1"]
-    errors = []
-    for args in (bound, sweep):
-        code = h.main(args)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("entbounds: error:")
-        assert "overflows" in lines[0]
-        errors.append(lines[0])
+    errors = [usage_error(args, capsys) for args in (bound, sweep)]
+    assert "overflows" in errors[0]
     assert errors[0] == errors[1]
     spec = h.SweepSpec("polygamy", [("delta", 0.0005, 1.0, 5)], {"beta": 1.0},
                        ["thm4", "ref29"])
@@ -611,6 +646,18 @@ def test_golden_output_bytes(capsys, name):
     code, out = run_cli(args, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_chain_golden_run_fields(capsys):
+    # the golden verify-chain run, field by field: its min-roof residual
+    # may move in the last digits when the roof kernel does, nothing else
+    code, out = run_cli(["verify", "--suite", "chain", "--trials", "4",
+                         "--seed", "13"], capsys)
+    assert code == 0
+    rec = json.loads(out.split("\n", 1)[1])
+    assert (rec["checks"], rec["skipped"], rec["violations"], rec["ok"]) == (
+        4, 0, 0, True)
+    assert rec["min_slack"] == pytest.approx(0.3436895333828466, abs=1e-8)
 
 
 def test_global_flags_before_subcommand(capsys):
