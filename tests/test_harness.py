@@ -636,7 +636,7 @@ GOLDEN = {
     # min-roof residuals at the suite's fixed restart count
     "verify-chain": (
         ["verify", "--suite", "chain", "--trials", "4", "--seed", "13"],
-        "0f01d37ceac763ce0c51e4663738556c53b70ec82e492958b71a93d941399377"),
+        "8fdc3f011637a4340de077ee4a686c304413cb8ff99cdd8f79df82bcb7c28b8c"),
 }
 
 
