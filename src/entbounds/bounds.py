@@ -8,8 +8,9 @@ values (pairwise and residual) are supplied by the caller.
 The formulas and flags are written once for floats and numpy arrays: the
 scalar entry points evaluate one point in pure float arithmetic, and
 bound_grid evaluates one variant over a whole parameter grid.  Every
-power goes through _pow, elementwise on the grid (GridPow), so both give
-the same bits.
+power is Python's float **: through _pow at a point, and on a grid
+(GridPow) through numpy's object-dtype ufunc loop, which calls the same
+float ** per element, run in C.  So both give the same bits.
 
 One engine serves both bound kinds.  `SIDES` holds what differs between
 the monogamy and the polygamy side (exponent names and ranges, theorem
@@ -59,12 +60,17 @@ def _pow(base: float, exponent: float) -> float:
 
 
 class GridPow:
-    """_pow over broadcast numpy arrays, one element at a time.
+    """_pow over broadcast numpy arrays, bit for bit.
 
     np.power rounds differently from the C library pow behind Python's
     float ** in the last bit for a few percent of inputs, so a grid must
-    take its powers through _pow to match the scalar engine bit for bit.
-    Elements where _pow raises read nan and are marked in `failed`.
+    take its powers from float ** to match the scalar engine.  One np.power
+    call on object arrays does that: numpy's object loop calls the same
+    float ** per element, run in C.  _pow's 0^0 = 1 and 0^x = 0 conventions
+    are masked around it, with a base of 1 at those points so that 0 ** -x
+    cannot raise and -0.0 ** 3 cannot leak -0.0.  When a power overflows or
+    is complex, the grid is redone through _pow one element at a time:
+    elements where _pow raises read nan and are marked in `failed`.
     """
 
     def __init__(self):
@@ -72,12 +78,13 @@ class GridPow:
 
     def __call__(self, base, exponent) -> np.ndarray:
         b, e = np.broadcast_arrays(base, exponent)
-        pairs = list(zip(b.ravel().tolist(), e.ravel().tolist()))
+        unit, zero = e == 0.0, b == 0.0
+        safe_base = np.where(unit | zero, 1.0, b).astype(object)
         try:
-            out = [_pow(x, y) for x, y in pairs]
-        except (BoundsError, TypeError):  # TypeError: a complex result
+            out = np.asarray(np.power(safe_base, e.astype(object)), dtype=float)
+        except (OverflowError, TypeError):  # TypeError: a complex result
             out, bad = [], []
-            for x, y in pairs:
+            for x, y in zip(b.ravel().tolist(), e.ravel().tolist()):
                 try:
                     out.append(_pow(x, y))
                     bad.append(False)
@@ -85,7 +92,8 @@ class GridPow:
                     out.append(math.nan)
                     bad.append(True)
             self.failed = self.failed | np.reshape(bad, b.shape)
-        return np.reshape(out, b.shape)
+            return np.reshape(out, b.shape)
+        return np.where(unit, 1.0, np.where(zero, 0.0, out))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -477,11 +478,32 @@ def _grid_report(spec: SweepSpec, side: bnd.Side, lhs_base: float,
 
 def rows_to_csv(header, rows) -> str:
     """CSV text of sweep_rows output: float cells as their shortest
-    round-trip repr, then the admissible flag as 1 or 0."""
-    lines = list(header)
-    for row in rows:
-        lines.append(",".join(map(repr, row[:-1])) + (",1" if row[-1] else ",0"))
-    return "\n".join(lines) + "\n"
+    round-trip repr, then the admissible flag as 1 or 0.
+
+    The rows are read by column: a column with few distinct values (a grid
+    axis, or the lhs that depends on one axis) formats each value once."""
+    if not rows:
+        return "\n".join(header) + "\n"
+    *columns, flags = zip(*rows)
+    cells = [_column_reprs(c) for c in columns]
+    cells.append(map(("0", "1").__getitem__, map(bool, flags)))
+    return "\n".join([*header, *map(",".join, zip(*cells))]) + "\n"
+
+
+def _column_reprs(column):
+    """The reprs of one column of float cells, lazily.  When at most half
+    the cells are distinct, each distinct value is formatted once and looked
+    up.  0.0 and -0.0 are one dict key with two reprs, so a column holding
+    both formats every cell.  A nan equals nothing, so each nan cell is its
+    own key, found again by identity."""
+    memo = dict.fromkeys(column)
+    if 2 * len(memo) > len(column) or (
+            0.0 in memo
+            and len({math.copysign(1.0, v) for v in column if v == 0.0}) > 1):
+        return map(repr, column)
+    for v in memo:
+        memo[v] = repr(v)
+    return map(memo.__getitem__, column)
 
 
 FIGURE_SPECS = {

@@ -9,9 +9,11 @@ from entbounds.bounds import (
     BoundsError,
     ChainParams,
     ChainStepError,
+    GridPow,
     MonogamyParams,
     PolygamyParams,
     PreconditionError,
+    _pow,
     chain_monogamy_bound,
     chain_polygamy_bound,
     lemma1_check,
@@ -170,6 +172,70 @@ def test_power_overflow_raises_bounds_error():
         thm4_upper_bound(0.25, 0.5, PolygamyParams(2.0, 1e-9, 1.0, 2.0))
     with pytest.raises(BoundsError, match="overflows"):
         prior_polygamy_bound("ref29", 0.25, 0.5, beta=2.0, delta=1e-9, a=1.0)
+
+
+# -- grid powers ----------------------------------------------------------------
+
+def pointwise_pow(base, exponent):
+    """_pow at every point of the broadcast grid, nan and marked failed
+    where it raises: the reference GridPow must match bit for bit."""
+    b, e = np.broadcast_arrays(np.asarray(base, dtype=float),
+                               np.asarray(exponent, dtype=float))
+    out, failed = np.empty(b.shape), np.zeros(b.shape, dtype=bool)
+    for idx in np.ndindex(b.shape):
+        try:
+            out[idx] = _pow(float(b[idx]), float(e[idx]))
+        except (BoundsError, TypeError):
+            out[idx], failed[idx] = np.nan, True
+    return out, failed
+
+
+NAN, INF = float("nan"), float("inf")
+COL = (-1, 1)  # base varies down, exponent across
+GRID_POW_CASES = {
+    "zero-bases": (np.reshape([0.0, -0.0], COL),
+                   [-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, NAN, INF, -INF]),
+    "zero-exponent": (np.reshape([NAN, INF, -INF, -3.0, -0.5, 0.0, -0.0, 2.0],
+                                 COL), [0.0, -0.0]),
+    "nan-and-inf": (np.reshape([NAN, INF, -INF, 0.5, 1.0, 2.0, -1.0], COL),
+                    [NAN, INF, -INF, 2.0, -1.0, 3.0]),
+    "negative-integer-powers": (np.reshape([-2.0, -0.5, -7.25], COL),
+                                [-3.0, -2.0, 1.0, 2.0, 5.0]),
+    "subnormal": (np.reshape([5e-324, 1e-310, 2.0], COL), [0.5, 1.0, -0.001]),
+    "complex": (np.reshape([-2.0, 0.5, -0.0], COL), [0.5, 2.0, -1.5]),
+    "overflow": (np.reshape([10.0, 0.5, 0.0], COL), [400.0, 2.0, -400.0]),
+    "overflow-and-complex": (np.reshape([1e300, -8.0], COL), [2.0, 1.0 / 3.0]),
+    "zero-d": (0.75, 2.5),
+    "zero-d-numpy": (np.float64(1.5), np.array(-0.25)),
+    "zero-d-overflow": (10.0, 400.0),
+    "zero-d-complex": (-2.0, 0.5),
+    "scalar-by-vector": (0.25, np.linspace(0.0, 4.0, 9)),
+    "broadcast": (np.linspace(0.0, 3.0, 4).reshape(4, 1, 1),
+                  np.linspace(-2.0, 2.0, 6).reshape(1, 2, 3)),
+    "random": (np.random.default_rng(5).uniform(0.0, 3.0, (40, 50)),
+               np.random.default_rng(6).uniform(-6.0, 6.0, (40, 50))),
+}
+
+
+@pytest.mark.parametrize("name", list(GRID_POW_CASES))
+def test_grid_pow_matches_pointwise_pow(name):
+    base, exponent = GRID_POW_CASES[name]
+    pw = GridPow()
+    got = pw(base, exponent)
+    want, failed = pointwise_pow(base, exponent)
+    assert got.shape == want.shape
+    assert np.array_equal(np.broadcast_to(pw.failed, want.shape), failed)
+    assert np.array_equal(got[~failed].view(np.int64),
+                          want[~failed].view(np.int64))
+    assert np.isnan(got[failed]).all()
+
+
+def test_grid_pow_failed_accumulates():
+    pw = GridPow()
+    pw(np.array([10.0, 2.0]), 400.0)
+    pw(np.array([2.0, -2.0]), 0.5)
+    pw(np.array([2.0, 3.0]), 2.0)
+    assert pw.failed.tolist() == [True, True]
 
 
 def test_prior_polygamy_values():

@@ -207,6 +207,16 @@ def test_all_figures_ordering_property(capsys):
         assert min(float(r["gap"]) for r in adm) >= -1e-12
 
 
+def test_fig_poly_is_the_wclass_example():
+    # FIG_POLY stays a literal, so the figure bytes do not depend on the
+    # last bits of the measures; it must still be what the state gives
+    lhs_base, q_ab, q_ac = h._measured_inputs(h.build_state(EX2_BUILDER),
+                                              "polygamy")
+    assert abs(q_ab - h.FIG_POLY["q_ab"]) <= 1e-15
+    assert abs(q_ac - h.FIG_POLY["q_ac"]) <= 1e-15
+    assert abs(lhs_base - h.FIG_POLY["lhs_base"]) <= 1e-15
+
+
 def test_figure_job_validation():
     with pytest.raises(h.UsageError):
         h.FigureJob(9)
@@ -430,6 +440,43 @@ def test_sweep_grid_rows_match_scalar_rows():
                 == [[(type(v), repr(v)) for v in row] for row in scalar[1]])
 
 
+def oracle_rows_to_csv(header, rows) -> str:
+    """rows_to_csv one row at a time, every cell formatted: the reference
+    the column-wise writer must match byte for byte."""
+    lines = list(header)
+    for row in rows:
+        lines.append(",".join(map(repr, row[:-1])) + (",1" if row[-1] else ",0"))
+    return "\n".join(lines) + "\n"
+
+
+NAN, INF = float("nan"), float("inf")
+SUBNORMALS = [5e-324, 2.2250738585072014e-308 / 3, -1e-310]
+CSV_HEADER = ["# seed=1 grid=x[0.0,1.0,2]", "a,b,c,lhs,admissible"]
+CSV_CASES = {
+    # equal and hash-equal, but two reprs: a memo must keep them apart
+    "signed-zeros": [[0.0 if i % 3 else -0.0, -0.0, 0.0, float(i % 2),
+                      i % 2 == 0] for i in range(60)],
+    "signed-zero-runs": [[-0.0 if i < 30 else 0.0, 0.5, -0.0, float(i),
+                          True] for i in range(60)],
+    "specials": [[[NAN, INF, -INF, *SUBNORMALS][i % 6], NAN,
+                  [NAN, INF, -INF, *SUBNORMALS][i // 10],
+                  float("nan") if i % 3 == 0 else -INF, i % 4 == 0]
+                 for i in range(60)],
+    "repeated-and-unique": [[0.1 * (i // 7), 2.0 + 0.3 * (i % 7), i / 49,
+                             (i + 0.5) ** 0.5, bool(i % 5)]
+                            for i in range(49)],
+    "one-row": [[-0.0, NAN, 5e-324, 1.5, False]],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_CASES))
+def test_rows_to_csv_matches_row_oracle(name):
+    rows = CSV_CASES[name]
+    assert h.rows_to_csv(CSV_HEADER, rows) == oracle_rows_to_csv(CSV_HEADER,
+                                                                  rows)
+
+
 def usage_error(args, capsys) -> str:
     """The one stderr line of a CLI run that must exit 2 with no output."""
     code = h.main(args)
@@ -623,6 +670,12 @@ GOLDEN = {
                      "392973b91c5726319bd256f719035f39a0d32a2553693dab2a5aa85661b168f1"),
     "figure4-full": (["figure", "--id", "4"],
                      "be0ae765db62d5315a3d29bb263e5aba9e85856138b93e65cbcad47223ab23a4"),
+    # the 1-D figures at the default resolution: the fixed exponent column
+    # repeats on every row
+    "figure2-full": (["figure", "--id", "2"],
+                     "0d32791dd0e470927545ae0c6ea320935c6e816002498b14b4573acf8890f54f"),
+    "figure5-full": (["figure", "--id", "5"],
+                     "a4d71039960e4394bc604d884ff42dee88cd66ebcbe9a50d7281a6962d66d0af"),
     # the CKW-tight W-class state on which thm1 exceeds the LHS
     "bound-wclass-monogamy": (
         ["bound", "--builder", "wclass:0.8,0.3,0.5196152422706632",
