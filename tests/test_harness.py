@@ -690,6 +690,19 @@ GOLDEN = {
     "verify-chain": (
         ["verify", "--suite", "chain", "--trials", "4", "--seed", "13"],
         "8fdc3f011637a4340de077ee4a686c304413cb8ff99cdd8f79df82bcb7c28b8c"),
+    # min roofs on two-qubit marginals checked against Wootters
+    "verify-roof-oracle": (
+        ["verify", "--suite", "roof-oracle", "--trials", "8", "--seed", "3"],
+        "ca5da3b18df39feea5e2ebe150810fcad625fafe54a40bf9e3658a598fd74adc"),
+    # the min and max roofs' value and restarts_used on one marginal
+    "measure-wclass-scren": (
+        ["measure", "--builder", "wclass:0.5,0.5,0.7071067811865476",
+         "--keep", "0,1", "--measure", "scren"],
+        "8375dc1b0128f05bf32806a9c149722e1b79e77b489c63214b6fc1b0350cd34e"),
+    "measure-wclass-screnoa": (
+        ["measure", "--builder", "wclass:0.5,0.5,0.7071067811865476",
+         "--keep", "0,1", "--measure", "screnoa"],
+        "bb5717b163e5e9cb6f1725606b2081ae05ed0be252eecae5ae669fd3596a7e8c"),
 }
 
 
