@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from entbounds import bounds as bnd
 from entbounds.bounds import (
     BoundParams,
     BoundReport,
@@ -190,6 +191,16 @@ def pointwise_pow(base, exponent):
     return out, failed
 
 
+def grid_with_two_failures():
+    """A figure-sized 101 x 101 grid with one overflowing power and one
+    complex one."""
+    base = np.random.default_rng(7).uniform(0.0, 3.0, (101, 101))
+    exponent = np.random.default_rng(8).uniform(-3.0, 3.0, (101, 101))
+    base[17, 42], exponent[17, 42] = 10.0, 400.0
+    base[80, 5], exponent[80, 5] = -2.0, 0.5
+    return base, exponent
+
+
 NAN, INF = float("nan"), float("inf")
 COL = (-1, 1)  # base varies down, exponent across
 GRID_POW_CASES = {
@@ -214,6 +225,7 @@ GRID_POW_CASES = {
                   np.linspace(-2.0, 2.0, 6).reshape(1, 2, 3)),
     "random": (np.random.default_rng(5).uniform(0.0, 3.0, (40, 50)),
                np.random.default_rng(6).uniform(-6.0, 6.0, (40, 50))),
+    "grid-one-overflow-one-complex": grid_with_two_failures(),
 }
 
 
@@ -228,6 +240,20 @@ def test_grid_pow_matches_pointwise_pow(name):
     assert np.array_equal(got[~failed].view(np.int64),
                           want[~failed].view(np.int64))
     assert np.isnan(got[failed]).all()
+
+
+def test_grid_pow_redoes_only_the_failing_elements(monkeypatch):
+    calls = []
+
+    def counting_pow(base, exponent):
+        calls.append((base, exponent))
+        return _pow(base, exponent)
+
+    monkeypatch.setattr(bnd, "_pow", counting_pow)
+    pw = GridPow()
+    pw(*grid_with_two_failures())
+    assert sorted(calls) == [(-2.0, 0.5), (10.0, 400.0)]
+    assert pw.failed.sum() == 2
 
 
 def test_grid_pow_failed_accumulates():
