@@ -18,9 +18,13 @@ acting on its eigendecomposition ensemble.  For any split, C^2 =
 each member's minors are one quadratic form u_i^T Q u_i, so Q gives the
 objective, closed-form Givens-rotation line searches and the
 Levenberg-Marquardt polish of minimizing roofs.  Restarts derive
-independent sub-seeds from the configured seed and are merged
-deterministically (first-best wins), so results are reproducible and the
-functional core is safe for concurrent use.
+independent sub-seeds from the configured seed and run in stacked blocks
+through one optimizer pass, each restart carrying its own sweep budget,
+line-search and damping state; the stopping rule is replayed over each
+block in restart order (first-best wins) and restarts past the stop are
+discarded, so results, and restarts_used, which counts the restarts the
+rule kept, are bit for bit those of one restart at a time.  Results are
+reproducible and the functional core is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -247,10 +251,11 @@ def _minor_form(rows: np.ndarray, n_qubits: int,
 
 
 def _member_minors(u: np.ndarray, qf: np.ndarray):
-    """(Q u_i of shape (m, r, K), minors u_i^T Q u_i of shape (m, K)),
-    with qf = Q flattened to (r, r * K)."""
-    qu = (u @ qf).reshape(u.shape[0], u.shape[1], -1)
-    return qu, np.einsum("il,ilk->ik", u, qu)
+    """(Q u_i of shape (..., m, r, K), minors u_i^T Q u_i of shape
+    (..., m, K)), with qf = Q flattened to (r, r * K); leading axes of u
+    stack independent isometries."""
+    qu = (u @ qf).reshape(*u.shape, -1)
+    return qu, np.einsum("...il,...ilk->...ik", u, qu)
 
 
 def _weights(mu: np.ndarray) -> np.ndarray:
@@ -259,27 +264,30 @@ def _weights(mu: np.ndarray) -> np.ndarray:
 
 
 def _givens_grid(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Coefficients (2, N, 3) of the rotated rows' minors on a grid.
+    """Coefficients (..., 2, N, 3) of the rotated rows' minors on a grid;
+    leading axes of thetas and phis stack independent grids.
 
     The rotation a' = c a + s b, b' = -conj(s) a + c b with c = cos(theta)
     and s = e^{i phi} sin(theta) maps the quadratic minors to
     mu(a') = c^2 mu_a + cs (2 a^T Q b) + s^2 mu_b and
     mu(b') = conj(s)^2 mu_a - c conj(s) (2 a^T Q b) + c^2 mu_b.
     """
-    c = np.repeat(np.cos(thetas), len(phis))
-    s = np.outer(np.sin(thetas), np.exp(1j * phis)).ravel()
+    c = np.repeat(np.cos(thetas), phis.shape[-1], axis=-1)
+    s = (np.sin(thetas)[..., :, None]
+         * np.exp(1j * phis)[..., None, :]).reshape(c.shape)
     sc = s.conj()
-    grid = np.empty((2, len(c), 3), dtype=complex)
-    grid[0, :, 0] = grid[1, :, 2] = c * c
-    grid[0, :, 1], grid[0, :, 2] = c * s, s * s
-    grid[1, :, 0], grid[1, :, 1] = sc * sc, -c * sc
+    grid = np.empty(c.shape[:-1] + (2, c.shape[-1], 3), dtype=complex)
+    grid[..., 0, :, 0] = grid[..., 1, :, 2] = c * c
+    grid[..., 0, :, 1], grid[..., 0, :, 2] = c * s, s * s
+    grid[..., 1, :, 0], grid[..., 1, :, 1] = sc * sc, -c * sc
     return grid
 
 
 def _givens_values(coef: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Pair objective at every grid point; coef stacks mu_a, 2 a^T Q b, mu_b."""
-    w = _weights(grid @ coef)
-    return w[0] + w[1]
+    """Pair objective at every grid point; coef (..., 3, K) stacks mu_a,
+    2 a^T Q b and mu_b."""
+    w = _weights(grid @ coef[..., None, :, :])
+    return w[..., 0, :] + w[..., 1, :]
 
 
 # coarse rotation angles plus a geometric ladder of small angles so that
@@ -298,68 +306,91 @@ _ZOOM = np.linspace(-1.0, 1.0, 7)  # each refinement: 7 x 7 around the best
 STALL_RESTARTS = 3
 
 
-def _optimize_ensemble(u, qf, sign, max_iters, tol):
+def _optimize_ensemble(u, qf, sign, caps, tol):
     """Sweep Givens rotations over row pairs until improvement stalls.
 
-    Works on a copy of the isometry u; a move is kept only when the
-    recomputed pair objective is lower than the current one.
+    u stacks one isometry per restart, (R, m, r), and caps holds each
+    restart's sweep budget (0 leaves it as it is).  Returns the restarts'
+    totals, isometries and converged flags.  Works on a copy of u; a move
+    is kept only when the recomputed pair objective is lower than the
+    current one.
     """
     u = u.copy()
     qu, mu = _member_minors(u, qf)
     w = _weights(mu)
-    m = u.shape[0]
-    converged = False
-    for _ in range(max_iters):
-        improvement = 0.0
-        for a in range(m):
-            for b in range(a + 1, m):
-                cur = float(sign * (w[a] + w[b]))
-                coef = np.array([mu[a], 2.0 * (u[a] @ qu[b]), mu[b]])
-                grid, thetas, phis = _COARSE_GRID, _THETAS, _PHIS
-                dt = np.pi / 18
-                dp = 2 * np.pi / len(phis)
-                best = cur
-                found = False
-                # coarse grid with zoom ladder, then shrinking refinements
-                for _round in range(6):
-                    vals = sign * _givens_values(coef, grid)
-                    k = int(np.argmin(vals))
-                    if vals[k] < best - 1e-15:
-                        best = float(vals[k])
-                        found = True
-                        ti, pi = divmod(k, len(phis))
-                        t0, p0 = thetas[ti], phis[pi]
-                        dt = max(dt / 3.0, abs(t0) * 1e-3 + 1e-6)
-                    elif not found:
-                        break
-                    else:
-                        dt /= 3.0
-                    thetas, phis = t0 + dt * _ZOOM, p0 + dp * _ZOOM
-                    grid = _givens_grid(thetas, phis)
-                    dp /= 3.0
-                if not found:
-                    continue
-                c, s = np.cos(t0), np.sin(t0) * np.exp(1j * p0)
-                rows = np.array([c * u[a] + s * u[b], c * u[b] - s.conj() * u[a]])
-                qu_ab, mu_ab = _member_minors(rows, qf)
-                w_ab = _weights(mu_ab)
-                new = float(sign * (w_ab[0] + w_ab[1]))
-                if new < cur:
-                    u[[a, b]], qu[[a, b]], mu[[a, b]], w[[a, b]] = (
-                        rows, qu_ab, mu_ab, w_ab)
-                    improvement += cur - new
-        if improvement < tol:
-            converged = True
+    converged = np.zeros(len(u), dtype=bool)
+    for sweep in range(int(caps.max(initial=0))):
+        act = np.flatnonzero((caps > sweep) & ~converged)
+        if not act.size:
             break
-    return float(sign * w.sum()), u, converged
+        state = u[act], qu[act], mu[act], w[act]
+        improvement = _sweep(*state, qf, sign)
+        u[act], qu[act], mu[act], w[act] = state
+        converged[act] = improvement < tol
+    return sign * w.sum(axis=-1), u, converged
+
+
+def _sweep(u, qu, mu, w, qf, sign):
+    """One Givens line search per row pair, in place on stacked restarts;
+    returns each restart's summed improvement."""
+    n, m = u.shape[:2]
+    improvement = np.zeros(n)
+    at = np.arange(n)
+    for a in range(m):
+        for b in range(a + 1, m):
+            cur = sign * (w[:, a] + w[:, b])
+            coef = np.concatenate([mu[:, a, None], 2.0 * (u[:, a, None] @ qu[:, b]),
+                                   mu[:, b, None]], axis=1)
+            # the coarse grid with its zoom ladder; restarts that improve
+            # on it go on to five shrinking 7 x 7 refinements
+            vals = sign * _givens_values(coef, _COARSE_GRID)
+            k = np.argmin(vals, axis=-1)
+            best = vals[at, k]
+            f = np.flatnonzero(best < cur - 1e-15)
+            if not f.size:
+                continue
+            coef, best, k = coef[f], best[f], k[f]
+            ti, pi = np.divmod(k, len(_PHIS))
+            t0, p0 = _THETAS[ti], _PHIS[pi]
+            dt = np.maximum(np.pi / 18 / 3.0, np.abs(t0) * 1e-3 + 1e-6)
+            dp = 2 * np.pi / len(_PHIS)
+            af = at[:len(f)]
+            for _round in range(5):
+                thetas = t0[:, None] + dt[:, None] * _ZOOM
+                phis = p0[:, None] + dp * _ZOOM
+                dp /= 3.0
+                vals = sign * _givens_values(coef, _givens_grid(thetas, phis))
+                k = np.argmin(vals, axis=-1)
+                ti, pi = np.divmod(k, len(_ZOOM))
+                v = vals[af, k]
+                better = v < best - 1e-15
+                best = np.where(better, v, best)
+                t0 = np.where(better, thetas[af, ti], t0)
+                p0 = np.where(better, phis[af, pi], p0)
+                dt = dt / 3.0
+                dt = np.where(better, np.maximum(dt, np.abs(t0) * 1e-3 + 1e-6), dt)
+            c = np.cos(t0)[:, None, None]
+            s = (np.sin(t0) * np.exp(1j * p0))[:, None, None]
+            ua, ub = u[f, a, None], u[f, b, None]
+            rows = np.concatenate([c * ua + s * ub, c * ub - s.conj() * ua], axis=1)
+            qu_ab, mu_ab = _member_minors(rows, qf)
+            w_ab = _weights(mu_ab)
+            new = sign * (w_ab[:, 0] + w_ab[:, 1])
+            keep = new < cur[f]
+            g = f[keep, None]
+            u[g, [a, b]], qu[g, [a, b]], mu[g, [a, b]], w[g, [a, b]] = (
+                rows[keep], qu_ab[keep], mu_ab[keep], w_ab[keep])
+            improvement[f[keep]] += cur[f[keep]] - new[keep]
+    return improvement
 
 
 def _qr_retract(x: np.ndarray) -> np.ndarray:
-    """Nearest isometry via QR with a deterministic sign convention."""
+    """Nearest isometries to stacked x via QR with a deterministic sign
+    convention."""
     q, r = np.linalg.qr(x)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     phase = np.where(np.abs(d) > 1e-300, d / np.abs(d), 1.0)
-    return q * phase
+    return q * phase[..., None, :]
 
 
 @lru_cache(maxsize=None)
@@ -379,16 +410,22 @@ def _skew_basis(r: int) -> np.ndarray:
 
 
 def _stiefel_tangent_basis(u: np.ndarray) -> np.ndarray:
-    """Real basis (n, m, r) of the tangent space {d: d^H u + u^H d = 0}."""
-    m, r = u.shape
-    basis = u @ _skew_basis(r)
+    """Real bases (R, n, m, r) of the tangent spaces {d: d^H u + u^H d = 0}
+    of stacked isometries u (R, m, r)."""
+    k, m, r = u.shape
+    basis = u[:, None] @ _skew_basis(r)
     if m > r:
         full, _, _ = np.linalg.svd(u, full_matrices=True)
         # perp column c placed in column l, then times 1j
-        perp = np.einsum("ac,lk->clak", full[:, r:], np.eye(r))
-        perp = np.stack([perp, 1j * perp], axis=2).reshape(-1, m, r)
-        basis = np.concatenate([basis, perp])
+        perp = np.einsum("zac,lk->zclak", full[..., r:], np.eye(r))
+        perp = np.stack([perp, 1j * perp], axis=3).reshape(k, -1, m, r)
+        basis = np.concatenate([basis, perp], axis=1)
     return basis
+
+
+def _sq_norms(mu: np.ndarray) -> np.ndarray:
+    """Squared norm of each restart's minors, mu of shape (R, m, K)."""
+    return (mu.real ** 2 + mu.imag ** 2).reshape(len(mu), -1).sum(axis=-1)
 
 
 def _product_polish(u, qf, iters: int = 40):
@@ -399,36 +436,88 @@ def _product_polish(u, qf, iters: int = 40):
     the split.  Pairwise rotations crawl once every member is nearly a
     product state; this drives the smooth zero-residual system
     quadratically instead.  Steps are solved in an explicit tangent basis
-    so the QR retraction only contributes second-order corrections.
+    so the QR retraction only contributes second-order corrections.  u
+    stacks restarts (R, m, r); each keeps its own damping and stops on
+    its own.
     """
+    u = u.copy()
     qu, mu = _member_minors(u, qf)
-    cost = float(np.sum(mu.real ** 2 + mu.imag ** 2))
-    lam = 1e-4
+    cost = _sq_norms(mu)
+    lam = np.full(len(u), 1e-4)
+    live = np.ones(len(u), dtype=bool)
     for _ in range(iters):
-        if cost < 1e-30:
+        act = np.flatnonzero(live & (cost >= 1e-30))
+        if not act.size:
             break
-        basis = _stiefel_tangent_basis(u)
-        flat = basis.reshape(len(basis), -1)
-        dz = 2.0 * np.einsum("nil,ilk->nik", basis, qu).reshape(len(basis), -1)
-        jt = np.concatenate([dz.real, dz.imag], axis=1).T
-        rvec = np.concatenate([mu.real.ravel(), mu.imag.ravel()])
-        gram = jt.T @ jt
-        grad = jt.T @ rvec
-        moved = False
+        basis = _stiefel_tangent_basis(u[act])
+        nb = basis.shape[1]
+        flat = basis.reshape(len(act), nb, -1)
+        dz = 2.0 * np.einsum("znil,zilk->znik", basis, qu[act]).reshape(
+            len(act), nb, -1)
+        jac = np.concatenate([dz.real, dz.imag], axis=2)  # J^T per restart
+        res = mu[act].reshape(len(act), -1)
+        rvec = np.concatenate([res.real, res.imag], axis=1)
+        gram = jac @ jac.transpose(0, 2, 1)
+        grad = jac @ rvec[..., None]
+        eye = np.eye(nb)
+        z = act  # restarts still without an accepted step
         for _try in range(8):
-            y = np.linalg.solve(gram + lam * np.eye(len(gram)), -grad)
-            cand = _qr_retract(u + (y @ flat).reshape(u.shape))
+            y = np.linalg.solve(gram + lam[z, None, None] * eye, -grad)
+            cand = _qr_retract(u[z] + (y.transpose(0, 2, 1) @ flat).reshape(
+                (len(z),) + u.shape[1:]))
             qu_c, mu_c = _member_minors(cand, qf)
-            cost_c = float(np.sum(mu_c.real ** 2 + mu_c.imag ** 2))
-            if cost_c < cost:
-                u, qu, mu, cost = cand, qu_c, mu_c, cost_c
-                lam = max(lam * 0.25, 1e-14)
-                moved = True
-                break
-            lam = min(lam * 8.0, 1e8)
-        if not moved:
-            break
+            cost_c = _sq_norms(mu_c)
+            ok = cost_c < cost[z]
+            if ok.any():
+                g = z[ok]
+                u[g], qu[g], mu[g], cost[g] = cand[ok], qu_c[ok], mu_c[ok], cost_c[ok]
+                lam[g] = np.maximum(lam[g] * 0.25, 1e-14)
+                z, gram, grad, flat = z[~ok], gram[~ok], grad[~ok], flat[~ok]
+                if not z.size:
+                    break
+            lam[z] = np.minimum(lam[z] * 8.0, 1e8)
+        live[z] = False
     return u
+
+
+def _restart_block(u, qf, sign, cfg):
+    """Run a block of restarts (R, m, r) through the optimizer stages.
+
+    A maximizing roof sweeps up to cfg.max_iters times.  A minimizing one
+    sweeps 15 times and tries the zero-roof polish (the functional vanishes
+    exactly on split-product states); after an accepted polish a short
+    consolidation of 10 sweeps is enough, otherwise the remaining sweeps
+    run, and either is followed by one more polish.  A polish is kept only
+    when it lowers the total.  Returns the totals, isometries and
+    converged flags.
+    """
+    tol = cfg.step_tolerance
+    if sign < 0:
+        return _optimize_ensemble(u, qf, sign, np.full(len(u), cfg.max_iters), tol)
+    stage1 = min(15, cfg.max_iters)
+    totals, u, conv = _optimize_ensemble(u, qf, sign, np.full(len(u), stage1), tol)
+    polished = _try_polish(totals, u, conv, qf, np.ones(len(u), dtype=bool))
+    caps = np.where(polished, np.where(totals > 1e-12, 10, 0),
+                    max(cfg.max_iters - stage1, 0))
+    t3, u3, c3 = _optimize_ensemble(u, qf, sign, caps, tol)
+    take = (caps > 0) & (t3 < totals)
+    totals[take], u[take], conv[take] = t3[take], u3[take], c3[take]
+    _try_polish(totals, u, conv, qf, caps > 0)
+    return totals, u, conv
+
+
+def _try_polish(totals, u, conv, qf, sel):
+    """Polish the selected restarts in place, keeping each polish that
+    lowers its total; returns the mask of kept polishes."""
+    kept = np.zeros(len(u), dtype=bool)
+    idx = np.flatnonzero(sel)
+    if idx.size:
+        cand = _product_polish(u[idx], qf)
+        t_c = _weights(_member_minors(cand, qf)[1]).sum(axis=-1)
+        better = t_c < totals[idx]
+        kept[idx[better]] = True
+        totals[kept], u[kept], conv[kept] = t_c[better], cand[better], True
+    return kept
 
 
 def _ensemble_average(members, n_qubits: int, split: tuple[int, ...]) -> float:
@@ -451,7 +540,12 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     eigendecomposition ensemble itself, the rest at Haar-random isometries.
     At most cfg.restarts restarts run: the loop stops after STALL_RESTARTS
     in a row fail to lower the best by more than cfg.step_tolerance, or
-    once a minimizing roof reaches zero.
+    once a minimizing roof reaches zero.  Restarts run in stacked blocks:
+    restart 0 with the STALL_RESTARTS after it, then STALL_RESTARTS minus
+    the current stall count at a time, each clipped to cfg.restarts.  The
+    rule is replayed over a block's totals in restart order and restarts
+    computed past the stop are discarded; restarts_used counts those the
+    rule kept.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -489,60 +583,40 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     u0 = np.eye(m, rank, dtype=complex)
     eigen_avg = float(_weights(_member_minors(u0, qf)[1]).sum())
 
-    # the zero-roof polish applies when small averages are sought: the
-    # functional vanishes exactly on split-product states
-    can_polish = direction == "min"
-
-    def try_polish(total, u, conv):
-        cand = _product_polish(u, qf)
-        total_c = float(sign * _weights(_member_minors(cand, qf)[1]).sum())
-        if total_c < total:
-            return total_c, cand, True
-        return total, u, conv
-
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+
+    def start(j):
+        if j == 0:
+            return u0
+        rng = np.random.Generator(np.random.PCG64(seeds[j]))
+        gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        return np.linalg.qr(gauss)[0][:, :rank]
+
     best_total = None
     best_u = None
     best_conv = False
     restarts_used = 0
     stalled = 0
-    for j in range(cfg.restarts):
-        restarts_used = j + 1
-        if j == 0:
-            u = u0
-        else:
-            rng = np.random.Generator(np.random.PCG64(seeds[j]))
-            gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-            u = np.linalg.qr(gauss)[0][:, :rank]
-        stage1 = min(15, cfg.max_iters) if can_polish else cfg.max_iters
-        total, u, conv = _optimize_ensemble(u, qf, sign, stage1,
-                                            cfg.step_tolerance)
-        if can_polish:
-            t2, u2, c2 = try_polish(total, u, conv)
-            if t2 < total:
-                # polish found a better basin; a short consolidation
-                # sweep plus one more polish is enough
-                total, u, conv = t2, u2, c2
-                if total > 1e-12:
-                    t3, u3, c3 = _optimize_ensemble(u, qf, sign, 10,
-                                                    cfg.step_tolerance)
-                    if t3 < total:
-                        total, u, conv = t3, u3, c3
-                    total, u, conv = try_polish(total, u, conv)
-            elif cfg.max_iters > stage1:
-                t3, u3, c3 = _optimize_ensemble(
-                    u, qf, sign, cfg.max_iters - stage1, cfg.step_tolerance)
-                if t3 < total:
-                    total, u, conv = t3, u3, c3
-                total, u, conv = try_polish(total, u, conv)
-        if best_total is None or total < best_total - cfg.step_tolerance:
-            stalled = 0
-        else:
-            stalled += 1
-        if best_total is None or total < best_total:
-            best_total, best_u, best_conv = total, u, conv
-        if (can_polish and best_total <= 1e-12) or stalled >= STALL_RESTARTS:
-            break
+    stop = False
+    # restart 0 and the STALL_RESTARTS restarts the rule runs after it
+    # anyway, then as many as the rule needs before it can stop
+    size = 1 + STALL_RESTARTS
+    while not stop and restarts_used < cfg.restarts:
+        block = range(restarts_used, min(restarts_used + size, cfg.restarts))
+        totals, us, convs = _restart_block(np.array([start(j) for j in block]),
+                                           qf, sign, cfg)
+        for total, u, conv in zip(totals, us, convs):
+            restarts_used += 1
+            if best_total is None or total < best_total - cfg.step_tolerance:
+                stalled = 0
+            else:
+                stalled += 1
+            if best_total is None or total < best_total:
+                best_total, best_u, best_conv = total, u, bool(conv)
+            stop = (sign > 0 and best_total <= 1e-12) or stalled >= STALL_RESTARTS
+            if stop:
+                break
+        size = STALL_RESTARTS - stalled
 
     value = float(sign * best_total)
     # one-sidedness guard: restart 0 only ever improves on the

@@ -509,8 +509,9 @@ def test_roof_guard_rejects_a_value_off_its_ensemble(monkeypatch, direction):
     optimize = msr._optimize_ensemble
 
     def stale(*args):
-        total, u, conv = optimize(*args)
-        return total - 0.1, u, conv
+        # every restart of the stacked block gets a stale total
+        totals, us, convs = optimize(*args)
+        return totals - 0.1, us, convs
 
     monkeypatch.setattr(msr, "_optimize_ensemble", stale)
     rho = reduce_pair(to_density(haar_random_pure(3, 620)), 1)
@@ -531,3 +532,242 @@ def test_stopping_rule_on_roof_oracle_inputs():
         res = convex_roof(rho, concurrence_functional((0,)), "min", cfg)
         assert res.restarts_used < cfg.restarts
         assert res.value == pytest.approx(concurrence_wootters(rho), abs=1e-12)
+
+
+# -- the sequential restart loop, kept as the stacked optimizer's oracle -------
+#
+# convex_roof runs its restarts in stacked blocks; this is the one-restart-at-
+# a-time optimizer it replaced, which the stacked one must match bit for bit.
+
+def seq_member_minors(u, qf):
+    qu = (u @ qf).reshape(u.shape[0], u.shape[1], -1)
+    return qu, np.einsum("il,ilk->ik", u, qu)
+
+
+def seq_givens_grid(thetas, phis):
+    c = np.repeat(np.cos(thetas), len(phis))
+    s = np.outer(np.sin(thetas), np.exp(1j * phis)).ravel()
+    sc = s.conj()
+    grid = np.empty((2, len(c), 3), dtype=complex)
+    grid[0, :, 0] = grid[1, :, 2] = c * c
+    grid[0, :, 1], grid[0, :, 2] = c * s, s * s
+    grid[1, :, 0], grid[1, :, 1] = sc * sc, -c * sc
+    return grid
+
+
+def seq_givens_values(coef, grid):
+    w = msr._weights(grid @ coef)
+    return w[0] + w[1]
+
+
+SEQ_COARSE_GRID = seq_givens_grid(msr._THETAS, msr._PHIS)
+
+
+def seq_optimize_ensemble(u, qf, sign, max_iters, tol):
+    u = u.copy()
+    qu, mu = seq_member_minors(u, qf)
+    w = msr._weights(mu)
+    m = u.shape[0]
+    converged = False
+    for _ in range(max_iters):
+        improvement = 0.0
+        for a in range(m):
+            for b in range(a + 1, m):
+                cur = float(sign * (w[a] + w[b]))
+                coef = np.array([mu[a], 2.0 * (u[a] @ qu[b]), mu[b]])
+                grid, thetas, phis = SEQ_COARSE_GRID, msr._THETAS, msr._PHIS
+                dt = np.pi / 18
+                dp = 2 * np.pi / len(phis)
+                best = cur
+                found = False
+                for _round in range(6):
+                    vals = sign * seq_givens_values(coef, grid)
+                    k = int(np.argmin(vals))
+                    if vals[k] < best - 1e-15:
+                        best = float(vals[k])
+                        found = True
+                        ti, pi = divmod(k, len(phis))
+                        t0, p0 = thetas[ti], phis[pi]
+                        dt = max(dt / 3.0, abs(t0) * 1e-3 + 1e-6)
+                    elif not found:
+                        break
+                    else:
+                        dt /= 3.0
+                    thetas, phis = t0 + dt * msr._ZOOM, p0 + dp * msr._ZOOM
+                    grid = seq_givens_grid(thetas, phis)
+                    dp /= 3.0
+                if not found:
+                    continue
+                c, s = np.cos(t0), np.sin(t0) * np.exp(1j * p0)
+                rows = np.array([c * u[a] + s * u[b], c * u[b] - s.conj() * u[a]])
+                qu_ab, mu_ab = seq_member_minors(rows, qf)
+                w_ab = msr._weights(mu_ab)
+                new = float(sign * (w_ab[0] + w_ab[1]))
+                if new < cur:
+                    u[[a, b]], qu[[a, b]], mu[[a, b]], w[[a, b]] = (
+                        rows, qu_ab, mu_ab, w_ab)
+                    improvement += cur - new
+        if improvement < tol:
+            converged = True
+            break
+    return float(sign * w.sum()), u, converged
+
+
+def seq_qr_retract(x):
+    q, r = np.linalg.qr(x)
+    d = np.diagonal(r)
+    phase = np.where(np.abs(d) > 1e-300, d / np.abs(d), 1.0)
+    return q * phase
+
+
+def seq_tangent_basis(u):
+    m, r = u.shape
+    basis = u @ msr._skew_basis(r)
+    if m > r:
+        full, _, _ = np.linalg.svd(u, full_matrices=True)
+        perp = np.einsum("ac,lk->clak", full[:, r:], np.eye(r))
+        perp = np.stack([perp, 1j * perp], axis=2).reshape(-1, m, r)
+        basis = np.concatenate([basis, perp])
+    return basis
+
+
+def seq_product_polish(u, qf, iters=40):
+    qu, mu = seq_member_minors(u, qf)
+    cost = float(np.sum(mu.real ** 2 + mu.imag ** 2))
+    lam = 1e-4
+    for _ in range(iters):
+        if cost < 1e-30:
+            break
+        basis = seq_tangent_basis(u)
+        flat = basis.reshape(len(basis), -1)
+        dz = 2.0 * np.einsum("nil,ilk->nik", basis, qu).reshape(len(basis), -1)
+        jt = np.concatenate([dz.real, dz.imag], axis=1).T
+        rvec = np.concatenate([mu.real.ravel(), mu.imag.ravel()])
+        gram = jt.T @ jt
+        grad = jt.T @ rvec
+        moved = False
+        for _try in range(8):
+            y = np.linalg.solve(gram + lam * np.eye(len(gram)), -grad)
+            cand = seq_qr_retract(u + (y @ flat).reshape(u.shape))
+            qu_c, mu_c = seq_member_minors(cand, qf)
+            cost_c = float(np.sum(mu_c.real ** 2 + mu_c.imag ** 2))
+            if cost_c < cost:
+                u, qu, mu, cost = cand, qu_c, mu_c, cost_c
+                lam = max(lam * 0.25, 1e-14)
+                moved = True
+                break
+            lam = min(lam * 8.0, 1e8)
+        if not moved:
+            break
+    return u
+
+
+def sequential_convex_roof(rho, direction, cfg):
+    """(value, ensemble rows sqrt(p_i) psi_i, restarts_used, converged) of
+    the concurrence roof over split (0,), restarts run one at a time."""
+    n_qubits = int(round(np.log2(rho.dim)))
+    evals, vecs = np.linalg.eigh(rho.mat)
+    idx = np.where(evals > msr.RANK_TOL)[0]
+    rank = len(idx)
+    m = cfg.max_ensemble_size if cfg.max_ensemble_size is not None else rank * rank
+    scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
+    sign = 1.0 if direction == "min" else -1.0
+    qf = msr._minor_form(scaled, n_qubits, (0,)).reshape(rank, -1)
+    can_polish = direction == "min"
+
+    def try_polish(total, u, conv):
+        cand = seq_product_polish(u, qf)
+        total_c = float(sign * msr._weights(seq_member_minors(cand, qf)[1]).sum())
+        if total_c < total:
+            return total_c, cand, True
+        return total, u, conv
+
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    best_total = best_u = None
+    best_conv = False
+    restarts_used = stalled = 0
+    for j in range(cfg.restarts):
+        restarts_used = j + 1
+        if j == 0:
+            u = np.eye(m, rank, dtype=complex)
+        else:
+            rng = np.random.Generator(np.random.PCG64(seeds[j]))
+            gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+            u = np.linalg.qr(gauss)[0][:, :rank]
+        stage1 = min(15, cfg.max_iters) if can_polish else cfg.max_iters
+        total, u, conv = seq_optimize_ensemble(u, qf, sign, stage1,
+                                               cfg.step_tolerance)
+        if can_polish:
+            t2, u2, c2 = try_polish(total, u, conv)
+            if t2 < total:
+                total, u, conv = t2, u2, c2
+                if total > 1e-12:
+                    t3, u3, c3 = seq_optimize_ensemble(u, qf, sign, 10,
+                                                       cfg.step_tolerance)
+                    if t3 < total:
+                        total, u, conv = t3, u3, c3
+                    total, u, conv = try_polish(total, u, conv)
+            elif cfg.max_iters > stage1:
+                t3, u3, c3 = seq_optimize_ensemble(
+                    u, qf, sign, cfg.max_iters - stage1, cfg.step_tolerance)
+                if t3 < total:
+                    total, u, conv = t3, u3, c3
+                total, u, conv = try_polish(total, u, conv)
+        if best_total is None or total < best_total - cfg.step_tolerance:
+            stalled = 0
+        else:
+            stalled += 1
+        if best_total is None or total < best_total:
+            best_total, best_u, best_conv = total, u, conv
+        if (can_polish and best_total <= 1e-12) or stalled >= msr.STALL_RESTARTS:
+            break
+    rows = []
+    for row in best_u @ scaled:
+        p = float(np.vdot(row, row).real)
+        if p >= 1e-12:
+            rows.append(np.sqrt(p) * PureState(row / np.sqrt(p), n_qubits).amps)
+    return float(sign * best_total), np.array(rows), restarts_used, best_conv
+
+
+def oracle_states():
+    rng = np.random.default_rng(20240818)
+    return {
+        "d4": partial_trace(to_density(haar_random_pure(3, 700)), (0, 1)),
+        "d8": partial_trace(to_density(haar_random_pure(4, 701)), (0, 1, 2)),
+        "q2r3": rand_density(rng, (2, 2), rank=3),
+        "q2r4": rand_density(rng, (2, 2), rank=4),
+        "q3r3": rand_density(rng, (2, 2, 2), rank=3),
+        "q3r4": rand_density(rng, (2, 2, 2), rank=4),
+        "sep": rand_product_mixture(rng, 3),
+    }
+
+
+# (state, direction, restarts, max_iters, max_ensemble_size = rank); every
+# value of each knob appears in both directions
+ORACLE_CASES = [
+    ("d4", "min", 32, 500, False), ("d4", "max", 4, 16, True),
+    ("d4", "min", 1, 1, False), ("d8", "min", 32, 500, False),
+    ("d8", "max", 2, 15, False), ("d8", "min", 4, 16, True),
+    ("q2r3", "min", 4, 16, False), ("q2r3", "max", 32, 15, True),
+    ("q2r4", "min", 2, 1, True), ("q2r4", "max", 1, 500, False),
+    ("q3r3", "min", 1, 15, False), ("q3r3", "max", 4, 1, False),
+    ("q3r4", "min", 4, 500, True), ("q3r4", "max", 2, 16, True),
+    ("sep", "min", 32, 500, False), ("sep", "max", 4, 15, False),
+    ("sep", "min", 2, 16, True), ("sep", "max", 32, 500, True),
+]
+
+
+@pytest.mark.parametrize("name,direction,restarts,max_iters,by_rank", ORACLE_CASES)
+def test_stacked_roof_matches_sequential_oracle(name, direction, restarts,
+                                                max_iters, by_rank):
+    rho = oracle_states()[name]
+    rank = int(np.sum(np.linalg.eigvalsh(rho.mat) > msr.RANK_TOL))
+    cfg = RoofConfig(restarts=restarts, max_iters=max_iters, seed=11,
+                     max_ensemble_size=rank if by_rank else None)
+    res = convex_roof(rho, concurrence_functional((0,)), direction, cfg)
+    value, rows, restarts_used, converged = sequential_convex_roof(
+        rho, direction, cfg)
+    assert res.value == value
+    assert np.array_equal(ensemble_rows(res).view(np.int64), rows.view(np.int64))
+    assert (res.restarts_used, res.converged) == (restarts_used, converged)
+    assert type(res.converged) is bool
