@@ -272,7 +272,7 @@ def _givens_grid(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     mu(a') = c^2 mu_a + cs (2 a^T Q b) + s^2 mu_b and
     mu(b') = conj(s)^2 mu_a - c conj(s) (2 a^T Q b) + c^2 mu_b.
     """
-    c = np.repeat(np.cos(thetas), phis.shape[-1], axis=-1)
+    c = np.cos(thetas).repeat(phis.shape[-1], axis=-1)
     s = (np.sin(thetas)[..., :, None]
          * np.exp(1j * phis)[..., None, :]).reshape(c.shape)
     sc = s.conj()
@@ -320,7 +320,7 @@ def _optimize_ensemble(u, qf, sign, caps, tol):
     w = _weights(mu)
     converged = np.zeros(len(u), dtype=bool)
     for sweep in range(int(caps.max(initial=0))):
-        act = np.flatnonzero((caps > sweep) & ~converged)
+        act = ((caps > sweep) & ~converged).nonzero()[0]
         if not act.size:
             break
         state = u[act], qu[act], mu[act], w[act]
@@ -344,9 +344,9 @@ def _sweep(u, qu, mu, w, qf, sign):
             # the coarse grid with its zoom ladder; restarts that improve
             # on it go on to five shrinking 7 x 7 refinements
             vals = sign * _givens_values(coef, _COARSE_GRID)
-            k = np.argmin(vals, axis=-1)
+            k = vals.argmin(axis=-1)
             best = vals[at, k]
-            f = np.flatnonzero(best < cur - 1e-15)
+            f = (best < cur - 1e-15).nonzero()[0]
             if not f.size:
                 continue
             coef, best, k = coef[f], best[f], k[f]
@@ -360,7 +360,7 @@ def _sweep(u, qu, mu, w, qf, sign):
                 phis = p0[:, None] + dp * _ZOOM
                 dp /= 3.0
                 vals = sign * _givens_values(coef, _givens_grid(thetas, phis))
-                k = np.argmin(vals, axis=-1)
+                k = vals.argmin(axis=-1)
                 ti, pi = np.divmod(k, len(_ZOOM))
                 v = vals[af, k]
                 better = v < best - 1e-15
@@ -446,7 +446,7 @@ def _product_polish(u, qf, iters: int = 40):
     lam = np.full(len(u), 1e-4)
     live = np.ones(len(u), dtype=bool)
     for _ in range(iters):
-        act = np.flatnonzero(live & (cost >= 1e-30))
+        act = (live & (cost >= 1e-30)).nonzero()[0]
         if not act.size:
             break
         basis = _stiefel_tangent_basis(u[act])
@@ -510,7 +510,7 @@ def _try_polish(totals, u, conv, qf, sel):
     """Polish the selected restarts in place, keeping each polish that
     lowers its total; returns the mask of kept polishes."""
     kept = np.zeros(len(u), dtype=bool)
-    idx = np.flatnonzero(sel)
+    idx = sel.nonzero()[0]
     if idx.size:
         cand = _product_polish(u[idx], qf)
         t_c = _weights(_member_minors(cand, qf)[1]).sum(axis=-1)
@@ -540,12 +540,11 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     eigendecomposition ensemble itself, the rest at Haar-random isometries.
     At most cfg.restarts restarts run: the loop stops after STALL_RESTARTS
     in a row fail to lower the best by more than cfg.step_tolerance, or
-    once a minimizing roof reaches zero.  Restarts run in stacked blocks:
-    restart 0 with the STALL_RESTARTS after it, then STALL_RESTARTS minus
-    the current stall count at a time, each clipped to cfg.restarts.  The
-    rule is replayed over a block's totals in restart order and restarts
-    computed past the stop are discarded; restarts_used counts those the
-    rule kept.
+    once a minimizing roof reaches zero.  Restarts run in stacked blocks,
+    restart 0 with the STALL_RESTARTS the rule runs after it anyway (alone
+    when a zero min roof is possible), then as many as the rule still needs;
+    the rule is replayed over each block in restart order, restarts past
+    the stop are discarded and restarts_used counts those the rule kept.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -592,15 +591,16 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
         gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
         return np.linalg.qr(gauss)[0][:, :rank]
 
-    best_total = None
-    best_u = None
-    best_conv = False
-    restarts_used = 0
-    stalled = 0
-    stop = False
-    # restart 0 and the STALL_RESTARTS restarts the rule runs after it
-    # anyway, then as many as the rule needs before it can stop
-    size = 1 + STALL_RESTARTS
+    best_total = best_u = None
+    best_conv = stop = False
+    restarts_used = stalled = 0
+    # a zero min roof stops the rule at restart 0 and needs a separable,
+    # hence PPT (Peres), state: there restart 0 runs alone first
+    pt = rho.mat
+    for i in split:
+        pt = transpose_subsystem(pt, (2,) * n_qubits, i)
+    may_vanish = sign > 0 and np.linalg.eigvalsh(pt)[0] > -1e-10
+    size = 1 if may_vanish else 1 + STALL_RESTARTS
     while not stop and restarts_used < cfg.restarts:
         block = range(restarts_used, min(restarts_used + size, cfg.restarts))
         totals, us, convs = _restart_block(np.array([start(j) for j in block]),

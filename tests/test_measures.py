@@ -729,6 +729,18 @@ def sequential_convex_roof(rho, direction, cfg):
     return float(sign * best_total), np.array(rows), restarts_used, best_conv
 
 
+def horodecki_state(b):
+    """Horodecki's 2 x 4 state (PLA 232, 333, 1997): entangled with a
+    positive partial transpose for 0 < b < 1."""
+    mat = np.zeros((8, 8))
+    for i in range(3):
+        mat[i, i] = mat[i + 5, i + 5] = mat[i, i + 5] = mat[i + 5, i] = b
+    mat[3, 3] = b
+    mat[4, 4] = mat[7, 7] = (1 + b) / 2
+    mat[4, 7] = mat[7, 4] = np.sqrt(1 - b * b) / 2
+    return DensityMatrix(mat / (7 * b + 1), SystemSignature((2, 2, 2)))
+
+
 def oracle_states():
     rng = np.random.default_rng(20240818)
     return {
@@ -739,6 +751,7 @@ def oracle_states():
         "q3r3": rand_density(rng, (2, 2, 2), rank=3),
         "q3r4": rand_density(rng, (2, 2, 2), rank=4),
         "sep": rand_product_mixture(rng, 3),
+        "ppt": horodecki_state(0.3),
     }
 
 
@@ -754,6 +767,9 @@ ORACLE_CASES = [
     ("q3r4", "min", 4, 500, True), ("q3r4", "max", 2, 16, True),
     ("sep", "min", 32, 500, False), ("sep", "max", 4, 15, False),
     ("sep", "min", 2, 16, True), ("sep", "max", 32, 500, True),
+    # a nonzero min roof behind a positive partial transpose: restart 0
+    # runs on its own, then blocks of the restarts the rule still needs
+    ("ppt", "min", 8, 15, True),
 ]
 
 
