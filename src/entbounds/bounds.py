@@ -69,8 +69,8 @@ class GridPow:
     float ** per element, run in C.  _pow's 0^0 = 1 and 0^x = 0 conventions
     are masked around it, with a base of 1 at those points so that 0 ** -x
     cannot raise and -0.0 ** 3 cannot leak -0.0.  When a power overflows or
-    is complex, the grid is redone (_redo): elements where _pow raises read
-    nan and are marked in `failed`.
+    is complex, the grid is redone through _pow one element at a time:
+    elements where _pow raises read nan and are marked in `failed`.
     """
 
     def __init__(self):
@@ -83,36 +83,17 @@ class GridPow:
         try:
             out = np.asarray(np.power(safe_base, e.astype(object)), dtype=float)
         except (OverflowError, TypeError):  # TypeError: a complex result
-            out = self._redo(b, e)
+            out, bad = [], []
+            for x, y in zip(b.ravel().tolist(), e.ravel().tolist()):
+                try:
+                    out.append(_pow(x, y))
+                    bad.append(False)
+                except (BoundsError, TypeError):
+                    out.append(math.nan)
+                    bad.append(True)
+            self.failed = self.failed | np.reshape(bad, b.shape)
+            return np.reshape(out, b.shape)
         return np.where(unit, 1.0, np.where(zero, 0.0, out))
-
-    def _redo(self, b, e) -> np.ndarray:
-        """Powers of a grid on which the object np.power call raised.
-
-        Elements that a float np.power screen puts near or past the float
-        range, and those with a negative base (a complex power), go through
-        _pow one at a time; the rest through one object np.power call again.
-        If that call still raises, every element goes through _pow.
-        """
-        base, exp = b.ravel(), e.ravel()
-        safe = np.where((exp == 0.0) | (base == 0.0), 1.0, base)
-        with np.errstate(all="ignore"):
-            screen = np.power(safe, exp)
-        risky = (safe < 0.0) | ~(np.abs(screen) <= 1e300)
-        out = np.empty(base.shape)
-        try:
-            out[~risky] = np.power(safe[~risky].astype(object),
-                                   exp[~risky].astype(object)).astype(float)
-        except (OverflowError, TypeError):
-            risky[:] = True
-        bad = np.zeros(base.shape, dtype=bool)
-        for i in np.flatnonzero(risky):
-            try:
-                out[i] = _pow(float(base[i]), float(exp[i]))
-            except (BoundsError, TypeError):
-                out[i], bad[i] = math.nan, True
-        self.failed = self.failed | bad.reshape(b.shape)
-        return out.reshape(b.shape)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from entbounds import bounds as bnd
 from entbounds.bounds import (
     BoundParams,
     BoundReport,
@@ -240,20 +239,6 @@ def test_grid_pow_matches_pointwise_pow(name):
     assert np.array_equal(got[~failed].view(np.int64),
                           want[~failed].view(np.int64))
     assert np.isnan(got[failed]).all()
-
-
-def test_grid_pow_redoes_only_the_failing_elements(monkeypatch):
-    calls = []
-
-    def counting_pow(base, exponent):
-        calls.append((base, exponent))
-        return _pow(base, exponent)
-
-    monkeypatch.setattr(bnd, "_pow", counting_pow)
-    pw = GridPow()
-    pw(*grid_with_two_failures())
-    assert sorted(calls) == [(-2.0, 0.5), (10.0, 400.0)]
-    assert pw.failed.sum() == 2
 
 
 def test_grid_pow_failed_accumulates():
