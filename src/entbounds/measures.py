@@ -19,12 +19,10 @@ each member's minors are one quadratic form u_i^T Q u_i, so Q gives the
 objective, closed-form Givens-rotation line searches and the
 Levenberg-Marquardt polish of minimizing roofs.  Restarts derive
 independent sub-seeds from the configured seed and run in stacked blocks
-through one optimizer pass, each restart carrying its own sweep budget,
-line-search and damping state; the stopping rule is replayed over each
-block in restart order (first-best wins) and restarts past the stop are
-discarded, so results, and restarts_used, which counts the restarts the
-rule kept, are bit for bit those of one restart at a time.  Results are
-reproducible and the functional core is safe for concurrent use.
+through one optimizer pass; the stopping rule is replayed over each block
+in restart order (first-best wins) and restarts past the stop are dropped,
+so results, and restarts_used (the restarts the rule kept), are bit for
+bit those of one restart at a time, reproducible and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -299,6 +297,11 @@ _THETAS = np.concatenate([
 _PHIS = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
 _COARSE_GRID = _givens_grid(_THETAS, _PHIS)
 _COARSE_GRID.setflags(write=False)
+# theta, phi and first zoom half-width at each coarse grid point
+_COARSE_START = np.array([
+    _THETAS.repeat(len(_PHIS)), np.tile(_PHIS, len(_THETAS)),
+    np.maximum(np.pi / 18 / 3.0, np.abs(_THETAS) * 1e-3 + 1e-6).repeat(len(_PHIS))])
+_COARSE_START.setflags(write=False)
 _ZOOM = np.linspace(-1.0, 1.0, 7)  # each refinement: 7 x 7 around the best
 
 # restarts stop after this many in a row fail to lower the best by more
@@ -320,8 +323,8 @@ def _optimize_ensemble(u, qf, sign, caps, tol):
     w = _weights(mu)
     converged = np.zeros(len(u), dtype=bool)
     for sweep in range(int(caps.max(initial=0))):
-        act = ((caps > sweep) & ~converged).nonzero()[0]
-        if not act.size:
+        act = _selection((caps > sweep) & ~converged)
+        if act is None:
             break
         state = u[act], qu[act], mu[act], w[act]
         improvement = _sweep(*state, qf, sign)
@@ -330,45 +333,52 @@ def _optimize_ensemble(u, qf, sign, caps, tol):
     return sign * w.sum(axis=-1), u, converged
 
 
+def _selection(mask):
+    """Index of mask's set entries: None if none, a view slice if all."""
+    n = np.count_nonzero(mask)
+    if n == len(mask):
+        return slice(None)
+    return mask.nonzero()[0] if n else None
+
+
 def _sweep(u, qu, mu, w, qf, sign):
     """One Givens line search per row pair, in place on stacked restarts;
-    returns each restart's summed improvement."""
+    returns each restart's summed improvement.  A block holds at most
+    1 + STALL_RESTARTS restarts, so per-restart bookkeeping runs on scalars,
+    which costs less than masked array updates."""
     n, m = u.shape[:2]
     improvement = np.zeros(n)
-    at = np.arange(n)
     for a in range(m):
         for b in range(a + 1, m):
-            cur = sign * (w[:, a] + w[:, b])
             coef = np.concatenate([mu[:, a, None], 2.0 * (u[:, a, None] @ qu[:, b]),
                                    mu[:, b, None]], axis=1)
             # the coarse grid with its zoom ladder; restarts that improve
             # on it go on to five shrinking 7 x 7 refinements
             vals = sign * _givens_values(coef, _COARSE_GRID)
-            k = vals.argmin(axis=-1)
-            best = vals[at, k]
-            f = (best < cur - 1e-15).nonzero()[0]
-            if not f.size:
+            ks = vals.argmin(axis=-1).tolist()
+            f = [i for i, ki in enumerate(ks)
+                 if vals[i, ki] < sign * (w[i, a] + w[i, b]) - 1e-15]
+            if not f:
                 continue
-            coef, best, k = coef[f], best[f], k[f]
-            ti, pi = np.divmod(k, len(_PHIS))
-            t0, p0 = _THETAS[ti], _PHIS[pi]
-            dt = np.maximum(np.pi / 18 / 3.0, np.abs(t0) * 1e-3 + 1e-6)
+            k = [ks[i] for i in f]
+            best = vals[f, k]
+            if len(f) == n:  # a basic slice keeps u and its state as views
+                f = slice(None)
+            coef, cur = coef[f], sign * (w[f, a] + w[f, b])
+            t0, p0, dt = _COARSE_START[:, k]
             dp = 2 * np.pi / len(_PHIS)
-            af = at[:len(f)]
             for _round in range(5):
                 thetas = t0[:, None] + dt[:, None] * _ZOOM
                 phis = p0[:, None] + dp * _ZOOM
                 dp /= 3.0
                 vals = sign * _givens_values(coef, _givens_grid(thetas, phis))
-                k = vals.argmin(axis=-1)
-                ti, pi = np.divmod(k, len(_ZOOM))
-                v = vals[af, k]
-                better = v < best - 1e-15
-                best = np.where(better, v, best)
-                t0 = np.where(better, thetas[af, ti], t0)
-                p0 = np.where(better, phis[af, pi], p0)
-                dt = dt / 3.0
-                dt = np.where(better, np.maximum(dt, np.abs(t0) * 1e-3 + 1e-6), dt)
+                for i, ki in enumerate(vals.argmin(axis=-1).tolist()):
+                    if vals[i, ki] < best[i] - 1e-15:
+                        ti, pi = divmod(ki, len(_ZOOM))
+                        best[i], t0[i], p0[i] = vals[i, ki], thetas[i, ti], phis[i, pi]
+                        dt[i] = max(dt[i] / 3.0, abs(t0[i]) * 1e-3 + 1e-6)
+                    else:
+                        dt[i] /= 3.0
             c = np.cos(t0)[:, None, None]
             s = (np.sin(t0) * np.exp(1j * p0))[:, None, None]
             ua, ub = u[f, a, None], u[f, b, None]
@@ -376,11 +386,14 @@ def _sweep(u, qu, mu, w, qf, sign):
             qu_ab, mu_ab = _member_minors(rows, qf)
             w_ab = _weights(mu_ab)
             new = sign * (w_ab[:, 0] + w_ab[:, 1])
-            keep = new < cur[f]
-            g = f[keep, None]
-            u[g, [a, b]], qu[g, [a, b]], mu[g, [a, b]], w[g, [a, b]] = (
-                rows[keep], qu_ab[keep], mu_ab[keep], w_ab[keep])
-            improvement[f[keep]] += cur[f[keep]] - new[keep]
+            keep = new < cur
+            pairs = (u, rows), (qu, qu_ab), (mu, mu_ab), (w, w_ab)
+            if np.count_nonzero(keep) < len(keep):
+                f, cur, new = np.arange(n)[f][keep], cur[keep], new[keep]
+                pairs = [(x, x_ab[keep]) for x, x_ab in pairs]
+            for x, x_ab in pairs:
+                x[f, a], x[f, b] = x_ab[:, 0], x_ab[:, 1]
+            improvement[f] += cur - new
     return improvement
 
 
@@ -446,51 +459,51 @@ def _product_polish(u, qf, iters: int = 40):
     lam = np.full(len(u), 1e-4)
     live = np.ones(len(u), dtype=bool)
     for _ in range(iters):
-        act = (live & (cost >= 1e-30)).nonzero()[0]
-        if not act.size:
+        z = _selection(live & (cost >= 1e-30))  # restarts without a step yet
+        if z is None:
             break
-        basis = _stiefel_tangent_basis(u[act])
-        nb = basis.shape[1]
-        flat = basis.reshape(len(act), nb, -1)
-        dz = 2.0 * np.einsum("znil,zilk->znik", basis, qu[act]).reshape(
-            len(act), nb, -1)
+        basis = _stiefel_tangent_basis(u[z])
+        k, nb = basis.shape[:2]
+        flat = basis.reshape(k, nb, -1)
+        dz = 2.0 * np.einsum("znil,zilk->znik", basis, qu[z]).reshape(k, nb, -1)
         jac = np.concatenate([dz.real, dz.imag], axis=2)  # J^T per restart
-        res = mu[act].reshape(len(act), -1)
+        res = mu[z].reshape(k, -1)
         rvec = np.concatenate([res.real, res.imag], axis=1)
         gram = jac @ jac.transpose(0, 2, 1)
         grad = jac @ rvec[..., None]
         eye = np.eye(nb)
-        z = act  # restarts still without an accepted step
         for _try in range(8):
             y = np.linalg.solve(gram + lam[z, None, None] * eye, -grad)
             cand = _qr_retract(u[z] + (y.transpose(0, 2, 1) @ flat).reshape(
-                (len(z),) + u.shape[1:]))
+                (len(y),) + u.shape[1:]))
             qu_c, mu_c = _member_minors(cand, qf)
             cost_c = _sq_norms(mu_c)
             ok = cost_c < cost[z]
-            if ok.any():
+            n_ok = np.count_nonzero(ok)
+            if n_ok == len(ok):
+                u[z], qu[z], mu[z], cost[z] = cand, qu_c, mu_c, cost_c
+                lam[z] = np.maximum(lam[z] * 0.25, 1e-14)
+                break
+            if n_ok:
+                z = np.arange(len(u))[z]
                 g = z[ok]
                 u[g], qu[g], mu[g], cost[g] = cand[ok], qu_c[ok], mu_c[ok], cost_c[ok]
                 lam[g] = np.maximum(lam[g] * 0.25, 1e-14)
                 z, gram, grad, flat = z[~ok], gram[~ok], grad[~ok], flat[~ok]
-                if not z.size:
-                    break
             lam[z] = np.minimum(lam[z] * 8.0, 1e8)
-        live[z] = False
+        else:
+            live[z] = False
     return u
 
 
 def _restart_block(u, qf, sign, cfg):
-    """Run a block of restarts (R, m, r) through the optimizer stages.
-
-    A maximizing roof sweeps up to cfg.max_iters times.  A minimizing one
-    sweeps 15 times and tries the zero-roof polish (the functional vanishes
-    exactly on split-product states); after an accepted polish a short
-    consolidation of 10 sweeps is enough, otherwise the remaining sweeps
-    run, and either is followed by one more polish.  A polish is kept only
-    when it lowers the total.  Returns the totals, isometries and
-    converged flags.
-    """
+    """Totals, isometries and converged flags of a block of restarts
+    (R, m, r) after the optimizer stages.  A maximizing roof sweeps up to
+    cfg.max_iters times.  A minimizing one sweeps 15 times and tries the
+    zero-roof polish (the functional vanishes exactly on split-product
+    states); after an accepted polish 10 consolidating sweeps are enough,
+    otherwise the remaining sweeps run, then one more polish.  A polish is
+    kept only when it lowers the total."""
     tol = cfg.step_tolerance
     if sign < 0:
         return _optimize_ensemble(u, qf, sign, np.full(len(u), cfg.max_iters), tol)
@@ -540,11 +553,11 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     eigendecomposition ensemble itself, the rest at Haar-random isometries.
     At most cfg.restarts restarts run: the loop stops after STALL_RESTARTS
     in a row fail to lower the best by more than cfg.step_tolerance, or
-    once a minimizing roof reaches zero.  Restarts run in stacked blocks,
+    once a minimizing roof reaches zero.  Restarts run in stacked blocks:
     restart 0 with the STALL_RESTARTS the rule runs after it anyway (alone
-    when a zero min roof is possible), then as many as the rule still needs;
-    the rule is replayed over each block in restart order, restarts past
-    the stop are discarded and restarts_used counts those the rule kept.
+    when a zero min roof is possible), then as many as the rule still
+    needs.  The rule is replayed over each block in restart order, restarts
+    past the stop are dropped and restarts_used counts those the rule kept.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -594,13 +607,14 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     best_total = best_u = None
     best_conv = stop = False
     restarts_used = stalled = 0
-    # a zero min roof stops the rule at restart 0 and needs a separable,
-    # hence PPT (Peres), state: there restart 0 runs alone first
-    pt = rho.mat
-    for i in split:
-        pt = transpose_subsystem(pt, (2,) * n_qubits, i)
-    may_vanish = sign > 0 and np.linalg.eigvalsh(pt)[0] > -1e-10
-    size = 1 if may_vanish else 1 + STALL_RESTARTS
+    size = 1 + STALL_RESTARTS
+    if sign > 0:  # a zero min roof stops the rule at restart 0 and needs a
+        # separable, hence PPT (Peres), state: there restart 0 runs alone
+        pt = rho.mat
+        for i in split:
+            pt = transpose_subsystem(pt, (2,) * n_qubits, i)
+        if np.linalg.eigvalsh(pt)[0] > -1e-10:
+            size = 1
     while not stop and restarts_used < cfg.restarts:
         block = range(restarts_used, min(restarts_used + size, cfg.restarts))
         totals, us, convs = _restart_block(np.array([start(j) for j in block]),

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -787,3 +789,40 @@ def test_stacked_roof_matches_sequential_oracle(name, direction, restarts,
     assert np.array_equal(ensemble_rows(res).view(np.int64), rows.view(np.int64))
     assert (res.restarts_used, res.converged) == (restarts_used, converged)
     assert type(res.converged) is bool
+
+
+def test_sweep_block_matches_lone_restarts_when_moves_are_rejected(monkeypatch):
+    # a move whose recomputed pair objective is not lower is dropped for
+    # its restart alone; rejecting by the rotated rows' own bytes makes the
+    # decision the same whether a restart sweeps in a block or by itself
+    weights, rejected = msr._weights, []
+
+    def rejecting(mu):
+        w = weights(mu)
+        if mu.ndim == 3 and mu.shape[1] == 2:  # a rotated pair's minors
+            for i in range(len(mu)):
+                if zlib.crc32(mu[i].tobytes()) % 3 == 0:
+                    w[i] += 1.0
+                    rejected.append(i)
+        return w
+
+    monkeypatch.setattr(msr, "_weights", rejecting)
+    rho = oracle_states()["d8"]
+    evals, vecs = np.linalg.eigh(rho.mat)
+    idx = evals > msr.RANK_TOL
+    scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
+    qf = msr._minor_form(scaled, 3, (0,)).reshape(len(scaled), -1)
+    rng = np.random.default_rng(5)
+    gauss = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+    u = np.linalg.qr(gauss)[0]
+    qu, mu = msr._member_minors(u, qf)
+    block = [u.copy(), qu, mu, msr._weights(mu)]
+    lone = [[x[i:i + 1].copy() for x in block] for i in range(3)]
+    for _ in range(3):
+        gains = msr._sweep(*block, qf, 1.0)
+        for i, state in enumerate(lone):
+            assert gains[i] == msr._sweep(*state, qf, 1.0)[0]
+            for x, y in zip(block, state):
+                assert np.array_equal(x[i:i + 1].view(np.int64), y.view(np.int64))
+    assert rejected
+    assert not any(np.array_equal(block[0][i], u[i]) for i in range(3))
