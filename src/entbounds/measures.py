@@ -608,8 +608,9 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     best_conv = stop = False
     restarts_used = stalled = 0
     size = 1 + STALL_RESTARTS
-    if sign > 0:  # a zero min roof stops the rule at restart 0 and needs a
-        # separable, hence PPT (Peres), state: there restart 0 runs alone
+    if sign > 0:
+        # a zero min roof stops the rule at restart 0 and needs a separable,
+        # hence PPT (Peres), state: there restart 0 runs alone first
         pt = rho.mat
         for i in split:
             pt = transpose_subsystem(pt, (2,) * n_qubits, i)
