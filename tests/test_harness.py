@@ -682,6 +682,13 @@ GOLDEN = {
          "--kind", "monogamy", "--alpha", "0.85", "--gamma", "2",
          "--t", "1", "--q", "edge"],
         "601fb9e2e72a07baae7f5f400dd2c11b6aac05fb3c6c371dd8f188264ff4d7ce"),
+    # t = 5 puts the state's dominance out of reach: thm1 and ref29 both
+    # report inadmissible and the run still exits 0
+    "bound-wclass-inadmissible": (
+        ["bound", "--builder", "wclass:0.8,0.3,0.5196152422706632",
+         "--kind", "monogamy", "--alpha", "0.85", "--gamma", "2",
+         "--t", "5", "--q", "edge"],
+        "37f9e2ed697d4668f457c62fa637680ba4ddb3d42623ffad7699b7062074c734"),
     "bound-example2-polygamy": (
         ["bound", "--builder", EX2_BUILDER, "--kind", "polygamy",
          "--beta", "1", "--delta", "0.8"],
@@ -690,6 +697,10 @@ GOLDEN = {
     "verify-chain": (
         ["verify", "--suite", "chain", "--trials", "4", "--seed", "13"],
         "8fdc3f011637a4340de077ee4a686c304413cb8ff99cdd8f79df82bcb7c28b8c"),
+    # admissibility check and thm1 across the alpha grid on Haar states
+    "verify-monogamy": (
+        ["verify", "--suite", "monogamy", "--trials", "200", "--seed", "5"],
+        "758595245cad0a278e6ba7246cac8c1a65675cd9e41c02c2fd3eae3634177157"),
     # min roofs on two-qubit marginals checked against Wootters
     "verify-roof-oracle": (
         ["verify", "--suite", "roof-oracle", "--trials", "8", "--seed", "3"],
