@@ -5,6 +5,11 @@ three prior bound families they are compared against, the N-partite
 chained forms, and a detailed admissibility checker.  All correlation
 values (pairwise and residual) are supplied by the caller.
 
+A tightened bound's admissibility rule is evaluated once per point, as
+five flags (_admissibility): tightened_bound reads only the flags, and
+validate_params keeps them with the numbers they compare, formatting each
+condition's detail string only when the report's conditions are read.
+
 The formulas and flags are written once for floats and numpy arrays: the
 scalar entry points evaluate one point in pure float arithmetic, and
 bound_grid evaluates one variant over a whole parameter grid.  Every
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -140,6 +146,11 @@ class Side:
     ref28_ratio: float              # ref28 also needs num <= ratio * den
     blank_num_below_den: bool       # sweep rows with num < den stay blank
 
+    @property
+    def condition_names(self) -> tuple[str, ...]:
+        """Names of the five admissibility conditions, in report order."""
+        return self.range_names + WINDOW_CONDITIONS
+
     def gap(self, lhs: float, rhs: float) -> float:
         """Slack of the bound rhs on lhs, nonnegative when it holds."""
         return lhs - rhs if self.lower else rhs - lhs
@@ -218,13 +229,44 @@ class Condition:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
+    """The five admissibility flags of one point, in the order of
+    Side.condition_names, and the numbers they compare: numbers is
+    (ab, ac, lo, hi) with ab = Q_AB^den, ac = Q_AC^den and [lo, hi] the q
+    window, or None when every condition holds vacuously.  Each Condition
+    and its detail string is formatted the first time `conditions` is
+    read."""
+
     kind: str
-    conditions: tuple[Condition, ...]
-    vacuous: bool = False
+    params: BoundParams
+    oks: tuple[bool, ...]
+    numbers: tuple[float, float, float, float] | None
+
+    @property
+    def vacuous(self) -> bool:
+        return self.numbers is None
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.conditions)
+        return all(self.oks)
+
+    @cached_property
+    def conditions(self) -> tuple[Condition, ...]:
+        side = SIDES[self.kind]
+        if self.numbers is None:
+            details = ("vacuous: both correlations zero",) * len(self.oks)
+        else:
+            num_name, den_name = side.exponents
+            num, den, t, q = (self.params.num, self.params.den,
+                              self.params.t, self.params.q)
+            ab, ac, lo, hi = self.numbers
+            details = (
+                f"{den_name} = {den}",
+                f"{num_name} = {num}, {den_name} = {den}",
+                f"t = {t}",
+                f"Q_AC^{den_name} = {ac} vs t * Q_AB^{den_name} = {t * ab}",
+                f"q = {q}, window [{lo}, {hi}]",
+            )
+        return tuple(map(Condition, side.condition_names, self.oks, details))
 
     def failed(self) -> list[str]:
         return [c.name for c in self.conditions if not c.ok]
@@ -293,6 +335,23 @@ def _window_conditions(ab, ac, t, q):
     return (t >= 1.0, ac >= t * ab * (1.0 - GRACE), win_ok), lo, hi
 
 
+def _admissibility(kind: str, q_ab: float, q_ac: float, params: BoundParams):
+    """Check the arguments of one tightened-bound evaluation and evaluate
+    its admissibility rule once.  Returns (side, oks, numbers) as kept by
+    AdmissibilityReport."""
+    if q_ab < 0 or q_ac < 0:
+        raise BoundsError("correlation values must be nonnegative")
+    side = _side(kind)
+    if not isinstance(params, BoundParams):
+        raise BoundsError(f"{kind} kind requires BoundParams")
+    num, den = params.num, params.den
+    if q_ab == 0.0 and q_ac == 0.0 and den != 0.0:
+        return side, (True,) * len(side.condition_names), None
+    ab, ac = _pow(q_ab, den), _pow(q_ac, den)
+    window_oks, lo, hi = _window_conditions(ab, ac, params.t, params.q)
+    return side, side.range_ok(num, den) + window_oks, (ab, ac, lo, hi)
+
+
 def validate_params(kind: str, q_ab: float, q_ac: float,
                     params: BoundParams) -> AdmissibilityReport:
     """Per-condition admissibility report for a bound evaluation.
@@ -301,30 +360,8 @@ def validate_params(kind: str, q_ab: float, q_ac: float,
     every condition pass vacuously (the bound is trivially zero), unless
     the exponent ratio num/den is undefined.
     """
-    if q_ab < 0 or q_ac < 0:
-        raise BoundsError("correlation values must be nonnegative")
-    side = _side(kind)
-    if not isinstance(params, BoundParams):
-        raise BoundsError(f"{kind} kind requires BoundParams")
-    names = side.range_names + WINDOW_CONDITIONS
-    num, den, t, q = params.num, params.den, params.t, params.q
-    if q_ab == 0.0 and q_ac == 0.0 and den != 0.0:
-        return AdmissibilityReport(kind, tuple(
-            Condition(n, True, "vacuous: both correlations zero")
-            for n in names), vacuous=True)
-
-    num_name, den_name = side.exponents
-    ab, ac = _pow(q_ab, den), _pow(q_ac, den)
-    window_oks, lo, hi = _window_conditions(ab, ac, t, q)
-    details = (
-        f"{den_name} = {den}",
-        f"{num_name} = {num}, {den_name} = {den}",
-        f"t = {t}",
-        f"Q_AC^{den_name} = {ac} vs t * Q_AB^{den_name} = {t * ab}",
-        f"q = {q}, window [{lo}, {hi}]",
-    )
-    oks = side.range_ok(num, den) + window_oks
-    return AdmissibilityReport(kind, tuple(map(Condition, names, oks, details)))
+    _, oks, numbers = _admissibility(kind, q_ab, q_ac, params)
+    return AdmissibilityReport(kind, params, oks, numbers)
 
 
 def _lemma_coeff(t, q_power, e, pw=_pow):
@@ -354,9 +391,10 @@ def tightened_bound(kind: str, q_ab: float, q_ac: float,
     Q_A|BC^beta for polygamy.  Raises PreconditionError wherever
     validate_params reports a failed condition.
     """
-    report = validate_params(kind, q_ab, q_ac, p)
-    if not report.ok:
-        raise PreconditionError(f"inadmissible: {report.failed()}")
+    side, oks, _ = _admissibility(kind, q_ab, q_ac, p)
+    if not all(oks):
+        failed = [n for n, ok in zip(side.condition_names, oks) if not ok]
+        raise PreconditionError(f"inadmissible: {failed}")
     return _two_term_bound(q_ab, q_ac, p.num, p.den, p.t, p.q)
 
 

@@ -294,6 +294,9 @@ def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
         prior_args = _prior_args(side, v, t_val, k, p, a)
         try:
             if v == side.theorem:
+                for name, value in ((num_name, exp_num), (den_name, exp_den)):
+                    if not math.isfinite(value):  # named as the user gave it
+                        raise UsageError(f"{name} must be finite, got {value}")
                 rhs = bnd.tightened_bound(
                     kind, q_ab, q_ac,
                     bnd.BoundParams(exp_num, exp_den, t_val, q_val))
@@ -686,9 +689,10 @@ def verify_monogamy(trials: int, seed: int) -> dict:
         t, q = tw
         for alpha in ALPHA_GRID:
             params = bnd.MonogamyParams(float(alpha), gamma, t, q)
-            if not bnd.validate_params("monogamy", q_small, q_big, params).ok:
+            try:
+                rhs = bnd.thm1_lower_bound(q_small, q_big, params)
+            except bnd.PreconditionError:  # outside the theorem's hypotheses
                 continue
-            rhs = bnd.thm1_lower_bound(q_small, q_big, params)
             slack = lhs ** alpha - rhs
             checks += 1
             min_thm = min(min_thm, slack)

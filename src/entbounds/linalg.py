@@ -9,6 +9,7 @@ so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -47,7 +48,7 @@ class SystemSignature:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -136,7 +137,7 @@ def transpose_subsystem(mat: ComplexMatrix, dims: Sequence[int],
     n = len(dims)
     if not 0 <= subsystem < n:
         raise LinalgError(f"subsystem index {subsystem} out of range for {dims}")
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     work = np.asarray(mat, dtype=complex).reshape(dims + dims)
     axes = list(range(2 * n))
     axes[subsystem], axes[subsystem + n] = axes[subsystem + n], axes[subsystem]
@@ -208,7 +209,7 @@ def schmidt_coefficients(amps: np.ndarray, dims: Sequence[int],
     if not rest:
         raise LinalgError("second block of the split is empty")
     amps = np.asarray(amps, dtype=complex).reshape(dims)
-    d_first = int(np.prod([dims[i] for i in split]))
+    d_first = math.prod(dims[i] for i in split)
     mat = amps.transpose(split + rest).reshape(d_first, -1)
     red = mat @ mat.conj().T
     evals = np.linalg.eigvalsh(red)[::-1]

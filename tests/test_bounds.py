@@ -1,19 +1,25 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from entbounds.bounds import (
+    WINDOW_CONDITIONS,
     BoundParams,
     BoundReport,
     BoundsError,
     ChainParams,
     ChainStepError,
+    Condition,
     GridPow,
     MonogamyParams,
     PolygamyParams,
     PreconditionError,
     _pow,
+    _side,
+    _two_term_bound,
+    _window_conditions,
     chain_monogamy_bound,
     chain_polygamy_bound,
     lemma1_check,
@@ -22,6 +28,7 @@ from entbounds.bounds import (
     prior_polygamy_bound,
     thm1_lower_bound,
     thm4_upper_bound,
+    tightened_bound,
     validate_params,
 )
 
@@ -348,6 +355,119 @@ def test_validate_dominance_detail_names_exponent(kind, params, exponent):
     assert not dom.ok
     assert dom.detail.startswith(f"Q_AC^{exponent} = ")
     assert f"t * Q_AB^{exponent} = " in dom.detail
+
+
+def eager_validate_params(kind, q_ab, q_ac, params):
+    """The report-building validate_params the flag-based one replaced,
+    kept as its oracle: every Condition and detail string built up front."""
+    if q_ab < 0 or q_ac < 0:
+        raise BoundsError("correlation values must be nonnegative")
+    side = _side(kind)
+    if not isinstance(params, BoundParams):
+        raise BoundsError(f"{kind} kind requires BoundParams")
+    names = side.range_names + WINDOW_CONDITIONS
+    num, den, t, q = params.num, params.den, params.t, params.q
+    if q_ab == 0.0 and q_ac == 0.0 and den != 0.0:
+        return EagerReport(kind, tuple(
+            Condition(n, True, "vacuous: both correlations zero")
+            for n in names), vacuous=True)
+
+    num_name, den_name = side.exponents
+    ab, ac = _pow(q_ab, den), _pow(q_ac, den)
+    window_oks, lo, hi = _window_conditions(ab, ac, t, q)
+    details = (
+        f"{den_name} = {den}",
+        f"{num_name} = {num}, {den_name} = {den}",
+        f"t = {t}",
+        f"Q_AC^{den_name} = {ac} vs t * Q_AB^{den_name} = {t * ab}",
+        f"q = {q}, window [{lo}, {hi}]",
+    )
+    oks = side.range_ok(num, den) + window_oks
+    return EagerReport(kind, tuple(map(Condition, names, oks, details)))
+
+
+@dataclass(frozen=True)
+class EagerReport:
+    kind: str
+    conditions: tuple
+    vacuous: bool = False
+
+    @property
+    def ok(self):
+        return all(c.ok for c in self.conditions)
+
+    def failed(self):
+        return [c.name for c in self.conditions if not c.ok]
+
+
+ORACLE_EXPONENTS = {
+    # the exponent-range edges of each side, zero and den = 0 included
+    "monogamy": ((-1e-9, 0.0, 1.0, 2.0, 2.0 + 1e-9, 3.0),
+                 (0.0, 2.0 - 1e-9, 2.0, 3.0)),
+    "polygamy": ((0.0, 0.8 - 1e-9, 0.8, 1.0, 1.0 + 1e-9, 2.0),
+                 (-1e-9, 0.0, 0.01, 0.8, 1.0, 1.0 + 1e-9)),
+}
+
+
+def oracle_q_values(q_ab, q_ac, den, t):
+    """q below, on and inside the window [1 + Q_AB^den/Q_AC^den, 1 + 1/t],
+    on its top edge and within and beyond its grace band there, and
+    above it."""
+    ac = _pow(q_ac, den)
+    lo = 1.0 + _pow(q_ab, den) / ac if ac > 0.0 else 1.0
+    hi = 1.0 + 1.0 / t
+    return (0.9, 1.0, lo - 1e-3, lo, (lo + hi) / 2, hi, hi * (1 + 5e-13),
+            hi * (1 + 1e-11), hi + 0.5)
+
+
+@pytest.mark.parametrize("kind", list(ORACLE_EXPONENTS))
+def test_validate_params_matches_eager_oracle(kind):
+    theorem = {"monogamy": thm1_lower_bound, "polygamy": thm4_upper_bound}[kind]
+    nums, dens = ORACLE_EXPONENTS[kind]
+    pairs = ((0.25, 0.5), (0.5, 0.25), (0.3, 0.3), (0.0, 0.5), (0.5, 0.0),
+             (0.0, 0.0))
+    inadmissible = 0
+    for (q_ab, q_ac), num, den, t in itertools.product(
+            pairs, nums, dens, (0.5, 1.0, 1.5)):
+        for q in oracle_q_values(q_ab, q_ac, den, t):
+            p = BoundParams(num, den, t, q)
+            old, new = (eager_validate_params(kind, q_ab, q_ac, p),
+                        validate_params(kind, q_ab, q_ac, p))
+            point = (q_ab, q_ac, num, den, t, q)
+            assert new.kind == kind
+            assert ([(c.name, c.ok, c.detail) for c in new.conditions]
+                    == [(c.name, c.ok, c.detail) for c in old.conditions]), point
+            assert (new.ok, new.vacuous, new.failed()) == (
+                old.ok, old.vacuous, old.failed()), point
+            assert new.as_dict() == {
+                "kind": kind, "ok": old.ok, "vacuous": old.vacuous,
+                "conditions": [{"name": c.name, "ok": c.ok, "detail": c.detail}
+                               for c in old.conditions]}, point
+            if old.ok:
+                rhs = _two_term_bound(q_ab, q_ac, num, den, t, q)
+                assert theorem(q_ab, q_ac, p).hex() == rhs.hex(), point
+                continue
+            inadmissible += 1
+            with pytest.raises(PreconditionError) as err:
+                theorem(q_ab, q_ac, p)
+            assert str(err.value) == f"inadmissible: {old.failed()}", point
+    assert 0 < inadmissible
+
+
+@pytest.mark.parametrize("args", [
+    ("monogamy", -0.1, 0.5, BoundParams(1.0, 2.0, 1.0, 1.5)),
+    ("bogus", -0.1, 0.5, BoundParams(1.0, 2.0, 1.0, 1.5)),
+    ("bogus", 0.25, 0.5, BoundParams(1.0, 2.0, 1.0, 1.5)),
+    ("polygamy", 0.25, 0.5, (1.0, 0.8, 1.0, 1.5)),
+])
+def test_validate_params_argument_errors_match_eager_oracle(args):
+    with pytest.raises(BoundsError) as old:
+        eager_validate_params(*args)
+    for entry in (validate_params, tightened_bound):
+        with pytest.raises(BoundsError) as new:
+            entry(*args)
+        assert (type(new.value), str(new.value)) == (
+            type(old.value), str(old.value))
 
 
 # -- special-case identities and monotonicity --------------------------------

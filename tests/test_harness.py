@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,6 +407,11 @@ GRID_CASES = {
     # 1 + 1/a < 0 makes the unused ref29 power complex
     "poly-a-negative": (EX2_BUILDER, "polygamy", POLY_AXES,
                         ["--fix", "a=-0.5"], "thm4,ref29"),
+    # a non-finite exponent where the theorem is evaluated: exit 2
+    "mono-gamma-nan": (EX1_BUILDER, "monogamy", ["--axis", "alpha:0:2:5"],
+                       ["--fix", "gamma=nan"], "ref29,thm1"),
+    "poly-beta-inf": (EX2_BUILDER, "polygamy", ["--axis", "delta:0.5:1:3"],
+                      ["--fix", "beta=inf"], None),
     # (1 + t)^(beta/delta) overflows at delta = 0.0005: exit 2
     "poly-overflow": (EX2_BUILDER, "polygamy", ["--axis", "delta:0.0005:1:5"],
                       ["--fix", "beta=1"], "thm4,ref29"),
@@ -531,6 +540,23 @@ def test_power_overflow_is_a_usage_error(capsys):
                        ["thm4", "ref29"])
     with pytest.raises(h.bnd.BoundsError, match="overflows"):
         h.sweep_rows(spec, 0.75, 0.25, 0.5, 0)
+
+
+@pytest.mark.parametrize("kind,builder,name,value,other,fixed,span", [
+    ("monogamy", EX1_BUILDER, "alpha", "nan", "gamma", "2", "2:3"),
+    ("monogamy", EX1_BUILDER, "gamma", "inf", "alpha", "1", "0:2"),
+    ("polygamy", EX2_BUILDER, "beta", "nan", "delta", "0.8", "0.5:1"),
+    ("polygamy", EX2_BUILDER, "delta", "nan", "beta", "1", "1:2"),
+])
+def test_non_finite_exponent_is_named(capsys, kind, builder, name, value,
+                                      other, fixed, span):
+    # the error names the exponent the user gave, in bound and sweep alike
+    state = ["--builder", builder, "--kind", kind]
+    bound = ["bound"] + state + [f"--{name}", value, f"--{other}", fixed]
+    sweep = ["sweep"] + state + ["--axis", f"{other}:{span}:3",
+                                 "--fix", f"{name}={value}"]
+    errors = {usage_error(args, capsys) for args in (bound, sweep)}
+    assert errors == {f"entbounds: error: {name} must be finite, got {value}"}
 
 
 def test_sweep_validation(capsys):
@@ -735,6 +761,18 @@ def test_verify_chain_golden_run_fields(capsys):
     assert (rec["checks"], rec["skipped"], rec["violations"], rec["ok"]) == (
         4, 0, 0, True)
     assert rec["min_slack"] == pytest.approx(0.3436895333828466, abs=1e-8)
+
+
+def test_python_dash_m_runs_main(capsys):
+    args = ["bound", "--builder", EX2_BUILDER, "--kind", "polygamy",
+            "--beta", "1", "--delta", "0.8"]
+    code, out = run_cli(args, capsys)
+    src = str(Path(h.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "entbounds"] + args,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
 def test_global_flags_before_subcommand(capsys):
