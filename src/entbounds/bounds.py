@@ -6,9 +6,8 @@ chained forms, and a detailed admissibility checker.  All correlation
 values (pairwise and residual) are supplied by the caller.
 
 A tightened bound's admissibility rule is evaluated once per point, as
-five flags (_admissibility): tightened_bound reads only the flags, and
-validate_params keeps them with the numbers they compare, formatting each
-condition's detail string only when the report's conditions are read.
+flags: tightened_bound reads only those, and validate_params' report
+formats each condition's detail only when it is read.
 
 The formulas and flags are written once for floats and numpy arrays: the
 scalar entry points evaluate one point in pure float arithmetic, and
@@ -229,12 +228,10 @@ class Condition:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """The five admissibility flags of one point, in the order of
-    Side.condition_names, and the numbers they compare: numbers is
-    (ab, ac, lo, hi) with ab = Q_AB^den, ac = Q_AC^den and [lo, hi] the q
-    window, or None when every condition holds vacuously.  Each Condition
-    and its detail string is formatted the first time `conditions` is
-    read."""
+    """Admissibility flags of one point, in Side.condition_names order, and
+    the numbers they compare, (Q_AB^den, Q_AC^den, window lo, window hi),
+    or None when every condition holds vacuously.  The Conditions and
+    their details are formatted the first time they are read."""
 
     kind: str
     params: BoundParams
@@ -251,20 +248,17 @@ class AdmissibilityReport:
 
     @cached_property
     def conditions(self) -> tuple[Condition, ...]:
-        side = SIDES[self.kind]
-        if self.numbers is None:
-            details = ("vacuous: both correlations zero",) * len(self.oks)
-        else:
+        side, p = SIDES[self.kind], self.params
+        details = ("vacuous: both correlations zero",) * len(self.oks)
+        if self.numbers is not None:
             num_name, den_name = side.exponents
-            num, den, t, q = (self.params.num, self.params.den,
-                              self.params.t, self.params.q)
             ab, ac, lo, hi = self.numbers
             details = (
-                f"{den_name} = {den}",
-                f"{num_name} = {num}, {den_name} = {den}",
-                f"t = {t}",
-                f"Q_AC^{den_name} = {ac} vs t * Q_AB^{den_name} = {t * ab}",
-                f"q = {q}, window [{lo}, {hi}]",
+                f"{den_name} = {p.den}",
+                f"{num_name} = {p.num}, {den_name} = {p.den}",
+                f"t = {p.t}",
+                f"Q_AC^{den_name} = {ac} vs t * Q_AB^{den_name} = {p.t * ab}",
+                f"q = {p.q}, window [{lo}, {hi}]",
             )
         return tuple(map(Condition, side.condition_names, self.oks, details))
 
