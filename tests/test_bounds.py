@@ -357,6 +357,20 @@ def test_validate_dominance_detail_names_exponent(kind, params, exponent):
     assert f"t * Q_AB^{exponent} = " in dom.detail
 
 
+@dataclass(frozen=True)
+class EagerReport:
+    kind: str
+    conditions: tuple
+    vacuous: bool = False
+
+    @property
+    def ok(self):
+        return all(c.ok for c in self.conditions)
+
+    def failed(self):
+        return [c.name for c in self.conditions if not c.ok]
+
+
 def eager_validate_params(kind, q_ab, q_ac, params):
     """The report-building validate_params the flag-based one replaced,
     kept as its oracle: every Condition and detail string built up front."""
@@ -384,20 +398,6 @@ def eager_validate_params(kind, q_ab, q_ac, params):
     )
     oks = side.range_ok(num, den) + window_oks
     return EagerReport(kind, tuple(map(Condition, names, oks, details)))
-
-
-@dataclass(frozen=True)
-class EagerReport:
-    kind: str
-    conditions: tuple
-    vacuous: bool = False
-
-    @property
-    def ok(self):
-        return all(c.ok for c in self.conditions)
-
-    def failed(self):
-        return [c.name for c in self.conditions if not c.ok]
 
 
 ORACLE_EXPONENTS = {
