@@ -262,6 +262,13 @@ def _resolve_t(tspec, q_ab: float, q_ac: float, power, pw=bnd._pow):
     return float(np.sqrt(x)) if x >= 1.0 else 1.0
 
 
+def _check_finite(exponents: dict) -> None:
+    """A non-finite exponent is a usage error, named as the user gave it."""
+    for name, value in exponents.items():
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value}")
+
+
 def _prior_args(side: bnd.Side, variant: str, t, k, p, a) -> tuple:
     """(k, p, a) for one bound variant, defaulting to k = t, p = 1 and
     a = t; the side's theorem ignores them.  An unknown variant name is a
@@ -283,6 +290,7 @@ def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
     given = {"alpha": alpha, "gamma": gamma, "beta": beta, "delta": delta}
     num_name, den_name = side.exponents
     exp_num, exp_den = float(given[num_name]), float(given[den_name])
+    _check_finite({num_name: exp_num, den_name: exp_den})
     t_val = _resolve_t(t, q_ab, q_ac, exp_den)
     q_val = _resolve_q(q, t_val, q_ab, q_ac, exp_den)
     lhs = bnd._pow(lhs_base, exp_num)
@@ -294,9 +302,6 @@ def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
         prior_args = _prior_args(side, v, t_val, k, p, a)
         try:
             if v == side.theorem:
-                for name, value in ((num_name, exp_num), (den_name, exp_den)):
-                    if not math.isfinite(value):  # named as the user gave it
-                        raise UsageError(f"{name} must be finite, got {value}")
                 rhs = bnd.tightened_bound(
                     kind, q_ab, q_ac,
                     bnd.BoundParams(exp_num, exp_den, t_val, q_val))
@@ -376,6 +381,8 @@ class SweepSpec:
                 raise UsageError(f"axis {name}: non-finite range")
         if not self.variants:
             raise UsageError("sweep needs at least one variant")
+        _check_finite({name: float(value) for name, value in self.fixed.items()
+                       if name in bnd.SIDES[self.kind].exponents})
 
 
 def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,

@@ -23,6 +23,11 @@ through one optimizer pass; the stopping rule is replayed over each block
 in restart order (first-best wins) and restarts past the stop are dropped,
 so results, and restarts_used (the restarts the rule kept), are bit for
 bit those of one restart at a time, reproducible and safe for concurrent use.
+The polish looks for a split-product ensemble, a zero roof.  A state whose
+partial transpose over the split has an eigenvalue below -1e-10 is NPT,
+hence entangled (Peres), and has none: its minimizing roof runs no polish
+per restart and polishes only the winning decomposition, once, after the
+stopping rule.
 """
 
 from __future__ import annotations
@@ -496,26 +501,28 @@ def _product_polish(u, qf, iters: int = 40):
     return u
 
 
-def _restart_block(u, qf, sign, cfg):
+def _restart_block(u, qf, sign, cfg, polish):
     """Totals, isometries and converged flags of a block of restarts
     (R, m, r) after the optimizer stages.  A maximizing roof sweeps up to
-    cfg.max_iters times.  A minimizing one sweeps 15 times and tries the
-    zero-roof polish (the functional vanishes exactly on split-product
-    states); after an accepted polish 10 consolidating sweeps are enough,
-    otherwise the remaining sweeps run, then one more polish.  A polish is
-    kept only when it lowers the total."""
+    cfg.max_iters times.  A minimizing one sweeps 15 times and, with
+    polish, tries the zero-roof polish (the functional vanishes exactly on
+    split-product states); after an accepted polish 10 consolidating sweeps
+    are enough, otherwise the remaining sweeps run, then one more polish.
+    A polish is kept only when it lowers the total.  Without polish (an
+    NPT state, which has no split-product ensemble) every restart sweeps
+    15 times and then the remaining sweeps."""
     tol = cfg.step_tolerance
     if sign < 0:
         return _optimize_ensemble(u, qf, sign, np.full(len(u), cfg.max_iters), tol)
     stage1 = min(15, cfg.max_iters)
     totals, u, conv = _optimize_ensemble(u, qf, sign, np.full(len(u), stage1), tol)
-    polished = _try_polish(totals, u, conv, qf, np.ones(len(u), dtype=bool))
+    polished = _try_polish(totals, u, conv, qf, np.full(len(u), polish))
     caps = np.where(polished, np.where(totals > 1e-12, 10, 0),
                     max(cfg.max_iters - stage1, 0))
     t3, u3, c3 = _optimize_ensemble(u, qf, sign, caps, tol)
     take = (caps > 0) & (t3 < totals)
     totals[take], u[take], conv[take] = t3[take], u3[take], c3[take]
-    _try_polish(totals, u, conv, qf, caps > 0)
+    _try_polish(totals, u, conv, qf, polish & (caps > 0))
     return totals, u, conv
 
 
@@ -558,6 +565,10 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     when a zero min roof is possible), then as many as the rule still
     needs.  The rule is replayed over each block in restart order, restarts
     past the stop are dropped and restarts_used counts those the rule kept.
+    A minimizing roof of an NPT state (partial transpose over the split
+    with an eigenvalue below -1e-10) skips the per-restart polishes, runs
+    the rule on the sweep totals and then polishes the winner once, keeping
+    the polish only when it lowers the value.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -607,19 +618,21 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     best_total = best_u = None
     best_conv = stop = False
     restarts_used = stalled = 0
-    size = 1 + STALL_RESTARTS
+    ppt = False
     if sign > 0:
         # a zero min roof stops the rule at restart 0 and needs a separable,
-        # hence PPT (Peres), state: there restart 0 runs alone first
+        # hence PPT (Peres), state: there restart 0 runs alone first, and
+        # every restart tries the polish.  An NPT state has no split-product
+        # ensemble, so only the winner is polished, once the rule stops
         pt = rho.mat
         for i in split:
             pt = transpose_subsystem(pt, (2,) * n_qubits, i)
-        if np.linalg.eigvalsh(pt)[0] > -1e-10:
-            size = 1
+        ppt = bool(np.linalg.eigvalsh(pt)[0] > -1e-10)
+    size = 1 if ppt else 1 + STALL_RESTARTS
     while not stop and restarts_used < cfg.restarts:
         block = range(restarts_used, min(restarts_used + size, cfg.restarts))
         totals, us, convs = _restart_block(np.array([start(j) for j in block]),
-                                           qf, sign, cfg)
+                                           qf, sign, cfg, ppt)
         for total, u, conv in zip(totals, us, convs):
             restarts_used += 1
             if best_total is None or total < best_total - cfg.step_tolerance:
@@ -632,6 +645,11 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
             if stop:
                 break
         size = STALL_RESTARTS - stalled
+    if sign > 0 and not ppt:
+        totals, us = np.array([best_total]), best_u[None].copy()
+        convs = np.array([best_conv])
+        _try_polish(totals, us, convs, qf, np.ones(1, dtype=bool))
+        best_total, best_u, best_conv = totals[0], us[0], bool(convs[0])
 
     value = float(sign * best_total)
     # one-sidedness guard: restart 0 only ever improves on the

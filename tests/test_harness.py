@@ -19,6 +19,7 @@ from entbounds.states import (
 S6 = float(np.sqrt(6.0) / 6.0)
 EX1_BUILDER = f"schmidt:0.5,{S6!r},{S6!r},0.5,{S6!r}"
 EX2_BUILDER = "wclass:0.5,0.5,0.7071067811865476"
+WCLASS_CKW = "wclass:0.8,0.3,0.5196152422706632"
 
 
 def run_cli(args, capsys):
@@ -412,6 +413,9 @@ GRID_CASES = {
                        ["--fix", "gamma=nan"], "ref29,thm1"),
     "poly-beta-inf": (EX2_BUILDER, "polygamy", ["--axis", "delta:0.5:1:3"],
                       ["--fix", "beta=inf"], None),
+    # and where only prior variants are evaluated: exit 2 as well
+    "mono-gamma-nan-ref29": (EX1_BUILDER, "monogamy", ["--axis", "alpha:0:2:5"],
+                             ["--fix", "gamma=nan"], "ref29"),
     # (1 + t)^(beta/delta) overflows at delta = 0.0005: exit 2
     "poly-overflow": (EX2_BUILDER, "polygamy", ["--axis", "delta:0.0005:1:5"],
                       ["--fix", "beta=1"], "thm4,ref29"),
@@ -557,6 +561,25 @@ def test_non_finite_exponent_is_named(capsys, kind, builder, name, value,
                                  "--fix", f"{name}={value}"]
     errors = {usage_error(args, capsys) for args in (bound, sweep)}
     assert errors == {f"entbounds: error: {name} must be finite, got {value}"}
+
+
+@pytest.mark.parametrize("kind,builder,name,other,fixed,span,variants", [
+    ("monogamy", WCLASS_CKW, "gamma", "alpha", "1", "0:2", "ref29"),
+    ("monogamy", EX1_BUILDER, "alpha", "gamma", "2", "2:3", "ref16,ref28"),
+    ("polygamy", EX2_BUILDER, "delta", "beta", "1", "1:2", "ref29,ref16"),
+])
+def test_non_finite_exponent_is_a_usage_error_for_every_variant(
+        capsys, kind, builder, name, other, fixed, span, variants):
+    # without the theorem among the variants it exited 0 with nan values
+    state = ["--builder", builder, "--kind", kind, "--variants", variants]
+    bound = ["bound"] + state + [f"--{name}", "nan", f"--{other}", fixed]
+    sweep = ["sweep"] + state + ["--axis", f"{other}:{span}:3",
+                                 "--fix", f"{name}=nan"]
+    errors = {usage_error(args, capsys) for args in (bound, sweep)}
+    assert errors == {f"entbounds: error: {name} must be finite, got nan"}
+    with pytest.raises(h.UsageError, match=f"{name} must be finite, got inf"):
+        h.SweepSpec(kind, [(other, 1.0, 2.0, 3)], {name: float("inf")},
+                    variants.split(","))
 
 
 def test_sweep_validation(capsys):

@@ -1,10 +1,12 @@
+import hashlib
 import zlib
 
 import numpy as np
 import pytest
 
 from entbounds import measures as msr
-from entbounds.linalg import DensityMatrix, SystemSignature, partial_trace
+from entbounds.linalg import (DensityMatrix, SystemSignature, partial_trace,
+                              transpose_subsystem)
 from entbounds.measures import (
     Ensemble,
     MeasureError,
@@ -675,7 +677,10 @@ def sequential_convex_roof(rho, direction, cfg):
     scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
     sign = 1.0 if direction == "min" else -1.0
     qf = msr._minor_form(scaled, n_qubits, (0,)).reshape(rank, -1)
-    can_polish = direction == "min"
+    # an NPT state (Peres: entangled) polishes only the winning restart
+    npt = direction == "min" and np.linalg.eigvalsh(
+        transpose_subsystem(rho.mat, rho.sig.dims, 0))[0] <= -1e-10
+    can_polish = direction == "min" and not npt
 
     def try_polish(total, u, conv):
         cand = seq_product_polish(u, qf)
@@ -721,8 +726,10 @@ def sequential_convex_roof(rho, direction, cfg):
             stalled += 1
         if best_total is None or total < best_total:
             best_total, best_u, best_conv = total, u, conv
-        if (can_polish and best_total <= 1e-12) or stalled >= msr.STALL_RESTARTS:
+        if (sign > 0 and best_total <= 1e-12) or stalled >= msr.STALL_RESTARTS:
             break
+    if npt:
+        best_total, best_u, best_conv = try_polish(best_total, best_u, best_conv)
     rows = []
     for row in best_u @ scaled:
         p = float(np.vdot(row, row).real)
@@ -826,3 +833,61 @@ def test_sweep_block_matches_lone_restarts_when_moves_are_rejected(monkeypatch):
                 assert np.array_equal(x[i:i + 1].view(np.int64), y.view(np.int64))
     assert rejected
     assert not any(np.array_equal(block[0][i], u[i]) for i in range(3))
+
+
+def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
+    # an NPT state has no split-product ensemble: its restarts only sweep,
+    # and one polish of the winning isometry runs after the stopping rule;
+    # PPT states (separable, or Horodecki's) still polish every restart
+    calls = []
+    optimize, polish = msr._optimize_ensemble, msr._product_polish
+
+    def counted_optimize(u, *args):
+        calls.append(("sweep", len(u)))
+        return optimize(u, *args)
+
+    def counted_polish(u, *args):
+        calls.append(("polish", len(u)))
+        return polish(u, *args)
+
+    monkeypatch.setattr(msr, "_optimize_ensemble", counted_optimize)
+    monkeypatch.setattr(msr, "_product_polish", counted_polish)
+    states = oracle_states()
+    for name in ("d4", "d8", "q2r3"):
+        calls.clear()
+        res = convex_roof(states[name], concurrence_functional((0,)), "min",
+                          RoofConfig(restarts=8, seed=11))
+        assert res.restarts_used > 1
+        assert [c for c in calls if c[0] == "polish"] == [("polish", 1)]
+        assert calls[-1] == ("polish", 1)
+    for name in ("sep", "ppt"):  # the oracle's PPT case knobs, as in ORACLE_CASES
+        calls.clear()
+        rank = int(np.sum(np.linalg.eigvalsh(states[name].mat) > msr.RANK_TOL))
+        res = convex_roof(states[name], concurrence_functional((0,)), "min",
+                          RoofConfig(restarts=8, max_iters=15, seed=11,
+                                     max_ensemble_size=rank))
+        kinds = [kind for kind, _ in calls]
+        assert sum(n for kind, n in calls if kind == "polish") >= res.restarts_used
+        assert "sweep" in kinds[kinds.index("polish"):]  # polished mid-restart
+
+
+# chain-residual min roofs, A|BC of haar_random_pure(4, s) with verify
+# chain's 8 restarts, recorded while every restart was still polished: the
+# value as float.hex and the SHA-256 of the ensemble rows
+D8_RESIDUAL_BITS = {
+    9: ("0x1.90a575bab51a7p-1",
+        "2f985f5608248522a1bc33b16f1798cb060166f307f14351b0859644371b3e88"),
+    21: ("0x1.8748b1fcae470p-1",
+         "2341f2fc44537401172362b7e1d250112f2f777f5ecfc1a0909724ad78fdce19"),
+    33: ("0x1.69a3916be1200p-1",
+         "7044e97474a5af5cbdf5a21e94a645137643ea5c637197260bb25d2bc2fbf5e5"),
+}
+
+
+@pytest.mark.parametrize("s", list(D8_RESIDUAL_BITS))
+def test_chain_residual_roofs_keep_their_bits(s):
+    rho = partial_trace(to_density(haar_random_pure(4, s)), (0, 1, 2))
+    res = convex_roof(rho, concurrence_functional((0,)), "min",
+                      RoofConfig(restarts=8, seed=s))
+    digest = hashlib.sha256(ensemble_rows(res).tobytes()).hexdigest()
+    assert (res.value.hex(), digest) == D8_RESIDUAL_BITS[s]
