@@ -860,7 +860,7 @@ def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
         assert res.restarts_used > 1
         assert [c for c in calls if c[0] == "polish"] == [("polish", 1)]
         assert calls[-1] == ("polish", 1)
-    for name in ("sep", "ppt"):  # the oracle's PPT case knobs, as in ORACLE_CASES
+    for name in ("sep", "ppt"):  # with the knobs of the PPT oracle cases
         calls.clear()
         rank = int(np.sum(np.linalg.eigvalsh(states[name].mat) > msr.RANK_TOL))
         res = convex_roof(states[name], concurrence_functional((0,)), "min",
