@@ -8,7 +8,6 @@ from .linalg import (
     SystemSignature,
     partial_trace,
     partial_transpose,
-    principal_sqrt_psd,
     schmidt_coefficients,
     trace_norm,
 )

@@ -119,9 +119,13 @@ def _write_text(text: str, out: str | None) -> None:
 # measure
 # ---------------------------------------------------------------------------
 
+# the exact two-qubit closed forms behind measure's mixed-state names
+CLOSED_FORMS = {"scren": msr.scren, "screnoa": msr.screnoa, "cren": msr.cren,
+                "crenoa": msr.crenoa, "wootters": msr.concurrence_wootters}
+
+
 def cmd_measure(args) -> dict:
     obj = load_input_state(args)
-    cfg = RoofConfig(restarts=args.roof_restarts, seed=args.seed)
     record = {"measure": args.measure, "seed": args.seed, "generator": st.RNG_NAME}
     name = args.measure
     diag = None
@@ -133,11 +137,10 @@ def cmd_measure(args) -> dict:
             value = msr.concurrence_pure(obj, split)
         elif name == "negativity":
             value = msr.negativity_pure(obj, split)
-        elif name in ("scren", "screnoa", "cren", "crenoa", "wootters"):
+        elif name in CLOSED_FORMS:
             if obj.n_qubits != 2:
                 raise UsageError(f"{name} needs a two-qubit state")
-            rho = st.to_density(obj)
-            value, diag = _mixed_measure(name, rho, cfg)
+            value = _mixed_measure(name, st.to_density(obj))
         else:
             raise UsageError(f"unknown measure {name!r}")
     else:
@@ -150,11 +153,12 @@ def cmd_measure(args) -> dict:
             if obj.sig.dims == (2, 2):
                 value = msr.concurrence_wootters(obj)
             else:
+                cfg = RoofConfig(restarts=args.roof_restarts, seed=args.seed)
                 res = msr.convex_roof(obj, msr.concurrence_functional(split), "min", cfg)
                 value = res.value
                 diag = _roof_diag(res)
-        elif name in ("scren", "screnoa", "cren", "crenoa", "wootters"):
-            value, diag = _mixed_measure(name, obj, cfg)
+        elif name in CLOSED_FORMS:
+            value = _mixed_measure(name, obj)
         else:
             raise UsageError(f"unknown measure {name!r}")
 
@@ -168,20 +172,15 @@ def _roof_diag(res: msr.RoofResult) -> dict:
     return {
         "restarts_used": res.restarts_used,
         "converged": res.converged,
-        "bound_side": res.bound_side,
+        "bound_side": "upper",  # a minimizing roof's value
         "ensemble_size": len(res.ensemble.members),
     }
 
 
-def _mixed_measure(name: str, rho: DensityMatrix, cfg: RoofConfig):
+def _mixed_measure(name: str, rho: DensityMatrix) -> float:
     if rho.sig.dims != (2, 2):
         raise UsageError(f"{name} needs a two-qubit state, got {rho.sig.dims}")
-    if name == "wootters":
-        return msr.concurrence_wootters(rho), None
-    direction = "min" if name in ("scren", "cren") else "max"
-    res = msr.convex_roof(rho, msr.negativity_functional((0,)), direction, cfg)
-    value = res.value ** 2 if name in ("scren", "screnoa") else res.value
-    return value, _roof_diag(res)
+    return CLOSED_FORMS[name](rho)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +261,16 @@ def _resolve_t(tspec, q_ab: float, q_ac: float, power, pw=bnd._pow):
     return float(np.sqrt(x)) if x >= 1.0 else 1.0
 
 
-def _check_finite(exponents: dict) -> None:
-    """A non-finite exponent is a usage error, named as the user gave it."""
-    for name, value in exponents.items():
-        if not math.isfinite(value):
+# the parameters of the bound window and of the prior variants
+WINDOW_PARAMS = ("t", "q", "k", "p", "a")
+
+
+def _check_finite(params: dict) -> None:
+    """A non-finite number among params is a usage error, named as the user
+    gave it; a window word or an unset parameter is not a number."""
+    for name, value in params.items():
+        if value is not None and not isinstance(value, str) \
+                and not math.isfinite(value):
             raise UsageError(f"{name} must be finite, got {value}")
 
 
@@ -290,7 +295,8 @@ def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
     given = {"alpha": alpha, "gamma": gamma, "beta": beta, "delta": delta}
     num_name, den_name = side.exponents
     exp_num, exp_den = float(given[num_name]), float(given[den_name])
-    _check_finite({num_name: exp_num, den_name: exp_den})
+    _check_finite({num_name: exp_num, den_name: exp_den,
+                   "t": t, "q": q, "k": k, "p": p, "a": a})
     t_val = _resolve_t(t, q_ab, q_ac, exp_den)
     q_val = _resolve_q(q, t_val, q_ab, q_ac, exp_den)
     lhs = bnd._pow(lhs_base, exp_num)
@@ -381,8 +387,9 @@ class SweepSpec:
                 raise UsageError(f"axis {name}: non-finite range")
         if not self.variants:
             raise UsageError("sweep needs at least one variant")
-        _check_finite({name: float(value) for name, value in self.fixed.items()
-                       if name in bnd.SIDES[self.kind].exponents})
+        checked = bnd.SIDES[self.kind].exponents + WINDOW_PARAMS
+        _check_finite({name: value for name, value in self.fixed.items()
+                       if name in checked})
 
 
 def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
@@ -593,7 +600,7 @@ def cmd_sweep(args) -> str:
     fixed = {}
     for fx in args.fix or []:
         name, _, val = fx.partition("=")
-        if name not in AXIS_NAMES + ("k", "p", "a"):
+        if name not in AXIS_NAMES + WINDOW_PARAMS:
             raise UsageError(f"cannot fix unknown parameter {name!r}")
         fixed[name] = _window_value(name, val)
     spec = SweepSpec(args.kind, axes, fixed, _parse_variants(args))

@@ -1,8 +1,8 @@
 """Dense complex linear algebra on composite quantum systems.
 
-Partial trace, partial transpose, trace norm, principal PSD square roots
-and Schmidt spectra for small (dimension <= ~2^10) density matrices with
-an attached subsystem-dimension signature.  Everything here is a pure
+Partial trace, partial transpose, trace norm and Schmidt spectra for
+small (dimension <= ~2^10) density matrices with an attached
+subsystem-dimension signature.  Everything here is a pure
 function of immutable inputs (matrix buffers are frozen on construction),
 so concurrent use needs no synchronization.
 """
@@ -19,7 +19,6 @@ import numpy as np
 TOL_HERMITIAN = 1e-10
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-9
-TOL_SQRT = 1e-10
 
 # Row-major complex matrix; plain ndarray, no wrapper.
 ComplexMatrix = np.ndarray
@@ -166,25 +165,6 @@ def trace_norm(mat: ComplexMatrix) -> float:
     gram = mat.conj().T @ mat
     evals = np.linalg.eigvalsh(gram)
     return float(np.sum(np.sqrt(np.clip(evals, 0.0, None))))
-
-
-def sqrt_psd(mat: ComplexMatrix, tol: float = TOL_PSD) -> ComplexMatrix:
-    """Principal square root of a Hermitian PSD matrix.
-
-    Eigenvalues in (-tol, 0) are clipped to zero; anything below -tol is an
-    error.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    evals, vecs = np.linalg.eigh(mat)
-    if evals[0] < -tol:
-        raise LinalgError(f"matrix not PSD within tolerance: eigenvalue {evals[0]}")
-    roots = np.sqrt(np.clip(evals, 0.0, None))
-    return (vecs * roots) @ vecs.conj().T
-
-
-def principal_sqrt_psd(rho: DensityMatrix) -> ComplexMatrix:
-    """Principal square root of a density matrix."""
-    return sqrt_psd(rho.mat)
 
 
 def schmidt_coefficients(amps: np.ndarray, dims: Sequence[int],

@@ -1,7 +1,8 @@
 """Quantum-correlation measures on qubit registers.
 
 Pure-state and two-qubit concurrence, negativity, the two-qubit CREN /
-CRENoA and their squares (SCREN / SCRENoA), and a convex-roof optimizer.
+CRENoA and their squares (SCREN / SCRENoA), and a minimizing convex-roof
+optimizer for the concurrence.
 
 For two qubits the CREN family has exact closed forms over the Wootters
 spectrum mu_i: CREN is the Wootters concurrence (Lee, Kim, Park, Lee,
@@ -9,25 +10,25 @@ PRA 68, 062304, 2003) and CRENoA the concurrence of assistance sum_i mu_i
 (Laustsen, Verstraete, van Enk, QIC 3, 64, 2003).  cren / crenoa / scren /
 screnoa evaluate these directly.
 
-The roof optimizer serves what has no closed form here: the `measure`
-command's optimizer diagnostics, the three-qubit chain residual, states
-other than 2 x 2, and the roof-oracle suite that checks it against the
-closed forms.  Decompositions of a rank-r state are m x r isometries u
-acting on its eigendecomposition ensemble.  For any split, C^2 =
+The concurrence roof, minimized over decompositions, serves what has no
+closed form here: states other than 2 x 2 (the three-qubit chain residual
+among them) and the roof-oracle suite that checks it against the Wootters
+formula.  Decompositions of a rank-r state are m x r isometries u acting
+on its eigendecomposition ensemble.  For any split, C^2 =
 4 sum |2 x 2 minors|^2 (Cauchy-Binet; Wootters, PRL 80, 2245, 1998), and
 each member's minors are one quadratic form u_i^T Q u_i, so Q gives the
 objective, closed-form Givens-rotation line searches and the
-Levenberg-Marquardt polish of minimizing roofs.  Restarts derive
-independent sub-seeds from the configured seed and run in stacked blocks
-through one optimizer pass; the stopping rule is replayed over each block
-in restart order (first-best wins) and restarts past the stop are dropped,
-so results, and restarts_used (the restarts the rule kept), are bit for
-bit those of one restart at a time, reproducible and safe for concurrent use.
+Levenberg-Marquardt polish.  Restarts derive independent sub-seeds from
+the configured seed and run in stacked blocks through one optimizer pass;
+the stopping rule is replayed over each block in restart order (first-best
+wins) and restarts past the stop are dropped, so results, and
+restarts_used (the restarts the rule kept), are bit for bit those of one
+restart at a time, reproducible and safe for concurrent use.
 The polish looks for a split-product ensemble, a zero roof.  A state whose
 partial transpose over the split has an eigenvalue below -1e-10 is NPT,
-hence entangled (Peres), and has none: its minimizing roof runs no polish
-per restart and polishes only the winning decomposition, once, after the
-stopping rule.
+hence entangled (Peres), and has none: its roof runs no polish per restart
+and polishes only the winning decomposition, once, after the stopping
+rule.
 """
 
 from __future__ import annotations
@@ -99,10 +100,14 @@ def _wootters_mu(rho_mat: np.ndarray) -> np.ndarray:
     return mu
 
 
-def concurrence_wootters(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence max{mu1 - mu2 - mu3 - mu4, 0}."""
+def _require_two_qubit(rho: DensityMatrix) -> None:
     if rho.sig.dims != (2, 2):
         raise MeasureError(f"two-qubit signature required, got {rho.sig.dims}")
+
+
+def concurrence_wootters(rho: DensityMatrix) -> float:
+    """Two-qubit concurrence max{mu1 - mu2 - mu3 - mu4, 0}."""
+    _require_two_qubit(rho)
     mu = _wootters_mu(rho.mat)
     return float(max(0.0, 2.0 * mu[0] - mu.sum()))
 
@@ -182,47 +187,29 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class RoofResult:
-    """Outcome of a one-sided convex-roof optimization.
-
-    For direction "min" the value is an upper bound on the true roof; for
-    "max" a lower bound (bound_side records which).
-    """
+    """Outcome of a minimizing convex-roof optimization: the value is an
+    upper bound on the true roof and the average over its ensemble."""
 
     value: float
     ensemble: Ensemble
     restarts_used: int
     converged: bool
-    direction: str
-    bound_side: str
 
 
 @dataclass(frozen=True)
 class PureStateFunctional:
-    """A pure-state measure equal to the concurrence over its split, whose
-    roof the minor-form kernel evaluates: p C(psi~ / sqrt(p)) is 2 ||2 x 2
-    minors|| of the unnormalized psi~ across the split."""
+    """Pure-state concurrence over a split, whose roof the minor-form kernel
+    evaluates: p C(psi~ / sqrt(p)) is 2 ||2 x 2 minors|| of the
+    unnormalized psi~ across the split."""
 
-    name: str
     split: tuple[int, ...]
-    scalar: Callable[[PureState], float]
 
     def __call__(self, psi: PureState) -> float:
-        return self.scalar(psi)
+        return concurrence_pure(psi, self.split)
 
 
 def concurrence_functional(split: Sequence[int] = (0,)) -> PureStateFunctional:
-    split = tuple(int(i) for i in split)
-    return PureStateFunctional("concurrence", split,
-                               lambda psi: concurrence_pure(psi, split))
-
-
-def negativity_functional(split: Sequence[int] = (0,)) -> PureStateFunctional:
-    split = tuple(int(i) for i in split)
-    if len(split) != 1:
-        raise MeasureError("the negativity roof needs a one-qubit first block, "
-                           f"got split {split}")
-    return PureStateFunctional("negativity", split,
-                               lambda psi: negativity_pure(psi, split))
+    return PureStateFunctional(tuple(int(i) for i in split))
 
 
 def _split_blocks(batch: np.ndarray, n_qubits: int,
@@ -314,7 +301,7 @@ _ZOOM = np.linspace(-1.0, 1.0, 7)  # each refinement: 7 x 7 around the best
 STALL_RESTARTS = 3
 
 
-def _optimize_ensemble(u, qf, sign, caps, tol):
+def _optimize_ensemble(u, qf, caps, tol):
     """Sweep Givens rotations over row pairs until improvement stalls.
 
     u stacks one isometry per restart, (R, m, r), and caps holds each
@@ -332,10 +319,10 @@ def _optimize_ensemble(u, qf, sign, caps, tol):
         if act is None:
             break
         state = u[act], qu[act], mu[act], w[act]
-        improvement = _sweep(*state, qf, sign)
+        improvement = _sweep(*state, qf)
         u[act], qu[act], mu[act], w[act] = state
         converged[act] = improvement < tol
-    return sign * w.sum(axis=-1), u, converged
+    return w.sum(axis=-1), u, converged
 
 
 def _selection(mask):
@@ -346,7 +333,7 @@ def _selection(mask):
     return mask.nonzero()[0] if n else None
 
 
-def _sweep(u, qu, mu, w, qf, sign):
+def _sweep(u, qu, mu, w, qf):
     """One Givens line search per row pair, in place on stacked restarts;
     returns each restart's summed improvement.  A block holds at most
     1 + STALL_RESTARTS restarts, so per-restart bookkeeping runs on scalars,
@@ -359,24 +346,24 @@ def _sweep(u, qu, mu, w, qf, sign):
                                    mu[:, b, None]], axis=1)
             # the coarse grid with its zoom ladder; restarts that improve
             # on it go on to five shrinking 7 x 7 refinements
-            vals = sign * _givens_values(coef, _COARSE_GRID)
+            vals = _givens_values(coef, _COARSE_GRID)
             ks = vals.argmin(axis=-1).tolist()
             f = [i for i, ki in enumerate(ks)
-                 if vals[i, ki] < sign * (w[i, a] + w[i, b]) - 1e-15]
+                 if vals[i, ki] < w[i, a] + w[i, b] - 1e-15]
             if not f:
                 continue
             k = [ks[i] for i in f]
             best = vals[f, k]
             if len(f) == n:  # a basic slice keeps u and its state as views
                 f = slice(None)
-            coef, cur = coef[f], sign * (w[f, a] + w[f, b])
+            coef, cur = coef[f], w[f, a] + w[f, b]
             t0, p0, dt = _COARSE_START[:, k]
             dp = 2 * np.pi / len(_PHIS)
             for _round in range(5):
                 thetas = t0[:, None] + dt[:, None] * _ZOOM
                 phis = p0[:, None] + dp * _ZOOM
                 dp /= 3.0
-                vals = sign * _givens_values(coef, _givens_grid(thetas, phis))
+                vals = _givens_values(coef, _givens_grid(thetas, phis))
                 for i, ki in enumerate(vals.argmin(axis=-1).tolist()):
                     if vals[i, ki] < best[i] - 1e-15:
                         ti, pi = divmod(ki, len(_ZOOM))
@@ -390,7 +377,7 @@ def _sweep(u, qu, mu, w, qf, sign):
             rows = np.concatenate([c * ua + s * ub, c * ub - s.conj() * ua], axis=1)
             qu_ab, mu_ab = _member_minors(rows, qf)
             w_ab = _weights(mu_ab)
-            new = sign * (w_ab[:, 0] + w_ab[:, 1])
+            new = w_ab[:, 0] + w_ab[:, 1]
             keep = new < cur
             pairs = (u, rows), (qu, qu_ab), (mu, mu_ab), (w, w_ab)
             if np.count_nonzero(keep) < len(keep):
@@ -501,25 +488,22 @@ def _product_polish(u, qf, iters: int = 40):
     return u
 
 
-def _restart_block(u, qf, sign, cfg, polish):
+def _restart_block(u, qf, cfg, polish):
     """Totals, isometries and converged flags of a block of restarts
-    (R, m, r) after the optimizer stages.  A maximizing roof sweeps up to
-    cfg.max_iters times.  A minimizing one sweeps 15 times and, with
-    polish, tries the zero-roof polish (the functional vanishes exactly on
-    split-product states); after an accepted polish 10 consolidating sweeps
-    are enough, otherwise the remaining sweeps run, then one more polish.
-    A polish is kept only when it lowers the total.  Without polish (an
-    NPT state, which has no split-product ensemble) every restart sweeps
-    15 times and then the remaining sweeps."""
+    (R, m, r) after the optimizer stages.  Each restart sweeps 15 times
+    and, with polish, tries the zero-roof polish (the concurrence vanishes
+    exactly on split-product states); after an accepted polish 10
+    consolidating sweeps are enough, otherwise the remaining sweeps run,
+    then one more polish.  A polish is kept only when it lowers the total.
+    Without polish (an NPT state, which has no split-product ensemble)
+    every restart sweeps 15 times and then the remaining sweeps."""
     tol = cfg.step_tolerance
-    if sign < 0:
-        return _optimize_ensemble(u, qf, sign, np.full(len(u), cfg.max_iters), tol)
     stage1 = min(15, cfg.max_iters)
-    totals, u, conv = _optimize_ensemble(u, qf, sign, np.full(len(u), stage1), tol)
+    totals, u, conv = _optimize_ensemble(u, qf, np.full(len(u), stage1), tol)
     polished = _try_polish(totals, u, conv, qf, np.full(len(u), polish))
     caps = np.where(polished, np.where(totals > 1e-12, 10, 0),
                     max(cfg.max_iters - stage1, 0))
-    t3, u3, c3 = _optimize_ensemble(u, qf, sign, caps, tol)
+    t3, u3, c3 = _optimize_ensemble(u, qf, caps, tol)
     take = (caps > 0) & (t3 < totals)
     totals[take], u[take], conv[take] = t3[take], u3[take], c3[take]
     _try_polish(totals, u, conv, qf, polish & (caps > 0))
@@ -550,28 +534,26 @@ def _ensemble_average(members, n_qubits: int, split: tuple[int, ...]) -> float:
 
 def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
                 direction: str, cfg: RoofConfig | None = None) -> RoofResult:
-    """Optimize the ensemble average of a concurrence-type functional over
-    decompositions of rho.
+    """Minimize the ensemble average of the concurrence over decompositions
+    of rho; the roof value is then an upper bound on the true minimum.
 
-    direction "min" searches for small averages (roof value is then an
-    upper bound on the true minimum); "max" for large ones (lower bound on
-    the true maximum).  Decompositions are generated from the
-    eigendecomposition via m x r isometries; restart 0 starts at the
-    eigendecomposition ensemble itself, the rest at Haar-random isometries.
-    At most cfg.restarts restarts run: the loop stops after STALL_RESTARTS
-    in a row fail to lower the best by more than cfg.step_tolerance, or
-    once a minimizing roof reaches zero.  Restarts run in stacked blocks:
-    restart 0 with the STALL_RESTARTS the rule runs after it anyway (alone
-    when a zero min roof is possible), then as many as the rule still
-    needs.  The rule is replayed over each block in restart order, restarts
-    past the stop are dropped and restarts_used counts those the rule kept.
-    A minimizing roof of an NPT state (partial transpose over the split
+    direction must be "min", the only roof offered.  Decompositions are
+    generated from the eigendecomposition via m x r isometries; restart 0
+    starts at the eigendecomposition ensemble itself, the rest at
+    Haar-random isometries.  At most cfg.restarts restarts run: the loop
+    stops after STALL_RESTARTS in a row fail to lower the best by more than
+    cfg.step_tolerance, or once the roof reaches zero.  Restarts run in
+    stacked blocks: restart 0 with the STALL_RESTARTS the rule runs after
+    it anyway (alone when a zero roof is possible), then as many as the
+    rule still needs.  The rule is replayed over each block in restart
+    order, restarts past the stop are dropped and restarts_used counts
+    those the rule kept.  An NPT state (partial transpose over the split
     with an eigenvalue below -1e-10) skips the per-restart polishes, runs
     the rule on the sweep totals and then polishes the winner once, keeping
     the polish only when it lowers the value.
     """
-    if direction not in ("min", "max"):
-        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+    if direction != "min":
+        raise ValueError(f"direction must be 'min', got {direction!r}")
     if not isinstance(functional, PureStateFunctional):
         raise TypeError("convex_roof needs a PureStateFunctional such as "
                         f"concurrence_functional(split), got {functional!r}")
@@ -581,7 +563,6 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     if 2 ** n_qubits != d:
         raise MeasureError(f"roof optimizer requires qubit registers, dim {d}")
     split = _check_split(functional.split, n_qubits)
-    bound_side = "upper" if direction == "min" else "lower"
 
     evals, vecs = np.linalg.eigh(rho.mat)
     idx = np.where(evals > RANK_TOL)[0]
@@ -599,9 +580,8 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
                                         n_qubits)),))
         ens.validate_against(rho)
         value = _ensemble_average(ens.members, n_qubits, split)
-        return RoofResult(value, ens, 0, True, direction, bound_side)
+        return RoofResult(value, ens, 0, True)
 
-    sign = 1.0 if direction == "min" else -1.0
     qf = _minor_form(scaled, n_qubits, split).reshape(rank, -1)
     u0 = np.eye(m, rank, dtype=complex)
     eigen_avg = float(_weights(_member_minors(u0, qf)[1]).sum())
@@ -618,21 +598,19 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     best_total = best_u = None
     best_conv = stop = False
     restarts_used = stalled = 0
-    ppt = False
-    if sign > 0:
-        # a zero min roof stops the rule at restart 0 and needs a separable,
-        # hence PPT (Peres), state: there restart 0 runs alone first, and
-        # every restart tries the polish.  An NPT state has no split-product
-        # ensemble, so only the winner is polished, once the rule stops
-        pt = rho.mat
-        for i in split:
-            pt = transpose_subsystem(pt, (2,) * n_qubits, i)
-        ppt = bool(np.linalg.eigvalsh(pt)[0] > -1e-10)
+    # a zero roof stops the rule at restart 0 and needs a separable, hence
+    # PPT (Peres), state: there restart 0 runs alone first, and every
+    # restart tries the polish.  An NPT state has no split-product
+    # ensemble, so only the winner is polished, once the rule stops
+    pt = rho.mat
+    for i in split:
+        pt = transpose_subsystem(pt, (2,) * n_qubits, i)
+    ppt = bool(np.linalg.eigvalsh(pt)[0] > -1e-10)
     size = 1 if ppt else 1 + STALL_RESTARTS
     while not stop and restarts_used < cfg.restarts:
         block = range(restarts_used, min(restarts_used + size, cfg.restarts))
         totals, us, convs = _restart_block(np.array([start(j) for j in block]),
-                                           qf, sign, cfg, ppt)
+                                           qf, cfg, ppt)
         for total, u, conv in zip(totals, us, convs):
             restarts_used += 1
             if best_total is None or total < best_total - cfg.step_tolerance:
@@ -641,23 +619,21 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
                 stalled += 1
             if best_total is None or total < best_total:
                 best_total, best_u, best_conv = total, u, bool(conv)
-            stop = (sign > 0 and best_total <= 1e-12) or stalled >= STALL_RESTARTS
+            stop = best_total <= 1e-12 or stalled >= STALL_RESTARTS
             if stop:
                 break
         size = STALL_RESTARTS - stalled
-    if sign > 0 and not ppt:
+    if not ppt:
         totals, us = np.array([best_total]), best_u[None].copy()
         convs = np.array([best_conv])
         _try_polish(totals, us, convs, qf, np.ones(1, dtype=bool))
         best_total, best_u, best_conv = totals[0], us[0], bool(convs[0])
 
-    value = float(sign * best_total)
+    value = float(best_total)
     # one-sidedness guard: restart 0 only ever improves on the
-    # eigendecomposition ensemble, so these hold by construction
-    if direction == "min" and value > eigen_avg + 1e-9:
+    # eigendecomposition ensemble, so this holds by construction
+    if value > eigen_avg + 1e-9:
         raise RuntimeError("roof minimum exceeded eigendecomposition average")
-    if direction == "max" and value < eigen_avg - 1e-9:
-        raise RuntimeError("roof maximum fell below eigendecomposition average")
 
     members = []
     for row in best_u @ scaled:
@@ -672,12 +648,7 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     if abs(value - avg) > 1e-10:
         raise RuntimeError(f"roof value {value!r} differs from its ensemble "
                            f"average {avg!r}")
-    return RoofResult(value, ens, restarts_used, best_conv, direction, bound_side)
-
-
-def _require_two_qubit(rho: DensityMatrix) -> None:
-    if rho.sig.dims != (2, 2):
-        raise MeasureError(f"two-qubit signature required, got {rho.sig.dims}")
+    return RoofResult(value, ens, restarts_used, best_conv)
 
 
 def scren(rho: DensityMatrix, cfg: RoofConfig | None = None) -> float:
@@ -704,7 +675,6 @@ def cren(rho: DensityMatrix, cfg: RoofConfig | None = None) -> float:
     062304, 2003), so the value is exact rather than a one-sided roof
     estimate.  cfg is accepted for call compatibility and ignored.
     """
-    _require_two_qubit(rho)
     return concurrence_wootters(rho)
 
 

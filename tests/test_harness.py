@@ -9,10 +9,15 @@ import numpy as np
 import pytest
 
 from entbounds import harness as h
+from entbounds import measures as msr
+from entbounds.linalg import partial_trace
 from entbounds.states import (
     SchmidtParams,
     generalized_schmidt_state,
+    haar_random_pure,
+    reduce_pair,
     save_state,
+    to_density,
     w_class_state,
 )
 
@@ -82,14 +87,39 @@ def test_measure_bell_negativity(tmp_path, capsys):
     assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_measure_wclass_marginal_screnoa(capsys):
-    code, out = run_cli(["measure", "--builder", EX2_BUILDER, "--keep", "0,1",
-                         "--measure", "screnoa", "--seed", "5"], capsys)
-    assert code == 0
-    rec = json.loads(out)
-    assert rec["value"] == pytest.approx(0.25, abs=1e-3)
-    assert rec["optimizer"]["bound_side"] == "lower"
-    assert rec["optimizer"]["restarts_used"] >= 1
+CLOSED_FORM_NAMES = ("scren", "screnoa", "cren", "crenoa", "wootters")
+
+
+def test_measure_wclass_marginal_closed_forms(capsys):
+    # the two-qubit measures are exact closed forms, not one-sided roofs
+    pair = reduce_pair(to_density(w_class_state(0.5, 0.5, np.sqrt(2) / 2)), 1)
+    exact = {"scren": 0.25, "screnoa": 0.25, "cren": 0.5, "crenoa": 0.5,
+             "wootters": 0.5}
+    for name in CLOSED_FORM_NAMES:
+        code, out = run_cli(["measure", "--builder", EX2_BUILDER, "--keep", "0,1",
+                             "--measure", name, "--seed", "5"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["value"] == h.CLOSED_FORMS[name](pair) == exact[name]
+        assert "optimizer" not in rec
+
+
+def test_measure_runs_no_roof_on_two_qubit_inputs(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_roof(*args, **kwargs):
+        raise AssertionError("convex_roof ran on a two-qubit input")
+
+    monkeypatch.setattr(msr, "convex_roof", no_roof)
+    path = tmp_path / "pair.json"
+    save_state(haar_random_pure(2, 17), str(path))
+    inputs = (["--state", str(path)],
+              ["--builder", EX2_BUILDER, "--keep", "0,2"])
+    for state in inputs:
+        for name in CLOSED_FORM_NAMES:
+            code, out = run_cli(["measure"] + state + ["--measure", name],
+                                capsys)
+            assert code == 0
+            assert "optimizer" not in json.loads(out)
 
 
 def test_measure_wootters_marginal(capsys):
@@ -413,6 +443,9 @@ GRID_CASES = {
                        ["--fix", "gamma=nan"], "ref29,thm1"),
     "poly-beta-inf": (EX2_BUILDER, "polygamy", ["--axis", "delta:0.5:1:3"],
                       ["--fix", "beta=inf"], None),
+    # a non-finite window parameter with only a prior variant: exit 2
+    "mono-t-nan-prior-only": (WCLASS_CKW, "monogamy", ["--axis", "alpha:0:2:5"],
+                              ["--fix", "gamma=2", "--fix", "t=nan"], "ref29"),
     # (1 + t)^(beta/delta) overflows at delta = 0.0005: exit 2
     "poly-overflow": (EX2_BUILDER, "polygamy", ["--axis", "delta:0.0005:1:5"],
                       ["--fix", "beta=1"], "thm4,ref29"),
@@ -576,6 +609,26 @@ def test_non_finite_exponent_is_a_usage_error_for_every_variant(
     assert errors == {f"entbounds: error: {name} must be finite, got nan"}
 
 
+@pytest.mark.parametrize("name,value", [
+    ("t", "nan"), ("q", "inf"), ("k", "nan"), ("p", "-inf"), ("a", "nan"),
+])
+def test_non_finite_window_parameter_is_a_usage_error(capsys, name, value):
+    # with only a prior variant it exited 0 and printed bare NaN tokens
+    state = ["--builder", WCLASS_CKW, "--kind", "monogamy", "--variants", "ref29"]
+    bound = ["bound"] + state + ["--alpha", "1", "--gamma", "2",
+                                 f"--{name}={value}"]
+    sweep = ["sweep"] + state + ["--axis", "alpha:0:2:3", "--fix", "gamma=2",
+                                 "--fix", f"{name}={value}"]
+    errors = {usage_error(args, capsys) for args in (bound, sweep)}
+    assert errors == {f"entbounds: error: {name} must be finite, got {value}"}
+    with pytest.raises(h.UsageError, match=f"{name} must be finite"):
+        h.evaluate_bound_report("monogamy", 0.9, 0.3, 0.5, variants=["ref29"],
+                                alpha=1.0, gamma=2.0, **{name: float(value)})
+    with pytest.raises(h.UsageError, match=f"{name} must be finite"):
+        h.SweepSpec("monogamy", [("alpha", 0.0, 2.0, 3)],
+                    {"gamma": 2.0, name: float(value)}, ["ref29"])
+
+
 def test_sweep_validation(capsys):
     code = h.main(["sweep", "--builder", EX1_BUILDER, "--kind", "monogamy",
                    "--axis", "alpha:0:2:1", "--fix", "gamma=2",
@@ -662,15 +715,19 @@ def test_out_file_writing(tmp_path, capsys):
     assert path.read_text().startswith("# seed=0")
 
 
-def test_roof_restarts_only_on_measure(capsys):
-    # only measure runs a roof that the flag can size
-    code, out = run_cli(["measure", "--builder", EX2_BUILDER, "--keep", "0,1",
-                         "--measure", "screnoa", "--seed", "5",
-                         "--roof-restarts", "2"], capsys)
+def test_roof_restarts_only_on_measure(tmp_path, capsys):
+    # only measure runs a roof that the flag can size: the concurrence of a
+    # density matrix other than 2 x 2
+    path = tmp_path / "marginal.json"
+    save_state(partial_trace(to_density(haar_random_pure(4, 21)), (0, 1, 2)),
+               str(path))
+    code, out = run_cli(["measure", "--state", str(path),
+                         "--measure", "concurrence", "--roof-restarts", "2"],
+                        capsys)
     assert code == 0
     rec = json.loads(out)
     assert rec["optimizer"]["restarts_used"] == 2
-    assert rec["value"] == pytest.approx(0.25, abs=1e-3)
+    assert rec["optimizer"]["bound_side"] == "upper"
     restarts = ["--roof-restarts", "4"]
     for args in (["bound", "--builder", EX2_BUILDER, "--kind", "polygamy",
                   "--beta", "1", "--delta", "0.8"] + restarts,

@@ -7,7 +7,6 @@ from entbounds.linalg import (
     SystemSignature,
     partial_trace,
     partial_transpose,
-    principal_sqrt_psd,
     schmidt_coefficients,
     trace_norm,
 )
@@ -115,29 +114,6 @@ def test_trace_norm_of_density_is_one(rng):
     for dims in [(2,), (2, 2), (2, 2, 2)]:
         rho = rand_density(rng, dims)
         assert trace_norm(rho.mat) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_sqrt_psd_examples():
-    assert np.allclose(principal_sqrt_psd(DensityMatrix(np.eye(2) / 2)),
-                       np.eye(2) / np.sqrt(2), atol=1e-12)
-    proj = DensityMatrix(np.diag([1.0, 0.0]))
-    assert np.allclose(principal_sqrt_psd(proj), proj.mat, atol=1e-12)
-    rho = DensityMatrix(np.diag([0.8, 0.2]))
-    assert np.allclose(principal_sqrt_psd(rho),
-                       np.diag([2.0, 1.0]) / np.sqrt(5.0), atol=1e-12)
-
-
-def test_sqrt_psd_squares_back(rng):
-    for dims in [(2,), (2, 2), (2, 2, 2), (2, 2, 2, 2)]:
-        rho = rand_density(rng, dims)
-        root = principal_sqrt_psd(rho)
-        assert np.linalg.norm(root @ root - rho.mat) <= 1e-10
-
-
-def test_sqrt_psd_rejects_negative():
-    from entbounds.linalg import sqrt_psd
-    with pytest.raises(LinalgError):
-        sqrt_psd(np.diag([1.0, -0.1]))
 
 
 def test_schmidt_coefficients():

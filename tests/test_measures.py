@@ -17,7 +17,6 @@ from entbounds.measures import (
     convex_roof,
     cren,
     crenoa,
-    negativity_functional,
     negativity_mixed,
     negativity_pure,
     scren,
@@ -137,7 +136,6 @@ def test_roof_pure_state_single_member():
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert len(res.ensemble.members) == 1
     assert res.converged
-    assert res.bound_side == "upper"
 
 
 def test_roof_maximally_mixed_concurrence_zero():
@@ -159,23 +157,14 @@ def test_roof_min_matches_wootters(rng):
 
 def test_roof_ensemble_reconstructs(rng):
     rho = rand_density(rng, (2, 2), rank=2)
-    res = convex_roof(rho, negativity_functional((0,)), "max",
+    res = convex_roof(rho, concurrence_functional((0,)), "min",
                       RoofConfig(restarts=4, seed=9))
     res.ensemble.validate_against(rho)  # raises on failure
     probs = res.ensemble.probabilities()
     assert probs.sum() == pytest.approx(1.0, abs=1e-8)
     # reported value is the ensemble average of the functional
-    avg = res.ensemble.average(lambda s: negativity_pure(s, (0,)))
+    avg = res.ensemble.average(lambda s: concurrence_pure(s, (0,)))
     assert res.value == pytest.approx(avg, abs=1e-8)
-
-
-def test_roof_min_below_max(rng):
-    rho = rand_density(rng, (2, 2), rank=2)
-    lo = convex_roof(rho, negativity_functional((0,)), "min",
-                     RoofConfig(restarts=8, seed=2)).value
-    hi = convex_roof(rho, negativity_functional((0,)), "max",
-                     RoofConfig(restarts=8, seed=2)).value
-    assert lo <= hi + 1e-9
 
 
 def test_roof_rank_budget_error(rng):
@@ -291,7 +280,7 @@ def test_separable_states_have_zero_min_measures(rng):
     assert scren(prod) <= 1e-12
 
 
-# -- closed forms and the roofs they replaced -----------------------------------
+# -- closed forms ------------------------------------------------------------
 
 def assisted_sq(mat):
     """(sum mu_i)^2 from the singular values of Psi^T (sy x sy) Psi."""
@@ -306,60 +295,6 @@ def werner_state(p):
     singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
     mat = p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4
     return DensityMatrix(mat.astype(complex), SystemSignature((2, 2)))
-
-
-def test_max_roof_is_one_sided_below_screnoa_closed_form():
-    # the negativity max roof stays in use as an oracle; its squared value
-    # must never exceed (sum mu)^2 and must reach it within the polygamy
-    # suite's tolerance
-    w = to_density(w_class_state(0.5, 0.5, np.sqrt(2) / 2))
-    marginals = [(reduce_pair(w, 1), 0.25), (reduce_pair(w, 2), 0.5)]
-    marginals += [(reduce_pair(to_density(haar_random_pure(3, 9100 + k)), 1),
-                   None) for k in range(3)]
-    for k, (rho, exact) in enumerate(marginals):
-        ref = assisted_sq(rho.mat)
-        if exact is not None:
-            assert ref == pytest.approx(exact, abs=1e-12)
-        res = convex_roof(rho, negativity_functional((0,)), "max",
-                          RoofConfig(restarts=16, seed=k))
-        assert res.bound_side == "lower"
-        assert res.value ** 2 <= ref + 1e-12
-        assert res.value ** 2 == pytest.approx(ref, abs=2e-3)
-
-
-def test_negativity_min_roof_matches_wootters_squared():
-    # `measure --measure scren|cren` still runs this roof; its squared
-    # value must reach the closed form CREN^2 = C_W^2
-    for k in range(5):
-        rho = reduce_pair(to_density(haar_random_pure(3, 40 + k)), 1)
-        res = convex_roof(rho, negativity_functional((0,)), "min",
-                          RoofConfig(restarts=16, seed=k))
-        assert res.bound_side == "upper"
-        assert res.value ** 2 >= concurrence_wootters(rho) ** 2 - 1e-12
-        assert res.value ** 2 == pytest.approx(
-            concurrence_wootters(rho) ** 2, abs=2e-3)
-
-
-def test_negativity_min_roof_pure_and_separable(rng):
-    res = convex_roof(to_density(bell_state()), negativity_functional((0,)),
-                      "min", RoofConfig(restarts=8, seed=21))
-    assert res.value == pytest.approx(1.0, abs=1e-12)
-    for j in range(3):
-        sep = rand_product_mixture(rng, 3)
-        res = convex_roof(sep, negativity_functional((0,)), "min",
-                          RoofConfig(restarts=8, seed=22 + j))
-        assert res.value <= 1e-6
-
-
-def test_negativity_max_roof_matches_assisted_value():
-    # the max roof from below reaches CRENoA = sum mu_i to 1e-6
-    for k in range(8):
-        rho = reduce_pair(to_density(haar_random_pure(3, 7000 + k)), 1)
-        oracle = np.sqrt(assisted_sq(rho.mat))
-        res = convex_roof(rho, negativity_functional((0,)), "max",
-                          RoofConfig(restarts=16, seed=k))
-        assert res.value <= oracle + 1e-9
-        assert res.value >= oracle - 1e-6
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -467,46 +402,27 @@ def test_givens_grid_matches_rotated_rows(rng, n_qubits, split):
         coarse, msr._givens_values(coef, msr._givens_grid(msr._THETAS, msr._PHIS)))
 
 
-@pytest.mark.parametrize("direction", ["min", "max"])
-def test_negativity_roof_is_the_concurrence_kernel(rng, direction):
-    for k in range(3):
-        rho = reduce_pair(to_density(haar_random_pure(3, 500 + k)), 1)
-        cfg = RoofConfig(restarts=4, seed=k)
-        neg = convex_roof(rho, negativity_functional((0,)), direction, cfg)
-        conc = convex_roof(rho, concurrence_functional((0,)), direction, cfg)
-        assert neg.value == conc.value
-        assert neg.restarts_used == conc.restarts_used
-        assert np.array_equal(ensemble_rows(neg), ensemble_rows(conc))
-
-
 def ensemble_rows(res):
     return np.array([np.sqrt(p) * psi.amps for p, psi in res.ensemble.members])
 
 
-def test_negativity_roof_needs_a_one_qubit_block():
-    for split in ((0, 1), (1, 2), ()):
-        with pytest.raises(MeasureError):
-            negativity_functional(split)
-
-
 def test_roof_value_is_its_ensemble_average(rng):
-    # checked from the ensemble's own amplitudes, for both directions and
-    # for a chain-residual shape (qubit x 2 qubits)
+    # checked from the ensemble's own amplitudes, for two-qubit marginals
+    # and for a chain-residual shape (qubit x 2 qubits)
     cases = [(reduce_pair(to_density(haar_random_pure(3, 600 + k)), 1), 2)
              for k in range(3)]
     cases += [(partial_trace(to_density(haar_random_pure(4, 610 + k)),
                              (0, 1, 2)), 3) for k in range(2)]
     for rho, n_qubits in cases:
-        for direction in ("min", "max"):
-            res = convex_roof(rho, concurrence_functional((0,)), direction,
-                              RoofConfig(restarts=4, seed=3))
-            avg = float(row_weights(ensemble_rows(res), n_qubits, (0,)).sum())
-            assert res.value == pytest.approx(avg, abs=1e-10)
-            assert res.value == pytest.approx(
-                res.ensemble.average(concurrence_functional((0,))), abs=1e-8)
+        res = convex_roof(rho, concurrence_functional((0,)), "min",
+                          RoofConfig(restarts=4, seed=3))
+        avg = float(row_weights(ensemble_rows(res), n_qubits, (0,)).sum())
+        assert res.value == pytest.approx(avg, abs=1e-10)
+        assert res.value == pytest.approx(
+            res.ensemble.average(concurrence_functional((0,))), abs=1e-8)
 
 
-@pytest.mark.parametrize("direction", ["min", "max"])
+@pytest.mark.parametrize("direction", ["min"])
 def test_roof_guard_rejects_a_value_off_its_ensemble(monkeypatch, direction):
     # a total that no longer belongs to its isometry must raise; moving it
     # towards the optimum keeps the one-sidedness guard from seeing it
@@ -567,7 +483,7 @@ def seq_givens_values(coef, grid):
 SEQ_COARSE_GRID = seq_givens_grid(msr._THETAS, msr._PHIS)
 
 
-def seq_optimize_ensemble(u, qf, sign, max_iters, tol):
+def seq_optimize_ensemble(u, qf, max_iters, tol):
     u = u.copy()
     qu, mu = seq_member_minors(u, qf)
     w = msr._weights(mu)
@@ -577,7 +493,7 @@ def seq_optimize_ensemble(u, qf, sign, max_iters, tol):
         improvement = 0.0
         for a in range(m):
             for b in range(a + 1, m):
-                cur = float(sign * (w[a] + w[b]))
+                cur = float(w[a] + w[b])
                 coef = np.array([mu[a], 2.0 * (u[a] @ qu[b]), mu[b]])
                 grid, thetas, phis = SEQ_COARSE_GRID, msr._THETAS, msr._PHIS
                 dt = np.pi / 18
@@ -585,7 +501,7 @@ def seq_optimize_ensemble(u, qf, sign, max_iters, tol):
                 best = cur
                 found = False
                 for _round in range(6):
-                    vals = sign * seq_givens_values(coef, grid)
+                    vals = seq_givens_values(coef, grid)
                     k = int(np.argmin(vals))
                     if vals[k] < best - 1e-15:
                         best = float(vals[k])
@@ -606,7 +522,7 @@ def seq_optimize_ensemble(u, qf, sign, max_iters, tol):
                 rows = np.array([c * u[a] + s * u[b], c * u[b] - s.conj() * u[a]])
                 qu_ab, mu_ab = seq_member_minors(rows, qf)
                 w_ab = msr._weights(mu_ab)
-                new = float(sign * (w_ab[0] + w_ab[1]))
+                new = float(w_ab[0] + w_ab[1])
                 if new < cur:
                     u[[a, b]], qu[[a, b]], mu[[a, b]], w[[a, b]] = (
                         rows, qu_ab, mu_ab, w_ab)
@@ -614,7 +530,7 @@ def seq_optimize_ensemble(u, qf, sign, max_iters, tol):
         if improvement < tol:
             converged = True
             break
-    return float(sign * w.sum()), u, converged
+    return float(w.sum()), u, converged
 
 
 def seq_qr_retract(x):
@@ -666,7 +582,7 @@ def seq_product_polish(u, qf, iters=40):
     return u
 
 
-def sequential_convex_roof(rho, direction, cfg):
+def sequential_convex_roof(rho, cfg):
     """(value, ensemble rows sqrt(p_i) psi_i, restarts_used, converged) of
     the concurrence roof over split (0,), restarts run one at a time."""
     n_qubits = int(round(np.log2(rho.dim)))
@@ -675,16 +591,14 @@ def sequential_convex_roof(rho, direction, cfg):
     rank = len(idx)
     m = cfg.max_ensemble_size if cfg.max_ensemble_size is not None else rank * rank
     scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
-    sign = 1.0 if direction == "min" else -1.0
     qf = msr._minor_form(scaled, n_qubits, (0,)).reshape(rank, -1)
     # an NPT state (Peres: entangled) polishes only the winning restart
-    npt = direction == "min" and np.linalg.eigvalsh(
+    npt = np.linalg.eigvalsh(
         transpose_subsystem(rho.mat, rho.sig.dims, 0))[0] <= -1e-10
-    can_polish = direction == "min" and not npt
 
     def try_polish(total, u, conv):
         cand = seq_product_polish(u, qf)
-        total_c = float(sign * msr._weights(seq_member_minors(cand, qf)[1]).sum())
+        total_c = float(msr._weights(seq_member_minors(cand, qf)[1]).sum())
         if total_c < total:
             return total_c, cand, True
         return total, u, conv
@@ -701,22 +615,21 @@ def sequential_convex_roof(rho, direction, cfg):
             rng = np.random.Generator(np.random.PCG64(seeds[j]))
             gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
             u = np.linalg.qr(gauss)[0][:, :rank]
-        stage1 = min(15, cfg.max_iters) if can_polish else cfg.max_iters
-        total, u, conv = seq_optimize_ensemble(u, qf, sign, stage1,
-                                               cfg.step_tolerance)
-        if can_polish:
+        stage1 = cfg.max_iters if npt else min(15, cfg.max_iters)
+        total, u, conv = seq_optimize_ensemble(u, qf, stage1, cfg.step_tolerance)
+        if not npt:
             t2, u2, c2 = try_polish(total, u, conv)
             if t2 < total:
                 total, u, conv = t2, u2, c2
                 if total > 1e-12:
-                    t3, u3, c3 = seq_optimize_ensemble(u, qf, sign, 10,
+                    t3, u3, c3 = seq_optimize_ensemble(u, qf, 10,
                                                        cfg.step_tolerance)
                     if t3 < total:
                         total, u, conv = t3, u3, c3
                     total, u, conv = try_polish(total, u, conv)
             elif cfg.max_iters > stage1:
                 t3, u3, c3 = seq_optimize_ensemble(
-                    u, qf, sign, cfg.max_iters - stage1, cfg.step_tolerance)
+                    u, qf, cfg.max_iters - stage1, cfg.step_tolerance)
                 if t3 < total:
                     total, u, conv = t3, u3, c3
                 total, u, conv = try_polish(total, u, conv)
@@ -726,7 +639,7 @@ def sequential_convex_roof(rho, direction, cfg):
             stalled += 1
         if best_total is None or total < best_total:
             best_total, best_u, best_conv = total, u, conv
-        if (sign > 0 and best_total <= 1e-12) or stalled >= msr.STALL_RESTARTS:
+        if best_total <= 1e-12 or stalled >= msr.STALL_RESTARTS:
             break
     if npt:
         best_total, best_u, best_conv = try_polish(best_total, best_u, best_conv)
@@ -735,7 +648,7 @@ def sequential_convex_roof(rho, direction, cfg):
         p = float(np.vdot(row, row).real)
         if p >= 1e-12:
             rows.append(np.sqrt(p) * PureState(row / np.sqrt(p), n_qubits).amps)
-    return float(sign * best_total), np.array(rows), restarts_used, best_conv
+    return float(best_total), np.array(rows), restarts_used, best_conv
 
 
 def horodecki_state(b):
@@ -765,17 +678,14 @@ def oracle_states():
 
 
 # (state, direction, restarts, max_iters, max_ensemble_size = rank); every
-# value of each knob appears in both directions
+# value of each knob appears.  "min" is the only direction; it stays in the
+# case ids
 ORACLE_CASES = [
-    ("d4", "min", 32, 500, False), ("d4", "max", 4, 16, True),
-    ("d4", "min", 1, 1, False), ("d8", "min", 32, 500, False),
-    ("d8", "max", 2, 15, False), ("d8", "min", 4, 16, True),
-    ("q2r3", "min", 4, 16, False), ("q2r3", "max", 32, 15, True),
-    ("q2r4", "min", 2, 1, True), ("q2r4", "max", 1, 500, False),
-    ("q3r3", "min", 1, 15, False), ("q3r3", "max", 4, 1, False),
-    ("q3r4", "min", 4, 500, True), ("q3r4", "max", 2, 16, True),
-    ("sep", "min", 32, 500, False), ("sep", "max", 4, 15, False),
-    ("sep", "min", 2, 16, True), ("sep", "max", 32, 500, True),
+    ("d4", "min", 32, 500, False), ("d4", "min", 1, 1, False),
+    ("d8", "min", 32, 500, False), ("d8", "min", 4, 16, True),
+    ("q2r3", "min", 4, 16, False), ("q2r4", "min", 2, 1, True),
+    ("q3r3", "min", 1, 15, False), ("q3r4", "min", 4, 500, True),
+    ("sep", "min", 32, 500, False), ("sep", "min", 2, 16, True),
     # a nonzero min roof behind a positive partial transpose: restart 0
     # runs on its own, then blocks of the restarts the rule still needs
     ("ppt", "min", 8, 15, True),
@@ -790,8 +700,7 @@ def test_stacked_roof_matches_sequential_oracle(name, direction, restarts,
     cfg = RoofConfig(restarts=restarts, max_iters=max_iters, seed=11,
                      max_ensemble_size=rank if by_rank else None)
     res = convex_roof(rho, concurrence_functional((0,)), direction, cfg)
-    value, rows, restarts_used, converged = sequential_convex_roof(
-        rho, direction, cfg)
+    value, rows, restarts_used, converged = sequential_convex_roof(rho, cfg)
     assert res.value == value
     assert np.array_equal(ensemble_rows(res).view(np.int64), rows.view(np.int64))
     assert (res.restarts_used, res.converged) == (restarts_used, converged)
@@ -826,9 +735,9 @@ def test_sweep_block_matches_lone_restarts_when_moves_are_rejected(monkeypatch):
     block = [u.copy(), qu, mu, msr._weights(mu)]
     lone = [[x[i:i + 1].copy() for x in block] for i in range(3)]
     for _ in range(3):
-        gains = msr._sweep(*block, qf, 1.0)
+        gains = msr._sweep(*block, qf)
         for i, state in enumerate(lone):
-            assert gains[i] == msr._sweep(*state, qf, 1.0)[0]
+            assert gains[i] == msr._sweep(*state, qf)[0]
             for x, y in zip(block, state):
                 assert np.array_equal(x[i:i + 1].view(np.int64), y.view(np.int64))
     assert rejected
