@@ -805,15 +805,16 @@ GOLDEN = {
     "verify-roof-oracle": (
         ["verify", "--suite", "roof-oracle", "--trials", "8", "--seed", "3"],
         "ca5da3b18df39feea5e2ebe150810fcad625fafe54a40bf9e3658a598fd74adc"),
-    # the min and max roofs' value and restarts_used on one marginal
+    # the exact two-qubit closed forms on one W-class marginal, with no
+    # optimizer block
     "measure-wclass-scren": (
         ["measure", "--builder", "wclass:0.5,0.5,0.7071067811865476",
          "--keep", "0,1", "--measure", "scren"],
-        "8375dc1b0128f05bf32806a9c149722e1b79e77b489c63214b6fc1b0350cd34e"),
+        "03a76004d9058f14994eda733c1327e58e7cff18b417d250c927f3cb28c928d3"),
     "measure-wclass-screnoa": (
         ["measure", "--builder", "wclass:0.5,0.5,0.7071067811865476",
          "--keep", "0,1", "--measure", "screnoa"],
-        "bb5717b163e5e9cb6f1725606b2081ae05ed0be252eecae5ae669fd3596a7e8c"),
+        "056a12e93522125152eb05d49d7d3742a5846b6838c9e65a5b0cb6d05a17f419"),
 }
 
 
