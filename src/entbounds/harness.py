@@ -383,7 +383,8 @@ class SweepSpec:
                 raise UsageError(f"unknown axis {name!r}")
             if steps < 2:
                 raise UsageError(f"axis {name}: steps must be >= 2")
-            if not np.isfinite(start) or not np.isfinite(stop):
+            # a span beyond the float range puts nan and inf on the axis
+            if not math.isfinite(stop - start):
                 raise UsageError(f"axis {name}: non-finite range")
         if not self.variants:
             raise UsageError("sweep needs at least one variant")

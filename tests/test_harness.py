@@ -443,9 +443,6 @@ GRID_CASES = {
                        ["--fix", "gamma=nan"], "ref29,thm1"),
     "poly-beta-inf": (EX2_BUILDER, "polygamy", ["--axis", "delta:0.5:1:3"],
                       ["--fix", "beta=inf"], None),
-    # a non-finite window parameter with only a prior variant: exit 2
-    "mono-t-nan-prior-only": (WCLASS_CKW, "monogamy", ["--axis", "alpha:0:2:5"],
-                              ["--fix", "gamma=2", "--fix", "t=nan"], "ref29"),
     # (1 + t)^(beta/delta) overflows at delta = 0.0005: exit 2
     "poly-overflow": (EX2_BUILDER, "polygamy", ["--axis", "delta:0.0005:1:5"],
                       ["--fix", "beta=1"], "thm4,ref29"),
@@ -627,6 +624,16 @@ def test_non_finite_window_parameter_is_a_usage_error(capsys, name, value):
     with pytest.raises(h.UsageError, match=f"{name} must be finite"):
         h.SweepSpec("monogamy", [("alpha", 0.0, 2.0, 3)],
                     {"gamma": 2.0, name: float(value)}, ["ref29"])
+
+
+@pytest.mark.parametrize("span", ["-1e308:1e308", "nan:1", "0:inf"])
+def test_non_finite_axis_is_a_usage_error(capsys, span):
+    # finite ends whose span overflows gave nan and inf axis values, and a
+    # nan row marked admissible
+    err = usage_error(["sweep", "--builder", WCLASS_CKW, "--kind", "monogamy",
+                       "--axis", f"t:{span}:3", "--fix", "alpha=1",
+                       "--fix", "gamma=2", "--variants", "ref29"], capsys)
+    assert err == "entbounds: error: axis t: non-finite range"
 
 
 def test_sweep_validation(capsys):
