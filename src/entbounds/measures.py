@@ -23,7 +23,9 @@ the configured seed and run in stacked blocks through one optimizer pass;
 the stopping rule is replayed over each block in restart order (first-best
 wins) and restarts past the stop are dropped, so results, and
 restarts_used (the restarts the rule kept), are bit for bit those of one
-restart at a time, reproducible and safe for concurrent use.
+restart at a time, reproducible and safe for concurrent use.  On two
+qubits the Wootters concurrence is the exact roof, so it certifies the
+roof from below and the rule stops as soon as it is met.
 The polish looks for a split-product ensemble, a zero roof.  A state whose
 partial transpose over the split has an eigenvalue below -1e-10 is NPT,
 hence entangled (Peres), and has none: its roof runs no polish per restart
@@ -105,11 +107,15 @@ def _require_two_qubit(rho: DensityMatrix) -> None:
         raise MeasureError(f"two-qubit signature required, got {rho.sig.dims}")
 
 
+def _wootters_concurrence(rho_mat: np.ndarray) -> float:
+    mu = _wootters_mu(rho_mat)
+    return float(max(0.0, 2.0 * mu[0] - mu.sum()))
+
+
 def concurrence_wootters(rho: DensityMatrix) -> float:
     """Two-qubit concurrence max{mu1 - mu2 - mu3 - mu4, 0}."""
     _require_two_qubit(rho)
-    mu = _wootters_mu(rho.mat)
-    return float(max(0.0, 2.0 * mu[0] - mu.sum()))
+    return _wootters_concurrence(rho.mat)
 
 
 def negativity_pure(psi: PureState, split: Sequence[int] = (0,)) -> float:
@@ -188,12 +194,17 @@ class Ensemble:
 @dataclass(frozen=True)
 class RoofResult:
     """Outcome of a minimizing convex-roof optimization: the value is an
-    upper bound on the true roof and the average over its ensemble."""
+    upper bound on the true roof and the average over its ensemble.
+
+    lower is a certified lower end of the roof where one is known: the
+    value itself at rank 1, the Wootters concurrence on two qubits, and
+    None elsewhere."""
 
     value: float
     ensemble: Ensemble
     restarts_used: int
     converged: bool
+    lower: float | None
 
 
 @dataclass(frozen=True)
@@ -540,17 +551,21 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     direction must be "min", the only roof offered.  Decompositions are
     generated from the eigendecomposition via m x r isometries; restart 0
     starts at the eigendecomposition ensemble itself, the rest at
-    Haar-random isometries.  At most cfg.restarts restarts run: the loop
-    stops after STALL_RESTARTS in a row fail to lower the best by more than
-    cfg.step_tolerance, or once the roof reaches zero.  Restarts run in
-    stacked blocks: restart 0 with the STALL_RESTARTS the rule runs after
-    it anyway (alone when a zero roof is possible), then as many as the
-    rule still needs.  The rule is replayed over each block in restart
-    order, restarts past the stop are dropped and restarts_used counts
-    those the rule kept.  An NPT state (partial transpose over the split
-    with an eigenvalue below -1e-10) skips the per-restart polishes, runs
-    the rule on the sweep totals and then polishes the winner once, keeping
-    the polish only when it lowers the value.
+    Haar-random isometries.  At most cfg.restarts restarts run: on two
+    qubits the loop stops once the best is within cfg.step_tolerance of
+    the Wootters concurrence, the exact roof and so a certified lower end
+    (RoofResult.lower).  Otherwise, and as fallbacks, it stops once the
+    roof reaches zero or after STALL_RESTARTS in a row fail to lower the
+    best by more than cfg.step_tolerance.  Restarts run in stacked blocks:
+    restart 0 with the STALL_RESTARTS the rule runs after it anyway (alone
+    when a zero roof or the certificate may stop it there), then as many
+    as the stall rule still needs.  The rule is replayed over each block
+    in restart order, restarts past the stop are dropped and
+    restarts_used counts those the rule kept.  An NPT state (partial
+    transpose over the split with an eigenvalue below -1e-10) skips the
+    per-restart polishes, runs the rule on the sweep totals and then
+    polishes the winner once, keeping the polish only when it lowers the
+    value.
     """
     if direction != "min":
         raise ValueError(f"direction must be 'min', got {direction!r}")
@@ -580,7 +595,7 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
                                         n_qubits)),))
         ens.validate_against(rho)
         value = _ensemble_average(ens.members, n_qubits, split)
-        return RoofResult(value, ens, 0, True)
+        return RoofResult(value, ens, 0, True, value)
 
     qf = _minor_form(scaled, n_qubits, split).reshape(rank, -1)
     u0 = np.eye(m, rank, dtype=complex)
@@ -598,6 +613,9 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     best_total = best_u = None
     best_conv = stop = False
     restarts_used = stalled = 0
+    # the certificate comes from the matrix: a (4,) signature is a two-qubit
+    # register here too, and concurrence_wootters would reject it
+    lower = _wootters_concurrence(rho.mat) if n_qubits == 2 else None
     # a zero roof stops the rule at restart 0 and needs a separable, hence
     # PPT (Peres), state: there restart 0 runs alone first, and every
     # restart tries the polish.  An NPT state has no split-product
@@ -606,7 +624,7 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     for i in split:
         pt = transpose_subsystem(pt, (2,) * n_qubits, i)
     ppt = bool(np.linalg.eigvalsh(pt)[0] > -1e-10)
-    size = 1 if ppt else 1 + STALL_RESTARTS
+    size = 1 if ppt or lower is not None else 1 + STALL_RESTARTS
     while not stop and restarts_used < cfg.restarts:
         block = range(restarts_used, min(restarts_used + size, cfg.restarts))
         totals, us, convs = _restart_block(np.array([start(j) for j in block]),
@@ -619,7 +637,8 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
                 stalled += 1
             if best_total is None or total < best_total:
                 best_total, best_u, best_conv = total, u, bool(conv)
-            stop = best_total <= 1e-12 or stalled >= STALL_RESTARTS
+            stop = ((lower is not None and best_total - lower <= cfg.step_tolerance)
+                    or best_total <= 1e-12 or stalled >= STALL_RESTARTS)
             if stop:
                 break
         size = STALL_RESTARTS - stalled
@@ -648,7 +667,7 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     if abs(value - avg) > 1e-10:
         raise RuntimeError(f"roof value {value!r} differs from its ensemble "
                            f"average {avg!r}")
-    return RoofResult(value, ens, restarts_used, best_conv)
+    return RoofResult(value, ens, restarts_used, best_conv, lower)
 
 
 def scren(rho: DensityMatrix, cfg: RoofConfig | None = None) -> float:

@@ -131,11 +131,17 @@ def test_negativity_equals_wootters_on_pure_two_qubit(rng):
 # -- convex roof ------------------------------------------------------------
 
 def test_roof_pure_state_single_member():
+    # at rank 1 the value is exact, so it is its own certified lower end,
+    # on two qubits and on larger registers
     rho = to_density(bell_state())
     res = convex_roof(rho, concurrence_functional((0,)), "min", RoofConfig(seed=1))
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert len(res.ensemble.members) == 1
     assert res.converged
+    assert res.lower == res.value
+    res = convex_roof(to_density(example1_state()), concurrence_functional((0,)),
+                      "min", RoofConfig(seed=1))
+    assert res.lower == res.value
 
 
 def test_roof_maximally_mixed_concurrence_zero():
@@ -440,18 +446,52 @@ def test_roof_guard_rejects_a_value_off_its_ensemble(monkeypatch, direction):
                     RoofConfig(restarts=2, seed=1))
 
 
-def test_stopping_rule_on_roof_oracle_inputs():
+def test_stopping_rule_on_roof_oracle_inputs(monkeypatch):
     # the acceptance-7 inputs: each roof stops well below the 32-restart
     # cap and still meets the Wootters value to 1e-12 (the 32-restart runs
-    # the stopping rule replaced were within 1e-14 of it)
+    # the stopping rule replaced were within 1e-14 of it).  The roof carries
+    # the Wootters value as its certified lower end and stops within
+    # step_tolerance of it; restart 0 runs alone, so the roof keeps one
+    # restart exactly when restart 0 meets the certificate
+    restart_block, first_totals = msr._restart_block, []
+
+    def recorded(u, *args):
+        totals, us, convs = restart_block(u, *args)
+        first_totals.append(totals[0])
+        return totals, us, convs
+
+    monkeypatch.setattr(msr, "_restart_block", recorded)
     root = np.random.SeedSequence(20240817)
+    alone = 0
     for child in root.spawn(50):
         rng = np.random.Generator(np.random.PCG64(child))
         rho = reduce_pair(to_density(haar_random_from(rng, 3)), 1)
         cfg = RoofConfig(restarts=32, seed=int(child.generate_state(1)[0]))
+        first_totals.clear()
         res = convex_roof(rho, concurrence_functional((0,)), "min", cfg)
         assert res.restarts_used < cfg.restarts
         assert res.value == pytest.approx(concurrence_wootters(rho), abs=1e-12)
+        assert res.lower == concurrence_wootters(rho)
+        assert res.value - res.lower <= cfg.step_tolerance
+        met = first_totals[0] - res.lower <= cfg.step_tolerance
+        assert (res.restarts_used == 1) == met
+        alone += met
+    assert alone > 0
+
+
+def test_certificate_on_a_flat_two_qubit_signature():
+    # a 4 x 4 state with signature (4,) is a two-qubit register to the roof,
+    # though concurrence_wootters rejects it; the roof takes the certificate
+    # from the matrix, stops at restart 0 and returns, as float.hex, the
+    # value that the stall rule alone returned after 4 restarts
+    rho = reduce_pair(to_density(haar_random_pure(3, 700)), 1)
+    flat = DensityMatrix(rho.mat, SystemSignature((4,)))
+    with pytest.raises(MeasureError):
+        concurrence_wootters(flat)
+    res = convex_roof(flat, concurrence_functional((0,)), "min", RoofConfig(seed=1))
+    assert res.value.hex() == "0x1.94807f61aad58p-3"
+    assert res.lower == concurrence_wootters(rho)
+    assert res.restarts_used == 1
 
 
 # -- the sequential restart loop, kept as the stacked optimizer's oracle -------
@@ -603,6 +643,8 @@ def sequential_convex_roof(rho, cfg):
             return total_c, cand, True
         return total, u, conv
 
+    # on two qubits the Wootters concurrence certifies the roof from below
+    lower = msr._wootters_concurrence(rho.mat) if n_qubits == 2 else None
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_total = best_u = None
     best_conv = False
@@ -639,6 +681,8 @@ def sequential_convex_roof(rho, cfg):
             stalled += 1
         if best_total is None or total < best_total:
             best_total, best_u, best_conv = total, u, conv
+        if lower is not None and best_total - lower <= cfg.step_tolerance:
+            break
         if best_total <= 1e-12 or stalled >= msr.STALL_RESTARTS:
             break
     if npt:
@@ -684,6 +728,9 @@ ORACLE_CASES = [
     ("d4", "min", 32, 500, False), ("d4", "min", 1, 1, False),
     ("d8", "min", 32, 500, False), ("d8", "min", 4, 16, True),
     ("q2r3", "min", 4, 16, False), ("q2r4", "min", 2, 1, True),
+    # restart 0 misses the Wootters certificate; the next block meets it
+    # at restart 1, so the rule drops that block's later restarts
+    ("q2r3", "min", 8, 500, False),
     ("q3r3", "min", 1, 15, False), ("q3r4", "min", 4, 500, True),
     ("sep", "min", 32, 500, False), ("sep", "min", 2, 16, True),
     # a nonzero min roof behind a positive partial transpose: restart 0
@@ -705,6 +752,8 @@ def test_stacked_roof_matches_sequential_oracle(name, direction, restarts,
     assert np.array_equal(ensemble_rows(res).view(np.int64), rows.view(np.int64))
     assert (res.restarts_used, res.converged) == (restarts_used, converged)
     assert type(res.converged) is bool
+    # a certified lower end on two qubits only
+    assert res.lower == (concurrence_wootters(rho) if rho.dim == 4 else None)
 
 
 def test_sweep_block_matches_lone_restarts_when_moves_are_rejected(monkeypatch):
@@ -747,7 +796,9 @@ def test_sweep_block_matches_lone_restarts_when_moves_are_rejected(monkeypatch):
 def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
     # an NPT state has no split-product ensemble: its restarts only sweep,
     # and one polish of the winning isometry runs after the stopping rule;
-    # PPT states (separable, or Horodecki's) still polish every restart
+    # PPT states (separable, or Horodecki's) still polish every restart.
+    # On two qubits the Wootters certificate stops d4 at restart 0 and
+    # q2r3 at restart 1; d8 has no certificate and stops on the stall rule
     calls = []
     optimize, polish = msr._optimize_ensemble, msr._product_polish
 
@@ -762,13 +813,15 @@ def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
     monkeypatch.setattr(msr, "_optimize_ensemble", counted_optimize)
     monkeypatch.setattr(msr, "_product_polish", counted_polish)
     states = oracle_states()
+    used = {}
     for name in ("d4", "d8", "q2r3"):
         calls.clear()
         res = convex_roof(states[name], concurrence_functional((0,)), "min",
                           RoofConfig(restarts=8, seed=11))
-        assert res.restarts_used > 1
+        used[name] = res.restarts_used
         assert [c for c in calls if c[0] == "polish"] == [("polish", 1)]
         assert calls[-1] == ("polish", 1)
+    assert used["d4"] == 1 and used["q2r3"] == 2 and used["d8"] > 1
     for name in ("sep", "ppt"):  # with the knobs of the PPT oracle cases
         calls.clear()
         rank = int(np.sum(np.linalg.eigvalsh(states[name].mat) > msr.RANK_TOL))
