@@ -310,6 +310,9 @@ _ZOOM = np.linspace(-1.0, 1.0, 7)  # each refinement: 7 x 7 around the best
 # restarts stop after this many in a row fail to lower the best by more
 # than RoofConfig.step_tolerance; RoofConfig.restarts is the cap
 STALL_RESTARTS = 3
+# the polish ends a restart after an accepted step that lowers its cost by
+# at most this share of it: the cost is then flat to rounding
+POLISH_MIN_REDUCTION = 1e-15
 
 
 def _optimize_ensemble(u, qf, caps, tol):
@@ -344,60 +347,89 @@ def _selection(mask):
     return mask.nonzero()[0] if n else None
 
 
+@lru_cache(maxsize=None)
+def _rounds(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Row pairs (a, b), a < b, of an m-member ensemble in the rounds of
+    the circle method: m - 1 rounds of m / 2 disjoint pairs for even m, m
+    rounds of (m - 1) / 2 for odd m (a dummy row sits out each round), so
+    that every pair appears once.  Each round is (a, b) as index arrays."""
+    n = m + m % 2  # players, the dummy row m included when m is odd
+    rounds = []
+    for r in range(n - 1):
+        pairs = [(r, n - 1)] + [((r + i) % (n - 1), (r - i) % (n - 1))
+                                for i in range(1, n // 2)]
+        pairs = sorted((min(p), max(p)) for p in pairs if max(p) < m)
+        a, b = np.array(pairs, dtype=np.intp).T
+        a.setflags(write=False)  # shared by every caller through the cache
+        b.setflags(write=False)
+        rounds.append((a, b))
+    return tuple(rounds)
+
+
 def _sweep(u, qu, mu, w, qf):
     """One Givens line search per row pair, in place on stacked restarts;
-    returns each restart's summed improvement.  A block holds at most
-    1 + STALL_RESTARTS restarts, so per-restart bookkeeping runs on scalars,
-    which costs less than masked array updates."""
+    returns each restart's summed improvement.
+
+    The pair objective w_a + w_b reads rows a and b alone, so pairs with no
+    common row do not interact: the disjoint pairs of each round of
+    _rounds(m) run as one stacked pass, with the (restart, pair) entries in
+    the leading axis, and the result is bit for bit the loop over one pair
+    at a time in round order.  Improvements add up in that order too."""
     n, m = u.shape[:2]
-    improvement = np.zeros(n)
-    for a in range(m):
-        for b in range(a + 1, m):
-            coef = np.concatenate([mu[:, a, None], 2.0 * (u[:, a, None] @ qu[:, b]),
-                                   mu[:, b, None]], axis=1)
-            # the coarse grid with its zoom ladder; restarts that improve
-            # on it go on to five shrinking 7 x 7 refinements
-            vals = _givens_values(coef, _COARSE_GRID)
-            ks = vals.argmin(axis=-1).tolist()
-            f = [i for i, ki in enumerate(ks)
-                 if vals[i, ki] < w[i, a] + w[i, b] - 1e-15]
-            if not f:
-                continue
-            k = [ks[i] for i in f]
-            best = vals[f, k]
-            if len(f) == n:  # a basic slice keeps u and its state as views
-                f = slice(None)
-            coef, cur = coef[f], w[f, a] + w[f, b]
-            t0, p0, dt = _COARSE_START[:, k]
-            dp = 2 * np.pi / len(_PHIS)
-            for _round in range(5):
-                thetas = t0[:, None] + dt[:, None] * _ZOOM
-                phis = p0[:, None] + dp * _ZOOM
-                dp /= 3.0
-                vals = _givens_values(coef, _givens_grid(thetas, phis))
-                for i, ki in enumerate(vals.argmin(axis=-1).tolist()):
-                    if vals[i, ki] < best[i] - 1e-15:
-                        ti, pi = divmod(ki, len(_ZOOM))
-                        best[i], t0[i], p0[i] = vals[i, ki], thetas[i, ti], phis[i, pi]
-                        dt[i] = max(dt[i] / 3.0, abs(t0[i]) * 1e-3 + 1e-6)
-                    else:
-                        dt[i] /= 3.0
-            c = np.cos(t0)[:, None, None]
-            s = (np.sin(t0) * np.exp(1j * p0))[:, None, None]
-            ua, ub = u[f, a, None], u[f, b, None]
-            rows = np.concatenate([c * ua + s * ub, c * ub - s.conj() * ua], axis=1)
-            qu_ab, mu_ab = _member_minors(rows, qf)
-            w_ab = _weights(mu_ab)
-            new = w_ab[:, 0] + w_ab[:, 1]
-            keep = new < cur
-            pairs = (u, rows), (qu, qu_ab), (mu, mu_ab), (w, w_ab)
-            if np.count_nonzero(keep) < len(keep):
-                f, cur, new = np.arange(n)[f][keep], cur[keep], new[keep]
-                pairs = [(x, x_ab[keep]) for x, x_ab in pairs]
-            for x, x_ab in pairs:
-                x[f, a], x[f, b] = x_ab[:, 0], x_ab[:, 1]
-            improvement[f] += cur - new
-    return improvement
+    rounds = _rounds(m)
+    p = len(rounds[0][0])  # pairs per round, the same in every round
+    gains = np.zeros((n, len(rounds), p))
+    for r, (a, b) in enumerate(rounds):
+        coef = np.concatenate([mu[:, a, None], 2.0 * (u[:, a, None] @ qu[:, b]),
+                               mu[:, b, None]], axis=2).reshape(n * p, 3, -1)
+        cur = (w[:, a] + w[:, b]).ravel()
+        # the coarse grid with its zoom ladder; entries that improve on it
+        # go on to five shrinking 7 x 7 refinements
+        vals = _givens_values(coef, _COARSE_GRID)
+        k = vals.argmin(axis=-1)
+        best = vals[np.arange(len(k)), k]
+        f = (best < cur - 1e-15).nonzero()[0]
+        if not f.size:
+            continue
+        if f.size < len(k):
+            coef, cur, best, k = coef[f], cur[f], best[f], k[f]
+        at = np.arange(len(f))
+        t0, p0, dt = _COARSE_START[:, k]
+        dp = 2 * np.pi / len(_PHIS)
+        for _round in range(5):
+            thetas = t0[:, None] + dt[:, None] * _ZOOM
+            phis = p0[:, None] + dp * _ZOOM
+            dp /= 3.0
+            vals = _givens_values(coef, _givens_grid(thetas, phis))
+            k = vals.argmin(axis=-1)
+            v = vals[at, k]
+            up = v < best - 1e-15
+            ti, pi = np.divmod(k, len(_ZOOM))
+            best = np.where(up, v, best)
+            t0 = np.where(up, thetas[at, ti], t0)
+            p0 = np.where(up, phis[at, pi], p0)
+            dt = np.where(up, np.maximum(dt / 3.0, np.abs(t0) * 1e-3 + 1e-6),
+                          dt / 3.0)
+        c = np.cos(t0)[:, None, None]
+        s = (np.sin(t0) * np.exp(1j * p0))[:, None, None]
+        i, j = np.divmod(f, p)
+        ra, rb = a[j], b[j]
+        ua, ub = u[i, ra, None], u[i, rb, None]
+        rows = np.concatenate([c * ua + s * ub, c * ub - s.conj() * ua], axis=1)
+        qu_ab, mu_ab = _member_minors(rows, qf)
+        w_ab = _weights(mu_ab)
+        new = w_ab[:, 0] + w_ab[:, 1]
+        keep = new < cur
+        pairs = (u, rows), (qu, qu_ab), (mu, mu_ab), (w, w_ab)
+        if np.count_nonzero(keep) < len(keep):
+            i, j, ra, rb = i[keep], j[keep], ra[keep], rb[keep]
+            cur, new = cur[keep], new[keep]
+            pairs = [(x, x_ab[keep]) for x, x_ab in pairs]
+        for x, x_ab in pairs:
+            x[i, ra], x[i, rb] = x_ab[:, 0], x_ab[:, 1]
+        gains[i, r, j] = cur - new
+    # a running sum, so the additions happen in round order
+    return np.add.accumulate(gains.reshape(n, -1), axis=1)[:, -1]
 
 
 def _qr_retract(x: np.ndarray) -> np.ndarray:
@@ -454,7 +486,9 @@ def _product_polish(u, qf, iters: int = 40):
     quadratically instead.  Steps are solved in an explicit tangent basis
     so the QR retraction only contributes second-order corrections.  u
     stacks restarts (R, m, r); each keeps its own damping and stops on
-    its own.
+    its own: after 8 failed tries at one step, or after an accepted step
+    that lowers its cost by at most POLISH_MIN_REDUCTION times the cost (the
+    relative-reduction test of MINPACK's lmder).
     """
     u = u.copy()
     qu, mu = _member_minors(u, qf)
@@ -482,16 +516,21 @@ def _product_polish(u, qf, iters: int = 40):
             qu_c, mu_c = _member_minors(cand, qf)
             cost_c = _sq_norms(mu_c)
             ok = cost_c < cost[z]
+            # a step that lowers the cost by at most POLISH_MIN_REDUCTION of it
+            # ends its restart
+            flat_step = cost[z] - cost_c <= POLISH_MIN_REDUCTION * cost[z]
             n_ok = np.count_nonzero(ok)
             if n_ok == len(ok):
                 u[z], qu[z], mu[z], cost[z] = cand, qu_c, mu_c, cost_c
                 lam[z] = np.maximum(lam[z] * 0.25, 1e-14)
+                live[z] = ~flat_step
                 break
             if n_ok:
                 z = np.arange(len(u))[z]
                 g = z[ok]
                 u[g], qu[g], mu[g], cost[g] = cand[ok], qu_c[ok], mu_c[ok], cost_c[ok]
                 lam[g] = np.maximum(lam[g] * 0.25, 1e-14)
+                live[g] = ~flat_step[ok]
                 z, gram, grad, flat = z[~ok], gram[~ok], grad[~ok], flat[~ok]
             lam[z] = np.minimum(lam[z] * 8.0, 1e8)
         else:
@@ -507,13 +546,14 @@ def _restart_block(u, qf, cfg, polish):
     consolidating sweeps are enough, otherwise the remaining sweeps run,
     then one more polish.  A polish is kept only when it lowers the total.
     Without polish (an NPT state, which has no split-product ensemble)
-    every restart sweeps 15 times and then the remaining sweeps."""
+    the two stages are one run of max_iters sweeps: a restart converged
+    in the first 15 sweeps no more."""
     tol = cfg.step_tolerance
     stage1 = min(15, cfg.max_iters)
     totals, u, conv = _optimize_ensemble(u, qf, np.full(len(u), stage1), tol)
     polished = _try_polish(totals, u, conv, qf, np.full(len(u), polish))
-    caps = np.where(polished, np.where(totals > 1e-12, 10, 0),
-                    max(cfg.max_iters - stage1, 0))
+    rest = np.where(conv & (not polish), 0, max(cfg.max_iters - stage1, 0))
+    caps = np.where(polished, np.where(totals > 1e-12, 10, 0), rest)
     t3, u3, c3 = _optimize_ensemble(u, qf, caps, tol)
     take = (caps > 0) & (t3 < totals)
     totals[take], u[take], conv[take] = t3[take], u3[take], c3[take]
@@ -619,7 +659,11 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     # a zero roof stops the rule at restart 0 and needs a separable, hence
     # PPT (Peres), state: there restart 0 runs alone first, and every
     # restart tries the polish.  An NPT state has no split-product
-    # ensemble, so only the winner is polished, once the rule stops
+    # ensemble, so only the winner is polished, once the rule stops, and
+    # only on two qubits: with one minor per member the polish's sum of
+    # |minor|^2 is at least (sum |minor|)^2 / m, with equality at Wootters'
+    # equal-concurrence optimal ensembles, so it shares the roof's
+    # minimizers; with more minors per member it does not
     pt = rho.mat
     for i in split:
         pt = transpose_subsystem(pt, (2,) * n_qubits, i)
@@ -642,7 +686,7 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
             if stop:
                 break
         size = STALL_RESTARTS - stalled
-    if not ppt:
+    if not ppt and lower is not None:
         totals, us = np.array([best_total]), best_u[None].copy()
         convs = np.array([best_conv])
         _try_polish(totals, us, convs, qf, np.ones(1, dtype=bool))

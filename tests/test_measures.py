@@ -527,46 +527,47 @@ def seq_optimize_ensemble(u, qf, max_iters, tol):
     u = u.copy()
     qu, mu = seq_member_minors(u, qf)
     w = msr._weights(mu)
-    m = u.shape[0]
+    # the pairs one at a time, in the order of the stacked rounds
+    order = [(int(a), int(b)) for rnd in msr._rounds(u.shape[0])
+             for a, b in zip(*rnd)]
     converged = False
     for _ in range(max_iters):
         improvement = 0.0
-        for a in range(m):
-            for b in range(a + 1, m):
-                cur = float(w[a] + w[b])
-                coef = np.array([mu[a], 2.0 * (u[a] @ qu[b]), mu[b]])
-                grid, thetas, phis = SEQ_COARSE_GRID, msr._THETAS, msr._PHIS
-                dt = np.pi / 18
-                dp = 2 * np.pi / len(phis)
-                best = cur
-                found = False
-                for _round in range(6):
-                    vals = seq_givens_values(coef, grid)
-                    k = int(np.argmin(vals))
-                    if vals[k] < best - 1e-15:
-                        best = float(vals[k])
-                        found = True
-                        ti, pi = divmod(k, len(phis))
-                        t0, p0 = thetas[ti], phis[pi]
-                        dt = max(dt / 3.0, abs(t0) * 1e-3 + 1e-6)
-                    elif not found:
-                        break
-                    else:
-                        dt /= 3.0
-                    thetas, phis = t0 + dt * msr._ZOOM, p0 + dp * msr._ZOOM
-                    grid = seq_givens_grid(thetas, phis)
-                    dp /= 3.0
-                if not found:
-                    continue
-                c, s = np.cos(t0), np.sin(t0) * np.exp(1j * p0)
-                rows = np.array([c * u[a] + s * u[b], c * u[b] - s.conj() * u[a]])
-                qu_ab, mu_ab = seq_member_minors(rows, qf)
-                w_ab = msr._weights(mu_ab)
-                new = float(w_ab[0] + w_ab[1])
-                if new < cur:
-                    u[[a, b]], qu[[a, b]], mu[[a, b]], w[[a, b]] = (
-                        rows, qu_ab, mu_ab, w_ab)
-                    improvement += cur - new
+        for a, b in order:
+            cur = float(w[a] + w[b])
+            coef = np.array([mu[a], 2.0 * (u[a] @ qu[b]), mu[b]])
+            grid, thetas, phis = SEQ_COARSE_GRID, msr._THETAS, msr._PHIS
+            dt = np.pi / 18
+            dp = 2 * np.pi / len(phis)
+            best = cur
+            found = False
+            for _round in range(6):
+                vals = seq_givens_values(coef, grid)
+                k = int(np.argmin(vals))
+                if vals[k] < best - 1e-15:
+                    best = float(vals[k])
+                    found = True
+                    ti, pi = divmod(k, len(phis))
+                    t0, p0 = thetas[ti], phis[pi]
+                    dt = max(dt / 3.0, abs(t0) * 1e-3 + 1e-6)
+                elif not found:
+                    break
+                else:
+                    dt /= 3.0
+                thetas, phis = t0 + dt * msr._ZOOM, p0 + dp * msr._ZOOM
+                grid = seq_givens_grid(thetas, phis)
+                dp /= 3.0
+            if not found:
+                continue
+            c, s = np.cos(t0), np.sin(t0) * np.exp(1j * p0)
+            rows = np.array([c * u[a] + s * u[b], c * u[b] - s.conj() * u[a]])
+            qu_ab, mu_ab = seq_member_minors(rows, qf)
+            w_ab = msr._weights(mu_ab)
+            new = float(w_ab[0] + w_ab[1])
+            if new < cur:
+                u[[a, b]], qu[[a, b]], mu[[a, b]], w[[a, b]] = (
+                    rows, qu_ab, mu_ab, w_ab)
+                improvement += cur - new
         if improvement < tol:
             converged = True
             break
@@ -612,12 +613,13 @@ def seq_product_polish(u, qf, iters=40):
             qu_c, mu_c = seq_member_minors(cand, qf)
             cost_c = float(np.sum(mu_c.real ** 2 + mu_c.imag ** 2))
             if cost_c < cost:
+                flat_step = cost - cost_c <= msr.POLISH_MIN_REDUCTION * cost
                 u, qu, mu, cost = cand, qu_c, mu_c, cost_c
                 lam = max(lam * 0.25, 1e-14)
                 moved = True
                 break
             lam = min(lam * 8.0, 1e8)
-        if not moved:
+        if not moved or flat_step:
             break
     return u
 
@@ -632,7 +634,8 @@ def sequential_convex_roof(rho, cfg):
     m = cfg.max_ensemble_size if cfg.max_ensemble_size is not None else rank * rank
     scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
     qf = msr._minor_form(scaled, n_qubits, (0,)).reshape(rank, -1)
-    # an NPT state (Peres: entangled) polishes only the winning restart
+    # an NPT state (Peres: entangled) polishes only the winning restart,
+    # and only on two qubits
     npt = np.linalg.eigvalsh(
         transpose_subsystem(rho.mat, rho.sig.dims, 0))[0] <= -1e-10
 
@@ -685,7 +688,7 @@ def sequential_convex_roof(rho, cfg):
             break
         if best_total <= 1e-12 or stalled >= msr.STALL_RESTARTS:
             break
-    if npt:
+    if npt and lower is not None:
         best_total, best_u, best_conv = try_polish(best_total, best_u, best_conv)
     rows = []
     for row in best_u @ scaled:
@@ -728,6 +731,8 @@ ORACLE_CASES = [
     ("d4", "min", 32, 500, False), ("d4", "min", 1, 1, False),
     ("d8", "min", 32, 500, False), ("d8", "min", 4, 16, True),
     ("q2r3", "min", 4, 16, False), ("q2r4", "min", 2, 1, True),
+    # an ensemble of 16 members: 15 stacked rounds of 8 disjoint pairs
+    ("q2r4", "min", 2, 16, False),
     # restart 0 misses the Wootters certificate; the next block meets it
     # at restart 1, so the rule drops that block's later restarts
     ("q2r3", "min", 8, 500, False),
@@ -795,10 +800,11 @@ def test_sweep_block_matches_lone_restarts_when_moves_are_rejected(monkeypatch):
 
 def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
     # an NPT state has no split-product ensemble: its restarts only sweep,
-    # and one polish of the winning isometry runs after the stopping rule;
-    # PPT states (separable, or Horodecki's) still polish every restart.
-    # On two qubits the Wootters certificate stops d4 at restart 0 and
-    # q2r3 at restart 1; d8 has no certificate and stops on the stall rule
+    # and on two qubits one polish of the winning isometry runs after the
+    # stopping rule; on more qubits no polish runs at all.  PPT states
+    # (separable, or Horodecki's) still polish every restart.  On two
+    # qubits the Wootters certificate stops d4 at restart 0 and q2r3 at
+    # restart 1; d8 has no certificate and stops on the stall rule
     calls = []
     optimize, polish = msr._optimize_ensemble, msr._product_polish
 
@@ -819,6 +825,9 @@ def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
         res = convex_roof(states[name], concurrence_functional((0,)), "min",
                           RoofConfig(restarts=8, seed=11))
         used[name] = res.restarts_used
+        if name == "d8":
+            assert "polish" not in [kind for kind, _ in calls]
+            continue
         assert [c for c in calls if c[0] == "polish"] == [("polish", 1)]
         assert calls[-1] == ("polish", 1)
     assert used["d4"] == 1 and used["q2r3"] == 2 and used["d8"] > 1
@@ -831,6 +840,66 @@ def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
         kinds = [kind for kind, _ in calls]
         assert sum(n for kind, n in calls if kind == "polish") >= res.restarts_used
         assert "sweep" in kinds[kinds.index("polish"):]  # polished mid-restart
+
+
+@pytest.mark.parametrize("m", range(2, 26))
+def test_rounds_cover_every_pair_once_in_disjoint_rounds(m):
+    rounds = msr._rounds(m)
+    assert len(rounds) == (m - 1 if m % 2 == 0 else m)
+    seen = []
+    for a, b in rounds:
+        assert len(a) == m // 2
+        assert np.all(a < b) and b.max() < m
+        assert len(set(a.tolist()) | set(b.tolist())) == 2 * len(a)  # disjoint
+        seen += zip(a.tolist(), b.tolist())
+    assert sorted(seen) == [(a, b) for a in range(m) for b in range(a + 1, m)]
+
+
+def npt_restart_starts(rho, cfg):
+    """Scaled-eigenvector minor form and the first block of restart
+    isometries of an NPT min roof, built as convex_roof builds them."""
+    n_qubits = int(round(np.log2(rho.dim)))
+    evals, vecs = np.linalg.eigh(rho.mat)
+    idx = evals > msr.RANK_TOL
+    scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
+    rank = len(scaled)
+    qf = msr._minor_form(scaled, n_qubits, (0,)).reshape(rank, -1)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    starts = [np.eye(rank * rank, rank, dtype=complex)]
+    for j in range(1, 1 + msr.STALL_RESTARTS):
+        rng = np.random.Generator(np.random.PCG64(seeds[j]))
+        gauss = (rng.standard_normal((rank * rank, rank))
+                 + 1j * rng.standard_normal((rank * rank, rank)))
+        starts.append(np.linalg.qr(gauss)[0][:, :rank])
+    return qf, np.array(starts)
+
+
+def multi_qubit_npt_inputs():
+    states = oracle_states()
+    cases = [(states[name], RoofConfig(restarts=8, seed=11))
+             for name in ("d8", "q3r3", "q3r4")]
+    cases += [(partial_trace(to_density(haar_random_pure(4, s)), (0, 1, 2)),
+               RoofConfig(restarts=8, seed=s)) for s in D8_RESIDUAL_BITS]
+    return cases
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_multi_qubit_npt_winner_polish_is_not_kept(k):
+    # why convex_roof polishes an NPT winner on two qubits only: with more
+    # than one minor per member the polish's sum of |minor|^2 does not
+    # share the roof's minimizers, and on these residuals and oracle states
+    # polishing the best swept restart never lowers its total
+    rho, cfg = multi_qubit_npt_inputs()[k]
+    assert np.linalg.eigvalsh(transpose_subsystem(
+        rho.mat, rho.sig.dims, 0))[0] <= -1e-10  # NPT
+    qf, starts = npt_restart_starts(rho, cfg)
+    totals, us, convs = msr._restart_block(starts, qf, cfg, False)
+    best = int(np.argmin(totals))
+    total = totals[best]
+    kept = msr._try_polish(totals[best:best + 1], us[best:best + 1].copy(),
+                           convs[best:best + 1].copy(), qf, np.ones(1, dtype=bool))
+    assert not kept[0]
+    assert totals[best] == total
 
 
 # chain-residual min roofs, A|BC of haar_random_pure(4, s) with verify
