@@ -811,7 +811,7 @@ GOLDEN = {
     # min roofs on two-qubit marginals checked against Wootters
     "verify-roof-oracle": (
         ["verify", "--suite", "roof-oracle", "--trials", "8", "--seed", "3"],
-        "ca5da3b18df39feea5e2ebe150810fcad625fafe54a40bf9e3658a598fd74adc"),
+        "f54e708dbb0d22e6542a95db5f11eb1a8fa52061114945700712f5fed93176f5"),
     # the exact two-qubit closed forms on one W-class marginal, with no
     # optimizer block
     "measure-wclass-scren": (

@@ -482,14 +482,13 @@ def test_stopping_rule_on_roof_oracle_inputs(monkeypatch):
 def test_certificate_on_a_flat_two_qubit_signature():
     # a 4 x 4 state with signature (4,) is a two-qubit register to the roof,
     # though concurrence_wootters rejects it; the roof takes the certificate
-    # from the matrix, stops at restart 0 and returns, as float.hex, the
-    # value that the stall rule alone returned after 4 restarts
+    # from the matrix, stops at restart 0 and returns its value as float.hex
     rho = reduce_pair(to_density(haar_random_pure(3, 700)), 1)
     flat = DensityMatrix(rho.mat, SystemSignature((4,)))
     with pytest.raises(MeasureError):
         concurrence_wootters(flat)
     res = convex_roof(flat, concurrence_functional((0,)), "min", RoofConfig(seed=1))
-    assert res.value.hex() == "0x1.94807f61aad58p-3"
+    assert res.value.hex() == "0x1.94807f61aad5ap-3"
     assert res.lower == concurrence_wootters(rho)
     assert res.restarts_used == 1
 
@@ -903,13 +902,13 @@ def test_multi_qubit_npt_winner_polish_is_not_kept(k):
 
 
 # chain-residual min roofs, A|BC of haar_random_pure(4, s) with verify
-# chain's 8 restarts, recorded while every restart was still polished: the
-# value as float.hex and the SHA-256 of the ensemble rows
+# chain's 8 restarts: the value as float.hex and the SHA-256 of the
+# ensemble rows, recorded with round-ordered sweeps and no winner polish
 D8_RESIDUAL_BITS = {
-    9: ("0x1.90a575bab51a7p-1",
-        "2f985f5608248522a1bc33b16f1798cb060166f307f14351b0859644371b3e88"),
-    21: ("0x1.8748b1fcae470p-1",
-         "2341f2fc44537401172362b7e1d250112f2f777f5ecfc1a0909724ad78fdce19"),
+    9: ("0x1.90a575b96dd0dp-1",
+        "94da98ac80d1ee4cf40c4204590ce37292cd71e455432dc3860d7995c587acb7"),
+    21: ("0x1.8748b1fc5ab42p-1",
+         "338f373fc93cb319aaadec997ed88457c63befa76e71e4bdae7030b7b696a820"),
     33: ("0x1.69a3916be1200p-1",
          "7044e97474a5af5cbdf5a21e94a645137643ea5c637197260bb25d2bc2fbf5e5"),
 }
