@@ -18,19 +18,24 @@ on its eigendecomposition ensemble.  For any split, C^2 =
 4 sum |2 x 2 minors|^2 (Cauchy-Binet; Wootters, PRL 80, 2245, 1998), and
 each member's minors are one quadratic form u_i^T Q u_i, so Q gives the
 objective, closed-form Givens-rotation line searches and the
-Levenberg-Marquardt polish.  Restarts derive independent sub-seeds from
-the configured seed and run in stacked blocks through one optimizer pass;
-the stopping rule is replayed over each block in restart order (first-best
-wins) and restarts past the stop are dropped, so results, and
-restarts_used (the restarts the rule kept), are bit for bit those of one
-restart at a time, reproducible and safe for concurrent use.  On two
+Levenberg-Marquardt polish.  A sweep visits every row pair once, in the
+rounds of disjoint pairs of the circle method (Brent and Luk, SIAM J. Sci.
+Stat. Comput. 6, 69, 1985), each round one stacked pass: an m-member
+ensemble takes m - 1 passes (m when m is odd), not m (m - 1) / 2.
+Restarts derive independent sub-seeds from the configured seed and run in
+stacked blocks through one optimizer pass; the stopping rule is replayed
+over each block in restart order (first-best wins) and restarts past the
+stop are dropped, so results, and restarts_used (the restarts the rule
+kept), are bit for bit those of one restart at a time, reproducible and
+safe for concurrent use.  On two
 qubits the Wootters concurrence is the exact roof, so it certifies the
 roof from below and the rule stops as soon as it is met.
 The polish looks for a split-product ensemble, a zero roof.  A state whose
 partial transpose over the split has an eigenvalue below -1e-10 is NPT,
-hence entangled (Peres), and has none: its roof runs no polish per restart
-and polishes only the winning decomposition, once, after the stopping
-rule.
+hence entangled (Peres), and has none: its roof runs no polish per restart.
+On two qubits it polishes the winning decomposition once, after the
+stopping rule, which lands it on the Wootters value; on more qubits the
+polish's objective does not share the roof's minimizers and none runs.
 """
 
 from __future__ import annotations
@@ -396,7 +401,7 @@ def _sweep(u, qu, mu, w, qf):
         at = np.arange(len(f))
         t0, p0, dt = _COARSE_START[:, k]
         dp = 2 * np.pi / len(_PHIS)
-        for _round in range(5):
+        for _zoom in range(5):
             thetas = t0[:, None] + dt[:, None] * _ZOOM
             phis = p0[:, None] + dp * _ZOOM
             dp /= 3.0
@@ -601,11 +606,12 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     when a zero roof or the certificate may stop it there), then as many
     as the stall rule still needs.  The rule is replayed over each block
     in restart order, restarts past the stop are dropped and
-    restarts_used counts those the rule kept.  An NPT state (partial
+    restarts_used counts those the rule kept.  Each sweep runs the row
+    pairs in the stacked rounds of _rounds(m).  An NPT state (partial
     transpose over the split with an eigenvalue below -1e-10) skips the
-    per-restart polishes, runs the rule on the sweep totals and then
-    polishes the winner once, keeping the polish only when it lowers the
-    value.
+    per-restart polishes and runs the rule on the sweep totals; on two
+    qubits it then polishes the winner once, keeping the polish only when
+    it lowers the value, and on more qubits it runs no polish.
     """
     if direction != "min":
         raise ValueError(f"direction must be 'min', got {direction!r}")

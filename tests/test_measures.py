@@ -854,53 +854,6 @@ def test_rounds_cover_every_pair_once_in_disjoint_rounds(m):
     assert sorted(seen) == [(a, b) for a in range(m) for b in range(a + 1, m)]
 
 
-def npt_restart_starts(rho, cfg):
-    """Scaled-eigenvector minor form and the first block of restart
-    isometries of an NPT min roof, built as convex_roof builds them."""
-    n_qubits = int(round(np.log2(rho.dim)))
-    evals, vecs = np.linalg.eigh(rho.mat)
-    idx = evals > msr.RANK_TOL
-    scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
-    rank = len(scaled)
-    qf = msr._minor_form(scaled, n_qubits, (0,)).reshape(rank, -1)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    starts = [np.eye(rank * rank, rank, dtype=complex)]
-    for j in range(1, 1 + msr.STALL_RESTARTS):
-        rng = np.random.Generator(np.random.PCG64(seeds[j]))
-        gauss = (rng.standard_normal((rank * rank, rank))
-                 + 1j * rng.standard_normal((rank * rank, rank)))
-        starts.append(np.linalg.qr(gauss)[0][:, :rank])
-    return qf, np.array(starts)
-
-
-def multi_qubit_npt_inputs():
-    states = oracle_states()
-    cases = [(states[name], RoofConfig(restarts=8, seed=11))
-             for name in ("d8", "q3r3", "q3r4")]
-    cases += [(partial_trace(to_density(haar_random_pure(4, s)), (0, 1, 2)),
-               RoofConfig(restarts=8, seed=s)) for s in D8_RESIDUAL_BITS]
-    return cases
-
-
-@pytest.mark.parametrize("k", range(6))
-def test_multi_qubit_npt_winner_polish_is_not_kept(k):
-    # why convex_roof polishes an NPT winner on two qubits only: with more
-    # than one minor per member the polish's sum of |minor|^2 does not
-    # share the roof's minimizers, and on these residuals and oracle states
-    # polishing the best swept restart never lowers its total
-    rho, cfg = multi_qubit_npt_inputs()[k]
-    assert np.linalg.eigvalsh(transpose_subsystem(
-        rho.mat, rho.sig.dims, 0))[0] <= -1e-10  # NPT
-    qf, starts = npt_restart_starts(rho, cfg)
-    totals, us, convs = msr._restart_block(starts, qf, cfg, False)
-    best = int(np.argmin(totals))
-    total = totals[best]
-    kept = msr._try_polish(totals[best:best + 1], us[best:best + 1].copy(),
-                           convs[best:best + 1].copy(), qf, np.ones(1, dtype=bool))
-    assert not kept[0]
-    assert totals[best] == total
-
-
 # chain-residual min roofs, A|BC of haar_random_pure(4, s) with verify
 # chain's 8 restarts: the value as float.hex and the SHA-256 of the
 # ensemble rows, recorded with round-ordered sweeps and no winner polish
@@ -921,3 +874,52 @@ def test_chain_residual_roofs_keep_their_bits(s):
                       RoofConfig(restarts=8, seed=s))
     digest = hashlib.sha256(ensemble_rows(res).tobytes()).hexdigest()
     assert (res.value.hex(), digest) == D8_RESIDUAL_BITS[s]
+
+
+def npt_restart_starts(rho, cfg):
+    """Scaled-eigenvector minor form and the first block of restart
+    isometries of an NPT min roof, built as convex_roof builds them."""
+    n_qubits = int(round(np.log2(rho.dim)))
+    evals, vecs = np.linalg.eigh(rho.mat)
+    idx = evals > msr.RANK_TOL
+    scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
+    rank = len(scaled)
+    qf = msr._minor_form(scaled, n_qubits, (0,)).reshape(rank, -1)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    starts = [np.eye(rank * rank, rank, dtype=complex)]
+    for j in range(1, 1 + msr.STALL_RESTARTS):
+        rng = np.random.Generator(np.random.PCG64(seeds[j]))
+        gauss = (rng.standard_normal((rank * rank, rank))
+                 + 1j * rng.standard_normal((rank * rank, rank)))
+        starts.append(np.linalg.qr(gauss)[0][:, :rank])
+    return qf, np.array(starts)
+
+
+def multi_qubit_npt_input(name):
+    """An oracle state at 8 restarts, or the D8_RESIDUAL_BITS residual of
+    "chain<s>" with its own knobs."""
+    if name.startswith("chain"):
+        s = int(name[len("chain"):])
+        rho = partial_trace(to_density(haar_random_pure(4, s)), (0, 1, 2))
+        return rho, RoofConfig(restarts=8, seed=s)
+    return oracle_states()[name], RoofConfig(restarts=8, seed=11)
+
+
+@pytest.mark.parametrize("name", ["d8", "q3r3", "q3r4"]
+                         + [f"chain{s}" for s in D8_RESIDUAL_BITS])
+def test_multi_qubit_npt_winner_polish_is_not_kept(name):
+    # why convex_roof polishes an NPT winner on two qubits only: with more
+    # than one minor per member the polish's sum of |minor|^2 does not
+    # share the roof's minimizers, and on these residuals and oracle states
+    # polishing the best swept restart never lowers its total
+    rho, cfg = multi_qubit_npt_input(name)
+    assert np.linalg.eigvalsh(transpose_subsystem(
+        rho.mat, rho.sig.dims, 0))[0] <= -1e-10  # NPT
+    qf, starts = npt_restart_starts(rho, cfg)
+    totals, us, convs = msr._restart_block(starts, qf, cfg, False)
+    best = int(np.argmin(totals))
+    total = totals[best]
+    kept = msr._try_polish(totals[best:best + 1], us[best:best + 1].copy(),
+                           convs[best:best + 1].copy(), qf, np.ones(1, dtype=bool))
+    assert not kept[0]
+    assert totals[best] == total
