@@ -101,7 +101,11 @@ def load_input_state(args) -> PureState | DensityMatrix:
         raise UsageError("provide --state <path> or --builder <spec>")
     keep = getattr(args, "keep", None)
     if keep:
-        idx = tuple(int(i) for i in keep.split(","))
+        try:
+            idx = tuple(int(i) for i in keep.split(","))
+        except ValueError:
+            raise UsageError(f"--keep must be comma-separated subsystem "
+                             f"indices, got {keep!r}") from None
         rho = st.to_density(obj) if isinstance(obj, PureState) else obj
         obj = partial_trace(rho, idx)
     return obj
@@ -534,21 +538,6 @@ FIGURE_SPECS = {
 }
 
 
-@dataclass(frozen=True)
-class FigureJob:
-    """One figure-data request: id 1..6, output path, grid resolution."""
-
-    fig_id: int
-    out: str = "-"
-    resolution: int = 101
-
-    def __post_init__(self):
-        if self.fig_id not in FIGURE_SPECS:
-            raise UsageError(f"figure id must be 1..6, got {self.fig_id}")
-        if self.resolution < 2:
-            raise UsageError("resolution must be >= 2")
-
-
 def figure_spec(fig_id: int, resolution: int = 101) -> tuple[SweepSpec, dict]:
     """Sweep specification and example data behind one figure id.
 
@@ -559,6 +548,8 @@ def figure_spec(fig_id: int, resolution: int = 101) -> tuple[SweepSpec, dict]:
     """
     if fig_id not in FIGURE_SPECS:
         raise UsageError(f"figure id must be 1..6, got {fig_id}")
+    if resolution < 2:
+        raise UsageError("resolution must be >= 2")
     kind, axes = FIGURE_SPECS[fig_id]
     axes = [(n, a, b, resolution) for n, a, b, _ in axes]
     if kind == "monogamy":
@@ -577,16 +568,11 @@ def figure_spec(fig_id: int, resolution: int = 101) -> tuple[SweepSpec, dict]:
     return spec, data
 
 
-def figure_csv(job: FigureJob, seed: int) -> str:
-    spec, data = figure_spec(job.fig_id, job.resolution)
-    header, rows = sweep_rows(spec, data["lhs_base"], data["q_ab"],
-                              data["q_ac"], seed)
-    return rows_to_csv(header, rows)
-
-
 def cmd_figure(args) -> str:
-    job = FigureJob(args.id, args.out, args.resolution)
-    return figure_csv(job, args.seed)
+    spec, data = figure_spec(args.id, args.resolution)
+    header, rows = sweep_rows(spec, data["lhs_base"], data["q_ab"],
+                              data["q_ac"], args.seed)
+    return rows_to_csv(header, rows)
 
 
 def cmd_sweep(args) -> str:

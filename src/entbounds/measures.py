@@ -23,19 +23,20 @@ rounds of disjoint pairs of the circle method (Brent and Luk, SIAM J. Sci.
 Stat. Comput. 6, 69, 1985), each round one stacked pass: an m-member
 ensemble takes m - 1 passes (m when m is odd), not m (m - 1) / 2.
 Restarts derive independent sub-seeds from the configured seed and run in
-stacked blocks through one optimizer pass; the stopping rule is replayed
-over each block in restart order (first-best wins) and restarts past the
-stop are dropped, so results, and restarts_used (the restarts the rule
-kept), are bit for bit those of one restart at a time, reproducible and
-safe for concurrent use.  On two
-qubits the Wootters concurrence is the exact roof, so it certifies the
-roof from below and the rule stops as soon as it is met.
-The polish looks for a split-product ensemble, a zero roof.  A state whose
-partial transpose over the split has an eigenvalue below -1e-10 is NPT,
-hence entangled (Peres), and has none: its roof runs no polish per restart.
-On two qubits it polishes the winning decomposition once, after the
-stopping rule, which lands it on the Wootters value; on more qubits the
-polish's objective does not share the roof's minimizers and none runs.
+stacked blocks, whose sweeps are stacked passes; the stopping rule is
+replayed over each block in restart order (first-best wins) and restarts
+past the stop are dropped, so results, and restarts_used (the restarts
+the rule kept), are bit for bit those of one restart at a time,
+reproducible and safe for concurrent use.  On two qubits the Wootters
+concurrence is the exact roof, so it certifies the roof from below and
+the rule stops as soon as it is met.
+The polish works on one isometry at a time and looks for a split-product
+ensemble, a zero roof.  A state whose partial transpose over the split
+has an eigenvalue below -1e-10 is NPT, hence entangled (Peres), and has
+none: each of its restarts is one run of sweeps, with no polish.  On two
+qubits it polishes the winning decomposition once, after the stopping
+rule, which lands it on the Wootters value; on more qubits the polish's
+objective does not share the roof's minimizers and none runs.
 """
 
 from __future__ import annotations
@@ -142,6 +143,10 @@ def negativity_mixed(rho: DensityMatrix, split: Sequence[int] = (0,)) -> float:
         raise MeasureError("split must name at least one subsystem")
     for i in split:
         rho.sig.check_index(i)
+    if len(set(split)) != len(split):
+        raise MeasureError(f"duplicate subsystem in split {split}")
+    if len(split) == len(rho.sig):
+        raise MeasureError("split must leave a nonempty second block")
     mat = rho.mat
     for i in split:
         mat = transpose_subsystem(mat, rho.sig.dims, i)
@@ -203,7 +208,10 @@ class RoofResult:
 
     lower is a certified lower end of the roof where one is known: the
     value itself at rank 1, the Wootters concurrence on two qubits, and
-    None elsewhere."""
+    None elsewhere.  converged says only that the best restart's last
+    sweep gained less than step_tolerance or that a polish of it was
+    kept; it does not mean the value is settled, as other restarts may
+    end in other local minima."""
 
     value: float
     ensemble: Ensemble
@@ -438,12 +446,11 @@ def _sweep(u, qu, mu, w, qf):
 
 
 def _qr_retract(x: np.ndarray) -> np.ndarray:
-    """Nearest isometries to stacked x via QR with a deterministic sign
-    convention."""
+    """Nearest isometry to x via QR with a deterministic sign convention."""
     q, r = np.linalg.qr(x)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
+    d = np.diagonal(r)
     phase = np.where(np.abs(d) > 1e-300, d / np.abs(d), 1.0)
-    return q * phase[..., None, :]
+    return q * phase
 
 
 @lru_cache(maxsize=None)
@@ -463,22 +470,17 @@ def _skew_basis(r: int) -> np.ndarray:
 
 
 def _stiefel_tangent_basis(u: np.ndarray) -> np.ndarray:
-    """Real bases (R, n, m, r) of the tangent spaces {d: d^H u + u^H d = 0}
-    of stacked isometries u (R, m, r)."""
-    k, m, r = u.shape
-    basis = u[:, None] @ _skew_basis(r)
+    """Real basis (n, m, r) of the tangent space {d: d^H u + u^H d = 0} of
+    the isometry u (m, r)."""
+    m, r = u.shape
+    basis = u @ _skew_basis(r)
     if m > r:
         full, _, _ = np.linalg.svd(u, full_matrices=True)
         # perp column c placed in column l, then times 1j
-        perp = np.einsum("zac,lk->zclak", full[..., r:], np.eye(r))
-        perp = np.stack([perp, 1j * perp], axis=3).reshape(k, -1, m, r)
-        basis = np.concatenate([basis, perp], axis=1)
+        perp = np.einsum("ac,lk->clak", full[:, r:], np.eye(r))
+        perp = np.stack([perp, 1j * perp], axis=2).reshape(-1, m, r)
+        basis = np.concatenate([basis, perp])
     return basis
-
-
-def _sq_norms(mu: np.ndarray) -> np.ndarray:
-    """Squared norm of each restart's minors, mu of shape (R, m, K)."""
-    return (mu.real ** 2 + mu.imag ** 2).reshape(len(mu), -1).sum(axis=-1)
 
 
 def _product_polish(u, qf, iters: int = 40):
@@ -489,95 +491,81 @@ def _product_polish(u, qf, iters: int = 40):
     the split.  Pairwise rotations crawl once every member is nearly a
     product state; this drives the smooth zero-residual system
     quadratically instead.  Steps are solved in an explicit tangent basis
-    so the QR retraction only contributes second-order corrections.  u
-    stacks restarts (R, m, r); each keeps its own damping and stops on
-    its own: after 8 failed tries at one step, or after an accepted step
-    that lowers its cost by at most POLISH_MIN_REDUCTION times the cost (the
+    so the QR retraction only contributes second-order corrections.  u is
+    one isometry (m, r).  The polish stops once the cost is below 1e-30,
+    after 8 failed tries at one step, or after an accepted step that
+    lowers the cost by at most POLISH_MIN_REDUCTION times the cost (the
     relative-reduction test of MINPACK's lmder).
     """
-    u = u.copy()
     qu, mu = _member_minors(u, qf)
-    cost = _sq_norms(mu)
-    lam = np.full(len(u), 1e-4)
-    live = np.ones(len(u), dtype=bool)
+    cost = float(np.sum(mu.real ** 2 + mu.imag ** 2))
+    lam = 1e-4
     for _ in range(iters):
-        z = _selection(live & (cost >= 1e-30))  # restarts without a step yet
-        if z is None:
+        if cost < 1e-30:
             break
-        basis = _stiefel_tangent_basis(u[z])
-        k, nb = basis.shape[:2]
-        flat = basis.reshape(k, nb, -1)
-        dz = 2.0 * np.einsum("znil,zilk->znik", basis, qu[z]).reshape(k, nb, -1)
-        jac = np.concatenate([dz.real, dz.imag], axis=2)  # J^T per restart
-        res = mu[z].reshape(k, -1)
-        rvec = np.concatenate([res.real, res.imag], axis=1)
-        gram = jac @ jac.transpose(0, 2, 1)
-        grad = jac @ rvec[..., None]
-        eye = np.eye(nb)
+        basis = _stiefel_tangent_basis(u)
+        flat = basis.reshape(len(basis), -1)
+        dz = 2.0 * np.einsum("nil,ilk->nik", basis, qu).reshape(len(basis), -1)
+        jt = np.concatenate([dz.real, dz.imag], axis=1).T  # the Jacobian
+        rvec = np.concatenate([mu.real.ravel(), mu.imag.ravel()])
+        gram = jt.T @ jt
+        grad = jt.T @ rvec
         for _try in range(8):
-            y = np.linalg.solve(gram + lam[z, None, None] * eye, -grad)
-            cand = _qr_retract(u[z] + (y.transpose(0, 2, 1) @ flat).reshape(
-                (len(y),) + u.shape[1:]))
+            y = np.linalg.solve(gram + lam * np.eye(len(gram)), -grad)
+            cand = _qr_retract(u + (y @ flat).reshape(u.shape))
             qu_c, mu_c = _member_minors(cand, qf)
-            cost_c = _sq_norms(mu_c)
-            ok = cost_c < cost[z]
-            # a step that lowers the cost by at most POLISH_MIN_REDUCTION of it
-            # ends its restart
-            flat_step = cost[z] - cost_c <= POLISH_MIN_REDUCTION * cost[z]
-            n_ok = np.count_nonzero(ok)
-            if n_ok == len(ok):
-                u[z], qu[z], mu[z], cost[z] = cand, qu_c, mu_c, cost_c
-                lam[z] = np.maximum(lam[z] * 0.25, 1e-14)
-                live[z] = ~flat_step
+            cost_c = float(np.sum(mu_c.real ** 2 + mu_c.imag ** 2))
+            if cost_c < cost:
                 break
-            if n_ok:
-                z = np.arange(len(u))[z]
-                g = z[ok]
-                u[g], qu[g], mu[g], cost[g] = cand[ok], qu_c[ok], mu_c[ok], cost_c[ok]
-                lam[g] = np.maximum(lam[g] * 0.25, 1e-14)
-                live[g] = ~flat_step[ok]
-                z, gram, grad, flat = z[~ok], gram[~ok], grad[~ok], flat[~ok]
-            lam[z] = np.minimum(lam[z] * 8.0, 1e8)
+            lam = min(lam * 8.0, 1e8)
         else:
-            live[z] = False
+            break
+        flat_step = cost - cost_c <= POLISH_MIN_REDUCTION * cost
+        u, qu, mu, cost = cand, qu_c, mu_c, cost_c
+        lam = max(lam * 0.25, 1e-14)
+        if flat_step:
+            break
     return u
+
+
+def _try_polish(total, u, qf):
+    """(total, u, kept) after polishing the isometry u (m, r): the polish
+    is kept only when it lowers the total."""
+    cand = _product_polish(u, qf)
+    t_c = _weights(_member_minors(cand, qf)[1]).sum()
+    if t_c < total:
+        return t_c, cand, True
+    return total, u, False
 
 
 def _restart_block(u, qf, cfg, polish):
     """Totals, isometries and converged flags of a block of restarts
-    (R, m, r) after the optimizer stages.  Each restart sweeps 15 times
-    and, with polish, tries the zero-roof polish (the concurrence vanishes
-    exactly on split-product states); after an accepted polish 10
-    consolidating sweeps are enough, otherwise the remaining sweeps run,
-    then one more polish.  A polish is kept only when it lowers the total.
-    Without polish (an NPT state, which has no split-product ensemble)
-    the two stages are one run of max_iters sweeps: a restart converged
-    in the first 15 sweeps no more."""
+    (R, m, r) after the optimizer stages.  Without polish (an NPT state,
+    which has no split-product ensemble) each restart is one run of
+    max_iters sweeps.  With polish, each restart sweeps 15 times and tries
+    the zero-roof polish (the concurrence vanishes exactly on split-product
+    states); after a kept polish 10 consolidating sweeps are enough,
+    otherwise the remaining sweeps run, then one more polish.  The sweeps
+    run stacked over the block, the polishes one restart at a time; a
+    polish is kept only when it lowers the total, and a kept polish marks
+    its restart converged."""
     tol = cfg.step_tolerance
+    if not polish:
+        return _optimize_ensemble(u, qf, np.full(len(u), cfg.max_iters), tol)
     stage1 = min(15, cfg.max_iters)
     totals, u, conv = _optimize_ensemble(u, qf, np.full(len(u), stage1), tol)
-    polished = _try_polish(totals, u, conv, qf, np.full(len(u), polish))
-    rest = np.where(conv & (not polish), 0, max(cfg.max_iters - stage1, 0))
-    caps = np.where(polished, np.where(totals > 1e-12, 10, 0), rest)
+    kept = np.zeros(len(u), dtype=bool)
+    for i in range(len(u)):
+        totals[i], u[i], kept[i] = _try_polish(totals[i], u[i], qf)
+    conv |= kept
+    caps = np.where(kept, np.where(totals > 1e-12, 10, 0), cfg.max_iters - stage1)
     t3, u3, c3 = _optimize_ensemble(u, qf, caps, tol)
     take = (caps > 0) & (t3 < totals)
     totals[take], u[take], conv[take] = t3[take], u3[take], c3[take]
-    _try_polish(totals, u, conv, qf, polish & (caps > 0))
+    for i in (caps > 0).nonzero()[0]:
+        totals[i], u[i], again = _try_polish(totals[i], u[i], qf)
+        conv[i] |= again
     return totals, u, conv
-
-
-def _try_polish(totals, u, conv, qf, sel):
-    """Polish the selected restarts in place, keeping each polish that
-    lowers its total; returns the mask of kept polishes."""
-    kept = np.zeros(len(u), dtype=bool)
-    idx = sel.nonzero()[0]
-    if idx.size:
-        cand = _product_polish(u[idx], qf)
-        t_c = _weights(_member_minors(cand, qf)[1]).sum(axis=-1)
-        better = t_c < totals[idx]
-        kept[idx[better]] = True
-        totals[kept], u[kept], conv[kept] = t_c[better], cand[better], True
-    return kept
 
 
 def _ensemble_average(members, n_qubits: int, split: tuple[int, ...]) -> float:
@@ -608,10 +596,11 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     in restart order, restarts past the stop are dropped and
     restarts_used counts those the rule kept.  Each sweep runs the row
     pairs in the stacked rounds of _rounds(m).  An NPT state (partial
-    transpose over the split with an eigenvalue below -1e-10) skips the
-    per-restart polishes and runs the rule on the sweep totals; on two
-    qubits it then polishes the winner once, keeping the polish only when
-    it lowers the value, and on more qubits it runs no polish.
+    transpose over the split with an eigenvalue below -1e-10) runs each
+    restart as one run of sweeps with no polish and the rule on the sweep
+    totals; on two qubits it then polishes the winner once, keeping the
+    polish only when it lowers the value, and on more qubits it runs no
+    polish.
     """
     if direction != "min":
         raise ValueError(f"direction must be 'min', got {direction!r}")
@@ -693,10 +682,8 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
                 break
         size = STALL_RESTARTS - stalled
     if not ppt and lower is not None:
-        totals, us = np.array([best_total]), best_u[None].copy()
-        convs = np.array([best_conv])
-        _try_polish(totals, us, convs, qf, np.ones(1, dtype=bool))
-        best_total, best_u, best_conv = totals[0], us[0], bool(convs[0])
+        best_total, best_u, kept = _try_polish(best_total, best_u, qf)
+        best_conv = best_conv or kept
 
     value = float(best_total)
     # one-sidedness guard: restart 0 only ever improves on the

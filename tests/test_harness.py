@@ -254,9 +254,9 @@ def test_fig_poly_is_the_wclass_example():
 
 def test_figure_job_validation():
     with pytest.raises(h.UsageError):
-        h.FigureJob(9)
-    with pytest.raises(h.UsageError):
-        h.FigureJob(1, resolution=1)
+        h.figure_spec(9)
+    with pytest.raises(h.UsageError, match="resolution must be >= 2"):
+        h.figure_spec(1, resolution=1)
 
 
 def test_figure_bad_id(capsys):
@@ -525,6 +525,13 @@ def usage_error(args, capsys) -> str:
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("entbounds: error:")
     return lines[0]
+
+
+def test_non_integer_keep_is_a_usage_error(capsys):
+    line = usage_error(["measure", "--builder", "wclass:0.6,0,0.8",
+                        "--keep", "0,x", "--measure", "concurrence"], capsys)
+    assert line == ("entbounds: error: --keep must be comma-separated "
+                    "subsystem indices, got '0,x'")
 
 
 def test_top_q_at_t_zero_is_a_usage_error(capsys):

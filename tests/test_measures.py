@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from entbounds import measures as msr
-from entbounds.linalg import (DensityMatrix, SystemSignature, partial_trace,
-                              transpose_subsystem)
+from entbounds.linalg import (DensityMatrix, LinalgError, SystemSignature,
+                              partial_trace, transpose_subsystem)
 from entbounds.measures import (
     Ensemble,
     MeasureError,
@@ -118,6 +118,19 @@ def test_negativity_mixed_basics(rng):
 
     mix = DensityMatrix(np.diag([0.5, 0, 0, 0.5]), SystemSignature((2, 2)))
     assert negativity_mixed(mix, (0,)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_negativity_mixed_rejects_degenerate_splits():
+    # a repeated index transposes its block twice and a split of the whole
+    # register transposes everything: either would read 0 on this NPT state
+    rho = partial_trace(to_density(haar_random_pure(3, 1)), (0, 1))
+    assert negativity_mixed(rho, (0,)) > 0.2
+    with pytest.raises(MeasureError, match="duplicate"):
+        negativity_mixed(rho, (0, 0))
+    with pytest.raises(MeasureError, match="second block"):
+        negativity_mixed(rho, (0, 1))
+    with pytest.raises(LinalgError):
+        negativity_mixed(rho, (2,))
 
 
 def test_negativity_equals_wootters_on_pure_two_qubit(rng):
@@ -812,7 +825,7 @@ def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
         return optimize(u, *args)
 
     def counted_polish(u, *args):
-        calls.append(("polish", len(u)))
+        calls.append(("polish", 1))  # each call polishes one isometry
         return polish(u, *args)
 
     monkeypatch.setattr(msr, "_optimize_ensemble", counted_optimize)
@@ -918,8 +931,24 @@ def test_multi_qubit_npt_winner_polish_is_not_kept(name):
     qf, starts = npt_restart_starts(rho, cfg)
     totals, us, convs = msr._restart_block(starts, qf, cfg, False)
     best = int(np.argmin(totals))
-    total = totals[best]
-    kept = msr._try_polish(totals[best:best + 1], us[best:best + 1].copy(),
-                           convs[best:best + 1].copy(), qf, np.ones(1, dtype=bool))
-    assert not kept[0]
-    assert totals[best] == total
+    total, u, kept = msr._try_polish(totals[best], us[best], qf)
+    assert not kept
+    assert total == totals[best]
+    assert np.array_equal(u, us[best])
+
+
+def test_npt_restart_converges_on_its_first_sweep_without_gain(monkeypatch):
+    # an NPT restart is one run of max_iters sweeps, as in the sequential
+    # oracle: a restart whose 16th sweep gains nothing has converged
+    sweeps = []
+
+    def stub(u, qu, mu, w, qf):
+        sweeps.append(len(u))
+        return np.full(len(u), 1.0 if len(sweeps) <= 15 else 0.0)
+
+    monkeypatch.setattr(msr, "_sweep", stub)
+    cfg = RoofConfig(restarts=4, seed=11)
+    qf, starts = npt_restart_starts(oracle_states()["d4"], cfg)
+    totals, us, convs = msr._restart_block(starts[:1], qf, cfg, False)
+    assert convs.tolist() == [True]
+    assert sweeps == [1] * 16
