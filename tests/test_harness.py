@@ -764,79 +764,88 @@ def test_roof_restarts_below_one_is_a_usage_error(capsys):
         assert "--roof-restarts: must be >= 1" in capsys.readouterr().err
 
 
-# SHA-256 of stdout for fixed command lines: the figure, bound and verify
-# bytes are part of the interface and must not drift when the code does
+# SHA-256 of stdout for fixed command lines, with each line's exit code:
+# the figure, bound and verify bytes are part of the interface and must not
+# drift when the code does
 GOLDEN = {
     "figure1": (["figure", "--id", "1", "--resolution", "11"],
-                "b150b8cf90edf939388344f2ffc5c19848a1bd6cc342d94c5e160408a488ef41"),
+                "b150b8cf90edf939388344f2ffc5c19848a1bd6cc342d94c5e160408a488ef41", 0),
     "figure2": (["figure", "--id", "2", "--resolution", "11"],
-                "3384c40e65572caeed9ae528dc021a02c92caa6c5cda77679b7c4f36bc1f1e26"),
+                "3384c40e65572caeed9ae528dc021a02c92caa6c5cda77679b7c4f36bc1f1e26", 0),
     "figure3": (["figure", "--id", "3", "--resolution", "11"],
-                "b150b8cf90edf939388344f2ffc5c19848a1bd6cc342d94c5e160408a488ef41"),
+                "b150b8cf90edf939388344f2ffc5c19848a1bd6cc342d94c5e160408a488ef41", 0),
     "figure4": (["figure", "--id", "4", "--resolution", "11"],
-                "312ed41543ac3ee0758e0e316dce6bde64ffe0b5ee65952454de8261a1ae6355"),
+                "312ed41543ac3ee0758e0e316dce6bde64ffe0b5ee65952454de8261a1ae6355", 0),
     "figure5": (["figure", "--id", "5", "--resolution", "11"],
-                "eff22bb1d0b7f6612a26ef3d3c854b87f2b47078d0cf248d061bbc4511f0047e"),
+                "eff22bb1d0b7f6612a26ef3d3c854b87f2b47078d0cf248d061bbc4511f0047e", 0),
     "figure6": (["figure", "--id", "6", "--resolution", "11"],
-                "312ed41543ac3ee0758e0e316dce6bde64ffe0b5ee65952454de8261a1ae6355"),
+                "312ed41543ac3ee0758e0e316dce6bde64ffe0b5ee65952454de8261a1ae6355", 0),
     # the full 101 x 101 grids at the default resolution
     "figure1-full": (["figure", "--id", "1"],
-                     "392973b91c5726319bd256f719035f39a0d32a2553693dab2a5aa85661b168f1"),
+                     "392973b91c5726319bd256f719035f39a0d32a2553693dab2a5aa85661b168f1", 0),
     "figure4-full": (["figure", "--id", "4"],
-                     "be0ae765db62d5315a3d29bb263e5aba9e85856138b93e65cbcad47223ab23a4"),
+                     "be0ae765db62d5315a3d29bb263e5aba9e85856138b93e65cbcad47223ab23a4", 0),
     # the 1-D figures at the default resolution: the fixed exponent column
     # repeats on every row
     "figure2-full": (["figure", "--id", "2"],
-                     "0d32791dd0e470927545ae0c6ea320935c6e816002498b14b4573acf8890f54f"),
+                     "0d32791dd0e470927545ae0c6ea320935c6e816002498b14b4573acf8890f54f", 0),
     "figure5-full": (["figure", "--id", "5"],
-                     "a4d71039960e4394bc604d884ff42dee88cd66ebcbe9a50d7281a6962d66d0af"),
+                     "a4d71039960e4394bc604d884ff42dee88cd66ebcbe9a50d7281a6962d66d0af", 0),
     # the CKW-tight W-class state on which thm1 exceeds the LHS
     "bound-wclass-monogamy": (
         ["bound", "--builder", "wclass:0.8,0.3,0.5196152422706632",
          "--kind", "monogamy", "--alpha", "0.85", "--gamma", "2",
          "--t", "1", "--q", "edge"],
-        "601fb9e2e72a07baae7f5f400dd2c11b6aac05fb3c6c371dd8f188264ff4d7ce"),
+        "601fb9e2e72a07baae7f5f400dd2c11b6aac05fb3c6c371dd8f188264ff4d7ce", 0),
     # t = 5 puts the state's dominance out of reach: thm1 and ref29 both
     # report inadmissible and the run still exits 0
     "bound-wclass-inadmissible": (
         ["bound", "--builder", "wclass:0.8,0.3,0.5196152422706632",
          "--kind", "monogamy", "--alpha", "0.85", "--gamma", "2",
          "--t", "5", "--q", "edge"],
-        "37f9e2ed697d4668f457c62fa637680ba4ddb3d42623ffad7699b7062074c734"),
+        "37f9e2ed697d4668f457c62fa637680ba4ddb3d42623ffad7699b7062074c734", 0),
     "bound-example2-polygamy": (
         ["bound", "--builder", EX2_BUILDER, "--kind", "polygamy",
          "--beta", "1", "--delta", "0.8"],
-        "dcc54c152e4687c1bb9b1c06d70470bf8d136150837899bf033149868e98406d"),
+        "dcc54c152e4687c1bb9b1c06d70470bf8d136150837899bf033149868e98406d", 0),
     # min-roof residuals at the suite's fixed restart count
     "verify-chain": (
         ["verify", "--suite", "chain", "--trials", "4", "--seed", "13"],
-        "8fdc3f011637a4340de077ee4a686c304413cb8ff99cdd8f79df82bcb7c28b8c"),
+        "8fdc3f011637a4340de077ee4a686c304413cb8ff99cdd8f79df82bcb7c28b8c", 0),
+    # additive SCRENoA polygamy on Haar and W-class states
+    "verify-polygamy": (
+        ["verify", "--suite", "polygamy", "--trials", "40", "--seed", "7"],
+        "797616b31374e8170ca440a278b645e714fe7ce940a714e7e12e96cfc9ff9456", 0),
+    # the window inequality fails in the interior, so the suite exits 1
+    "verify-lemma1": (
+        ["verify", "--suite", "lemma1", "--trials", "5000", "--seed", "9"],
+        "5f8f820156711b85b21956bf72c16e611f908faaed7b106f09ce2dd03ea8ea23", 1),
     # admissibility check and thm1 across the alpha grid on Haar states
     "verify-monogamy": (
         ["verify", "--suite", "monogamy", "--trials", "200", "--seed", "5"],
-        "758595245cad0a278e6ba7246cac8c1a65675cd9e41c02c2fd3eae3634177157"),
+        "758595245cad0a278e6ba7246cac8c1a65675cd9e41c02c2fd3eae3634177157", 0),
     # min roofs on two-qubit marginals checked against Wootters
     "verify-roof-oracle": (
         ["verify", "--suite", "roof-oracle", "--trials", "8", "--seed", "3"],
-        "f54e708dbb0d22e6542a95db5f11eb1a8fa52061114945700712f5fed93176f5"),
+        "f54e708dbb0d22e6542a95db5f11eb1a8fa52061114945700712f5fed93176f5", 0),
     # the exact two-qubit closed forms on one W-class marginal, with no
     # optimizer block
     "measure-wclass-scren": (
         ["measure", "--builder", "wclass:0.5,0.5,0.7071067811865476",
          "--keep", "0,1", "--measure", "scren"],
-        "03a76004d9058f14994eda733c1327e58e7cff18b417d250c927f3cb28c928d3"),
+        "03a76004d9058f14994eda733c1327e58e7cff18b417d250c927f3cb28c928d3", 0),
     "measure-wclass-screnoa": (
         ["measure", "--builder", "wclass:0.5,0.5,0.7071067811865476",
          "--keep", "0,1", "--measure", "screnoa"],
-        "056a12e93522125152eb05d49d7d3742a5846b6838c9e65a5b0cb6d05a17f419"),
+        "056a12e93522125152eb05d49d7d3742a5846b6838c9e65a5b0cb6d05a17f419", 0),
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_golden_output_bytes(capsys, name):
-    args, digest = GOLDEN[name]
+    args, digest, want_code = GOLDEN[name]
     code, out = run_cli(args, capsys)
-    assert code == 0
+    assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
