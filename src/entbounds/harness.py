@@ -336,7 +336,10 @@ DEFAULT_VARIANTS = {kind: f"{side.theorem},ref29"
 def _parse_variants(args) -> list:
     text = (args.variants if args.variants is not None
             else DEFAULT_VARIANTS[args.kind])
-    return [v.strip() for v in text.split(",") if v.strip()]
+    variants = [v.strip() for v in text.split(",") if v.strip()]
+    if not variants:
+        raise UsageError(f"--variants names no variant, got {text!r}")
+    return variants
 
 
 def cmd_bound(args) -> dict:
@@ -382,9 +385,15 @@ class SweepSpec:
             raise UsageError(f"bad sweep kind {self.kind!r}")
         if not 1 <= len(self.axes) <= 2:
             raise UsageError("sweep needs one or two axes")
+        seen = set()
         for name, start, stop, steps in self.axes:
             if name not in AXIS_NAMES:
                 raise UsageError(f"unknown axis {name!r}")
+            if name in seen:
+                raise UsageError(f"axis {name} given twice")
+            if name in self.fixed:
+                raise UsageError(f"{name} is both an axis and fixed")
+            seen.add(name)
             if steps < 2:
                 raise UsageError(f"axis {name}: steps must be >= 2")
             # a span beyond the float range puts nan and inf on the axis
@@ -589,7 +598,10 @@ def cmd_sweep(args) -> str:
         name, _, val = fx.partition("=")
         if name not in AXIS_NAMES + WINDOW_PARAMS:
             raise UsageError(f"cannot fix unknown parameter {name!r}")
-        fixed[name] = _window_value(name, val)
+        value = _window_value(name, val)
+        if name in fixed:
+            raise UsageError(f"--fix {name} given twice")
+        fixed[name] = value
     spec = SweepSpec(args.kind, axes, fixed, _parse_variants(args))
     missing = [n for n in bnd.SIDES[args.kind].exponents
                if n not in fixed and n not in [a[0] for a in axes]]

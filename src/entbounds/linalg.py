@@ -83,6 +83,9 @@ class DensityMatrix:
                 f"signature {sig.dims} implies dimension {sig.total_dim}, "
                 f"matrix has {mat.shape[0]}"
             )
+        # a nan passes every tolerance test below, and inf - inf warns
+        if not np.isfinite(mat).all():
+            raise LinalgError("matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > TOL_HERMITIAN:
             raise LinalgError("matrix is not Hermitian within tolerance")
         tr = np.trace(mat)

@@ -41,6 +41,9 @@ class PureState:
 
     def __post_init__(self):
         amps = np.array(self.amps, dtype=complex).ravel()
+        # a nan amplitude would pass the norm test below
+        if not np.isfinite(amps).all():
+            raise StateError("amplitudes must be finite")
         n = self.n_qubits or int(np.log2(len(amps)))
         if len(amps) != 2 ** n:
             raise StateError(f"amplitude count {len(amps)} is not 2^{n}")
@@ -182,6 +185,9 @@ def load_state(path: str) -> PureState | DensityMatrix:
     """Load either wire format, detected by field names."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise StateError(f"{path}: a state file must hold a JSON object, "
+                         f"got {type(data).__name__}")
     if "amps" in data:
         return pure_state_from_json(data)
     if "matrix" in data:

@@ -643,6 +643,61 @@ def test_non_finite_axis_is_a_usage_error(capsys, span):
     assert err == "entbounds: error: axis t: non-finite range"
 
 
+@pytest.mark.parametrize("measure", ["concurrence", "screnoa", "negativity"])
+def test_non_finite_state_file_is_an_input_error(tmp_path, capsys, measure):
+    # nan amplitudes read concurrence 0.0 and made screnoa end in a
+    # LinAlgError traceback; a nan diagonal read 0.0 and 0.25
+    pure = tmp_path / "pure.json"
+    pure.write_text('{"n_qubits": 2, "amps": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}')
+    rho = np.diag([np.nan, 0.5, 0.5, 0.0])
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"dims": [2, 2], "matrix": [
+        [[float(v), 0.0] for v in row] for row in rho]}))
+    for path in (pure, mixed):
+        err = usage_error(["measure", "--state", str(path),
+                           "--measure", measure], capsys)
+        assert "finite" in err
+
+
+@pytest.mark.parametrize("text", ["7", "null"])
+def test_state_file_that_is_not_an_object_is_an_input_error(tmp_path, capsys,
+                                                            text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    err = usage_error(["measure", "--state", str(path),
+                       "--measure", "concurrence"], capsys)
+    assert "JSON object" in err
+
+
+def test_sweep_rejects_a_repeated_axis(capsys):
+    err = usage_error(["sweep", "--builder", WCLASS_CKW, "--kind", "monogamy",
+                       "--axis", "alpha:0:2:3", "--axis", "alpha:0:1:2",
+                       "--fix", "gamma=2"], capsys)
+    assert "alpha" in err and "axis" in err
+
+
+def test_sweep_rejects_fixing_an_axis(capsys):
+    err = usage_error(["sweep", "--builder", WCLASS_CKW, "--kind", "monogamy",
+                       "--axis", "alpha:0:2:3", "--fix", "alpha=1",
+                       "--fix", "gamma=2"], capsys)
+    assert "alpha" in err
+
+
+def test_sweep_rejects_a_repeated_fix(capsys):
+    err = usage_error(["sweep", "--builder", WCLASS_CKW, "--kind", "monogamy",
+                       "--axis", "alpha:0:2:3", "--fix", "gamma=2",
+                       "--fix", "gamma=3"], capsys)
+    assert "gamma" in err
+
+
+@pytest.mark.parametrize("variants", [",", "", " , "])
+def test_bound_needs_a_variant(capsys, variants):
+    err = usage_error(["bound", "--builder", WCLASS_CKW, "--kind", "monogamy",
+                       "--alpha", "1", "--gamma", "2", "--variants", variants],
+                      capsys)
+    assert "variant" in err
+
+
 def test_sweep_validation(capsys):
     code = h.main(["sweep", "--builder", EX1_BUILDER, "--kind", "monogamy",
                    "--axis", "alpha:0:2:1", "--fix", "gamma=2",

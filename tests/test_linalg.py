@@ -35,6 +35,19 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(4) / 4, SystemSignature([2, 3]))  # wrong sig
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    # a nan passes every tolerance test; an inf makes the Hermitian test
+    # subtract inf - inf, which warns
+    mat = np.diag([bad, 0.5, 0.5, 0.0]).astype(complex)
+    with pytest.raises(LinalgError, match="finite"):
+        DensityMatrix(mat, SystemSignature([2, 2]))
+    off = np.eye(4, dtype=complex) / 4
+    off[0, 1] = off[1, 0] = bad
+    with pytest.raises(LinalgError, match="finite"):
+        DensityMatrix(off, SystemSignature([2, 2]))
+
+
 def test_partial_trace_bell():
     rho = to_density(bell_state())
     red = partial_trace(rho, (0,))

@@ -43,6 +43,13 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 0.0, 0.0]), 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    # a nan amplitude passes the norm test (nan > tol is false)
+    with pytest.raises(StateError, match="finite"):
+        PureState(np.array([bad, 0.0, 0.0, 0.0]), 2)
+
+
 def test_schmidt_params_validation():
     with pytest.raises(StateError):
         SchmidtParams((1.0, 1.0, 0.0, 0.0, 0.0))
@@ -197,3 +204,11 @@ def test_json_malformed():
         pure_state_from_json({"n_qubits": 1})
     with pytest.raises(StateError):
         density_from_json({"dims": [2]})
+
+
+@pytest.mark.parametrize("text", ["7", "null", "[1, 2]", '"amps"'])
+def test_load_state_needs_a_json_object(tmp_path, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    with pytest.raises(StateError, match="JSON object"):
+        load_state(str(path))
