@@ -279,12 +279,12 @@ class AdmissibilityReport:
 
 def lemma1_f(x: float, m: float, q: float) -> float:
     """(1 + x)^m - q^(m-1) x^m, the scalar function behind both bound
-    families."""
-    if not (x > 0):
+    families; elementwise on arrays."""
+    if not np.all(x > 0):
         raise BoundsError(f"x must be positive, got {x}")
-    if not (q > 1):
+    if not np.all(q > 1):
         raise BoundsError(f"q must exceed 1, got {q}")
-    if m < 0:
+    if np.any(m < 0):
         raise BoundsError(f"exponent must be nonnegative, got {m}")
     return (1.0 + x) ** m - q ** (m - 1.0) * x ** m
 

@@ -111,6 +111,10 @@ def load_input_state(args) -> PureState | DensityMatrix:
     return obj
 
 
+def _json_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out and out != "-":
         with open(out, "w", encoding="utf-8") as fh:
@@ -123,68 +127,42 @@ def _write_text(text: str, out: str | None) -> None:
 # measure
 # ---------------------------------------------------------------------------
 
-# the exact two-qubit closed forms behind measure's mixed-state names
+# the exact two-qubit closed forms behind measure's mixed-state names; a
+# pure input is measured as its projector
 CLOSED_FORMS = {"scren": msr.scren, "screnoa": msr.screnoa, "cren": msr.cren,
                 "crenoa": msr.crenoa, "wootters": msr.concurrence_wootters}
 
 
-def cmd_measure(args) -> dict:
+def cmd_measure(args) -> tuple[str, int]:
     obj = load_input_state(args)
-    record = {"measure": args.measure, "seed": args.seed, "generator": st.RNG_NAME}
+    pure = isinstance(obj, PureState)
+    dims = obj.dims if pure else obj.sig.dims
+    split = parse_split(args.split, len(dims)) if args.split else (0,)
     name = args.measure
-    diag = None
-
-    if isinstance(obj, PureState):
-        split = parse_split(args.split, obj.n_qubits) if args.split else (0,)
-        record["split"] = list(split)
-        if name == "concurrence":
-            value = msr.concurrence_pure(obj, split)
-        elif name == "negativity":
-            value = msr.negativity_pure(obj, split)
-        elif name in CLOSED_FORMS:
-            if obj.n_qubits != 2:
-                raise UsageError(f"{name} needs a two-qubit state")
-            value = _mixed_measure(name, st.to_density(obj))
-        else:
-            raise UsageError(f"unknown measure {name!r}")
+    record = {"measure": name, "seed": args.seed, "generator": st.RNG_NAME,
+              "split": list(split)}
+    if name in CLOSED_FORMS:
+        if dims != (2, 2):
+            raise UsageError(f"{name} needs a two-qubit state, got {dims}")
+        value = CLOSED_FORMS[name](st.to_density(obj) if pure else obj)
+    elif name == "negativity":
+        value = (msr.negativity_pure if pure else msr.negativity_mixed)(obj, split)
+    elif pure:
+        value = msr.concurrence_pure(obj, split)
+    elif dims == (2, 2):
+        value = msr.concurrence_wootters(obj)
     else:
-        n_sub = len(obj.sig)
-        split = parse_split(args.split, n_sub) if args.split else (0,)
-        record["split"] = list(split)
-        if name == "negativity":
-            value = msr.negativity_mixed(obj, split)
-        elif name == "concurrence":
-            if obj.sig.dims == (2, 2):
-                value = msr.concurrence_wootters(obj)
-            else:
-                cfg = RoofConfig(restarts=args.roof_restarts, seed=args.seed)
-                res = msr.convex_roof(obj, msr.concurrence_functional(split), "min", cfg)
-                value = res.value
-                diag = _roof_diag(res)
-        elif name in CLOSED_FORMS:
-            value = _mixed_measure(name, obj)
-        else:
-            raise UsageError(f"unknown measure {name!r}")
-
+        cfg = RoofConfig(restarts=args.roof_restarts, seed=args.seed)
+        res = msr.convex_roof(obj, msr.concurrence_functional(split), "min", cfg)
+        value = res.value
+        record["optimizer"] = {
+            "restarts_used": res.restarts_used,
+            "converged": res.converged,
+            "bound_side": "upper",  # a minimizing roof's value
+            "ensemble_size": len(res.ensemble.members),
+        }
     record["value"] = float(value)
-    if diag:
-        record["optimizer"] = diag
-    return record
-
-
-def _roof_diag(res: msr.RoofResult) -> dict:
-    return {
-        "restarts_used": res.restarts_used,
-        "converged": res.converged,
-        "bound_side": "upper",  # a minimizing roof's value
-        "ensemble_size": len(res.ensemble.members),
-    }
-
-
-def _mixed_measure(name: str, rho: DensityMatrix) -> float:
-    if rho.sig.dims != (2, 2):
-        raise UsageError(f"{name} needs a two-qubit state, got {rho.sig.dims}")
-    return CLOSED_FORMS[name](rho)
+    return _json_line(record), 0
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +320,7 @@ def _parse_variants(args) -> list:
     return variants
 
 
-def cmd_bound(args) -> dict:
+def cmd_bound(args) -> tuple[str, int]:
     num_name, den_name = bnd.SIDES[args.kind].exponents
     if getattr(args, num_name) is None or getattr(args, den_name) is None:
         raise UsageError(
@@ -360,7 +338,7 @@ def cmd_bound(args) -> dict:
         "q_ab": q_ab, "q_ac": q_ac, "lhs_base": lhs_base,
         "seed": args.seed, "generator": st.RNG_NAME,
     })
-    return out
+    return _json_line(out), 0
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +555,14 @@ def figure_spec(fig_id: int, resolution: int = 101) -> tuple[SweepSpec, dict]:
     return spec, data
 
 
-def cmd_figure(args) -> str:
+def cmd_figure(args) -> tuple[str, int]:
     spec, data = figure_spec(args.id, args.resolution)
     header, rows = sweep_rows(spec, data["lhs_base"], data["q_ab"],
                               data["q_ac"], args.seed)
-    return rows_to_csv(header, rows)
+    return rows_to_csv(header, rows), 0
 
 
-def cmd_sweep(args) -> str:
+def cmd_sweep(args) -> tuple[str, int]:
     obj = load_input_state(args)
     axes = []
     for ax in args.axis:
@@ -609,12 +587,33 @@ def cmd_sweep(args) -> str:
         raise UsageError(f"missing exponent parameters: {missing}")
     lhs_base, q_ab, q_ac = _measured_inputs(obj, args.kind)
     header, rows = sweep_rows(spec, lhs_base, q_ab, q_ac, args.seed)
-    return rows_to_csv(header, rows)
+    return rows_to_csv(header, rows), 0
 
 
 # ---------------------------------------------------------------------------
 # verify suites
 # ---------------------------------------------------------------------------
+
+def _trials(seed: int, trials: int):
+    """(i, child, rng) for each trial i of a randomized suite.
+
+    Trial i draws from its own PCG64 stream, seeded by child, the i-th of
+    SeedSequence(seed).spawn(trials), so its draws do not depend on how
+    many the trials before it made.  A suite that runs a convex roof seeds
+    it from child.generate_state(1)[0]."""
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        yield i, child, np.random.Generator(np.random.PCG64(child))
+
+
+def _suite_report(suite: str, seed: int, trials: int, violations: list,
+                  **fields) -> dict:
+    """A suite's report: the keys every randomized suite shares (suite,
+    seed, trials, the number of violations, the first five of them as
+    counterexamples, and ok when there are none) plus its own fields."""
+    return {"suite": suite, "seed": seed, "trials": trials,
+            "violations": len(violations), "counterexamples": violations[:5],
+            "ok": not violations, **fields}
+
 
 def verify_lemma1(trials: int, seed: int) -> dict:
     """Fuzz both branches of the window inequality on admissible tuples.
@@ -629,12 +628,9 @@ def verify_lemma1(trials: int, seed: int) -> dict:
     q = rng.uniform(1.0 + 1.0 / x, 1.0 + 1.0 / t)
     m = rng.uniform(0.0, 1.0, trials)
     n = rng.uniform(1.0, 10.0, trials)
-
-    def f(xx, mm):
-        return (1.0 + xx) ** mm - q ** (mm - 1.0) * xx ** mm
-
-    slack_m = f(x, m) - f(t, m)          # branch m claims >= 0
-    slack_n = f(t, n) - f(x, n)          # branch n claims >= 0
+    f = bnd.lemma1_f
+    slack_m = f(x, m, q) - f(t, m, q)    # branch m claims >= 0
+    slack_n = f(t, n, q) - f(x, n, q)    # branch n claims >= 0
     bad_m = np.where(slack_m < -1e-12)[0]
     bad_n = np.where(slack_n < -1e-12)[0]
 
@@ -677,17 +673,12 @@ def verify_monogamy(trials: int, seed: int) -> dict:
     """Haar-random three-qubit audit of the squared-concurrence monogamy
     base relation (alpha = 2) and the tightened lower bound across the
     alpha grid wherever its hypotheses hold."""
-    root = np.random.SeedSequence(seed)
     gamma = 2.0
     ckw_viol, thm_viol, checks = [], [], 0
     min_ckw, min_thm = np.inf, np.inf
-    for i, child in enumerate(root.spawn(trials)):
-        rng = np.random.Generator(np.random.PCG64(child))
+    for i, _, rng in _trials(seed, trials):
         psi = st.haar_random_from(rng, 3)
-        rho = st.to_density(psi)
-        lhs = msr.concurrence_pure(psi, (0,))
-        c_b = msr.concurrence_wootters(st.reduce_pair(rho, 1))
-        c_c = msr.concurrence_wootters(st.reduce_pair(rho, 2))
+        lhs, c_b, c_c = _measured_inputs(psi, "monogamy")
         ckw_slack = lhs ** 2 - c_b ** 2 - c_c ** 2
         min_ckw = min(min_ckw, ckw_slack)
         if ckw_slack < -1e-9:
@@ -716,15 +707,10 @@ def verify_monogamy(trials: int, seed: int) -> dict:
                     "q_ab": q_small, "q_ac": q_big,
                     "lhs": float(lhs ** alpha), "rhs": float(rhs),
                     "slack": float(slack)})
-    violations = len(ckw_viol) + len(thm_viol)
-    return {
-        "suite": "monogamy", "seed": seed, "trials": trials,
-        "bound_checks": checks, "violations": violations,
-        "ckw_violations": len(ckw_viol), "thm1_violations": len(thm_viol),
-        "min_ckw_slack": float(min_ckw), "min_thm1_slack": float(min_thm),
-        "counterexamples": (ckw_viol + thm_viol)[:5],
-        "ok": violations == 0,
-    }
+    return _suite_report(
+        "monogamy", seed, trials, ckw_viol + thm_viol, bound_checks=checks,
+        ckw_violations=len(ckw_viol), thm1_violations=len(thm_viol),
+        min_ckw_slack=float(min_ckw), min_thm1_slack=float(min_thm))
 
 
 POLY_BETAS = (0.2, 0.5, 1.0)
@@ -735,12 +721,10 @@ def verify_polygamy(trials: int, seed: int) -> dict:
     states.  Pair values are the exact two-qubit closed form (sum mu_i)^2
     and the LHS the exact pure-state value, so a failure beyond the
     tolerance is a genuine violation."""
-    root = np.random.SeedSequence(seed)
     tol = 2e-3
     viol, checks = [], 0
     min_slack = np.inf
-    for i, child in enumerate(root.spawn(trials)):
-        rng = np.random.Generator(np.random.PCG64(child))
+    for i, _, rng in _trials(seed, trials):
         if i % 5 == 0:
             # W-class states sit at the additivity boundary at beta = 1
             c = np.abs(rng.standard_normal(3))
@@ -748,10 +732,7 @@ def verify_polygamy(trials: int, seed: int) -> dict:
             psi = st.w_class_state(*c)
         else:
             psi = st.haar_random_from(rng, 3)
-        rho = st.to_density(psi)
-        lhs_base = msr.negativity_pure(psi, (0,)) ** 2
-        n_ab = msr.screnoa(st.reduce_pair(rho, 1))
-        n_ac = msr.screnoa(st.reduce_pair(rho, 2))
+        lhs_base, n_ab, n_ac = _measured_inputs(psi, "polygamy")
         for beta in POLY_BETAS:
             slack = (bnd._pow(n_ab, beta) + bnd._pow(n_ac, beta)
                      - bnd._pow(lhs_base, beta))
@@ -762,12 +743,8 @@ def verify_polygamy(trials: int, seed: int) -> dict:
                     "trial": i, "state": st.pure_state_to_json(psi),
                     "beta": beta, "lhs": float(bnd._pow(lhs_base, beta)),
                     "n_ab": n_ab, "n_ac": n_ac, "slack": float(slack)})
-    return {
-        "suite": "polygamy", "seed": seed, "trials": trials,
-        "checks": checks, "violations": len(viol),
-        "min_slack": float(min_slack), "tolerance": tol,
-        "counterexamples": viol[:5], "ok": not viol,
-    }
+    return _suite_report("polygamy", seed, trials, viol, checks=checks,
+                         min_slack=float(min_slack), tolerance=tol)
 
 
 # fixed roof budgets of the roof-based suites: a suite's output is a
@@ -779,11 +756,9 @@ CHAIN_RESTARTS = 8
 def verify_roof_oracle(trials: int, seed: int) -> dict:
     """Min-roof concurrence against the closed two-qubit formula on random
     rank-2 states (marginals of Haar three-qubit states)."""
-    root = np.random.SeedSequence(seed)
     worst = 0.0
     viol = []
-    for i, child in enumerate(root.spawn(trials)):
-        rng = np.random.Generator(np.random.PCG64(child))
+    for i, child, rng in _trials(seed, trials):
         psi = st.haar_random_from(rng, 3)
         rho = st.reduce_pair(st.to_density(psi), 1)
         exact = msr.concurrence_wootters(rho)
@@ -795,11 +770,8 @@ def verify_roof_oracle(trials: int, seed: int) -> dict:
         if diff > 1e-3:
             viol.append({"trial": i, "state": st.pure_state_to_json(psi),
                          "exact": exact, "roof": res.value, "diff": diff})
-    return {
-        "suite": "roof-oracle", "seed": seed, "trials": trials,
-        "violations": len(viol), "max_abs_diff": worst,
-        "tolerance": 1e-3, "counterexamples": viol[:5], "ok": not viol,
-    }
+    return _suite_report("roof-oracle", seed, trials, viol,
+                         max_abs_diff=worst, tolerance=1e-3)
 
 
 def verify_chain(trials: int, seed: int) -> dict:
@@ -809,12 +781,10 @@ def verify_chain(trials: int, seed: int) -> dict:
     min-roof value (an upper estimate, used only inside the step
     hypotheses), and peel order puts the weakest pair first.
     """
-    root = np.random.SeedSequence(seed)
     gamma = 2.0
     viol, skipped, checks = [], 0, 0
     min_slack = np.inf
-    for i, child in enumerate(root.spawn(trials)):
-        rng = np.random.Generator(np.random.PCG64(child))
+    for i, child, rng in _trials(seed, trials):
         psi = st.haar_random_from(rng, 4)
         rho = st.to_density(psi)
         lhs = msr.concurrence_pure(psi, (0,))
@@ -855,12 +825,9 @@ def verify_chain(trials: int, seed: int) -> dict:
                 "alpha": alpha, "ts": ts, "qs": qs, "pairs": pairs,
                 "residuals": residuals, "lhs": float(lhs ** alpha),
                 "rhs": float(rhs), "slack": float(slack)})
-    return {
-        "suite": "chain", "seed": seed, "trials": trials, "checks": checks,
-        "skipped": skipped, "violations": len(viol),
-        "min_slack": float(min_slack if checks else np.nan),
-        "counterexamples": viol[:5], "ok": not viol,
-    }
+    return _suite_report("chain", seed, trials, viol, checks=checks,
+                         skipped=skipped,
+                         min_slack=float(min_slack if checks else np.nan))
 
 
 VERIFY_SUITES = {
@@ -968,33 +935,21 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# each command returns its output text and exit code
+COMMANDS = {"measure": cmd_measure, "bound": cmd_bound, "figure": cmd_figure,
+            "verify": cmd_verify, "sweep": cmd_sweep}
+
+
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        if args.command == "measure":
-            _write_text(json.dumps(cmd_measure(args), sort_keys=True) + "\n",
-                        args.out)
-            return 0
-        if args.command == "bound":
-            _write_text(json.dumps(cmd_bound(args), sort_keys=True) + "\n",
-                        args.out)
-            return 0
-        if args.command == "figure":
-            _write_text(cmd_figure(args), args.out)
-            return 0
-        if args.command == "sweep":
-            _write_text(cmd_sweep(args), args.out)
-            return 0
-        if args.command == "verify":
-            text, code = cmd_verify(args)
-            _write_text(text, args.out)
-            return code
+        text, code = COMMANDS[args.command](args)
+        _write_text(text, args.out)
     except (UsageError, bnd.BoundsError, st.StateError, LinalgError,
             msr.MeasureError, OSError, json.JSONDecodeError) as exc:
         print(f"entbounds: error: {exc}", file=sys.stderr)
         return 2
-    return 2
+    return code
 
 
 if __name__ == "__main__":
