@@ -204,7 +204,7 @@ def _resolve_q(qspec, t, q_ab: float, q_ac: float, power, pw=bnd._pow):
             raise UsageError("edge q undefined when the dominant value is 0")
         return 1.0 + pw(q_ab / q_ac, power)
     if qspec == "top":
-        # a grid divides anyway and has its t = 0 points redone by this
+        # a grid divides anyway and raises this at its first t = 0 point
         if not isinstance(t, np.ndarray) and t == 0:
             raise UsageError("top q = 1 + 1/t is undefined at t = 0")
         return 1.0 + 1.0 / t
@@ -388,10 +388,10 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
                seed: int):
     """Grid-evaluate the requested variants; returns (header_lines, rows).
 
-    The grid is one array pass through bnd.bound_grid.  Points where the
-    scalar engine would raise (an overflowing power, an unknown variant,
-    ...) are evaluated point by point with evaluate_bound_report instead,
-    in row order, so the same exception surfaces at the same point.
+    The grid is one array pass through bnd.bound_grid, which marks the
+    points where the scalar engine raises (an overflowing power, an unknown
+    variant, ...): the first in row order is evaluated with
+    evaluate_bound_report, so the same exception surfaces at the same point.
     """
     axis_vals = [(name, np.linspace(start, stop, steps))
                  for name, start, stop, steps in spec.axes]
@@ -421,22 +421,21 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
     else:
         grid = _grid_report(spec, side, lhs_base, q_ab, q_ac, values)
     lhs, rhs, admissible, redo = grid
-    lhs = np.where(blank, np.nan, lhs)
-    rhs = [np.where(blank, np.nan, r) for r in rhs]
-    admissible = ~blank & admissible
-    for idx in zip(*np.nonzero(~blank & redo)):
+    marked = np.argwhere(~blank & redo)
+    if len(marked):
         point = dict(spec.fixed)
-        for (name, a), i in zip(axis_vals, idx):
+        for (name, a), i in zip(axis_vals, marked[0]):
             point[name] = float(a[i])
-        report = evaluate_bound_report(
+        evaluate_bound_report(
             spec.kind, lhs_base, q_ab, q_ac, variants=spec.variants,
             t=point.get("t", "sqrt"), q=point.get("q", "edge"),
             k=point.get("k"), p=point.get("p"), a=point.get("a"),
             **{num_name: point[num_name], den_name: point[den_name]})
-        lhs[idx] = report.lhs
-        for r, v in zip(rhs, spec.variants):
-            r[idx] = report.variant_rhs[v]
-        admissible[idx] = all(report.preconditions_ok.values())
+        raise RuntimeError(f"the grid marked {point} but the scalar engine "
+                           "did not raise there")
+    lhs = np.where(blank, np.nan, lhs)
+    rhs = [np.where(blank, np.nan, r) for r in rhs]
+    admissible = ~blank & admissible
     if side.theorem in spec.variants and "ref29" in spec.variants:
         gap = side.gap(rhs[spec.variants.index(side.theorem)],
                        rhs[spec.variants.index("ref29")])
@@ -453,8 +452,8 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
 def _grid_report(spec: SweepSpec, side: bnd.Side, lhs_base: float,
                  q_ab: float, q_ac: float, values: dict):
     """evaluate_bound_report over broadcast grid values: (lhs, per-variant
-    rhs, admissible, redo), where redo marks the points the scalar engine
-    must evaluate because it raises there or may."""
+    rhs, admissible, redo), where redo marks the points where the scalar
+    engine raises."""
     pw = bnd.GridPow()
     num_name, den_name = side.exponents
     num = np.asarray(values[num_name], dtype=float)
@@ -861,16 +860,23 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="entbounds",
         description="Quantum-correlation measures and monogamy/polygamy "
                     "bound verification on small qubit registers.")
-    ap.add_argument("--seed", type=int, default=0, help="RNG seed (pcg64)")
+    ap.add_argument("--seed", type=nonnegative_int, default=0, help="RNG seed (pcg64)")
     ap.add_argument("--out", default="-", help="output path, '-' for stdout")
     # accept the global flags after the subcommand as well
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=nonnegative_int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -27,20 +27,24 @@ stacked blocks, whose sweeps are stacked passes; the stopping rule is
 replayed over each block in restart order (first-best wins) and restarts
 past the stop are dropped, so results, and restarts_used (the restarts
 the rule kept), are bit for bit those of one restart at a time,
-reproducible and safe for concurrent use.  On two qubits the Wootters
-concurrence is the exact roof, so it certifies the roof from below and
-the rule stops as soon as it is met.
+reproducible and safe for concurrent use.  On a (2, 2) signature the
+Wootters concurrence is the exact roof, so it certifies the roof from
+below and the rule stops as soon as it is met.
 The polish works on one isometry at a time and looks for a split-product
 ensemble, a zero roof.  A state whose partial transpose over the split
 has an eigenvalue below -1e-10 is NPT, hence entangled (Peres), and has
-none: each of its restarts is one run of sweeps, with no polish.  On two
-qubits it polishes the winning decomposition once, after the stopping
-rule, which lands it on the Wootters value; on more qubits the polish's
-objective does not share the roof's minimizers and none runs.
+none: each of its restarts is one run of sweeps, with no polish.  On a
+(2, 2) signature it polishes the winning decomposition once, after the
+stopping rule, which lands it on the Wootters value; elsewhere the
+polish's objective does not share the roof's minimizers and none runs.
+
+A split is the first block of a bipartition: indices into the dims of a
+density matrix or the qubits of a pure state, checked by _check_split.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -66,23 +70,24 @@ class MeasureError(ValueError):
     """Unsupported signature or invalid split for a measure."""
 
 
-def _check_split(split: Sequence[int], n_qubits: int) -> tuple[int, ...]:
+def _check_split(split: Sequence[int], dims: tuple[int, ...]) -> tuple[int, ...]:
+    """split as subsystem indices into dims, leaving a nonempty rest."""
     split = tuple(int(i) for i in split)
     if not split:
-        raise MeasureError("split must name at least one qubit")
+        raise MeasureError("split must name at least one subsystem")
     if len(set(split)) != len(split):
-        raise MeasureError(f"duplicate qubit in split {split}")
+        raise MeasureError(f"duplicate subsystem in split {split}")
     for i in split:
-        if not 0 <= i < n_qubits:
-            raise MeasureError(f"split index {i} out of range for {n_qubits} qubits")
-    if len(split) == n_qubits:
+        if not 0 <= i < len(dims):
+            raise MeasureError(f"split index {i} out of range for {dims}")
+    if len(split) == len(dims):
         raise MeasureError("split must leave a nonempty second block")
     return split
 
 
 def concurrence_pure(psi: PureState, split: Sequence[int] = (0,)) -> float:
     """sqrt(2 [1 - tr rho_first^2]) for the bipartition split | rest."""
-    split = _check_split(split, psi.n_qubits)
+    split = _check_split(split, psi.dims)
     lams = schmidt_coefficients(psi.amps, psi.dims, split)
     purity = float(np.sum(lams ** 2))
     val = np.sqrt(max(0.0, 2.0 * (1.0 - purity)))
@@ -113,20 +118,16 @@ def _require_two_qubit(rho: DensityMatrix) -> None:
         raise MeasureError(f"two-qubit signature required, got {rho.sig.dims}")
 
 
-def _wootters_concurrence(rho_mat: np.ndarray) -> float:
-    mu = _wootters_mu(rho_mat)
-    return float(max(0.0, 2.0 * mu[0] - mu.sum()))
-
-
 def concurrence_wootters(rho: DensityMatrix) -> float:
     """Two-qubit concurrence max{mu1 - mu2 - mu3 - mu4, 0}."""
     _require_two_qubit(rho)
-    return _wootters_concurrence(rho.mat)
+    mu = _wootters_mu(rho.mat)
+    return float(max(0.0, 2.0 * mu[0] - mu.sum()))
 
 
 def negativity_pure(psi: PureState, split: Sequence[int] = (0,)) -> float:
     """2 sum_{i<j} sqrt(lam_i lam_j) over the Schmidt spectrum of the split."""
-    split = _check_split(split, psi.n_qubits)
+    split = _check_split(split, psi.dims)
     lams = schmidt_coefficients(psi.amps, psi.dims, split)
     roots = np.sqrt(lams)
     total = 0.0
@@ -136,21 +137,18 @@ def negativity_pure(psi: PureState, split: Sequence[int] = (0,)) -> float:
     return float(max(0.0, 2.0 * total))
 
 
-def negativity_mixed(rho: DensityMatrix, split: Sequence[int] = (0,)) -> float:
-    """Trace norm of the partial transpose over the split block, minus 1."""
-    split = tuple(int(i) for i in split)
-    if not split:
-        raise MeasureError("split must name at least one subsystem")
-    for i in split:
-        rho.sig.check_index(i)
-    if len(set(split)) != len(split):
-        raise MeasureError(f"duplicate subsystem in split {split}")
-    if len(split) == len(rho.sig):
-        raise MeasureError("split must leave a nonempty second block")
+def _transpose_split(rho: DensityMatrix, split: tuple[int, ...]) -> np.ndarray:
+    """rho's matrix, transposed over every subsystem of a checked split."""
     mat = rho.mat
     for i in split:
         mat = transpose_subsystem(mat, rho.sig.dims, i)
-    return float(max(0.0, trace_norm(mat) - 1.0))
+    return mat
+
+
+def negativity_mixed(rho: DensityMatrix, split: Sequence[int] = (0,)) -> float:
+    """Trace norm of the partial transpose over the split block, minus 1."""
+    split = _check_split(split, rho.sig.dims)
+    return float(max(0.0, trace_norm(_transpose_split(rho, split)) - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +205,11 @@ class RoofResult:
     upper bound on the true roof and the average over its ensemble.
 
     lower is a certified lower end of the roof where one is known: the
-    value itself at rank 1, the Wootters concurrence on two qubits, and
-    None elsewhere.  converged says only that the best restart's last
-    sweep gained less than step_tolerance or that a polish of it was
-    kept; it does not mean the value is settled, as other restarts may
-    end in other local minima."""
+    value itself at rank 1, the Wootters concurrence on a (2, 2)
+    signature, and None elsewhere.  converged says only that the best
+    restart's last sweep gained less than step_tolerance or that a polish
+    of it was kept; it does not mean the value is settled, as other
+    restarts may end in other local minima."""
 
     value: float
     ensemble: Ensemble
@@ -236,17 +234,17 @@ def concurrence_functional(split: Sequence[int] = (0,)) -> PureStateFunctional:
     return PureStateFunctional(tuple(int(i) for i in split))
 
 
-def _split_blocks(batch: np.ndarray, n_qubits: int,
+def _split_blocks(batch: np.ndarray, dims: tuple[int, ...],
                   split: tuple[int, ...]) -> np.ndarray:
     """Reshape batch rows to (n, d_first, d_rest) matrices of the split."""
     nb = batch.shape[0]
-    rest = tuple(i for i in range(n_qubits) if i not in split)
-    tensor = batch.reshape((nb,) + (2,) * n_qubits)
+    rest = tuple(i for i in range(len(dims)) if i not in split)
+    tensor = batch.reshape((nb,) + dims)
     axes = (0,) + tuple(i + 1 for i in split) + tuple(i + 1 for i in rest)
-    return tensor.transpose(axes).reshape(nb, 2 ** len(split), -1)
+    return tensor.transpose(axes).reshape(nb, math.prod(dims[i] for i in split), -1)
 
 
-def _minor_form(rows: np.ndarray, n_qubits: int,
+def _minor_form(rows: np.ndarray, dims: tuple[int, ...],
                 split: tuple[int, ...]) -> np.ndarray:
     """Q of shape (r, r, K) with minors(u @ rows)_i = u_i^T Q u_i.
 
@@ -254,7 +252,7 @@ def _minor_form(rows: np.ndarray, n_qubits: int,
     blocks, so its diagonal Q[i, i] holds the minors of rows[i] and u @ Q
     is half the Jacobian of each member's minors in its isometry row.
     """
-    s = _split_blocks(rows, n_qubits, split)
+    s = _split_blocks(rows, dims, split)
     d_first, d_rest = s.shape[1:]
     row_pairs = [(a, b) for a in range(d_first) for b in range(a + 1, d_first)]
     col_pairs = [(j, k) for j in range(d_rest) for k in range(j + 1, d_rest)]
@@ -568,10 +566,10 @@ def _restart_block(u, qf, cfg, polish):
     return totals, u, conv
 
 
-def _ensemble_average(members, n_qubits: int, split: tuple[int, ...]) -> float:
+def _ensemble_average(members, dims: tuple[int, ...],
+                      split: tuple[int, ...]) -> float:
     """sum_i p_i C(psi_i) over the split, from the members' own amplitudes."""
-    form = _minor_form(np.array([psi.amps for _, psi in members]), n_qubits,
-                       split)
+    form = _minor_form(np.array([psi.amps for _, psi in members]), dims, split)
     probs = np.array([p for p, _ in members])
     return float(probs @ _weights(np.einsum("iik->ik", form)))
 
@@ -584,12 +582,13 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     direction must be "min", the only roof offered.  Decompositions are
     generated from the eigendecomposition via m x r isometries; restart 0
     starts at the eigendecomposition ensemble itself, the rest at
-    Haar-random isometries.  At most cfg.restarts restarts run: on two
-    qubits the loop stops once the best is within cfg.step_tolerance of
-    the Wootters concurrence, the exact roof and so a certified lower end
-    (RoofResult.lower).  Otherwise, and as fallbacks, it stops once the
-    roof reaches zero or after STALL_RESTARTS in a row fail to lower the
-    best by more than cfg.step_tolerance.  Restarts run in stacked blocks:
+    Haar-random isometries.  At most cfg.restarts restarts run: on a
+    (2, 2) signature the loop stops once the best is within
+    cfg.step_tolerance of the Wootters concurrence, the exact roof and so
+    a certified lower end (RoofResult.lower).  Otherwise, and as
+    fallbacks, it stops once the roof reaches zero or after
+    STALL_RESTARTS in a row fail to lower the best by more than
+    cfg.step_tolerance.  Restarts run in stacked blocks:
     restart 0 with the STALL_RESTARTS the rule runs after it anyway (alone
     when a zero roof or the certificate may stop it there), then as many
     as the stall rule still needs.  The rule is replayed over each block
@@ -598,9 +597,9 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     pairs in the stacked rounds of _rounds(m).  An NPT state (partial
     transpose over the split with an eigenvalue below -1e-10) runs each
     restart as one run of sweeps with no polish and the rule on the sweep
-    totals; on two qubits it then polishes the winner once, keeping the
-    polish only when it lowers the value, and on more qubits it runs no
-    polish.
+    totals; on a (2, 2) signature it then polishes the winner once,
+    keeping the polish only when it lowers the value, and elsewhere it
+    runs no polish.  The split names subsystems of rho.sig.dims.
     """
     if direction != "min":
         raise ValueError(f"direction must be 'min', got {direction!r}")
@@ -608,11 +607,10 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
         raise TypeError("convex_roof needs a PureStateFunctional such as "
                         f"concurrence_functional(split), got {functional!r}")
     cfg = cfg or RoofConfig()
-    d = rho.dim
-    n_qubits = int(round(np.log2(d)))
-    if 2 ** n_qubits != d:
+    dims, d = rho.sig.dims, rho.dim
+    split = _check_split(functional.split, dims)
+    if d & (d - 1):  # the ensemble's PureState members are qubit registers
         raise MeasureError(f"roof optimizer requires qubit registers, dim {d}")
-    split = _check_split(functional.split, n_qubits)
 
     evals, vecs = np.linalg.eigh(rho.mat)
     idx = np.where(evals > RANK_TOL)[0]
@@ -626,13 +624,12 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T  # rows are sqrt(ev) * eigvec
 
     if rank == 1:
-        ens = Ensemble(((1.0, PureState(scaled[0] / np.linalg.norm(scaled[0]),
-                                        n_qubits)),))
+        ens = Ensemble(((1.0, PureState(scaled[0] / np.linalg.norm(scaled[0]))),))
         ens.validate_against(rho)
-        value = _ensemble_average(ens.members, n_qubits, split)
+        value = _ensemble_average(ens.members, dims, split)
         return RoofResult(value, ens, 0, True, value)
 
-    qf = _minor_form(scaled, n_qubits, split).reshape(rank, -1)
+    qf = _minor_form(scaled, dims, split).reshape(rank, -1)
     u0 = np.eye(m, rank, dtype=complex)
     eigen_avg = float(_weights(_member_minors(u0, qf)[1]).sum())
 
@@ -648,21 +645,16 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     best_total = best_u = None
     best_conv = stop = False
     restarts_used = stalled = 0
-    # the certificate comes from the matrix: a (4,) signature is a two-qubit
-    # register here too, and concurrence_wootters would reject it
-    lower = _wootters_concurrence(rho.mat) if n_qubits == 2 else None
+    lower = concurrence_wootters(rho) if dims == (2, 2) else None
     # a zero roof stops the rule at restart 0 and needs a separable, hence
     # PPT (Peres), state: there restart 0 runs alone first, and every
     # restart tries the polish.  An NPT state has no split-product
     # ensemble, so only the winner is polished, once the rule stops, and
-    # only on two qubits: with one minor per member the polish's sum of
-    # |minor|^2 is at least (sum |minor|)^2 / m, with equality at Wootters'
-    # equal-concurrence optimal ensembles, so it shares the roof's
-    # minimizers; with more minors per member it does not
-    pt = rho.mat
-    for i in split:
-        pt = transpose_subsystem(pt, (2,) * n_qubits, i)
-    ppt = bool(np.linalg.eigvalsh(pt)[0] > -1e-10)
+    # only on a (2, 2) signature: with one minor per member the polish's
+    # sum of |minor|^2 is at least (sum |minor|)^2 / m, with equality at
+    # Wootters' equal-concurrence optimal ensembles, so it shares the
+    # roof's minimizers; with more minors per member it does not
+    ppt = bool(np.linalg.eigvalsh(_transpose_split(rho, split))[0] > -1e-10)
     size = 1 if ppt or lower is not None else 1 + STALL_RESTARTS
     while not stop and restarts_used < cfg.restarts:
         block = range(restarts_used, min(restarts_used + size, cfg.restarts))
@@ -696,11 +688,11 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
         p = float(np.vdot(row, row).real)
         if p < 1e-12:
             continue
-        members.append((p, PureState(row / np.sqrt(p), n_qubits)))
+        members.append((p, PureState(row / np.sqrt(p))))
     ens = Ensemble(tuple(members))
     ens.validate_against(rho)
     # the reported value must be the returned ensemble's own average
-    avg = _ensemble_average(members, n_qubits, split)
+    avg = _ensemble_average(members, dims, split)
     if abs(value - avg) > 1e-10:
         raise RuntimeError(f"roof value {value!r} differs from its ensemble "
                            f"average {avg!r}")

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 from entbounds import harness as h
 from entbounds import measures as msr
-from entbounds.linalg import partial_trace
+from entbounds.linalg import DensityMatrix, SystemSignature, partial_trace
 from entbounds.states import (
     SchmidtParams,
     generalized_schmidt_state,
@@ -134,6 +136,32 @@ def test_measure_usage_errors(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "state" in err or "builder" in err
+
+
+def test_split_names_subsystems_of_the_signature(tmp_path, capsys):
+    # "1|0" on a (2, 4) state is the cut 12|0 of the qubits behind it, for
+    # the roof as for negativity.  The negativity reference takes the cut
+    # as 0|12: over (1, 2) negativity_pure adds the square roots of the
+    # rounding noise on its two zero Schmidt values, 1.5e-8 here
+    psi = haar_random_pure(3, 9)
+    path = tmp_path / "rho.json"
+    save_state(DensityMatrix(to_density(psi).mat, SystemSignature((2, 4))),
+               str(path))
+    want = {"concurrence": msr.concurrence_pure(psi, (1, 2)),
+            "negativity": msr.negativity_pure(psi, (0,))}
+    for name, value in want.items():
+        code, out = run_cli(["measure", "--state", str(path), "--measure", name,
+                             "--split", "1|0"], capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(value, abs=1e-12)
+
+
+def test_a_one_subsystem_state_has_no_split(tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    save_state(DensityMatrix(np.eye(4) / 4, SystemSignature((4,))), str(path))
+    errors = {usage_error(["measure", "--state", str(path), "--measure", name],
+                          capsys) for name in ("concurrence", "negativity")}
+    assert errors == {"entbounds: error: split must leave a nonempty second block"}
 
 
 # -- bound command ------------------------------------------------------------
@@ -466,6 +494,16 @@ def test_sweep_grid_matches_scalar_engine(capsys, monkeypatch, name):
     if name == "poly-all-blank":
         _, rows = parse_csv(grid[2])
         assert grid[1] == 0 and all(r["admissible"] == "0" for r in rows)
+
+
+def test_sweep_names_a_marked_point_that_does_not_raise(monkeypatch):
+    # the grid marks only points where the scalar engine raises, and such a
+    # point has no values to print
+    monkeypatch.setattr(h, "evaluate_bound_report", lambda *args, **kw: None)
+    spec = h.SweepSpec("monogamy", [("alpha", 0.0, 2.0, 3)], {"gamma": 2.0},
+                       ["thm1", "thm4"])
+    with pytest.raises(RuntimeError, match="grid marked .*'alpha': 0.0"):
+        h.sweep_rows(spec, 0.9, 0.3, 0.5, 0)
 
 
 def test_sweep_grid_rows_match_scalar_rows():
@@ -928,6 +966,26 @@ def test_python_dash_m_runs_main(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "monogamy", "--trials", "2"],
+    ["measure", "--builder", EX1_BUILDER, "--keep", "0,1,2",
+     "--measure", "concurrence"],
+    ["bound", "--builder", EX2_BUILDER, "--kind", "polygamy",
+     "--beta", "1", "--delta", "0.8"],
+    ["figure", "--id", "2", "--resolution", "3"],
+    ["sweep", "--builder", EX2_BUILDER, "--kind", "polygamy",
+     "--axis", "beta:1:2:3", "--fix", "delta=0.8"],
+], ids=lambda args: args[0])
+def test_negative_seed_is_a_usage_error(capsys, args):
+    # verify and the roof of measure ended in a numpy traceback (exit 1);
+    # the rest echoed the seed into their output
+    for argv in (["--seed", "-1"] + args, args + ["--seed", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            h.main(argv)
+        assert exc.value.code == 2
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_global_flags_before_subcommand(capsys):
     code, out = run_cli(["--seed", "3", "measure", "--builder", EX1_BUILDER,
                          "--measure", "concurrence"], capsys)
@@ -963,3 +1021,28 @@ def test_sweep_default_variants(capsys, kind, builder, fixes, theorem):
     assert [c for c in cols if c.startswith("rhs_")] == [f"rhs_{theorem}",
                                                          "rhs_ref29"]
     assert len(rows) == 5
+
+
+# -- README ---------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """The arguments of every `entbounds ...` line in README's code blocks,
+    with backslash continuations joined."""
+    blocks = re.findall(r"^```\n(.*?)^```", README.read_text(), re.S | re.M)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("entbounds ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # verify --suite lemma1 exits 1: the lemma fails on its window interior
+    commands = readme_commands()
+    assert len(commands) == 10
+    monkeypatch.chdir(tmp_path)  # figure --out writes into the cwd
+    for args in commands:
+        want = 1 if args[:3] == ["verify", "--suite", "lemma1"] else 0
+        assert (h.main(args), args) == (want, args)
+        capsys.readouterr()

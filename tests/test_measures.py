@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from entbounds import measures as msr
-from entbounds.linalg import (DensityMatrix, LinalgError, SystemSignature,
-                              partial_trace, transpose_subsystem)
+from entbounds.linalg import (DensityMatrix, SystemSignature, partial_trace,
+                              transpose_subsystem)
 from entbounds.measures import (
     Ensemble,
     MeasureError,
@@ -129,8 +129,30 @@ def test_negativity_mixed_rejects_degenerate_splits():
         negativity_mixed(rho, (0, 0))
     with pytest.raises(MeasureError, match="second block"):
         negativity_mixed(rho, (0, 1))
-    with pytest.raises(LinalgError):
+    with pytest.raises(MeasureError, match="out of range"):
         negativity_mixed(rho, (2,))
+
+
+BAD_SPLITS = {"empty": (), "repeated": (1, 1), "out-of-range": (3,),
+              "whole-register": (2, 0, 1)}
+
+
+@pytest.mark.parametrize("split", BAD_SPLITS.values(), ids=BAD_SPLITS)
+def test_a_bad_split_is_one_error_from_every_entry_point(split):
+    # one validator over the signature: the pure-state measures read the
+    # qubits of psi, negativity_mixed and the roof the dims of its projector
+    psi = haar_random_pure(3, 5)
+    rho = to_density(psi)
+    calls = (lambda: concurrence_pure(psi, split),
+             lambda: negativity_pure(psi, split),
+             lambda: negativity_mixed(rho, split),
+             lambda: convex_roof(rho, concurrence_functional(split), "min"))
+    messages = set()
+    for call in calls:
+        with pytest.raises(MeasureError) as exc:
+            call()
+        messages.add(str(exc.value))
+    assert len(messages) == 1
 
 
 def test_negativity_equals_wootters_on_pure_two_qubit(rng):
@@ -381,7 +403,7 @@ def kernel_inputs(rng, n_qubits, split, rank, m):
     evals, vecs = np.linalg.eigh(rho.mat)
     keep = evals > 1e-10
     scaled = (vecs[:, keep] * np.sqrt(evals[keep])).T
-    qf = msr._minor_form(scaled, n_qubits, split).reshape(len(scaled), -1)
+    qf = msr._minor_form(scaled, (2,) * n_qubits, split).reshape(len(scaled), -1)
     gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
     return scaled, qf, np.linalg.qr(gauss)[0]
 
@@ -492,18 +514,20 @@ def test_stopping_rule_on_roof_oracle_inputs(monkeypatch):
     assert alone > 0
 
 
-def test_certificate_on_a_flat_two_qubit_signature():
-    # a 4 x 4 state with signature (4,) is a two-qubit register to the roof,
-    # though concurrence_wootters rejects it; the roof takes the certificate
-    # from the matrix, stops at restart 0 and returns its value as float.hex
+def test_certificate_needs_a_two_qubit_signature():
+    # the certificate is concurrence_wootters on a (2, 2) signature, where
+    # the roof stops at restart 0 with its value pinned as float.hex; the
+    # same matrix with signature (4,) has one subsystem and so no split
     rho = reduce_pair(to_density(haar_random_pure(3, 700)), 1)
-    flat = DensityMatrix(rho.mat, SystemSignature((4,)))
-    with pytest.raises(MeasureError):
-        concurrence_wootters(flat)
-    res = convex_roof(flat, concurrence_functional((0,)), "min", RoofConfig(seed=1))
+    res = convex_roof(rho, concurrence_functional((0,)), "min", RoofConfig(seed=1))
     assert res.value.hex() == "0x1.94807f61aad5ap-3"
     assert res.lower == concurrence_wootters(rho)
     assert res.restarts_used == 1
+    flat = DensityMatrix(rho.mat, SystemSignature((4,)))
+    with pytest.raises(MeasureError):
+        concurrence_wootters(flat)
+    with pytest.raises(MeasureError, match="second block"):
+        convex_roof(flat, concurrence_functional((0,)), "min", RoofConfig(seed=1))
 
 
 # -- the sequential restart loop, kept as the stacked optimizer's oracle -------
@@ -645,7 +669,7 @@ def sequential_convex_roof(rho, cfg):
     rank = len(idx)
     m = cfg.max_ensemble_size if cfg.max_ensemble_size is not None else rank * rank
     scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
-    qf = msr._minor_form(scaled, n_qubits, (0,)).reshape(rank, -1)
+    qf = msr._minor_form(scaled, (2,) * n_qubits, (0,)).reshape(rank, -1)
     # an NPT state (Peres: entangled) polishes only the winning restart,
     # and only on two qubits
     npt = np.linalg.eigvalsh(
@@ -659,7 +683,7 @@ def sequential_convex_roof(rho, cfg):
         return total, u, conv
 
     # on two qubits the Wootters concurrence certifies the roof from below
-    lower = msr._wootters_concurrence(rho.mat) if n_qubits == 2 else None
+    lower = concurrence_wootters(rho) if n_qubits == 2 else None
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_total = best_u = None
     best_conv = False
@@ -793,7 +817,7 @@ def test_sweep_block_matches_lone_restarts_when_moves_are_rejected(monkeypatch):
     evals, vecs = np.linalg.eigh(rho.mat)
     idx = evals > msr.RANK_TOL
     scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
-    qf = msr._minor_form(scaled, 3, (0,)).reshape(len(scaled), -1)
+    qf = msr._minor_form(scaled, (2, 2, 2), (0,)).reshape(len(scaled), -1)
     rng = np.random.default_rng(5)
     gauss = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
     u = np.linalg.qr(gauss)[0]
@@ -897,7 +921,7 @@ def npt_restart_starts(rho, cfg):
     idx = evals > msr.RANK_TOL
     scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
     rank = len(scaled)
-    qf = msr._minor_form(scaled, n_qubits, (0,)).reshape(rank, -1)
+    qf = msr._minor_form(scaled, (2,) * n_qubits, (0,)).reshape(rank, -1)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     starts = [np.eye(rank * rank, rank, dtype=complex)]
     for j in range(1, 1 + msr.STALL_RESTARTS):
