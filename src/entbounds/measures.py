@@ -126,10 +126,15 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
 
 
 def negativity_pure(psi: PureState, split: Sequence[int] = (0,)) -> float:
-    """2 sum_{i<j} sqrt(lam_i lam_j) over the Schmidt spectrum of the split."""
+    """2 sum_{i<j} sqrt(lam_i lam_j) over the Schmidt spectrum of the split.
+
+    Only the min(d_first, d_rest) largest values are Schmidt values; the
+    rest of a larger first block's spectrum is zero up to rounding, whose
+    square roots would otherwise enter the sum."""
     split = _check_split(split, psi.dims)
     lams = schmidt_coefficients(psi.amps, psi.dims, split)
-    roots = np.sqrt(lams)
+    d_first = math.prod(psi.dims[i] for i in split)
+    roots = np.sqrt(lams[:min(d_first, math.prod(psi.dims) // d_first)])
     total = 0.0
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):

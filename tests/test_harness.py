@@ -140,15 +140,13 @@ def test_measure_usage_errors(capsys):
 
 def test_split_names_subsystems_of_the_signature(tmp_path, capsys):
     # "1|0" on a (2, 4) state is the cut 12|0 of the qubits behind it, for
-    # the roof as for negativity.  The negativity reference takes the cut
-    # as 0|12: over (1, 2) negativity_pure adds the square roots of the
-    # rounding noise on its two zero Schmidt values, 1.5e-8 here
+    # the roof as for negativity
     psi = haar_random_pure(3, 9)
     path = tmp_path / "rho.json"
     save_state(DensityMatrix(to_density(psi).mat, SystemSignature((2, 4))),
                str(path))
     want = {"concurrence": msr.concurrence_pure(psi, (1, 2)),
-            "negativity": msr.negativity_pure(psi, (0,))}
+            "negativity": msr.negativity_pure(psi, (1, 2))}
     for name, value in want.items():
         code, out = run_cli(["measure", "--state", str(path), "--measure", name,
                              "--split", "1|0"], capsys)
