@@ -27,9 +27,18 @@ stacked blocks, whose sweeps are stacked passes; the stopping rule is
 replayed over each block in restart order (first-best wins) and restarts
 past the stop are dropped, so results, and restarts_used (the restarts
 the rule kept), are bit for bit those of one restart at a time,
-reproducible and safe for concurrent use.  On a (2, 2) signature the
-Wootters concurrence is the exact roof, so it certifies the roof from
-below and the rule stops as soon as it is met.
+reproducible and safe for concurrent use.  One stop rule ends the
+restarts at a certified lower end: once the best value is within
+step_tolerance of it, no restart can gain more.  On a (2, 2) signature
+the Wootters concurrence is the exact roof and that lower end.  Any
+other rank-2 state gets one from restart 0's ensemble: its support
+states are the Bloch sphere, on which the squared concurrence h is a
+quadratic, the plane of the roof's LP dual is fitted to the ensemble by
+Newton on the KKT system, and its excess over sqrt(h) is found exactly
+from the stationary points of a quadratic on the sphere (a 6 x 6
+eigenproblem, Gander, Golub and von Matt, LAA 114/115, 815, 1989),
+rounded outward.  Restart 0 then runs alone, and a roof certified there
+has restarts_used 1.
 The polish works on one isometry at a time and looks for a split-product
 ensemble, a zero roof.  A state whose partial transpose over the split
 has an eigenvalue below -1e-10 is NPT, hence entangled (Peres), and has
@@ -211,7 +220,10 @@ class RoofResult:
 
     lower is a certified lower end of the roof where one is known: the
     value itself at rank 1, the Wootters concurrence on a (2, 2)
-    signature, and None elsewhere.  converged says only that the best
+    signature, the rank-2 certificate of restart 0's ensemble on any
+    other rank-2 state, whether or not the value met it (None if its
+    exact check failed), and None at higher rank.  A roof certified at
+    restart 0 has restarts_used 1.  converged says only that the best
     restart's last sweep gained less than step_tolerance or that a polish
     of it was kept; it does not mean the value is settled, as other
     restarts may end in other local minima."""
@@ -579,6 +591,257 @@ def _ensemble_average(members, dims: tuple[int, ...],
     return float(probs @ _weights(np.einsum("iik->ik", form)))
 
 
+# ---------------------------------------------------------------------------
+# Rank-2 certificate
+# ---------------------------------------------------------------------------
+#
+# The unit vectors c_0 phi_0 + c_1 phi_1 of a rank-2 state's support are
+# the Bloch points r of S^2, (c_0 conj(c_1) = (x - iy) / 2, |c_0|^2 - |c_1|^2
+# = z), and a decomposition with weights p_i reconstructs rho = lam_0
+# phi_0 phi_0^H + lam_1 phi_1 phi_1^H exactly when sum p_i = lam_0 + lam_1
+# and sum p_i r_i = (0, 0, lam_0 - lam_1).  The member's squared
+# concurrence h(r) = 4 sum |minors|^2 is a quadratic in r, so any plane
+# l(r) = a + beta . r with l <= sqrt(h) on S^2 bounds the roof from below
+# by l at the state's point (LP duality).
+
+# the plane's excess is raised by this before its exact check, so that
+# rounding in the check cannot carry the lower end above the roof; where
+# the plane touches sqrt(h) at a small value, F's margin 2 eps l there is
+# small too, and the margin grows 16-fold per failed check up to 1e-6
+RANK2_MARGIN = 2.0 ** -40
+# Newton steps of the plane fit at most; it takes 2 or 3 on the three-qubit
+# marginals of four-qubit Haar states
+FIT_ITERS = 8
+
+
+def _bloch_quadratic(vecs: np.ndarray, dims: tuple[int, ...],
+                     split: tuple[int, ...]):
+    """(H, g, c) with h(r) = r^T H r + 2 g^T r + c the squared concurrence
+    across the split of the unit vector at Bloch point r of the span of
+    the two columns of vecs (orthonormal, d x 2).
+
+    With minors(c_0 phi_0 + c_1 phi_1) = c_0^2 A + 2 c_0 c_1 B + c_1^2 C,
+    |c_0|^4, |c_0|^2 c_0 conj(c_1), (c_0 conj(c_1))^2 and the rest are
+    polynomials of degree 2 in r."""
+    form = _minor_form(vecs.T, dims, split)
+    a, b, c = form[0, 0], form[0, 1], form[1, 1]
+    a2, b2, c2 = (float(np.vdot(v, v).real) for v in (a, b, c))
+    ab, ac, bc = np.vdot(b, a), np.vdot(c, a), np.vdot(c, b)
+    xz, yz = 2 * (ab.real - bc.real), 2 * (ab.imag - bc.imag)
+    h_mat = np.array([[2 * ac.real, 2 * ac.imag, xz],
+                      [2 * ac.imag, -2 * ac.real, yz],
+                      [xz, yz, a2 - 4 * b2 + c2]])
+    g = np.array([2 * (ab.real + bc.real), 2 * (ab.imag + bc.imag), a2 - c2])
+    return h_mat, g, a2 + 4 * b2 + c2
+
+
+def _bloch_points(coef: np.ndarray):
+    """(p, r): weights and unit Bloch points of members given by their
+    coordinates (m, 2) in the eigenbasis; members of weight <= 1e-12, which
+    the roof's ensemble drops too, are left out."""
+    p = (coef.real ** 2 + coef.imag ** 2).sum(axis=1)
+    coef, p = coef[p > 1e-12], p[p > 1e-12]
+    c01 = coef[:, 0] * coef[:, 1].conj()
+    r = np.stack([2 * c01.real, -2 * c01.imag,
+                  (coef[:, 0] * coef[:, 0].conj()).real
+                  - (coef[:, 1] * coef[:, 1].conj()).real], axis=1)
+    return p, r / np.linalg.norm(r, axis=1)[:, None]
+
+
+def _tangent_bases(r: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent bases (k, 3, 2) of S^2 at the unit rows of r."""
+    def cross(u, v):
+        return (u[:, [1, 2, 0]] * v[:, [2, 0, 1]]
+                - u[:, [2, 0, 1]] * v[:, [1, 2, 0]])
+
+    e1 = cross(r, np.eye(3)[np.abs(r).argmin(axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    return np.stack([e1, cross(r, e1)], axis=2)
+
+
+def _fit_plane(quad, p: np.ndarray, r: np.ndarray, target: np.ndarray):
+    """(a, beta) of the dual plane fitted to a decomposition (p, r) of the
+    point target = (sum p, sum p r).
+
+    Newton on the KKT system of min sum p_i sqrt(h(r_i)): the plane
+    touches sqrt(h) at each member, l(r_i) = sqrt(h(r_i)), with a matching
+    tangential gradient, and the members still decompose the target;
+    members move on S^2 in their tangent planes.  A product member
+    (sqrt(h) <= 1e-8), where sqrt(h) may have no gradient, keeps its place
+    and only the touching condition.  Least-squares steps carry the fit
+    through the singular systems of decompositions that are not unique
+    (two-qubit states, flat roofs).  The plane may be off the optimum: only
+    the exact check decides what it certifies.  Returns the iterate with
+    the smallest residual."""
+    h_mat, g, c = quad
+    k = len(p)
+    n = 4 + 3 * k
+    ar = np.arange(k)
+    best = (np.inf, 0.0, np.zeros(3))
+    a = beta = None
+    with np.errstate(all="ignore"):  # a diverging fit ends on its best step
+        for _ in range(FIT_ITERS):
+            hr = r @ h_mat + g                      # half the gradient of h
+            f = np.sqrt(np.maximum(np.einsum("ij,ij->i", r, hr + g) + c, 0.0))
+            smooth = f > 1e-8
+            inv = np.where(smooth, 1.0 / np.where(smooth, f, 1.0), 0.0)
+            grad = hr * inv[:, None]                # of sqrt(h)
+            e = _tangent_bases(r)
+            et = e.transpose(0, 2, 1) * smooth[:, None, None]
+            if a is None:  # least squares of the touching conditions alone
+                rows = np.zeros((3 * k, 4))
+                rows[:k, 0], rows[:k, 1:] = 1.0, r
+                rows[k:, 1:] = et.reshape(2 * k, 3)
+                rhs = np.concatenate([f, np.einsum("kpi,ki->kp", et, grad).ravel()])
+                a, *beta = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+                beta = np.array(beta)
+            v = beta - grad
+            tang = np.einsum("kpi,ki->kp", et, v)
+            res = np.concatenate([[p.sum() - target[0]], p @ r - target[1:],
+                                  a + r @ beta - f, tang.ravel()])
+            err = np.abs(res).max()
+            if not err < best[0]:  # also stops on a non-finite residual
+                break
+            best = (err, a, beta)
+            if err <= 1e-15:
+                break
+            jac = np.zeros((n, n))
+            jac[0, 4:4 + k] = 1.0
+            jac[1:4, 4:4 + k] = r.T
+            jac[1:4, 4 + k:] = (p[:, None, None] * e).transpose(1, 0, 2).reshape(3, -1)
+            jac[4:4 + k, 0] = 1.0
+            jac[4:4 + k, 1:4] = r
+            touch = np.zeros((k, k, 2))
+            touch[ar, ar] = tang
+            jac[4:4 + k, 4 + k:] = touch.reshape(k, -1)
+            jac[4 + k:, 1:4] = et.reshape(2 * k, 3)
+            hess = (h_mat[None] * inv[:, None, None]
+                    - hr[:, :, None] * hr[:, None, :] * inv[:, None, None] ** 3)
+            curv = np.zeros((k, 2, k, 2))
+            # a product member's rows hold its place: t_i = 0
+            curv[ar, :, ar, :] = np.where(
+                smooth[:, None, None],
+                -np.einsum("kpi,kij,kjq->kpq", et, hess, e)
+                - np.einsum("ki,ki->k", r, v)[:, None, None] * np.eye(2),
+                np.eye(2))
+            jac[4 + k:, 4 + k:] = curv.reshape(2 * k, 2 * k)
+            step = np.linalg.lstsq(jac, -res, rcond=1e-10)[0]
+            a, beta, p = a + step[0], beta + step[1:4], p + step[4:4 + k]
+            r = r + np.einsum("kip,kp->ki", e, step[4 + k:].reshape(k, 2))
+            r /= np.linalg.norm(r, axis=1)[:, None]
+    return best[1], best[2]
+
+
+def _sphere_stationary(m: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Unit points (n, 3) that include every stationary point of
+    r^T m r + 2 g^T r on S^2.
+
+    Stationary points solve (m - lam I) r = -g, |r| = 1; with m = Q diag(mu)
+    Q^T their lam are the real eigenvalues of [[diag(mu), -I], [-g~ g~^T,
+    diag(mu)]], g~ = Q^T g (Gander, Golub and von Matt, LAA 114/115, 815,
+    1989), and r = -g~ / (mu - lam) in the eigenbasis.  When g~ has no
+    component along an eigenvector (the hard case) lam = mu_j and the
+    points r_i = -g~_i / (mu_i - mu_j), i != j, r_j = +-sqrt(1 - sum r_i^2)
+    are added; these are added for every j, stationary or not, as are
+    the points of eigenvalues with an imaginary part below 1e-6 of the
+    scale: extra points only make the check stricter."""
+    mu, q = np.linalg.eigh(m)
+    gt = q.T @ g
+    big = np.zeros((6, 6))
+    big[:3, :3] = big[3:, 3:] = np.diag(mu)
+    big[:3, 3:] = -np.eye(3)
+    big[3:, :3] = -np.outer(gt, gt)
+    lam = np.linalg.eigvals(big)
+    scale = 1.0 + np.abs(mu).max() + np.abs(gt).max()
+    lam = lam.real[np.abs(lam.imag) <= 1e-6 * scale]
+    den = mu[None, :] - lam[:, None]
+    ok = np.abs(den) > 1e-12 * scale
+    pts = np.where(ok, -gt / np.where(ok, den, 1.0), 0.0)
+    den = mu[None, :] - mu[:, None]
+    ok = np.abs(den) > 1e-12 * scale
+    other = np.where(ok, -gt / np.where(ok, den, 1.0), 0.0)  # row j: r_i, r_j = 0
+    room = 1.0 - (other ** 2).sum(axis=1)
+    up = np.sqrt(np.maximum(room, 0.0))[:, None] * np.eye(3)
+    pts = np.concatenate([pts, (other + up)[room >= 0], (other - up)[room >= 0]])
+    norm = np.linalg.norm(pts, axis=1)
+    return (pts[norm > 0] / norm[norm > 0, None]) @ q.T
+
+
+def _quadratic_at(quad, pts: np.ndarray) -> np.ndarray:
+    """r^T m r + 2 g^T r + c at the rows r of pts, quad = (m, g, c)."""
+    m, g, c = quad
+    return np.einsum("ij,jk,ik->i", pts, m, pts) + 2 * pts @ g + c
+
+
+def _plane_f(quad, a, beta, eps):
+    """(m, g, c) of F = h - (l - eps)^2 = r^T m r + 2 g^T r + c."""
+    h_mat, g, c = quad
+    return (h_mat - np.outer(beta, beta), g - (a - eps) * beta,
+            c - (a - eps) ** 2)
+
+
+def _plane_excess(quad, a, beta) -> float:
+    """max(0, max over S^2 of l - sqrt(h)), the least eps for which l - eps
+    lies under sqrt(h).
+
+    At that eps the maximizer r* is a zero and local minimum of F = h -
+    (l - eps)^2 on the cap l > eps, so a stationary point of F; near it
+    l - sqrt(h) at F's stationary point falls short of the maximum only to
+    second order in the eps error.  Starting from eps = 0 the excess at
+    the stationary points therefore converges quadratically."""
+    eps = 0.0
+    for _ in range(8):
+        m, gf, _ = _plane_f(quad, a, beta, eps)
+        pts = _sphere_stationary(m, gf)
+        h = _quadratic_at(quad, pts)
+        new = max(eps, float((a + pts @ beta - np.sqrt(np.maximum(h, 0.0))).max()))
+        if new <= eps + 1e-16:
+            return new
+        eps = new
+    return eps
+
+
+def _plane_holds(quad, a, beta, eps) -> bool:
+    """Exact check that l - eps <= sqrt(h) on S^2.
+
+    Where l <= eps it holds.  On the circle l = eps, F = h - (l - eps)^2 =
+    h >= 0, so F >= 0 on the cap l > eps, which is the claim there, holds
+    if it holds at F's stationary points inside the cap; each must clear
+    a bound on the rounding error of evaluating F."""
+    f_quad = _plane_f(quad, a, beta, eps)
+    pts = _sphere_stationary(*f_quad[:2])
+    f = _quadratic_at(f_quad, pts)
+    h_mat, g, c = quad
+    scale = (np.abs(h_mat).sum() + 2 * np.abs(g).sum() + abs(c)
+             + (abs(a) + np.abs(beta).sum() + eps) ** 2)
+    inside = a + pts @ beta > eps
+    return bool(np.all(f[inside] >= 64 * np.finfo(float).eps * scale))
+
+
+def _rank2_lower(evals: np.ndarray, vecs: np.ndarray, coef: np.ndarray,
+                 dims: tuple[int, ...], split: tuple[int, ...]) -> float | None:
+    """Certified lower end of the concurrence roof of the rank-2 state
+    with support eigenvalues evals (2,) and orthonormal eigenvectors vecs
+    (d, 2), from the plane fitted to a decomposition with coordinates
+    coef (m, 2) in that eigenbasis: l(r_rho) - eps, eps the plane's exact
+    excess raised by the least margin from RANK2_MARGIN on that passes the
+    exact check, rounded down and at least 0.  None if no margin up to
+    1e-6 passes."""
+    quad = _bloch_quadratic(vecs, dims, split)
+    total, z = float(evals.sum()), float(evals[0] - evals[1])
+    p, r = _bloch_points(coef)
+    a, beta = _fit_plane(quad, p, r, np.array([total, 0.0, 0.0, z]))
+    excess, margin = _plane_excess(quad, a, beta), RANK2_MARGIN
+    while not _plane_holds(quad, a, beta, excess + margin):
+        margin *= 16.0
+        if margin > 1e-6:
+            return None
+    eps = excess + margin
+    low = (a - eps) * total + beta[2] * z
+    slack = 8 * np.finfo(float).eps * ((abs(a) + eps) * total + abs(beta[2] * z))
+    return max(0.0, float(low - slack))
+
+
 def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
                 direction: str, cfg: RoofConfig | None = None) -> RoofResult:
     """Minimize the ensemble average of the concurrence over decompositions
@@ -587,16 +850,16 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     direction must be "min", the only roof offered.  Decompositions are
     generated from the eigendecomposition via m x r isometries; restart 0
     starts at the eigendecomposition ensemble itself, the rest at
-    Haar-random isometries.  At most cfg.restarts restarts run: on a
-    (2, 2) signature the loop stops once the best is within
-    cfg.step_tolerance of the Wootters concurrence, the exact roof and so
-    a certified lower end (RoofResult.lower).  Otherwise, and as
-    fallbacks, it stops once the roof reaches zero or after
-    STALL_RESTARTS in a row fail to lower the best by more than
-    cfg.step_tolerance.  Restarts run in stacked blocks:
-    restart 0 with the STALL_RESTARTS the rule runs after it anyway (alone
-    when a zero roof or the certificate may stop it there), then as many
-    as the stall rule still needs.  The rule is replayed over each block
+    Haar-random isometries.  At most cfg.restarts restarts run: the loop
+    stops once the best is within cfg.step_tolerance of a certified lower
+    end (RoofResult.lower), the Wootters concurrence on a (2, 2)
+    signature, else at rank 2 the plane certificate fitted to restart 0's
+    ensemble (_rank2_lower).  Otherwise, and as fallbacks, it stops once
+    the roof reaches zero or after STALL_RESTARTS in a row fail to lower
+    the best by more than cfg.step_tolerance.  Restarts run in stacked
+    blocks: restart 0 with the STALL_RESTARTS the rule runs after it
+    anyway (alone when a zero roof or a certificate may stop it there),
+    then as many as the stall rule still needs.  The rule is replayed over each block
     in restart order, restarts past the stop are dropped and
     restarts_used counts those the rule kept.  Each sweep runs the row
     pairs in the stacked rounds of _rounds(m).  An NPT state (partial
@@ -650,7 +913,10 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     best_total = best_u = None
     best_conv = stop = False
     restarts_used = stalled = 0
-    lower = concurrence_wootters(rho) if dims == (2, 2) else None
+    two_qubit = dims == (2, 2)
+    lower = concurrence_wootters(rho) if two_qubit else None
+    # elsewhere a rank-2 state is certified from restart 0's ensemble
+    rank2 = rank == 2 and not two_qubit
     # a zero roof stops the rule at restart 0 and needs a separable, hence
     # PPT (Peres), state: there restart 0 runs alone first, and every
     # restart tries the polish.  An NPT state has no split-product
@@ -660,11 +926,14 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     # Wootters' equal-concurrence optimal ensembles, so it shares the
     # roof's minimizers; with more minors per member it does not
     ppt = bool(np.linalg.eigvalsh(_transpose_split(rho, split))[0] > -1e-10)
-    size = 1 if ppt or lower is not None else 1 + STALL_RESTARTS
+    size = 1 if ppt or two_qubit or rank2 else 1 + STALL_RESTARTS
     while not stop and restarts_used < cfg.restarts:
         block = range(restarts_used, min(restarts_used + size, cfg.restarts))
         totals, us, convs = _restart_block(np.array([start(j) for j in block]),
                                            qf, cfg, ppt)
+        if rank2 and not restarts_used:
+            lower = _rank2_lower(evals[idx], vecs[:, idx],
+                                 us[0] * np.sqrt(evals[idx]), dims, split)
         for total, u, conv in zip(totals, us, convs):
             restarts_used += 1
             if best_total is None or total < best_total - cfg.step_tolerance:
@@ -678,7 +947,7 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
             if stop:
                 break
         size = STALL_RESTARTS - stalled
-    if not ppt and lower is not None:
+    if not ppt and two_qubit:
         best_total, best_u, kept = _try_polish(best_total, best_u, qf)
         best_conv = best_conv or kept
 

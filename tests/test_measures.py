@@ -540,6 +540,146 @@ def test_certificate_needs_a_two_qubit_signature():
         convex_roof(flat, concurrence_functional((0,)), "min", RoofConfig(seed=1))
 
 
+# -- the rank-2 certificate -----------------------------------------------------
+
+def support(rho):
+    """Support eigenvalues and eigenvectors of a rank-2 state, as
+    convex_roof takes them."""
+    evals, vecs = np.linalg.eigh(rho.mat)
+    idx = evals > msr.RANK_TOL
+    assert np.count_nonzero(idx) == 2
+    return evals[idx], vecs[:, idx]
+
+
+def rank2_lower(rho, rows):
+    """The rank-2 certificate of rho over split (0,), fitted to the
+    decomposition with rows sqrt(p_i) psi_i."""
+    evals, vecs = support(rho)
+    return msr._rank2_lower(evals, vecs, rows @ vecs.conj(), rho.sig.dims, (0,))
+
+
+def d8_plane(s):
+    """(Bloch quadratic, a, beta) of the plane fitted to restart 0 of the
+    A,B,C marginal of haar_random_pure(4, s)."""
+    rho = partial_trace(to_density(haar_random_pure(4, s)), (0, 1, 2))
+    res = convex_roof(rho, concurrence_functional((0,)), "min",
+                      RoofConfig(restarts=1, seed=s))
+    evals, vecs = support(rho)
+    quad = msr._bloch_quadratic(vecs, (2, 2, 2), (0,))
+    p, r = msr._bloch_points(ensemble_rows(res) @ vecs.conj())
+    a, beta = msr._fit_plane(quad, p, r, np.array(
+        [evals.sum(), 0.0, 0.0, evals[0] - evals[1]]))
+    return quad, a, beta
+
+
+def test_bloch_quadratic_is_the_squared_concurrence(rng):
+    rho = partial_trace(to_density(haar_random_pure(4, 5)), (0, 1, 2))
+    evals, vecs = support(rho)
+    quad = msr._bloch_quadratic(vecs, (2, 2, 2), (0,))
+    coef = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+    p, r = msr._bloch_points(coef)
+    h = np.einsum("ij,jk,ik->i", r, quad[0], r) + 2 * r @ quad[1] + quad[2]
+    want = [concurrence_pure(PureState(c @ vecs.T / np.sqrt(w), 3)) ** 2
+            for c, w in zip(coef, p)]
+    assert np.allclose(h, want, rtol=0, atol=1e-13)
+
+
+def test_rank2_certificate_under_wootters_on_oracle_inputs():
+    # the acceptance-7 inputs, rank-2 two-qubit marginals: the certificate
+    # fitted to the roof's own ensemble stays under the Wootters value, the
+    # exact roof, and within step_tolerance of it; the roof's value may
+    # undercut Wootters by rounding, 5.6e-16 on the second input
+    root = np.random.SeedSequence(20240817)
+    for child in root.spawn(50):
+        rng = np.random.Generator(np.random.PCG64(child))
+        rho = reduce_pair(to_density(haar_random_from(rng, 3)), 1)
+        res = convex_roof(rho, concurrence_functional((0,)), "min",
+                          RoofConfig(seed=int(child.generate_state(1)[0])))
+        lower = rank2_lower(rho, ensemble_rows(res))
+        exact = concurrence_wootters(rho)
+        assert lower <= exact <= res.value + 1e-12
+        assert exact - lower <= 1e-9
+
+
+def w_class_marginal(c):
+    """A,B,C marginal of c_0|1000> + c_1|0100> + c_2|0010> + c_3|0001>."""
+    amps = np.zeros(16, dtype=complex)
+    amps[[8, 4, 2, 1]] = c
+    return partial_trace(to_density(PureState(amps, 4)), (0, 1, 2))
+
+
+def test_rank2_certificate_brackets_w_class_residuals(rng):
+    # tr_D |W> is rank 2 with the exact residual 2 |c_0| sqrt(|c_1|^2 +
+    # |c_2|^2), its roof flat: every decomposition has that average.  The
+    # certificate is met at restart 0 and brackets the exact value
+    for k in range(10):
+        c = np.abs(rng.standard_normal(4)) * np.exp(2j * np.pi * rng.random(4))
+        c /= np.linalg.norm(c)
+        rho = w_class_marginal(c)
+        exact = 2 * abs(c[0]) * np.hypot(abs(c[1]), abs(c[2]))
+        res = convex_roof(rho, concurrence_functional((0,)), "min",
+                          RoofConfig(restarts=8, seed=k))
+        assert res.lower <= exact <= res.value + 1e-12
+        assert res.restarts_used == 1
+        assert rank2_lower(rho, ensemble_rows(res)) == res.lower
+
+
+def test_a_lifted_plane_fails_the_exact_check():
+    for s in (9, 21, 33):
+        quad, a, beta = d8_plane(s)
+        eps = msr._plane_excess(quad, a, beta) + msr.RANK2_MARGIN
+        assert msr._plane_holds(quad, a, beta, eps)
+        assert not msr._plane_holds(quad, a + 1e-6, beta, eps)
+
+
+def fibonacci_sphere(n):
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * i
+    return np.stack([np.sqrt(1 - z * z) * np.cos(phi),
+                     np.sqrt(1 - z * z) * np.sin(phi), z], axis=1)
+
+
+def grid_excess(quad, a, beta):
+    """max(0, max of l - sqrt(h)) from a 20,000-point Fibonacci grid, its
+    8 best points refined by pattern search in their tangent planes."""
+    def excess(r):
+        h = np.einsum("...j,jk,...k->...", r, quad[0], r) + 2 * r @ quad[1] + quad[2]
+        return a + r @ beta - np.sqrt(np.maximum(h, 0.0))
+
+    grid = fibonacci_sphere(20000)
+    vals = excess(grid)
+    pts = grid[np.argsort(vals)[-8:]]
+    best = excess(pts)
+    e = msr._tangent_bases(pts)
+    stencil = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], float)
+    step = np.full(len(pts), 0.02)
+    for _ in range(150):
+        cand = pts[:, None, :] + step[:, None, None] * np.einsum(
+            "kip,sp->ksi", e, stencil)
+        cand /= np.linalg.norm(cand, axis=2)[:, :, None]
+        vals = excess(cand)
+        k = vals.argmax(axis=1)
+        moved = vals[np.arange(len(pts)), k] > best
+        pts = np.where(moved[:, None], cand[np.arange(len(pts)), k], pts)
+        best = np.maximum(best, vals[np.arange(len(pts)), k])
+        step = np.where(moved, step, step / 2)
+        e = msr._tangent_bases(pts)
+    return max(0.0, float(best.max()))
+
+
+def test_plane_excess_matches_a_refined_grid(rng):
+    # planes off the fit, lifted by up to 1e-2 and tilted, so that the
+    # excess is well above zero, and the fitted planes themselves
+    for s in range(20):
+        quad, a, beta = d8_plane(100 + s)
+        a_off = a + 10 ** rng.uniform(-4, -2)
+        beta_off = beta + 1e-3 * rng.standard_normal(3)
+        for plane in ((a, beta), (a_off, beta_off)):
+            assert msr._plane_excess(quad, *plane) == pytest.approx(
+                grid_excess(quad, *plane), abs=1e-10)
+
+
 # -- the sequential restart loop, kept as the stacked optimizer's oracle -------
 #
 # convex_roof runs its restarts in stacked blocks; this is the one-restart-at-
