@@ -811,8 +811,9 @@ def seq_product_polish(u, qf, iters=40):
 
 
 def sequential_convex_roof(rho, cfg):
-    """(value, ensemble rows sqrt(p_i) psi_i, restarts_used, converged) of
-    the concurrence roof over split (0,), restarts run one at a time."""
+    """(value, ensemble rows sqrt(p_i) psi_i, restarts_used, converged,
+    lower) of the concurrence roof over split (0,), restarts run one at a
+    time."""
     n_qubits = int(round(np.log2(rho.dim)))
     evals, vecs = np.linalg.eigh(rho.mat)
     idx = np.where(evals > msr.RANK_TOL)[0]
@@ -832,7 +833,8 @@ def sequential_convex_roof(rho, cfg):
             return total_c, cand, True
         return total, u, conv
 
-    # on two qubits the Wootters concurrence certifies the roof from below
+    # on two qubits the Wootters concurrence certifies the roof from below,
+    # elsewhere at rank 2 the plane fitted to restart 0's ensemble does
     lower = concurrence_wootters(rho) if n_qubits == 2 else None
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_total = best_u = None
@@ -864,6 +866,10 @@ def sequential_convex_roof(rho, cfg):
                 if t3 < total:
                     total, u, conv = t3, u3, c3
                 total, u, conv = try_polish(total, u, conv)
+        if j == 0 and rank == 2 and n_qubits > 2:
+            lower = msr._rank2_lower(evals[idx], vecs[:, idx],
+                                     u * np.sqrt(evals[idx]),
+                                     (2,) * n_qubits, (0,))
         if best_total is None or total < best_total - cfg.step_tolerance:
             stalled = 0
         else:
@@ -881,7 +887,7 @@ def sequential_convex_roof(rho, cfg):
         p = float(np.vdot(row, row).real)
         if p >= 1e-12:
             rows.append(np.sqrt(p) * PureState(row / np.sqrt(p), n_qubits).amps)
-    return float(best_total), np.array(rows), restarts_used, best_conv
+    return float(best_total), np.array(rows), restarts_used, best_conv, lower
 
 
 def horodecki_state(b):
@@ -938,13 +944,14 @@ def test_stacked_roof_matches_sequential_oracle(name, direction, restarts,
     cfg = RoofConfig(restarts=restarts, max_iters=max_iters, seed=11,
                      max_ensemble_size=rank if by_rank else None)
     res = convex_roof(rho, concurrence_functional((0,)), direction, cfg)
-    value, rows, restarts_used, converged = sequential_convex_roof(rho, cfg)
+    value, rows, restarts_used, converged, lower = sequential_convex_roof(rho, cfg)
     assert res.value == value
     assert np.array_equal(ensemble_rows(res).view(np.int64), rows.view(np.int64))
     assert (res.restarts_used, res.converged) == (restarts_used, converged)
     assert type(res.converged) is bool
-    # a certified lower end on two qubits only
-    assert res.lower == (concurrence_wootters(rho) if rho.dim == 4 else None)
+    # a certified lower end on two qubits and, off them, at rank 2
+    assert res.lower == lower
+    assert (lower is None) == (rho.dim > 4 and rank > 2)
 
 
 def test_sweep_block_matches_lone_restarts_when_moves_are_rejected(monkeypatch):
@@ -990,7 +997,8 @@ def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
     # stopping rule; on more qubits no polish runs at all.  PPT states
     # (separable, or Horodecki's) still polish every restart.  On two
     # qubits the Wootters certificate stops d4 at restart 0 and q2r3 at
-    # restart 1; d8 has no certificate and stops on the stall rule
+    # restart 1; d8's rank-2 certificate, missed at restart 0, is met at
+    # restart 2
     calls = []
     optimize, polish = msr._optimize_ensemble, msr._product_polish
 
@@ -1016,7 +1024,7 @@ def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
             continue
         assert [c for c in calls if c[0] == "polish"] == [("polish", 1)]
         assert calls[-1] == ("polish", 1)
-    assert used["d4"] == 1 and used["q2r3"] == 2 and used["d8"] > 1
+    assert used["d4"] == 1 and used["q2r3"] == 2 and used["d8"] == 3
     for name in ("sep", "ppt"):  # with the knobs of the PPT oracle cases
         calls.clear()
         rank = int(np.sum(np.linalg.eigvalsh(states[name].mat) > msr.RANK_TOL))
@@ -1042,25 +1050,35 @@ def test_rounds_cover_every_pair_once_in_disjoint_rounds(m):
 
 
 # chain-residual min roofs, A|BC of haar_random_pure(4, s) with verify
-# chain's 8 restarts: the value as float.hex and the SHA-256 of the
-# ensemble rows, recorded with round-ordered sweeps and no winner polish
+# chain's 8 restarts: the value as float.hex, the SHA-256 of the ensemble
+# rows and restarts_used, recorded with the rank-2 certificate.  9 is
+# certified at restart 2 and 21 at restart 0, each within step_tolerance
+# of its lower end and so at most that far above the earlier 4- and
+# 5-restart values; 33 is certified at restart 0, which was already the
+# best.  8 is not certified (value - lower = 1.1e-9), so it runs the stall
+# rule and keeps the bits it had without the certificate
 D8_RESIDUAL_BITS = {
-    9: ("0x1.90a575b96dd0dp-1",
-        "94da98ac80d1ee4cf40c4204590ce37292cd71e455432dc3860d7995c587acb7"),
-    21: ("0x1.8748b1fc5ab42p-1",
-         "338f373fc93cb319aaadec997ed88457c63befa76e71e4bdae7030b7b696a820"),
+    8: ("0x1.4a155f699155ap-1",
+        "55a53e7af4cc946f2e72be3068a7ecb52fe43dec1e8630446bbe9c90c8424a74", 4),
+    9: ("0x1.90a575bb16bdcp-1",
+        "d7cebad4161c681e18df3b22b5aa2548d520a91ba4324ba3b33544a0427423d6", 2),
+    21: ("0x1.8748b1fd55d42p-1",
+         "df3aaedcf4b7127343b3f837c4cd3bee2ac04d597bd4fd7a162e894b5e35f458", 1),
     33: ("0x1.69a3916be1200p-1",
-         "7044e97474a5af5cbdf5a21e94a645137643ea5c637197260bb25d2bc2fbf5e5"),
+         "7044e97474a5af5cbdf5a21e94a645137643ea5c637197260bb25d2bc2fbf5e5", 1),
 }
 
 
 @pytest.mark.parametrize("s", list(D8_RESIDUAL_BITS))
 def test_chain_residual_roofs_keep_their_bits(s):
     rho = partial_trace(to_density(haar_random_pure(4, s)), (0, 1, 2))
-    res = convex_roof(rho, concurrence_functional((0,)), "min",
-                      RoofConfig(restarts=8, seed=s))
+    cfg = RoofConfig(restarts=8, seed=s)
+    res = convex_roof(rho, concurrence_functional((0,)), "min", cfg)
     digest = hashlib.sha256(ensemble_rows(res).tobytes()).hexdigest()
-    assert (res.value.hex(), digest) == D8_RESIDUAL_BITS[s]
+    assert (res.value.hex(), digest, res.restarts_used) == D8_RESIDUAL_BITS[s]
+    assert 0.0 < res.lower <= res.value
+    # certified exactly when the rule stopped on the lower end
+    assert (res.value - res.lower <= cfg.step_tolerance) == (s != 8)
 
 
 def npt_restart_starts(rho, cfg):
