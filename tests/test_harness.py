@@ -966,6 +966,26 @@ def test_python_dash_m_runs_main(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
+def test_no_scipy_behind_the_harness():
+    # numpy is the one declared dependency (pyproject.toml); scipy may sit
+    # beside it, where an import of it would pass unnoticed.  The roof of
+    # a rank-2 three-qubit state runs its certificate too
+    code = ("import sys\n"
+            "import entbounds.harness\n"
+            "from entbounds import measures as m, states as s\n"
+            "from entbounds.linalg import partial_trace\n"
+            "rho = partial_trace(s.to_density(s.haar_random_pure(4, 9)), (0, 1, 2))\n"
+            "m.convex_roof(rho, m.concurrence_functional((0,)), 'min',\n"
+            "              m.RoofConfig(restarts=2, seed=1))\n"
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n")
+    src = str(Path(h.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "--suite", "monogamy", "--trials", "2"],
     ["measure", "--builder", EX1_BUILDER, "--keep", "0,1,2",
