@@ -788,11 +788,18 @@ def _plane_excess(quad, a, beta) -> float:
     (l - eps)^2 on the cap l > eps, so a stationary point of F; near it
     l - sqrt(h) at F's stationary point falls short of the maximum only to
     second order in the eps error.  Starting from eps = 0 the excess at
-    the stationary points therefore converges quadratically."""
+    the stationary points therefore converges quadratically.  Where r* is
+    a product state of the support, a zero of h and a cone point of
+    sqrt(h), that argument fails, so h's own stationary points, its zeros
+    among them, are candidates too.  There h's rounding blurs sqrt(h) by
+    up to sqrt(machine epsilon), 1.5e-8, and the result may fall short by
+    that much (as it did on random planes over two-qubit supports);
+    _plane_holds then fails until the margin covers it."""
+    cones = _sphere_stationary(*quad[:2])
     eps = 0.0
     for _ in range(8):
         m, gf, _ = _plane_f(quad, a, beta, eps)
-        pts = _sphere_stationary(m, gf)
+        pts = np.concatenate([_sphere_stationary(m, gf), cones])
         h = _quadratic_at(quad, pts)
         new = max(eps, float((a + pts @ beta - np.sqrt(np.maximum(h, 0.0))).max()))
         if new <= eps + 1e-16:
@@ -859,9 +866,9 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     the best by more than cfg.step_tolerance.  Restarts run in stacked
     blocks: restart 0 with the STALL_RESTARTS the rule runs after it
     anyway (alone when a zero roof or a certificate may stop it there),
-    then as many as the stall rule still needs.  The rule is replayed over each block
-    in restart order, restarts past the stop are dropped and
-    restarts_used counts those the rule kept.  Each sweep runs the row
+    then as many as the stall rule still needs.  The rule is replayed
+    over each block in restart order, restarts past the stop are dropped
+    and restarts_used counts those the rule kept.  Each sweep runs the row
     pairs in the stacked rounds of _rounds(m).  An NPT state (partial
     transpose over the split with an eigenvalue below -1e-10) runs each
     restart as one run of sweeps with no polish and the rule on the sweep
