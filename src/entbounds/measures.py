@@ -830,10 +830,10 @@ def _rank2_lower(evals: np.ndarray, vecs: np.ndarray, coef: np.ndarray,
     """Certified lower end of the concurrence roof of the rank-2 state
     with support eigenvalues evals (2,) and orthonormal eigenvectors vecs
     (d, 2), from the plane fitted to a decomposition with coordinates
-    coef (m, 2) in that eigenbasis: l(r_rho) - eps, eps the plane's exact
-    excess raised by the least margin from RANK2_MARGIN on that passes the
-    exact check, rounded down and at least 0.  None if no margin up to
-    1e-6 passes."""
+    coef (m, 2) in that eigenbasis: l(r_rho) - eps, eps the plane's
+    excess (_plane_excess) raised by the least margin from RANK2_MARGIN on
+    that passes the exact check (_plane_holds), rounded down and at least
+    0.  None if no margin up to 1e-6 passes."""
     quad = _bloch_quadratic(vecs, dims, split)
     total, z = float(evals.sum()), float(evals[0] - evals[1])
     p, r = _bloch_points(coef)
