@@ -895,7 +895,9 @@ def make_parser() -> argparse.ArgumentParser:
                              "cren", "crenoa", "wootters"])
     pm.add_argument("--split", default=None, help="bipartition, e.g. A|BC or 0|12")
     pm.add_argument("--roof-restarts", type=positive_int, default=32,
-                    help="convex-roof restarts: at most N; stops after "
+                    help="convex-roof restarts: at most N; stops once the "
+                         "roof meets its certified lower end (the Wootters "
+                         "value on 2 x 2, the rank-2 certificate) or after "
                          f"{msr.STALL_RESTARTS} restarts without improvement")
 
     pb = sub.add_parser("bound", parents=[common],

@@ -22,23 +22,19 @@ Levenberg-Marquardt polish.  A sweep visits every row pair once, in the
 rounds of disjoint pairs of the circle method (Brent and Luk, SIAM J. Sci.
 Stat. Comput. 6, 69, 1985), each round one stacked pass: an m-member
 ensemble takes m - 1 passes (m when m is odd), not m (m - 1) / 2.
-Restarts derive independent sub-seeds from the configured seed and run in
-stacked blocks, whose sweeps are stacked passes; the stopping rule is
-replayed over each block in restart order (first-best wins) and restarts
-past the stop are dropped, so results, and restarts_used (the restarts
-the rule kept), are bit for bit those of one restart at a time,
-reproducible and safe for concurrent use.  One stop rule ends the
-restarts at a certified lower end: once the best value is within
-step_tolerance of it, no restart can gain more.  On a (2, 2) signature
-the Wootters concurrence is the exact roof and that lower end.  Any
-other rank-2 state gets one from restart 0's ensemble: its support
-states are the Bloch sphere, on which the squared concurrence h is a
-quadratic, the plane of the roof's LP dual is fitted to the ensemble by
-Newton on the KKT system, and its excess over sqrt(h) is found exactly
-from the stationary points of a quadratic on the sphere (a 6 x 6
-eigenproblem, Gander, Golub and von Matt, LAA 114/115, 815, 1989),
-rounded outward.  Restart 0 then runs alone, and a roof certified there
-has restarts_used 1.
+Restarts derive independent sub-seeds from the configured seed and run
+one at a time (first-best wins), so results are reproducible and safe
+for concurrent use.  One stop rule ends the restarts at a certified
+lower end: once the best value is within step_tolerance of it, no
+restart can gain more.  On a (2, 2) signature the Wootters concurrence
+is the exact roof and that lower end.  Any other rank-2 state gets one
+from restart 0's ensemble: its support states are the Bloch sphere, on
+which the squared concurrence h is a quadratic, the plane of the roof's
+LP dual is fitted to the ensemble by Newton on the KKT system, and its
+excess over sqrt(h) is found exactly from the stationary points of a
+quadratic on the sphere (a 6 x 6 eigenproblem, Gander, Golub and von
+Matt, LAA 114/115, 815, 1989), rounded outward.  A roof certified at
+restart 0 has restarts_used 1.
 The polish works on one isometry at a time and looks for a split-product
 ensemble, a zero roof.  A state whose partial transpose over the split
 has an eigenvalue below -1e-10 is NPT, hence entangled (Peres), and has
@@ -56,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -198,9 +194,6 @@ class Ensemble:
     def probabilities(self) -> np.ndarray:
         return np.array([p for p, _ in self.members])
 
-    def average(self, functional: Callable[[PureState], float]) -> float:
-        return float(sum(p * functional(psi) for p, psi in self.members))
-
     def validate_against(self, rho: DensityMatrix, tol: float = 1e-8) -> None:
         probs = self.probabilities()
         if abs(probs.sum() - 1.0) > tol:
@@ -282,7 +275,7 @@ def _minor_form(rows: np.ndarray, dims: tuple[int, ...],
 def _member_minors(u: np.ndarray, qf: np.ndarray):
     """(Q u_i of shape (..., m, r, K), minors u_i^T Q u_i of shape
     (..., m, K)), with qf = Q flattened to (r, r * K); leading axes of u
-    stack independent isometries."""
+    stack independent sets of rows, such as a sweep's rotated pairs."""
     qu = (u @ qf).reshape(*u.shape, -1)
     return qu, np.einsum("...il,...ilk->...ik", u, qu)
 
@@ -343,36 +336,21 @@ STALL_RESTARTS = 3
 POLISH_MIN_REDUCTION = 1e-15
 
 
-def _optimize_ensemble(u, qf, caps, tol):
+def _optimize_ensemble(u, qf, iters, tol):
     """Sweep Givens rotations over row pairs until improvement stalls.
 
-    u stacks one isometry per restart, (R, m, r), and caps holds each
-    restart's sweep budget (0 leaves it as it is).  Returns the restarts'
-    totals, isometries and converged flags.  Works on a copy of u; a move
-    is kept only when the recomputed pair objective is lower than the
-    current one.
+    u is one isometry (m, r) and iters its sweep budget.  Returns the
+    total, the isometry and whether a sweep gained less than tol.  Works
+    on a copy of u; a move is kept only when the recomputed pair objective
+    is lower than the current one.
     """
     u = u.copy()
     qu, mu = _member_minors(u, qf)
     w = _weights(mu)
-    converged = np.zeros(len(u), dtype=bool)
-    for sweep in range(int(caps.max(initial=0))):
-        act = _selection((caps > sweep) & ~converged)
-        if act is None:
-            break
-        state = u[act], qu[act], mu[act], w[act]
-        improvement = _sweep(*state, qf)
-        u[act], qu[act], mu[act], w[act] = state
-        converged[act] = improvement < tol
-    return w.sum(axis=-1), u, converged
-
-
-def _selection(mask):
-    """Index of mask's set entries: None if none, a view slice if all."""
-    n = np.count_nonzero(mask)
-    if n == len(mask):
-        return slice(None)
-    return mask.nonzero()[0] if n else None
+    for _ in range(iters):
+        if _sweep(u, qu, mu, w, qf) < tol:
+            return w.sum(), u, True
+    return w.sum(), u, False
 
 
 @lru_cache(maxsize=None)
@@ -395,24 +373,22 @@ def _rounds(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _sweep(u, qu, mu, w, qf):
-    """One Givens line search per row pair, in place on stacked restarts;
-    returns each restart's summed improvement.
+    """One Givens line search per row pair of the isometry u, in place;
+    returns the summed improvement.
 
     The pair objective w_a + w_b reads rows a and b alone, so pairs with no
     common row do not interact: the disjoint pairs of each round of
-    _rounds(m) run as one stacked pass, with the (restart, pair) entries in
-    the leading axis, and the result is bit for bit the loop over one pair
-    at a time in round order.  Improvements add up in that order too."""
-    n, m = u.shape[:2]
-    rounds = _rounds(m)
-    p = len(rounds[0][0])  # pairs per round, the same in every round
-    gains = np.zeros((n, len(rounds), p))
+    _rounds(m) run as one stacked pass, with the pairs in the leading axis,
+    and the result is bit for bit the loop over one pair at a time in round
+    order.  Improvements add up in that order too."""
+    rounds = _rounds(len(u))
+    gains = np.zeros((len(rounds), len(rounds[0][0])))
     for r, (a, b) in enumerate(rounds):
-        coef = np.concatenate([mu[:, a, None], 2.0 * (u[:, a, None] @ qu[:, b]),
-                               mu[:, b, None]], axis=2).reshape(n * p, 3, -1)
-        cur = (w[:, a] + w[:, b]).ravel()
-        # the coarse grid with its zoom ladder; entries that improve on it
-        # go on to five shrinking 7 x 7 refinements
+        coef = np.concatenate([mu[a, None], 2.0 * (u[a, None] @ qu[b]),
+                               mu[b, None]], axis=1)
+        cur = w[a] + w[b]
+        # the coarse grid with its zoom ladder; pairs that improve on it go
+        # on to five shrinking 7 x 7 refinements
         vals = _givens_values(coef, _COARSE_GRID)
         k = vals.argmin(axis=-1)
         best = vals[np.arange(len(k)), k]
@@ -440,9 +416,8 @@ def _sweep(u, qu, mu, w, qf):
                           dt / 3.0)
         c = np.cos(t0)[:, None, None]
         s = (np.sin(t0) * np.exp(1j * p0))[:, None, None]
-        i, j = np.divmod(f, p)
-        ra, rb = a[j], b[j]
-        ua, ub = u[i, ra, None], u[i, rb, None]
+        ra, rb = a[f], b[f]
+        ua, ub = u[ra, None], u[rb, None]
         rows = np.concatenate([c * ua + s * ub, c * ub - s.conj() * ua], axis=1)
         qu_ab, mu_ab = _member_minors(rows, qf)
         w_ab = _weights(mu_ab)
@@ -450,14 +425,14 @@ def _sweep(u, qu, mu, w, qf):
         keep = new < cur
         pairs = (u, rows), (qu, qu_ab), (mu, mu_ab), (w, w_ab)
         if np.count_nonzero(keep) < len(keep):
-            i, j, ra, rb = i[keep], j[keep], ra[keep], rb[keep]
+            f, ra, rb = f[keep], ra[keep], rb[keep]
             cur, new = cur[keep], new[keep]
             pairs = [(x, x_ab[keep]) for x, x_ab in pairs]
         for x, x_ab in pairs:
-            x[i, ra], x[i, rb] = x_ab[:, 0], x_ab[:, 1]
-        gains[i, r, j] = cur - new
+            x[ra], x[rb] = x_ab[:, 0], x_ab[:, 1]
+        gains[r, f] = cur - new
     # a running sum, so the additions happen in round order
-    return np.add.accumulate(gains.reshape(n, -1), axis=1)[:, -1]
+    return np.add.accumulate(gains.ravel())[-1]
 
 
 def _qr_retract(x: np.ndarray) -> np.ndarray:
@@ -553,34 +528,31 @@ def _try_polish(total, u, qf):
     return total, u, False
 
 
-def _restart_block(u, qf, cfg, polish):
-    """Totals, isometries and converged flags of a block of restarts
-    (R, m, r) after the optimizer stages.  Without polish (an NPT state,
-    which has no split-product ensemble) each restart is one run of
-    max_iters sweeps.  With polish, each restart sweeps 15 times and tries
-    the zero-roof polish (the concurrence vanishes exactly on split-product
-    states); after a kept polish 10 consolidating sweeps are enough,
-    otherwise the remaining sweeps run, then one more polish.  The sweeps
-    run stacked over the block, the polishes one restart at a time; a
-    polish is kept only when it lowers the total, and a kept polish marks
-    its restart converged."""
+def _restart(u, qf, cfg, polish):
+    """Total, isometry and converged flag of the restart that starts at the
+    isometry u (m, r), after the optimizer stages.  Without polish (an NPT
+    state, which has no split-product ensemble) the restart is one run of
+    max_iters sweeps.  With polish, it sweeps 15 times and tries the
+    zero-roof polish (the concurrence vanishes exactly on split-product
+    states); after a kept polish 10 consolidating sweeps are enough, none
+    at a zero roof, otherwise the remaining sweeps run, then one more
+    polish.  A polish is kept only when it lowers the total, and a kept
+    polish marks the restart converged."""
     tol = cfg.step_tolerance
     if not polish:
-        return _optimize_ensemble(u, qf, np.full(len(u), cfg.max_iters), tol)
+        return _optimize_ensemble(u, qf, cfg.max_iters, tol)
     stage1 = min(15, cfg.max_iters)
-    totals, u, conv = _optimize_ensemble(u, qf, np.full(len(u), stage1), tol)
-    kept = np.zeros(len(u), dtype=bool)
-    for i in range(len(u)):
-        totals[i], u[i], kept[i] = _try_polish(totals[i], u[i], qf)
-    conv |= kept
-    caps = np.where(kept, np.where(totals > 1e-12, 10, 0), cfg.max_iters - stage1)
-    t3, u3, c3 = _optimize_ensemble(u, qf, caps, tol)
-    take = (caps > 0) & (t3 < totals)
-    totals[take], u[take], conv[take] = t3[take], u3[take], c3[take]
-    for i in (caps > 0).nonzero()[0]:
-        totals[i], u[i], again = _try_polish(totals[i], u[i], qf)
-        conv[i] |= again
-    return totals, u, conv
+    total, u, conv = _optimize_ensemble(u, qf, stage1, tol)
+    total, u, kept = _try_polish(total, u, qf)
+    conv = conv or kept
+    iters = (10 if total > 1e-12 else 0) if kept else cfg.max_iters - stage1
+    if iters:
+        t3, u3, c3 = _optimize_ensemble(u, qf, iters, tol)
+        if t3 < total:
+            total, u, conv = t3, u3, c3
+        total, u, again = _try_polish(total, u, qf)
+        conv = conv or again
+    return total, u, conv
 
 
 def _ensemble_average(members, dims: tuple[int, ...],
@@ -863,18 +835,15 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     signature, else at rank 2 the plane certificate fitted to restart 0's
     ensemble (_rank2_lower).  Otherwise, and as fallbacks, it stops once
     the roof reaches zero or after STALL_RESTARTS in a row fail to lower
-    the best by more than cfg.step_tolerance.  Restarts run in stacked
-    blocks: restart 0 with the STALL_RESTARTS the rule runs after it
-    anyway (alone when a zero roof or a certificate may stop it there),
-    then as many as the stall rule still needs.  The rule is replayed
-    over each block in restart order, restarts past the stop are dropped
-    and restarts_used counts those the rule kept.  Each sweep runs the row
-    pairs in the stacked rounds of _rounds(m).  An NPT state (partial
-    transpose over the split with an eigenvalue below -1e-10) runs each
-    restart as one run of sweeps with no polish and the rule on the sweep
-    totals; on a (2, 2) signature it then polishes the winner once,
-    keeping the polish only when it lowers the value, and elsewhere it
-    runs no polish.  The split names subsystems of rho.sig.dims.
+    the best by more than cfg.step_tolerance.  Restarts run one at a
+    time, the rule is checked after each, and restarts_used counts those
+    that ran.  Each sweep runs the row pairs in the stacked rounds of
+    _rounds(m).  An NPT state (partial transpose over the split with an
+    eigenvalue below -1e-10) runs each restart as one run of sweeps with
+    no polish and the rule on the sweep totals; on a (2, 2) signature it
+    then polishes the winner once, keeping the polish only when it lowers
+    the value, and elsewhere it runs no polish.  The split names
+    subsystems of rho.sig.dims.
     """
     if direction != "min":
         raise ValueError(f"direction must be 'min', got {direction!r}")
@@ -909,51 +878,42 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     eigen_avg = float(_weights(_member_minors(u0, qf)[1]).sum())
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-
-    def start(j):
-        if j == 0:
-            return u0
-        rng = np.random.Generator(np.random.PCG64(seeds[j]))
-        gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-        return np.linalg.qr(gauss)[0][:, :rank]
-
     best_total = best_u = None
-    best_conv = stop = False
+    best_conv = False
     restarts_used = stalled = 0
     two_qubit = dims == (2, 2)
     lower = concurrence_wootters(rho) if two_qubit else None
-    # elsewhere a rank-2 state is certified from restart 0's ensemble
-    rank2 = rank == 2 and not two_qubit
-    # a zero roof stops the rule at restart 0 and needs a separable, hence
-    # PPT (Peres), state: there restart 0 runs alone first, and every
-    # restart tries the polish.  An NPT state has no split-product
-    # ensemble, so only the winner is polished, once the rule stops, and
-    # only on a (2, 2) signature: with one minor per member the polish's
-    # sum of |minor|^2 is at least (sum |minor|)^2 / m, with equality at
-    # Wootters' equal-concurrence optimal ensembles, so it shares the
-    # roof's minimizers; with more minors per member it does not
+    # every restart of a separable, hence PPT (Peres), state tries the
+    # polish, which can reach its zero roof.  An NPT state has no
+    # split-product ensemble, so only the winner is polished, once the
+    # rule stops, and only on a (2, 2) signature: with one minor per member
+    # the polish's sum of |minor|^2 is at least (sum |minor|)^2 / m, with
+    # equality at Wootters' equal-concurrence optimal ensembles, so it
+    # shares the roof's minimizers; with more minors per member it does not
     ppt = bool(np.linalg.eigvalsh(_transpose_split(rho, split))[0] > -1e-10)
-    size = 1 if ppt or two_qubit or rank2 else 1 + STALL_RESTARTS
-    while not stop and restarts_used < cfg.restarts:
-        block = range(restarts_used, min(restarts_used + size, cfg.restarts))
-        totals, us, convs = _restart_block(np.array([start(j) for j in block]),
-                                           qf, cfg, ppt)
-        if rank2 and not restarts_used:
+    for j in range(cfg.restarts):
+        if j == 0:
+            u = u0
+        else:
+            rng = np.random.Generator(np.random.PCG64(seeds[j]))
+            gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+            u = np.linalg.qr(gauss)[0][:, :rank]
+        total, u, conv = _restart(u, qf, cfg, ppt)
+        restarts_used = j + 1
+        # off a (2, 2) signature a rank-2 state is certified from restart
+        # 0's ensemble
+        if j == 0 and rank == 2 and not two_qubit:
             lower = _rank2_lower(evals[idx], vecs[:, idx],
-                                 us[0] * np.sqrt(evals[idx]), dims, split)
-        for total, u, conv in zip(totals, us, convs):
-            restarts_used += 1
-            if best_total is None or total < best_total - cfg.step_tolerance:
-                stalled = 0
-            else:
-                stalled += 1
-            if best_total is None or total < best_total:
-                best_total, best_u, best_conv = total, u, bool(conv)
-            stop = ((lower is not None and best_total - lower <= cfg.step_tolerance)
-                    or best_total <= 1e-12 or stalled >= STALL_RESTARTS)
-            if stop:
-                break
-        size = STALL_RESTARTS - stalled
+                                 u * np.sqrt(evals[idx]), dims, split)
+        if best_total is None or total < best_total - cfg.step_tolerance:
+            stalled = 0
+        else:
+            stalled += 1
+        if best_total is None or total < best_total:
+            best_total, best_u, best_conv = total, u, conv
+        if ((lower is not None and best_total - lower <= cfg.step_tolerance)
+                or best_total <= 1e-12 or stalled >= STALL_RESTARTS):
+            break
     if not ppt and two_qubit:
         best_total, best_u, kept = _try_polish(best_total, best_u, qf)
         best_conv = best_conv or kept

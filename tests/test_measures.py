@@ -214,7 +214,7 @@ def test_roof_ensemble_reconstructs(rng):
     probs = res.ensemble.probabilities()
     assert probs.sum() == pytest.approx(1.0, abs=1e-8)
     # reported value is the ensemble average of the functional
-    avg = res.ensemble.average(lambda s: concurrence_pure(s, (0,)))
+    avg = sum(p * concurrence_pure(psi, (0,)) for p, psi in res.ensemble.members)
     assert res.value == pytest.approx(avg, abs=1e-8)
 
 
@@ -470,7 +470,8 @@ def test_roof_value_is_its_ensemble_average(rng):
         avg = float(row_weights(ensemble_rows(res), n_qubits, (0,)).sum())
         assert res.value == pytest.approx(avg, abs=1e-10)
         assert res.value == pytest.approx(
-            res.ensemble.average(concurrence_functional((0,))), abs=1e-8)
+            sum(p * concurrence_pure(psi, (0,)) for p, psi in res.ensemble.members),
+            abs=1e-8)
 
 
 @pytest.mark.parametrize("direction", ["min"])
@@ -480,9 +481,9 @@ def test_roof_guard_rejects_a_value_off_its_ensemble(monkeypatch, direction):
     optimize = msr._optimize_ensemble
 
     def stale(*args):
-        # every restart of the stacked block gets a stale total
-        totals, us, convs = optimize(*args)
-        return totals - 0.1, us, convs
+        # every restart gets a stale total
+        total, u, conv = optimize(*args)
+        return total - 0.1, u, conv
 
     monkeypatch.setattr(msr, "_optimize_ensemble", stale)
     rho = reduce_pair(to_density(haar_random_pure(3, 620)), 1)
@@ -496,16 +497,16 @@ def test_stopping_rule_on_roof_oracle_inputs(monkeypatch):
     # cap and still meets the Wootters value to 1e-12 (the 32-restart runs
     # the stopping rule replaced were within 1e-14 of it).  The roof carries
     # the Wootters value as its certified lower end and stops within
-    # step_tolerance of it; restart 0 runs alone, so the roof keeps one
-    # restart exactly when restart 0 meets the certificate
-    restart_block, first_totals = msr._restart_block, []
+    # step_tolerance of it, so the roof keeps one restart exactly when
+    # restart 0 meets the certificate
+    restart, first_totals = msr._restart, []
 
     def recorded(u, *args):
-        totals, us, convs = restart_block(u, *args)
-        first_totals.append(totals[0])
-        return totals, us, convs
+        total, u, conv = restart(u, *args)
+        first_totals.append(total)
+        return total, u, conv
 
-    monkeypatch.setattr(msr, "_restart_block", recorded)
+    monkeypatch.setattr(msr, "_restart", recorded)
     root = np.random.SeedSequence(20240817)
     alone = 0
     for child in root.spawn(50):
@@ -713,10 +714,12 @@ def test_plane_excess_finds_cone_points(rng):
             assert not msr._plane_holds(quad, a, beta, excess)
 
 
-# -- the sequential restart loop, kept as the stacked optimizer's oracle -------
+# -- the sequential optimizer, kept as convex_roof's oracle --------------------
 #
-# convex_roof runs its restarts in stacked blocks; this is the one-restart-at-
-# a-time optimizer it replaced, which the stacked one must match bit for bit.
+# convex_roof's sweeps run the disjoint row pairs of each round as one stacked
+# pass; this is the pair-at-a-time optimizer they replaced, with the restarts
+# one at a time as convex_roof runs them, and convex_roof must match it bit
+# for bit.
 
 def seq_member_minors(u, qf):
     qu = (u @ qf).reshape(u.shape[0], u.shape[1], -1)
@@ -958,13 +961,12 @@ ORACLE_CASES = [
     ("q2r3", "min", 4, 16, False), ("q2r4", "min", 2, 1, True),
     # an ensemble of 16 members: 15 stacked rounds of 8 disjoint pairs
     ("q2r4", "min", 2, 16, False),
-    # restart 0 misses the Wootters certificate; the next block meets it
-    # at restart 1, so the rule drops that block's later restarts
+    # restart 0 misses the Wootters certificate and restart 1 meets it
     ("q2r3", "min", 8, 500, False),
     ("q3r3", "min", 1, 15, False), ("q3r4", "min", 4, 500, True),
     ("sep", "min", 32, 500, False), ("sep", "min", 2, 16, True),
-    # a nonzero min roof behind a positive partial transpose: restart 0
-    # runs on its own, then blocks of the restarts the rule still needs
+    # a nonzero min roof behind a positive partial transpose, where every
+    # restart polishes
     ("ppt", "min", 8, 15, True),
 ]
 
@@ -987,18 +989,19 @@ def test_stacked_roof_matches_sequential_oracle(name, direction, restarts,
     assert (lower is None) == (rho.dim > 4 and rank > 2)
 
 
-def test_sweep_block_matches_lone_restarts_when_moves_are_rejected(monkeypatch):
-    # a move whose recomputed pair objective is not lower is dropped for
-    # its restart alone; rejecting by the rotated rows' own bytes makes the
-    # decision the same whether a restart sweeps in a block or by itself
+def test_sweeps_match_the_oracle_when_moves_are_rejected(monkeypatch):
+    # a move whose recomputed pair objective is not lower is dropped;
+    # rejecting by the rotated rows' own bytes forces that path, and a
+    # stacked round must drop the same moves as the oracle's pairs one at a
+    # time
     weights, rejected = msr._weights, []
 
     def rejecting(mu):
         w = weights(mu)
-        if mu.ndim == 3 and mu.shape[1] == 2:  # a rotated pair's minors
-            for i in range(len(mu)):
-                if zlib.crc32(mu[i].tobytes()) % 3 == 0:
-                    w[i] += 1.0
+        if mu.shape[-2] == 2:  # a rotated pair's minors, stacked or alone
+            for i, pair in enumerate(mu.reshape(-1, 2, mu.shape[-1])):
+                if zlib.crc32(pair.tobytes()) % 3 == 0:
+                    w.reshape(-1, 2)[i] += 1.0
                     rejected.append(i)
         return w
 
@@ -1010,18 +1013,14 @@ def test_sweep_block_matches_lone_restarts_when_moves_are_rejected(monkeypatch):
     qf = msr._minor_form(scaled, (2, 2, 2), (0,)).reshape(len(scaled), -1)
     rng = np.random.default_rng(5)
     gauss = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
-    u = np.linalg.qr(gauss)[0]
-    qu, mu = msr._member_minors(u, qf)
-    block = [u.copy(), qu, mu, msr._weights(mu)]
-    lone = [[x[i:i + 1].copy() for x in block] for i in range(3)]
-    for _ in range(3):
-        gains = msr._sweep(*block, qf)
-        for i, state in enumerate(lone):
-            assert gains[i] == msr._sweep(*state, qf)[0]
-            for x, y in zip(block, state):
-                assert np.array_equal(x[i:i + 1].view(np.int64), y.view(np.int64))
+    for u in np.linalg.qr(gauss)[0]:
+        for sweeps in (1, 3):
+            total, got, conv = msr._optimize_ensemble(u, qf, sweeps, 1e-9)
+            want_total, want, want_conv = seq_optimize_ensemble(u, qf, sweeps, 1e-9)
+            assert (total, conv) == (want_total, want_conv)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert not np.array_equal(got, u)
     assert rejected
-    assert not any(np.array_equal(block[0][i], u[i]) for i in range(3))
 
 
 def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
@@ -1035,13 +1034,13 @@ def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
     calls = []
     optimize, polish = msr._optimize_ensemble, msr._product_polish
 
-    def counted_optimize(u, *args):
-        calls.append(("sweep", len(u)))
-        return optimize(u, *args)
+    def counted_optimize(*args):
+        calls.append("sweep")
+        return optimize(*args)
 
-    def counted_polish(u, *args):
-        calls.append(("polish", 1))  # each call polishes one isometry
-        return polish(u, *args)
+    def counted_polish(*args):
+        calls.append("polish")
+        return polish(*args)
 
     monkeypatch.setattr(msr, "_optimize_ensemble", counted_optimize)
     monkeypatch.setattr(msr, "_product_polish", counted_polish)
@@ -1053,10 +1052,10 @@ def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
                           RoofConfig(restarts=8, seed=11))
         used[name] = res.restarts_used
         if name == "d8":
-            assert "polish" not in [kind for kind, _ in calls]
+            assert "polish" not in calls
             continue
-        assert [c for c in calls if c[0] == "polish"] == [("polish", 1)]
-        assert calls[-1] == ("polish", 1)
+        assert calls.count("polish") == 1
+        assert calls[-1] == "polish"
     assert used["d4"] == 1 and used["q2r3"] == 2 and used["d8"] == 3
     for name in ("sep", "ppt"):  # with the knobs of the PPT oracle cases
         calls.clear()
@@ -1064,9 +1063,14 @@ def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
         res = convex_roof(states[name], concurrence_functional((0,)), "min",
                           RoofConfig(restarts=8, max_iters=15, seed=11,
                                      max_ensemble_size=rank))
-        kinds = [kind for kind, _ in calls]
-        assert sum(n for kind, n in calls if kind == "polish") >= res.restarts_used
-        assert "sweep" in kinds[kinds.index("polish"):]  # polished mid-restart
+        if name == "sep":
+            # restart 0's polish reaches the zero roof, which ends the
+            # restart and the roof
+            assert res.value <= 1e-12 and res.restarts_used == 1
+            assert calls == ["sweep", "polish"]
+            continue
+        assert calls.count("polish") >= res.restarts_used
+        assert "sweep" in calls[calls.index("polish"):]  # polished mid-restart
 
 
 @pytest.mark.parametrize("m", range(2, 26))
@@ -1115,8 +1119,9 @@ def test_chain_residual_roofs_keep_their_bits(s):
 
 
 def npt_restart_starts(rho, cfg):
-    """Scaled-eigenvector minor form and the first block of restart
-    isometries of an NPT min roof, built as convex_roof builds them."""
+    """Scaled-eigenvector minor form and the starting isometries of restart
+    0 and the STALL_RESTARTS after it, which the stall rule always runs, of
+    an NPT min roof, built as convex_roof builds them."""
     n_qubits = int(round(np.log2(rho.dim)))
     evals, vecs = np.linalg.eigh(rho.mat)
     idx = evals > msr.RANK_TOL
@@ -1154,7 +1159,7 @@ def test_multi_qubit_npt_winner_polish_is_not_kept(name):
     assert np.linalg.eigvalsh(transpose_subsystem(
         rho.mat, rho.sig.dims, 0))[0] <= -1e-10  # NPT
     qf, starts = npt_restart_starts(rho, cfg)
-    totals, us, convs = msr._restart_block(starts, qf, cfg, False)
+    totals, us, _ = zip(*(msr._restart(u, qf, cfg, False) for u in starts))
     best = int(np.argmin(totals))
     total, u, kept = msr._try_polish(totals[best], us[best], qf)
     assert not kept
@@ -1168,12 +1173,12 @@ def test_npt_restart_converges_on_its_first_sweep_without_gain(monkeypatch):
     sweeps = []
 
     def stub(u, qu, mu, w, qf):
-        sweeps.append(len(u))
-        return np.full(len(u), 1.0 if len(sweeps) <= 15 else 0.0)
+        sweeps.append(u)
+        return 1.0 if len(sweeps) <= 15 else 0.0
 
     monkeypatch.setattr(msr, "_sweep", stub)
     cfg = RoofConfig(restarts=4, seed=11)
     qf, starts = npt_restart_starts(oracle_states()["d4"], cfg)
-    totals, us, convs = msr._restart_block(starts[:1], qf, cfg, False)
-    assert convs.tolist() == [True]
-    assert sweeps == [1] * 16
+    total, u, conv = msr._restart(starts[0], qf, cfg, False)
+    assert conv is True
+    assert len(sweeps) == 16
