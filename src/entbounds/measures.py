@@ -212,9 +212,9 @@ class RoofResult:
     upper bound on the true roof and the average over its ensemble.
 
     lower is a certified lower end of the roof where one is known: the
-    value itself at rank 1, the Wootters concurrence on a (2, 2)
-    signature, the rank-2 certificate of restart 0's ensemble on any
-    other rank-2 state, whether or not the value met it (None if its
+    value itself at rank 1, the Wootters concurrence, rounded down, on a
+    (2, 2) signature, the rank-2 certificate of restart 0's ensemble on
+    any other rank-2 state, whether or not the value met it (None if its
     exact check failed), and None at higher rank.  A roof certified at
     restart 0 has restarts_used 1.  converged says only that the best
     restart's last sweep gained less than step_tolerance or that a polish
@@ -882,7 +882,14 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     best_conv = False
     restarts_used = stalled = 0
     two_qubit = dims == (2, 2)
-    lower = concurrence_wootters(rho) if two_qubit else None
+    lower = None
+    if two_qubit:
+        # the Wootters value rounded down by 64 ulp of sum mu: it and the
+        # roof's value differed by up to 3 ulp of sum mu, either way, on
+        # the acceptance-7 and roof-min inputs
+        mu = _wootters_mu(rho.mat)
+        lower = max(0.0, float(2.0 * mu[0] - mu.sum()
+                               - 64 * np.finfo(float).eps * mu.sum()))
     # every restart of a separable, hence PPT (Peres), state tries the
     # polish, which can reach its zero roof.  An NPT state has no
     # split-product ensemble, so only the winner is polished, once the

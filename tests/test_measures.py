@@ -492,13 +492,19 @@ def test_roof_guard_rejects_a_value_off_its_ensemble(monkeypatch, direction):
                     RoofConfig(restarts=2, seed=1))
 
 
+def wootters_lower(rho):
+    """The roof's certified lower end on two qubits: the Wootters value
+    rounded down by 64 ulp of the concurrence of assistance sum mu."""
+    return max(0.0, concurrence_wootters(rho) - 64 * np.finfo(float).eps * crenoa(rho))
+
+
 def test_stopping_rule_on_roof_oracle_inputs(monkeypatch):
     # the acceptance-7 inputs: each roof stops well below the 32-restart
     # cap and still meets the Wootters value to 1e-12 (the 32-restart runs
     # the stopping rule replaced were within 1e-14 of it).  The roof carries
-    # the Wootters value as its certified lower end and stops within
-    # step_tolerance of it, so the roof keeps one restart exactly when
-    # restart 0 meets the certificate
+    # the Wootters value, rounded down, as its certified lower end, never
+    # above the value, and stops within step_tolerance of it, so the roof
+    # keeps one restart exactly when restart 0 meets the certificate
     restart, first_totals = msr._restart, []
 
     def recorded(u, *args):
@@ -517,8 +523,8 @@ def test_stopping_rule_on_roof_oracle_inputs(monkeypatch):
         res = convex_roof(rho, concurrence_functional((0,)), "min", cfg)
         assert res.restarts_used < cfg.restarts
         assert res.value == pytest.approx(concurrence_wootters(rho), abs=1e-12)
-        assert res.lower == concurrence_wootters(rho)
-        assert res.value - res.lower <= cfg.step_tolerance
+        assert 0.0 <= res.value - res.lower <= cfg.step_tolerance
+        assert res.lower == wootters_lower(rho)
         met = first_totals[0] - res.lower <= cfg.step_tolerance
         assert (res.restarts_used == 1) == met
         alone += met
@@ -532,7 +538,7 @@ def test_certificate_needs_a_two_qubit_signature():
     rho = reduce_pair(to_density(haar_random_pure(3, 700)), 1)
     res = convex_roof(rho, concurrence_functional((0,)), "min", RoofConfig(seed=1))
     assert res.value.hex() == "0x1.94807f61aad5ap-3"
-    assert res.lower == concurrence_wootters(rho)
+    assert res.lower == wootters_lower(rho)
     assert res.restarts_used == 1
     flat = DensityMatrix(rho.mat, SystemSignature((4,)))
     with pytest.raises(MeasureError):
@@ -871,7 +877,7 @@ def sequential_convex_roof(rho, cfg):
 
     # on two qubits the Wootters concurrence certifies the roof from below,
     # elsewhere at rank 2 the plane fitted to restart 0's ensemble does
-    lower = concurrence_wootters(rho) if n_qubits == 2 else None
+    lower = wootters_lower(rho) if n_qubits == 2 else None
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_total = best_u = None
     best_conv = False
