@@ -880,13 +880,13 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_total = best_u = None
     best_conv = False
-    restarts_used = stalled = 0
+    stalled = 0
     two_qubit = dims == (2, 2)
     lower = None
     if two_qubit:
-        # the Wootters value rounded down by 64 ulp of sum mu: it and the
-        # roof's value differed by up to 3 ulp of sum mu, either way, on
-        # the acceptance-7 and roof-min inputs
+        # the Wootters value rounded down by 64 ulp of sum mu: rounding
+        # put the roof's value below it by up to 3 ulp of sum mu on the
+        # acceptance-7 and roof-min inputs
         mu = _wootters_mu(rho.mat)
         lower = max(0.0, float(2.0 * mu[0] - mu.sum()
                                - 64 * np.finfo(float).eps * mu.sum()))
