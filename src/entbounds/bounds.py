@@ -13,8 +13,11 @@ The formulas and flags are written once for floats and numpy arrays: the
 scalar entry points evaluate one point in pure float arithmetic, and
 bound_grid evaluates one variant over a whole parameter grid.  Every
 power is Python's float **: through _pow at a point, and on a grid
-(GridPow) through numpy's object-dtype ufunc loop, which calls the same
-float ** per element, run in C.  So both give the same bits.
+through grid_pow, numpy's object-dtype ufunc loop, which calls the same
+float ** per element, run in C.  So both give the same bits.  The scalar
+entry points own the errors: a grid takes every power at every point and
+raises if any fails, and its caller (harness.sweep_rows) then evaluates
+the points one at a time.
 
 One engine serves both bound kinds.  `SIDES` holds what differs between
 the monogamy and the polygamy side (exponent names and ranges, theorem
@@ -64,8 +67,8 @@ def _pow(base: float, exponent: float) -> float:
             f"{base!r} ** {exponent!r} overflows the float range") from None
 
 
-class GridPow:
-    """_pow over broadcast numpy arrays, bit for bit.
+def grid_pow(base, exponent) -> np.ndarray:
+    """_pow over broadcast numpy arrays, bit for bit where _pow returns.
 
     np.power rounds differently from the C library pow behind Python's
     float ** in the last bit for a few percent of inputs, so a grid must
@@ -73,32 +76,14 @@ class GridPow:
     call on object arrays does that: numpy's object loop calls the same
     float ** per element, run in C.  _pow's 0^0 = 1 and 0^x = 0 conventions
     are masked around it, with a base of 1 at those points so that 0 ** -x
-    cannot raise and -0.0 ** 3 cannot leak -0.0.  When a power overflows or
-    is complex, the grid is redone through _pow one element at a time:
-    elements where _pow raises read nan and are marked in `failed`.
+    cannot raise and -0.0 ** 3 cannot leak -0.0.  A power beyond the float
+    range raises OverflowError, and a complex one TypeError.
     """
-
-    def __init__(self):
-        self.failed = np.False_
-
-    def __call__(self, base, exponent) -> np.ndarray:
-        b, e = np.broadcast_arrays(base, exponent)
-        unit, zero = e == 0.0, b == 0.0
-        safe_base = np.where(unit | zero, 1.0, b).astype(object)
-        try:
-            out = np.asarray(np.power(safe_base, e.astype(object)), dtype=float)
-        except (OverflowError, TypeError):  # TypeError: a complex result
-            out, bad = [], []
-            for x, y in zip(b.ravel().tolist(), e.ravel().tolist()):
-                try:
-                    out.append(_pow(x, y))
-                    bad.append(False)
-                except (BoundsError, TypeError):
-                    out.append(math.nan)
-                    bad.append(True)
-            self.failed = self.failed | np.reshape(bad, b.shape)
-            return np.reshape(out, b.shape)
-        return np.where(unit, 1.0, np.where(zero, 0.0, out))
+    b, e = np.broadcast_arrays(base, exponent)
+    unit, zero = e == 0.0, b == 0.0
+    safe_base = np.where(unit | zero, 1.0, b).astype(object)
+    out = np.asarray(np.power(safe_base, e.astype(object)), dtype=float)
+    return np.where(unit, 1.0, np.where(zero, 0.0, out))
 
 
 @dataclass(frozen=True)
@@ -484,59 +469,55 @@ def prior_polygamy_bound(variant: str, q_ab: float, q_ac: float, *,
 
 
 def bound_grid(kind: str, variant: str, q_ab: float, q_ac: float, num, den,
-               t, q, k, p, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               t, q, k, p, a) -> tuple[np.ndarray, np.ndarray]:
     """One variant of one side over a grid: num, den, t, q, k, p and a are
     floats or arrays that broadcast together.
 
     The side's theorem name evaluates tightened_bound with
     BoundParams(num, den, t, q); a prior name evaluates prior_bound with
     k, p and a (p is ignored by ref16 and ref29).  The formulas and checks
-    are theirs.  Returns (rhs, ok, failed): ok is where the scalar entry
-    point evaluates, rhs is nan elsewhere, and failed marks the points
-    where the scalar entry point raises, or may raise, something other
-    than PreconditionError (an overflowing power, a non-finite t or q, a
-    negative correlation value).  Values at failed points are unspecified.
+    are theirs.  Returns (rhs, ok): ok is where the scalar entry point
+    evaluates, and rhs is nan elsewhere.  Every power is taken at every
+    point, so the grid raises (BoundsError, OverflowError or TypeError)
+    wherever the scalar entry point raises something other than
+    PreconditionError, and may raise where it does not.
     """
     side = _side(kind)
     if variant != side.theorem and variant not in PRIOR_VARIANTS:
         raise BoundsError(f"unknown {kind} variant {variant!r}")
+    if q_ab < 0 or q_ac < 0:
+        raise BoundsError("correlation values must be nonnegative")
     num, den, t, q, k, p, a = (np.asarray(v, dtype=float)
                                for v in (num, den, t, q, k, p, a))
-    failed = np.bool_(q_ab < 0 or q_ac < 0)
-    check, value = GridPow(), GridPow()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         range_oks = side.range_ok(num, den)
         ok = range_oks[0] & range_oks[1]
         if variant == side.theorem:
-            failed = failed | ~(np.isfinite(num) & np.isfinite(den)
-                                & np.isfinite(t) & np.isfinite(q))
+            if not np.all(np.isfinite(num) & np.isfinite(den)
+                          & np.isfinite(t) & np.isfinite(q)):
+                raise BoundsError("num, den, t and q must be finite")
             window_oks, _, _ = _window_conditions(
-                check(q_ab, den), check(q_ac, den), t, q)
+                grid_pow(q_ab, den), grid_pow(q_ac, den), t, q)
             ok = ok & window_oks[0] & window_oks[1] & window_oks[2]
             if q_ab == 0.0 and q_ac == 0.0:  # vacuous where num/den exists
                 ok = ok | (den != 0.0)
-            failed = failed | check.failed
-            rhs = _two_term_bound(q_ab, q_ac, num, den, t, q, value)
+            rhs = _two_term_bound(q_ab, q_ac, num, den, t, q, grid_pow)
         elif q_ab == 0.0 and q_ac == 0.0:
             rhs = 0.0
         else:
             e = num / den
             if variant == "ref29":
                 factor = a
-                rhs = _ref29_bound(q_ab, q_ac, num, e, a, value)
+                rhs = _ref29_bound(q_ab, q_ac, num, e, a, grid_pow)
             else:
                 factor = k
                 if variant == "ref28":
                     ok = ok & _ref28_limits_ok(side, num, den, p)
                 rhs = _ref28_bound(q_ab, q_ac, num, e, k,
-                                   1.0 if variant == "ref16" else p, value)
-            ok = ok & ~(factor < 1.0)
-            dominance_fails = _prior_dominance_fails(q_ab, q_ac, den, factor,
-                                                     check)
-            failed = failed | (check.failed & ok)
-            ok = ok & ~dominance_fails
-        failed = failed | (value.failed & ok)
-        return np.where(ok, rhs, math.nan), ok, failed
+                                   1.0 if variant == "ref16" else p, grid_pow)
+            ok = ok & ~(factor < 1.0) & ~_prior_dominance_fails(
+                q_ab, q_ac, den, factor, grid_pow)
+        return np.where(ok, rhs, math.nan), ok
 
 
 def chain_bound(kind: str, q_pairs, q_residuals, cp: ChainParams,

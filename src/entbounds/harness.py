@@ -204,8 +204,8 @@ def _resolve_q(qspec, t, q_ab: float, q_ac: float, power, pw=bnd._pow):
             raise UsageError("edge q undefined when the dominant value is 0")
         return 1.0 + pw(q_ab / q_ac, power)
     if qspec == "top":
-        # a grid divides anyway and raises this at its first t = 0 point
-        if not isinstance(t, np.ndarray) and t == 0:
+        # a grid raises this if any of its t is 0
+        if (np.asarray(t) == 0).any():
             raise UsageError("top q = 1 + 1/t is undefined at t = 0")
         return 1.0 + 1.0 / t
     return float(qspec)
@@ -388,10 +388,12 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
                seed: int):
     """Grid-evaluate the requested variants; returns (header_lines, rows).
 
-    The grid is one array pass through bnd.bound_grid, which marks the
-    points where the scalar engine raises (an overflowing power, an unknown
-    variant, ...): the first in row order is evaluated with
-    evaluate_bound_report, so the same exception surfaces at the same point.
+    The grid is one array pass through bnd.bound_grid.  Where it raises
+    (an overflowing or complex power, an unknown variant, q top at t = 0,
+    ...), the points that are not blank are evaluated one at a time with
+    evaluate_bound_report, so the same exception surfaces at the same
+    point, or none if the grid raised only where the scalar engine never
+    evaluates.
     """
     axis_vals = [(name, np.linspace(start, stop, steps))
                  for name, start, stop, steps in spec.axes]
@@ -416,23 +418,12 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
     blank = np.zeros(shape, dtype=bool)
     if side.blank_num_below_den:
         blank = np.broadcast_to(np.less(num, den), shape)
-    if blank.all():  # the scalar engine evaluates nothing, so raises nothing
-        grid = np.nan, [np.nan] * len(spec.variants), False, False
-    else:
-        grid = _grid_report(spec, side, lhs_base, q_ab, q_ac, values)
-    lhs, rhs, admissible, redo = grid
-    marked = np.argwhere(~blank & redo)
-    if len(marked):
-        point = dict(spec.fixed)
-        for (name, a), i in zip(axis_vals, marked[0]):
-            point[name] = float(a[i])
-        evaluate_bound_report(
-            spec.kind, lhs_base, q_ab, q_ac, variants=spec.variants,
-            t=point.get("t", "sqrt"), q=point.get("q", "edge"),
-            k=point.get("k"), p=point.get("p"), a=point.get("a"),
-            **{num_name: point[num_name], den_name: point[den_name]})
-        raise RuntimeError(f"the grid marked {point} but the scalar engine "
-                           "did not raise there")
+    try:
+        lhs, rhs, admissible = _grid_report(spec, side, lhs_base, q_ab, q_ac,
+                                            values)
+    except (UsageError, bnd.BoundsError, OverflowError, TypeError):
+        lhs, rhs, admissible = _point_report(spec, side, lhs_base, q_ab, q_ac,
+                                             axis_vals, blank)
     lhs = np.where(blank, np.nan, lhs)
     rhs = [np.where(blank, np.nan, r) for r in rhs]
     admissible = ~blank & admissible
@@ -452,36 +443,49 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
 def _grid_report(spec: SweepSpec, side: bnd.Side, lhs_base: float,
                  q_ab: float, q_ac: float, values: dict):
     """evaluate_bound_report over broadcast grid values: (lhs, per-variant
-    rhs, admissible, redo), where redo marks the points where the scalar
-    engine raises."""
-    pw = bnd.GridPow()
+    rhs, admissible).  Raises wherever the scalar engine raises at some
+    point, and may raise where it does not (a power that overflows only
+    where the window fails)."""
     num_name, den_name = side.exponents
     num = np.asarray(values[num_name], dtype=float)
     den = np.asarray(values[den_name], dtype=float)
-    tspec, qspec = values.get("t", "sqrt"), values.get("q", "edge")
-    t = _resolve_t(tspec, q_ab, q_ac, den, pw)
-    redo = np.bool_(False)
-    if isinstance(qspec, str) and qspec == "top":
-        redo = np.asarray(t) == 0.0  # the scalar 1 / t raises there
-    with np.errstate(divide="ignore"):
-        q = _resolve_q(qspec, t, q_ab, q_ac, den, pw)
-    lhs = pw(lhs_base, num)
-    redo = redo | pw.failed
+    t = _resolve_t(values.get("t", "sqrt"), q_ab, q_ac, den, bnd.grid_pow)
+    with np.errstate(over="ignore"):  # 1 / t is inf at a subnormal t
+        q = _resolve_q(values.get("q", "edge"), t, q_ab, q_ac, den,
+                       bnd.grid_pow)
     rhs, admissible = [], np.bool_(True)
     for v in spec.variants:
-        try:
-            prior_args = _prior_args(side, v, t, values.get("k"),
-                                     values.get("p"), values.get("a"))
-        except UsageError:  # the scalar engine raises it: redo every point
-            redo = np.bool_(True)
-            rhs.append(np.nan)
-            continue
-        r, ok, failed = bnd.bound_grid(spec.kind, v, q_ab, q_ac, num, den,
-                                       t, q, *prior_args)
+        prior_args = _prior_args(side, v, t, values.get("k"), values.get("p"),
+                                 values.get("a"))
+        r, ok = bnd.bound_grid(spec.kind, v, q_ab, q_ac, num, den, t, q,
+                               *prior_args)
         rhs.append(r)
         admissible = admissible & ok
-        redo = redo | failed
-    return lhs, rhs, admissible, redo
+    return bnd.grid_pow(lhs_base, num), rhs, admissible
+
+
+def _point_report(spec: SweepSpec, side: bnd.Side, lhs_base: float,
+                  q_ab: float, q_ac: float, axis_vals: list, blank):
+    """_grid_report from one evaluate_bound_report per point that is not
+    blank, in row order; nan and not admissible where blank."""
+    lhs = np.full(blank.shape, np.nan)
+    rhs = [np.full(blank.shape, np.nan) for _ in spec.variants]
+    admissible = np.zeros(blank.shape, dtype=bool)
+    num_name, den_name = side.exponents
+    for idx in zip(*np.nonzero(~blank)):
+        point = dict(spec.fixed)
+        for (name, a), i in zip(axis_vals, idx):
+            point[name] = float(a[i])
+        report = evaluate_bound_report(
+            spec.kind, lhs_base, q_ab, q_ac, variants=spec.variants,
+            t=point.get("t", "sqrt"), q=point.get("q", "edge"),
+            k=point.get("k"), p=point.get("p"), a=point.get("a"),
+            **{num_name: point[num_name], den_name: point[den_name]})
+        lhs[idx] = report.lhs
+        for r, v in zip(rhs, spec.variants):
+            r[idx] = report.variant_rhs[v]
+        admissible[idx] = all(report.preconditions_ok.values())
+    return lhs, rhs, admissible
 
 
 def rows_to_csv(header, rows) -> str:

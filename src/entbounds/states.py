@@ -44,6 +44,8 @@ class PureState:
         # a nan amplitude would pass the norm test below
         if not np.isfinite(amps).all():
             raise StateError("amplitudes must be finite")
+        if not len(amps):  # log2(0) below
+            raise StateError("a state needs at least one amplitude")
         n = self.n_qubits or int(np.log2(len(amps)))
         if len(amps) != 2 ** n:
             raise StateError(f"amplitude count {len(amps)} is not 2^{n}")

@@ -476,15 +476,29 @@ GRID_CASES = {
     "poly-overflow-inadmissible": (EX2_BUILDER, "polygamy",
                                    ["--axis", "delta:0.0005:0.001:3"],
                                    ["--fix", "beta=1", "--fix", "q=5"], "thm4"),
+    # top q = 1 + 1/t is inf at a subnormal t: exit 2, q must be finite
+    "mono-top-subnormal-t": (EX1_BUILDER, "monogamy", ["--axis", "t:1e-310:2:3"],
+                             ["--fix", "alpha=1", "--fix", "gamma=2",
+                              "--fix", "q=top"], "thm1,ref29"),
+    # ... but ref29 does not read q, and its a = t < 1 is inadmissible: exit 0
+    "mono-top-subnormal-t-prior": (EX1_BUILDER, "monogamy",
+                                   ["--axis", "t:5e-324:2:3"],
+                                   ["--fix", "alpha=1", "--fix", "gamma=2",
+                                    "--fix", "q=top"], "ref29"),
 }
 
 
-@pytest.mark.parametrize("name", list(GRID_CASES))
-def test_sweep_grid_matches_scalar_engine(capsys, monkeypatch, name):
+def grid_case_args(name):
     builder, kind, axes, fixes, variants = GRID_CASES[name]
     args = ["sweep", "--builder", builder, "--kind", kind] + axes + fixes
     if variants is not None:
         args += ["--variants", variants]
+    return args
+
+
+@pytest.mark.parametrize("name", list(GRID_CASES))
+def test_sweep_grid_matches_scalar_engine(capsys, monkeypatch, name):
+    args = grid_case_args(name)
     grid = cli_outcome(args, capsys)
     monkeypatch.setattr(h, "sweep_rows", scalar_sweep_rows)
     scalar = cli_outcome(args, capsys)
@@ -492,16 +506,41 @@ def test_sweep_grid_matches_scalar_engine(capsys, monkeypatch, name):
     if name == "poly-all-blank":
         _, rows = parse_csv(grid[2])
         assert grid[1] == 0 and all(r["admissible"] == "0" for r in rows)
+    if name == "mono-top-subnormal-t":
+        assert grid[1:3] == (2, "")
+        assert grid[3].endswith("q must be finite, got inf\n")
+    if name == "mono-top-subnormal-t-prior":
+        assert grid[1] == 0
 
 
-def test_sweep_names_a_marked_point_that_does_not_raise(monkeypatch):
-    # the grid marks only points where the scalar engine raises, and such a
-    # point has no values to print
-    monkeypatch.setattr(h, "evaluate_bound_report", lambda *args, **kw: None)
-    spec = h.SweepSpec("monogamy", [("alpha", 0.0, 2.0, 3)], {"gamma": 2.0},
-                       ["thm1", "thm4"])
-    with pytest.raises(RuntimeError, match="grid marked .*'alpha': 0.0"):
-        h.sweep_rows(spec, 0.9, 0.3, 0.5, 0)
+# the GRID_CASES whose array pass raises, so that sweep_rows evaluates
+# their points one at a time; every other case stays on the grid
+POINT_CASES = {"mono-zero-edge", "mono-unknown-variant", "mono-top-t-zero",
+               "poly-all-blank", "poly-unknown-variant", "poly-a-negative",
+               "poly-overflow", "poly-overflow-inadmissible",
+               "mono-top-subnormal-t"}
+# the GOLDEN digest of each figure at its default resolution; 3 and 6
+# print the grids of 1 and 4
+FULL_FIGURE_GOLDEN = {1: "figure1-full", 2: "figure2-full", 3: "figure1-full",
+                      4: "figure4-full", 5: "figure5-full", 6: "figure4-full"}
+
+
+def test_figures_and_regular_sweeps_stay_on_the_grid(capsys, monkeypatch):
+    # the point-by-point fallback is several times slower than the array
+    # pass and prints the same bytes, so a grid that raised by mistake
+    # would show only in run time: here the fallback raises instead
+    cases = [grid_case_args(n) for n in GRID_CASES if n not in POINT_CASES]
+    want = [cli_outcome(args, capsys) for args in cases]
+
+    def point_report(*args):
+        raise AssertionError("the grid raised on a regular sweep")
+
+    monkeypatch.setattr(h, "_point_report", point_report)
+    assert [cli_outcome(args, capsys) for args in cases] == want
+    for fig_id, name in FULL_FIGURE_GOLDEN.items():
+        code, out = run_cli(["figure", "--id", str(fig_id)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name][1]
 
 
 def test_sweep_grid_rows_match_scalar_rows():
@@ -693,6 +732,15 @@ def test_non_finite_state_file_is_an_input_error(tmp_path, capsys, measure):
         err = usage_error(["measure", "--state", str(path),
                            "--measure", measure], capsys)
         assert "finite" in err
+
+
+def test_state_file_without_amplitudes_is_an_input_error(tmp_path, capsys):
+    # no amplitudes took log2(0): a warning, then an OverflowError traceback
+    path = tmp_path / "empty.json"
+    path.write_text('{"n_qubits": 0, "amps": []}')
+    err = usage_error(["measure", "--state", str(path),
+                       "--measure", "concurrence"], capsys)
+    assert err == "entbounds: error: a state needs at least one amplitude"
 
 
 @pytest.mark.parametrize("text", ["7", "null"])

@@ -639,6 +639,56 @@ def test_a_lifted_plane_fails_the_exact_check():
         assert not msr._plane_holds(quad, a + 1e-6, beta, eps)
 
 
+def test_rank2_margin_grows_16_fold_per_failed_check(monkeypatch):
+    # two failed exact checks raise the margin from RANK2_MARGIN to 256
+    # times it, and the lower end drops by the growth times tr rho
+    rho = oracle_states()["d8"]
+    res = convex_roof(rho, concurrence_functional((0,)), "min",
+                      RoofConfig(restarts=1, seed=11))
+    holds, checked = msr._plane_holds, []
+
+    def failing_first(fails):
+        def check(quad, a, beta, eps):
+            checked.append(eps)
+            return len(checked) > fails and holds(quad, a, beta, eps)
+        return check
+
+    monkeypatch.setattr(msr, "_plane_holds", failing_first(0))
+    plain = rank2_lower(rho, ensemble_rows(res))
+    assert len(checked) == 1
+    checked.clear()
+    monkeypatch.setattr(msr, "_plane_holds", failing_first(2))
+    grown = rank2_lower(rho, ensemble_rows(res))
+    assert len(checked) == 3
+    growth = 255 * msr.RANK2_MARGIN
+    assert checked[2] - checked[0] == pytest.approx(growth, rel=1e-6)
+    assert plain - grown == pytest.approx(growth * support(rho)[0].sum(),
+                                          abs=1e-15)
+
+
+def test_rank2_roof_without_a_certificate_runs_the_stall_rule(monkeypatch):
+    # no margin up to 1e-6 passes after six checks (2^-40 ... 2^-20): no
+    # lower end, and the roof stops on the stall rule instead, the
+    # STALL_RESTARTS after its best restart, the one the certificate met
+    rho = oracle_states()["d8"]
+    cfg = RoofConfig(restarts=8, seed=11)
+    certified = convex_roof(rho, concurrence_functional((0,)), "min", cfg)
+    checked = []
+
+    def never(quad, a, beta, eps):
+        checked.append(eps)
+        return False
+
+    monkeypatch.setattr(msr, "_plane_holds", never)
+    assert rank2_lower(rho, ensemble_rows(certified)) is None
+    assert len(checked) == 6
+    res = convex_roof(rho, concurrence_functional((0,)), "min", cfg)
+    assert res.lower is None and certified.lower is not None
+    assert certified.restarts_used == 3
+    assert res.restarts_used == certified.restarts_used + msr.STALL_RESTARTS
+    assert res.value == certified.value
+
+
 def fibonacci_sphere(n):
     i = np.arange(n) + 0.5
     z = 1.0 - 2.0 * i / n
