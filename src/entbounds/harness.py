@@ -317,6 +317,8 @@ def _parse_variants(args) -> list:
     variants = [v.strip() for v in text.split(",") if v.strip()]
     if not variants:
         raise UsageError(f"--variants names no variant, got {text!r}")
+    if len(set(variants)) < len(variants):
+        raise UsageError(f"--variants names a variant twice, got {text!r}")
     return variants
 
 
@@ -900,9 +902,9 @@ def make_parser() -> argparse.ArgumentParser:
     pm.add_argument("--split", default=None, help="bipartition, e.g. A|BC or 0|12")
     pm.add_argument("--roof-restarts", type=positive_int, default=32,
                     help="convex-roof restarts: at most N; stops once the "
-                         "roof meets its certified lower end (the Wootters "
-                         "value on 2 x 2, the rank-2 certificate) or after "
-                         f"{msr.STALL_RESTARTS} restarts without improvement")
+                         "roof meets the rank-2 certificate, at a zero roof, "
+                         f"or after {msr.STALL_RESTARTS} restarts without "
+                         "improvement")
 
     pb = sub.add_parser("bound", parents=[common],
                         help="evaluate bound variants on a state")

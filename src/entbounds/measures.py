@@ -14,7 +14,7 @@ The concurrence roof, minimized over decompositions, serves what has no
 closed form here: states other than 2 x 2 (the three-qubit chain residual
 among them) and the roof-oracle suite that checks it against the Wootters
 formula.  Decompositions of a rank-r state are m x r isometries u acting
-on its eigendecomposition ensemble.  For any split, C^2 =
+on its eigendecomposition ensemble, m = r^2.  For any split, C^2 =
 4 sum |2 x 2 minors|^2 (Cauchy-Binet; Wootters, PRL 80, 2245, 1998), and
 each member's minors are one quadratic form u_i^T Q u_i, so Q gives the
 objective, closed-form Givens-rotation line searches and the
@@ -24,24 +24,25 @@ Stat. Comput. 6, 69, 1985), each round one stacked pass: an m-member
 ensemble takes m - 1 passes (m when m is odd), not m (m - 1) / 2.
 Restarts derive independent sub-seeds from the configured seed and run
 one at a time (first-best wins), so results are reproducible and safe
-for concurrent use.  One stop rule ends the restarts at a certified
-lower end: once the best value is within step_tolerance of it, no
-restart can gain more.  On a (2, 2) signature the Wootters concurrence
-is the exact roof and that lower end.  Any other rank-2 state gets one
-from restart 0's ensemble: its support states are the Bloch sphere, on
-which the squared concurrence h is a quadratic, the plane of the roof's
-LP dual is fitted to the ensemble by Newton on the KKT system, and its
-excess over sqrt(h) is found exactly from the stationary points of a
-quadratic on the sphere (a 6 x 6 eigenproblem, Gander, Golub and von
-Matt, LAA 114/115, 815, 1989), rounded outward.  A roof certified at
+for concurrent use; RoofConfig sets only their number and seed.  One
+stop rule ends the restarts at a certified lower end: once the best
+value is within STEP_TOLERANCE of it, no restart can gain more.  On a
+(2, 2) signature the Wootters concurrence is the exact roof and that
+lower end.  Any other rank-2 state gets one from restart 0's ensemble:
+its support states are the Bloch sphere, on which the squared
+concurrence h is a quadratic, the plane of the roof's LP dual is fitted
+to the ensemble by Newton on the KKT system, and its excess over sqrt(h)
+is found exactly from the stationary points of a quadratic on the
+sphere (a 6 x 6 eigenproblem, Gander, Golub and von Matt, LAA 114/115,
+815, 1989), rounded outward.  A roof certified at
 restart 0 has restarts_used 1.
-The polish works on one isometry at a time and looks for a split-product
-ensemble, a zero roof.  A state whose partial transpose over the split
-has an eigenvalue below -1e-10 is NPT, hence entangled (Peres), and has
-none: each of its restarts is one run of sweeps, with no polish.  On a
-(2, 2) signature it polishes the winning decomposition once, after the
-stopping rule, which lands it on the Wootters value; elsewhere the
-polish's objective does not share the roof's minimizers and none runs.
+The polish works on one isometry at a time, inside a restart, and looks
+for a split-product ensemble, a zero roof.  A state whose partial
+transpose over the split has an eigenvalue below -1e-10 is NPT, hence
+entangled (Peres), and has none: each of its restarts is one run of
+sweeps, followed on a (2, 2) signature by one polish, which lands it on
+the Wootters value; elsewhere the polish's objective does not share the
+roof's minimizers and none runs.
 
 A split is the first block of a bipartition: indices into the dims of a
 density matrix or the qubits of a pure state, checked by _check_split.
@@ -167,22 +168,18 @@ def negativity_mixed(rho: DensityMatrix, split: Sequence[int] = (0,)) -> float:
 
 @dataclass
 class RoofConfig:
-    """Optimizer budget for convex-roof evaluations.
-
-    max_ensemble_size None means rank(rho)^2, the usual sufficient size.
+    """Budget of a convex-roof evaluation: at most restarts restarts, the
+    random starts derived from seed.  The rest of the optimizer is fixed:
+    a rank-r state's ensembles have r^2 members, STEP_TOLERANCE and
+    MAX_SWEEPS bound each run of sweeps, and STALL_RESTARTS the restarts.
     """
 
-    max_ensemble_size: int | None = None
     restarts: int = 32
-    max_iters: int = 500
-    step_tolerance: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,7 @@ class RoofResult:
     any other rank-2 state, whether or not the value met it (None if its
     exact check failed), and None at higher rank.  A roof certified at
     restart 0 has restarts_used 1.  converged says only that the best
-    restart's last sweep gained less than step_tolerance or that a polish
+    restart's last sweep gained less than STEP_TOLERANCE or that a polish
     of it was kept; it does not mean the value is settled, as other
     restarts may end in other local minima."""
 
@@ -328,27 +325,32 @@ _COARSE_START = np.array([
 _COARSE_START.setflags(write=False)
 _ZOOM = np.linspace(-1.0, 1.0, 7)  # each refinement: 7 x 7 around the best
 
+# a run of sweeps ends at a sweep that gains less than this, and the
+# restarts once the best is within this of a certified lower end
+STEP_TOLERANCE = 1e-9
+# a run of sweeps ends after this many at most
+MAX_SWEEPS = 500
 # restarts stop after this many in a row fail to lower the best by more
-# than RoofConfig.step_tolerance; RoofConfig.restarts is the cap
+# than STEP_TOLERANCE; RoofConfig.restarts is the cap
 STALL_RESTARTS = 3
 # the polish ends a restart after an accepted step that lowers its cost by
 # at most this share of it: the cost is then flat to rounding
 POLISH_MIN_REDUCTION = 1e-15
 
 
-def _optimize_ensemble(u, qf, iters, tol):
+def _optimize_ensemble(u, qf, iters):
     """Sweep Givens rotations over row pairs until improvement stalls.
 
     u is one isometry (m, r) and iters its sweep budget.  Returns the
-    total, the isometry and whether a sweep gained less than tol.  Works
-    on a copy of u; a move is kept only when the recomputed pair objective
-    is lower than the current one.
+    total, the isometry and whether a sweep gained less than
+    STEP_TOLERANCE.  Works on a copy of u; a move is kept only when the
+    recomputed pair objective is lower than the current one.
     """
     u = u.copy()
     qu, mu = _member_minors(u, qf)
     w = _weights(mu)
     for _ in range(iters):
-        if _sweep(u, qu, mu, w, qf) < tol:
+        if _sweep(u, qu, mu, w, qf) < STEP_TOLERANCE:
             return w.sum(), u, True
     return w.sum(), u, False
 
@@ -461,19 +463,16 @@ def _skew_basis(r: int) -> np.ndarray:
 
 def _stiefel_tangent_basis(u: np.ndarray) -> np.ndarray:
     """Real basis (n, m, r) of the tangent space {d: d^H u + u^H d = 0} of
-    the isometry u (m, r)."""
+    the isometry u (m, r), m > r."""
     m, r = u.shape
-    basis = u @ _skew_basis(r)
-    if m > r:
-        full, _, _ = np.linalg.svd(u, full_matrices=True)
-        # perp column c placed in column l, then times 1j
-        perp = np.einsum("ac,lk->clak", full[:, r:], np.eye(r))
-        perp = np.stack([perp, 1j * perp], axis=2).reshape(-1, m, r)
-        basis = np.concatenate([basis, perp])
-    return basis
+    full, _, _ = np.linalg.svd(u, full_matrices=True)
+    # perp column c placed in column l, then times 1j
+    perp = np.einsum("ac,lk->clak", full[:, r:], np.eye(r))
+    perp = np.stack([perp, 1j * perp], axis=2).reshape(-1, m, r)
+    return np.concatenate([u @ _skew_basis(r), perp])
 
 
-def _product_polish(u, qf, iters: int = 40):
+def _product_polish(u, qf):
     """Levenberg-Marquardt on the minors over the isometry manifold.
 
     The residuals are every member's minors u_i^T Q u_i and the Jacobian
@@ -482,15 +481,15 @@ def _product_polish(u, qf, iters: int = 40):
     product state; this drives the smooth zero-residual system
     quadratically instead.  Steps are solved in an explicit tangent basis
     so the QR retraction only contributes second-order corrections.  u is
-    one isometry (m, r).  The polish stops once the cost is below 1e-30,
-    after 8 failed tries at one step, or after an accepted step that
-    lowers the cost by at most POLISH_MIN_REDUCTION times the cost (the
-    relative-reduction test of MINPACK's lmder).
+    one isometry (m, r).  The polish stops after 40 iterations, once the
+    cost is below 1e-30, after 8 failed tries at one step, or after an
+    accepted step that lowers the cost by at most POLISH_MIN_REDUCTION
+    times the cost (the relative-reduction test of MINPACK's lmder).
     """
     qu, mu = _member_minors(u, qf)
     cost = float(np.sum(mu.real ** 2 + mu.imag ** 2))
     lam = 1e-4
-    for _ in range(iters):
+    for _ in range(40):
         if cost < 1e-30:
             break
         basis = _stiefel_tangent_basis(u)
@@ -528,26 +527,33 @@ def _try_polish(total, u, qf):
     return total, u, False
 
 
-def _restart(u, qf, cfg, polish):
+def _restart(u, qf, ppt, two_qubit):
     """Total, isometry and converged flag of the restart that starts at the
-    isometry u (m, r), after the optimizer stages.  Without polish (an NPT
-    state, which has no split-product ensemble) the restart is one run of
-    max_iters sweeps.  With polish, it sweeps 15 times and tries the
-    zero-roof polish (the concurrence vanishes exactly on split-product
-    states); after a kept polish 10 consolidating sweeps are enough, none
-    at a zero roof, otherwise the remaining sweeps run, then one more
-    polish.  A polish is kept only when it lowers the total, and a kept
-    polish marks the restart converged."""
-    tol = cfg.step_tolerance
-    if not polish:
-        return _optimize_ensemble(u, qf, cfg.max_iters, tol)
-    stage1 = min(15, cfg.max_iters)
-    total, u, conv = _optimize_ensemble(u, qf, stage1, tol)
+    isometry u (m, r).  A polish is kept only when it lowers the total, and
+    a kept polish marks the restart converged.
+
+    An NPT state (not ppt) is entangled (Peres) and has no split-product
+    ensemble, so the restart is one run of up to MAX_SWEEPS sweeps, then
+    one polish on a (2, 2) signature and none elsewhere.  With one minor
+    per member the polish's sum of |minor|^2 is at least (sum |minor|)^2 /
+    m, with equality at Wootters' equal-concurrence optimal ensembles, so
+    it shares the roof's minimizers; with more minors per member it does
+    not.  A PPT state sweeps 15 times and tries the zero-roof polish (the
+    concurrence vanishes exactly on split-product states); after a kept
+    polish 10 consolidating sweeps are enough, none at a zero roof,
+    otherwise the remaining sweeps run, then one more polish."""
+    if not ppt:
+        total, u, conv = _optimize_ensemble(u, qf, MAX_SWEEPS)
+        if two_qubit:
+            total, u, kept = _try_polish(total, u, qf)
+            conv = conv or kept
+        return total, u, conv
+    total, u, conv = _optimize_ensemble(u, qf, 15)
     total, u, kept = _try_polish(total, u, qf)
     conv = conv or kept
-    iters = (10 if total > 1e-12 else 0) if kept else cfg.max_iters - stage1
-    if iters:
-        t3, u3, c3 = _optimize_ensemble(u, qf, iters, tol)
+    iters = (10 if total > 1e-12 else 0) if kept else MAX_SWEEPS - 15
+    if iters > 0:
+        t3, u3, c3 = _optimize_ensemble(u, qf, iters)
         if t3 < total:
             total, u, conv = t3, u3, c3
         total, u, again = _try_polish(total, u, qf)
@@ -827,23 +833,20 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     of rho; the roof value is then an upper bound on the true minimum.
 
     direction must be "min", the only roof offered.  Decompositions are
-    generated from the eigendecomposition via m x r isometries; restart 0
-    starts at the eigendecomposition ensemble itself, the rest at
-    Haar-random isometries.  At most cfg.restarts restarts run: the loop
-    stops once the best is within cfg.step_tolerance of a certified lower
+    generated from the eigendecomposition via m x r isometries, m = r^2;
+    restart 0 starts at the eigendecomposition ensemble itself, the rest
+    at Haar-random isometries.  At most cfg.restarts restarts run: the
+    loop stops once the best is within STEP_TOLERANCE of a certified lower
     end (RoofResult.lower), the Wootters concurrence on a (2, 2)
     signature, else at rank 2 the plane certificate fitted to restart 0's
     ensemble (_rank2_lower).  Otherwise, and as fallbacks, it stops once
     the roof reaches zero or after STALL_RESTARTS in a row fail to lower
-    the best by more than cfg.step_tolerance.  Restarts run one at a
-    time, the rule is checked after each, and restarts_used counts those
-    that ran.  Each sweep runs the row pairs in the stacked rounds of
-    _rounds(m).  An NPT state (partial transpose over the split with an
-    eigenvalue below -1e-10) runs each restart as one run of sweeps with
-    no polish and the rule on the sweep totals; on a (2, 2) signature it
-    then polishes the winner once, keeping the polish only when it lowers
-    the value, and elsewhere it runs no polish.  The split names
-    subsystems of rho.sig.dims.
+    the best by more than STEP_TOLERANCE.  Restarts run one at a time
+    (_restart, whose polishes all run inside it), the rule is checked
+    after each, and restarts_used counts those that ran.  Each sweep runs
+    the row pairs in the stacked rounds of _rounds(m).  A state is NPT
+    when its partial transpose over the split has an eigenvalue below
+    -1e-10.  The split names subsystems of rho.sig.dims.
     """
     if direction != "min":
         raise ValueError(f"direction must be 'min', got {direction!r}")
@@ -861,9 +864,7 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     rank = len(idx)
     if rank == 0:
         raise MeasureError("state has no support above rank tolerance")
-    m = cfg.max_ensemble_size if cfg.max_ensemble_size is not None else rank * rank
-    if m < rank:
-        raise MeasureError(f"max_ensemble_size {m} below rank {rank}")
+    m = rank * rank
 
     scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T  # rows are sqrt(ev) * eigvec
 
@@ -890,13 +891,6 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
         mu = _wootters_mu(rho.mat)
         lower = max(0.0, float(2.0 * mu[0] - mu.sum()
                                - 64 * np.finfo(float).eps * mu.sum()))
-    # every restart of a separable, hence PPT (Peres), state tries the
-    # polish, which can reach its zero roof.  An NPT state has no
-    # split-product ensemble, so only the winner is polished, once the
-    # rule stops, and only on a (2, 2) signature: with one minor per member
-    # the polish's sum of |minor|^2 is at least (sum |minor|)^2 / m, with
-    # equality at Wootters' equal-concurrence optimal ensembles, so it
-    # shares the roof's minimizers; with more minors per member it does not
     ppt = bool(np.linalg.eigvalsh(_transpose_split(rho, split))[0] > -1e-10)
     for j in range(cfg.restarts):
         if j == 0:
@@ -905,25 +899,22 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
             rng = np.random.Generator(np.random.PCG64(seeds[j]))
             gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
             u = np.linalg.qr(gauss)[0][:, :rank]
-        total, u, conv = _restart(u, qf, cfg, ppt)
+        total, u, conv = _restart(u, qf, ppt, two_qubit)
         restarts_used = j + 1
         # off a (2, 2) signature a rank-2 state is certified from restart
         # 0's ensemble
         if j == 0 and rank == 2 and not two_qubit:
             lower = _rank2_lower(evals[idx], vecs[:, idx],
                                  u * np.sqrt(evals[idx]), dims, split)
-        if best_total is None or total < best_total - cfg.step_tolerance:
+        if best_total is None or total < best_total - STEP_TOLERANCE:
             stalled = 0
         else:
             stalled += 1
         if best_total is None or total < best_total:
             best_total, best_u, best_conv = total, u, conv
-        if ((lower is not None and best_total - lower <= cfg.step_tolerance)
+        if ((lower is not None and best_total - lower <= STEP_TOLERANCE)
                 or best_total <= 1e-12 or stalled >= STALL_RESTARTS):
             break
-    if not ppt and two_qubit:
-        best_total, best_u, kept = _try_polish(best_total, best_u, qf)
-        best_conv = best_conv or kept
 
     value = float(best_total)
     # one-sidedness guard: restart 0 only ever improves on the

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entbounds import measures
 from entbounds.linalg import DensityMatrix, SystemSignature
 from entbounds.states import PureState
 
@@ -38,6 +39,15 @@ def rand_product_mixture(rng, n_terms=3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def max_sweeps(monkeypatch):
+    """Sets measures.MAX_SWEEPS, the sweep cap of one run of sweeps, for
+    one test: the test budget of a roof whose full cap would be slow."""
+    def cap(sweeps):
+        monkeypatch.setattr(measures, "MAX_SWEEPS", sweeps)
+    return cap
 
 
 def bell_state():

@@ -782,6 +782,16 @@ def test_bound_needs_a_variant(capsys, variants):
     assert "variant" in err
 
 
+@pytest.mark.parametrize("variants", ["thm1,thm1,ref29", "thm1, ref29,thm1"])
+def test_bound_and_sweep_reject_a_repeated_variant(capsys, variants):
+    bound = ["bound", "--builder", WCLASS_CKW, "--kind", "monogamy",
+             "--alpha", "1", "--gamma", "2", "--variants", variants]
+    sweep = ["sweep", "--builder", WCLASS_CKW, "--kind", "monogamy",
+             "--axis", "alpha:0:2:3", "--fix", "gamma=2", "--variants", variants]
+    for args in (bound, sweep):
+        assert "a variant twice" in usage_error(args, capsys)
+
+
 def test_sweep_validation(capsys):
     code = h.main(["sweep", "--builder", EX1_BUILDER, "--kind", "monogamy",
                    "--axis", "alpha:0:2:1", "--fix", "gamma=2",

@@ -218,13 +218,6 @@ def test_roof_ensemble_reconstructs(rng):
     assert res.value == pytest.approx(avg, abs=1e-8)
 
 
-def test_roof_rank_budget_error(rng):
-    rho = rand_density(rng, (2, 2), rank=3)
-    with pytest.raises(MeasureError):
-        convex_roof(rho, concurrence_functional((0,)), "min",
-                    RoofConfig(max_ensemble_size=2, seed=1))
-
-
 def test_roof_direction_validation(rng):
     rho = rand_density(rng, (2, 2), rank=2)
     with pytest.raises(ValueError):
@@ -316,10 +309,11 @@ def test_scren_requires_two_qubits(rng):
         scren(rho)
 
 
-def test_separable_states_have_zero_min_measures(rng):
+def test_separable_states_have_zero_min_measures(rng, max_sweeps):
     # min-roof measures vanish on separable mixtures; the assisted (max)
     # measures need not, so they are only checked on pure product states
-    cfg = RoofConfig(restarts=4, max_iters=150, seed=31)
+    max_sweeps(150)
+    cfg = RoofConfig(restarts=4, seed=31)
     for _ in range(100):
         sep = rand_product_mixture(rng, 3)
         assert negativity_mixed(sep, (0,)) <= 1e-9
@@ -503,7 +497,7 @@ def test_stopping_rule_on_roof_oracle_inputs(monkeypatch):
     # cap and still meets the Wootters value to 1e-12 (the 32-restart runs
     # the stopping rule replaced were within 1e-14 of it).  The roof carries
     # the Wootters value, rounded down, as its certified lower end, never
-    # above the value, and stops within step_tolerance of it, so the roof
+    # above the value, and stops within STEP_TOLERANCE of it, so the roof
     # keeps one restart exactly when restart 0 meets the certificate
     restart, first_totals = msr._restart, []
 
@@ -523,9 +517,9 @@ def test_stopping_rule_on_roof_oracle_inputs(monkeypatch):
         res = convex_roof(rho, concurrence_functional((0,)), "min", cfg)
         assert res.restarts_used < cfg.restarts
         assert res.value == pytest.approx(concurrence_wootters(rho), abs=1e-12)
-        assert 0.0 <= res.value - res.lower <= cfg.step_tolerance
+        assert 0.0 <= res.value - res.lower <= msr.STEP_TOLERANCE
         assert res.lower == wootters_lower(rho)
-        met = first_totals[0] - res.lower <= cfg.step_tolerance
+        met = first_totals[0] - res.lower <= msr.STEP_TOLERANCE
         assert (res.restarts_used == 1) == met
         alone += met
     assert alone > 0
@@ -594,7 +588,7 @@ def test_bloch_quadratic_is_the_squared_concurrence(rng):
 def test_rank2_certificate_under_wootters_on_oracle_inputs():
     # the acceptance-7 inputs, rank-2 two-qubit marginals: the certificate
     # fitted to the roof's own ensemble stays under the Wootters value, the
-    # exact roof, and within step_tolerance of it; the roof's value may
+    # exact roof, and within STEP_TOLERANCE of it; the roof's value may
     # undercut Wootters by rounding, by up to 5.6e-16 on 28 of the 50
     root = np.random.SeedSequence(20240817)
     for child in root.spawn(50):
@@ -801,7 +795,7 @@ def seq_givens_values(coef, grid):
 SEQ_COARSE_GRID = seq_givens_grid(msr._THETAS, msr._PHIS)
 
 
-def seq_optimize_ensemble(u, qf, max_iters, tol):
+def seq_optimize_ensemble(u, qf, max_iters):
     u = u.copy()
     qu, mu = seq_member_minors(u, qf)
     w = msr._weights(mu)
@@ -846,7 +840,7 @@ def seq_optimize_ensemble(u, qf, max_iters, tol):
                 u[[a, b]], qu[[a, b]], mu[[a, b]], w[[a, b]] = (
                     rows, qu_ab, mu_ab, w_ab)
                 improvement += cur - new
-        if improvement < tol:
+        if improvement < msr.STEP_TOLERANCE:
             converged = True
             break
     return float(w.sum()), u, converged
@@ -862,19 +856,17 @@ def seq_qr_retract(x):
 def seq_tangent_basis(u):
     m, r = u.shape
     basis = u @ msr._skew_basis(r)
-    if m > r:
-        full, _, _ = np.linalg.svd(u, full_matrices=True)
-        perp = np.einsum("ac,lk->clak", full[:, r:], np.eye(r))
-        perp = np.stack([perp, 1j * perp], axis=2).reshape(-1, m, r)
-        basis = np.concatenate([basis, perp])
-    return basis
+    full, _, _ = np.linalg.svd(u, full_matrices=True)
+    perp = np.einsum("ac,lk->clak", full[:, r:], np.eye(r))
+    perp = np.stack([perp, 1j * perp], axis=2).reshape(-1, m, r)
+    return np.concatenate([basis, perp])
 
 
-def seq_product_polish(u, qf, iters=40):
+def seq_product_polish(u, qf):
     qu, mu = seq_member_minors(u, qf)
     cost = float(np.sum(mu.real ** 2 + mu.imag ** 2))
     lam = 1e-4
-    for _ in range(iters):
+    for _ in range(40):
         if cost < 1e-30:
             break
         basis = seq_tangent_basis(u)
@@ -910,11 +902,11 @@ def sequential_convex_roof(rho, cfg):
     evals, vecs = np.linalg.eigh(rho.mat)
     idx = np.where(evals > msr.RANK_TOL)[0]
     rank = len(idx)
-    m = cfg.max_ensemble_size if cfg.max_ensemble_size is not None else rank * rank
+    m = rank * rank
     scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
     qf = msr._minor_form(scaled, (2,) * n_qubits, (0,)).reshape(rank, -1)
-    # an NPT state (Peres: entangled) polishes only the winning restart,
-    # and only on two qubits
+    # an NPT state (Peres: entangled) polishes once at the end of each
+    # restart, and only on two qubits
     npt = np.linalg.eigvalsh(
         transpose_subsystem(rho.mat, rho.sig.dims, 0))[0] <= -1e-10
 
@@ -940,21 +932,21 @@ def sequential_convex_roof(rho, cfg):
             rng = np.random.Generator(np.random.PCG64(seeds[j]))
             gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
             u = np.linalg.qr(gauss)[0][:, :rank]
-        stage1 = cfg.max_iters if npt else min(15, cfg.max_iters)
-        total, u, conv = seq_optimize_ensemble(u, qf, stage1, cfg.step_tolerance)
-        if not npt:
+        stage1 = msr.MAX_SWEEPS if npt else 15
+        total, u, conv = seq_optimize_ensemble(u, qf, stage1)
+        if npt and n_qubits == 2:
+            total, u, conv = try_polish(total, u, conv)
+        elif not npt:
             t2, u2, c2 = try_polish(total, u, conv)
             if t2 < total:
                 total, u, conv = t2, u2, c2
                 if total > 1e-12:
-                    t3, u3, c3 = seq_optimize_ensemble(u, qf, 10,
-                                                       cfg.step_tolerance)
+                    t3, u3, c3 = seq_optimize_ensemble(u, qf, 10)
                     if t3 < total:
                         total, u, conv = t3, u3, c3
                     total, u, conv = try_polish(total, u, conv)
-            elif cfg.max_iters > stage1:
-                t3, u3, c3 = seq_optimize_ensemble(
-                    u, qf, cfg.max_iters - stage1, cfg.step_tolerance)
+            elif msr.MAX_SWEEPS > stage1:
+                t3, u3, c3 = seq_optimize_ensemble(u, qf, msr.MAX_SWEEPS - stage1)
                 if t3 < total:
                     total, u, conv = t3, u3, c3
                 total, u, conv = try_polish(total, u, conv)
@@ -962,18 +954,16 @@ def sequential_convex_roof(rho, cfg):
             lower = msr._rank2_lower(evals[idx], vecs[:, idx],
                                      u * np.sqrt(evals[idx]),
                                      (2,) * n_qubits, (0,))
-        if best_total is None or total < best_total - cfg.step_tolerance:
+        if best_total is None or total < best_total - msr.STEP_TOLERANCE:
             stalled = 0
         else:
             stalled += 1
         if best_total is None or total < best_total:
             best_total, best_u, best_conv = total, u, conv
-        if lower is not None and best_total - lower <= cfg.step_tolerance:
+        if lower is not None and best_total - lower <= msr.STEP_TOLERANCE:
             break
         if best_total <= 1e-12 or stalled >= msr.STALL_RESTARTS:
             break
-    if npt and lower is not None:
-        best_total, best_u, best_conv = try_polish(best_total, best_u, best_conv)
     rows = []
     for row in best_u @ scaled:
         p = float(np.vdot(row, row).real)
@@ -1008,32 +998,34 @@ def oracle_states():
     }
 
 
-# (state, direction, restarts, max_iters, max_ensemble_size = rank); every
-# value of each knob appears.  "min" is the only direction; it stays in the
-# case ids
+# (state, direction, restarts, MAX_SWEEPS); every value of each knob
+# appears.  "min" is the only direction; it stays in the case ids
 ORACLE_CASES = [
-    ("d4", "min", 32, 500, False), ("d4", "min", 1, 1, False),
-    ("d8", "min", 32, 500, False), ("d8", "min", 4, 16, True),
-    ("q2r3", "min", 4, 16, False), ("q2r4", "min", 2, 1, True),
+    ("d4", "min", 32, 500), ("d4", "min", 1, 1),
+    ("d8", "min", 32, 500), ("d8", "min", 4, 16),
+    ("q2r3", "min", 4, 16), ("q2r4", "min", 2, 1),
     # an ensemble of 16 members: 15 stacked rounds of 8 disjoint pairs
-    ("q2r4", "min", 2, 16, False),
-    # restart 0 misses the Wootters certificate and restart 1 meets it
-    ("q2r3", "min", 8, 500, False),
-    ("q3r3", "min", 1, 15, False), ("q3r4", "min", 4, 500, True),
-    ("sep", "min", 32, 500, False), ("sep", "min", 2, 16, True),
+    ("q2r4", "min", 2, 16),
+    # restart 0's sweeps miss the Wootters certificate and its polish
+    # meets it
+    ("q2r3", "min", 8, 500),
+    # restart 0 of q3r4 converges; a random start of its 16-member
+    # ensemble runs hundreds of sweeps
+    ("q3r3", "min", 1, 15), ("q3r4", "min", 1, 500),
+    ("sep", "min", 32, 500), ("sep", "min", 2, 16),
     # a nonzero min roof behind a positive partial transpose, where every
-    # restart polishes
-    ("ppt", "min", 8, 15, True),
+    # restart polishes; a 25-member ensemble, so two restarts
+    ("ppt", "min", 2, 15),
 ]
 
 
-@pytest.mark.parametrize("name,direction,restarts,max_iters,by_rank", ORACLE_CASES)
+@pytest.mark.parametrize("name,direction,restarts,sweeps", ORACLE_CASES)
 def test_stacked_roof_matches_sequential_oracle(name, direction, restarts,
-                                                max_iters, by_rank):
+                                                sweeps, max_sweeps):
     rho = oracle_states()[name]
     rank = int(np.sum(np.linalg.eigvalsh(rho.mat) > msr.RANK_TOL))
-    cfg = RoofConfig(restarts=restarts, max_iters=max_iters, seed=11,
-                     max_ensemble_size=rank if by_rank else None)
+    max_sweeps(sweeps)
+    cfg = RoofConfig(restarts=restarts, seed=11)
     res = convex_roof(rho, concurrence_functional((0,)), direction, cfg)
     value, rows, restarts_used, converged, lower = sequential_convex_roof(rho, cfg)
     assert res.value == value
@@ -1071,21 +1063,21 @@ def test_sweeps_match_the_oracle_when_moves_are_rejected(monkeypatch):
     gauss = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
     for u in np.linalg.qr(gauss)[0]:
         for sweeps in (1, 3):
-            total, got, conv = msr._optimize_ensemble(u, qf, sweeps, 1e-9)
-            want_total, want, want_conv = seq_optimize_ensemble(u, qf, sweeps, 1e-9)
+            total, got, conv = msr._optimize_ensemble(u, qf, sweeps)
+            want_total, want, want_conv = seq_optimize_ensemble(u, qf, sweeps)
             assert (total, conv) == (want_total, want_conv)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert not np.array_equal(got, u)
     assert rejected
 
 
-def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
-    # an NPT state has no split-product ensemble: its restarts only sweep,
-    # and on two qubits one polish of the winning isometry runs after the
-    # stopping rule; on more qubits no polish runs at all.  PPT states
-    # (separable, or Horodecki's) still polish every restart.  On two
-    # qubits the Wootters certificate stops d4 at restart 0 and q2r3 at
-    # restart 1; d8's rank-2 certificate, missed at restart 0, is met at
+def test_min_roof_polishes_inside_each_restart(monkeypatch, max_sweeps):
+    # an NPT state has no split-product ensemble: on two qubits each
+    # restart is one run of sweeps and then one polish, so the stopping
+    # rule judges polished totals; on more qubits no polish runs at all.
+    # PPT states (separable, or Horodecki's) still polish every restart.
+    # With its polish restart 0 meets the Wootters certificate on d4 and
+    # q2r3; d8's rank-2 certificate, missed at restart 0, is met at
     # restart 2
     calls = []
     optimize, polish = msr._optimize_ensemble, msr._product_polish
@@ -1108,17 +1100,15 @@ def test_npt_min_roof_polishes_only_the_winner(monkeypatch):
                           RoofConfig(restarts=8, seed=11))
         used[name] = res.restarts_used
         if name == "d8":
-            assert "polish" not in calls
-            continue
-        assert calls.count("polish") == 1
-        assert calls[-1] == "polish"
-    assert used["d4"] == 1 and used["q2r3"] == 2 and used["d8"] == 3
-    for name in ("sep", "ppt"):  # with the knobs of the PPT oracle cases
+            assert calls == ["sweep"] * res.restarts_used
+        else:
+            assert calls == ["sweep", "polish"] * res.restarts_used
+    assert used == {"d4": 1, "q2r3": 1, "d8": 3}
+    max_sweeps(15)  # the budget of the PPT oracle cases
+    for name in ("sep", "ppt"):
         calls.clear()
-        rank = int(np.sum(np.linalg.eigvalsh(states[name].mat) > msr.RANK_TOL))
         res = convex_roof(states[name], concurrence_functional((0,)), "min",
-                          RoofConfig(restarts=8, max_iters=15, seed=11,
-                                     max_ensemble_size=rank))
+                          RoofConfig(restarts=2, seed=11))
         if name == "sep":
             # restart 0's polish reaches the zero roof, which ends the
             # restart and the roof
@@ -1145,7 +1135,7 @@ def test_rounds_cover_every_pair_once_in_disjoint_rounds(m):
 # chain-residual min roofs, A|BC of haar_random_pure(4, s) with verify
 # chain's 8 restarts: the value as float.hex, the SHA-256 of the ensemble
 # rows and restarts_used, recorded with the rank-2 certificate.  9 is
-# certified at restart 2 and 21 at restart 0, each within step_tolerance
+# certified at restart 2 and 21 at restart 0, each within STEP_TOLERANCE
 # of its lower end and so at most that far above the earlier 4- and
 # 5-restart values; 33 is certified at restart 0, which was already the
 # best.  8 is not certified (value - lower = 1.1e-9), so it runs the stall
@@ -1171,7 +1161,7 @@ def test_chain_residual_roofs_keep_their_bits(s):
     assert (res.value.hex(), digest, res.restarts_used) == D8_RESIDUAL_BITS[s]
     assert 0.0 < res.lower <= res.value
     # certified exactly when the rule stopped on the lower end
-    assert (res.value - res.lower <= cfg.step_tolerance) == (s != 8)
+    assert (res.value - res.lower <= msr.STEP_TOLERANCE) == (s != 8)
 
 
 def npt_restart_starts(rho, cfg):
@@ -1207,7 +1197,7 @@ def multi_qubit_npt_input(name):
 @pytest.mark.parametrize("name", ["d8", "q3r3", "q3r4"]
                          + [f"chain{s}" for s in D8_RESIDUAL_BITS])
 def test_multi_qubit_npt_winner_polish_is_not_kept(name):
-    # why convex_roof polishes an NPT winner on two qubits only: with more
+    # why convex_roof polishes NPT restarts on two qubits only: with more
     # than one minor per member the polish's sum of |minor|^2 does not
     # share the roof's minimizers, and on these residuals and oracle states
     # polishing the best swept restart never lowers its total
@@ -1215,7 +1205,7 @@ def test_multi_qubit_npt_winner_polish_is_not_kept(name):
     assert np.linalg.eigvalsh(transpose_subsystem(
         rho.mat, rho.sig.dims, 0))[0] <= -1e-10  # NPT
     qf, starts = npt_restart_starts(rho, cfg)
-    totals, us, _ = zip(*(msr._restart(u, qf, cfg, False) for u in starts))
+    totals, us, _ = zip(*(msr._restart(u, qf, False, False) for u in starts))
     best = int(np.argmin(totals))
     total, u, kept = msr._try_polish(totals[best], us[best], qf)
     assert not kept
@@ -1224,8 +1214,9 @@ def test_multi_qubit_npt_winner_polish_is_not_kept(name):
 
 
 def test_npt_restart_converges_on_its_first_sweep_without_gain(monkeypatch):
-    # an NPT restart is one run of max_iters sweeps, as in the sequential
-    # oracle: a restart whose 16th sweep gains nothing has converged
+    # an NPT restart is one run of up to MAX_SWEEPS sweeps, as in the
+    # sequential oracle: a restart whose 16th sweep gains nothing has
+    # converged, and its two-qubit polish runs after that sweep
     sweeps = []
 
     def stub(u, qu, mu, w, qf):
@@ -1235,6 +1226,18 @@ def test_npt_restart_converges_on_its_first_sweep_without_gain(monkeypatch):
     monkeypatch.setattr(msr, "_sweep", stub)
     cfg = RoofConfig(restarts=4, seed=11)
     qf, starts = npt_restart_starts(oracle_states()["d4"], cfg)
-    total, u, conv = msr._restart(starts[0], qf, cfg, False)
+    total, u, conv = msr._restart(starts[0], qf, False, True)
     assert conv is True
     assert len(sweeps) == 16
+
+
+@pytest.mark.parametrize("name", ["q2r3", "q2r4"])
+def test_two_qubit_npt_roof_stops_at_its_polished_first_restart(name):
+    # restart 0's sweeps end 1.4e-8 (q2r3) and 1.4e-6 (q2r4) above the
+    # Wootters value, and its polish lands within 1.3e-14 of it; the
+    # stopping rule judges the polished total and ends the roof there
+    cfg = RoofConfig(restarts=8, seed=11)
+    res = convex_roof(oracle_states()[name], concurrence_functional((0,)),
+                      "min", cfg)
+    assert res.restarts_used == 1
+    assert 0.0 <= res.value - res.lower <= msr.STEP_TOLERANCE
