@@ -5,19 +5,18 @@ three prior bound families they are compared against, the N-partite
 chained forms, and a detailed admissibility checker.  All correlation
 values (pairwise and residual) are supplied by the caller.
 
-A tightened bound's admissibility rule is evaluated once per point, as
-flags: tightened_bound reads only those, and validate_params' report
-formats each condition's detail only when it is read.
-
-The formulas and flags are written once for floats and numpy arrays: the
-scalar entry points evaluate one point in pure float arithmetic, and
-bound_grid evaluates one variant over a whole parameter grid.  Every
-power is Python's float **: through _pow at a point, and on a grid
-through grid_pow, numpy's object-dtype ufunc loop, which calls the same
-float ** per element, run in C.  So both give the same bits.  The scalar
-entry points own the errors: a grid takes every power at every point and
-raises if any fails, and its caller (harness.sweep_rows) then evaluates
-the points one at a time.
+Each variant's hypotheses (_hypotheses, as flags) and right-hand side
+(_rhs) are written once, for floats and numpy arrays alike.  The point
+entries (validate_params, tightened_bound, prior_bound and bound_point)
+raise PreconditionError naming the failed flags, and validate_params'
+report formats each condition's detail only when it is read; bound_grid
+ANDs the flags of one variant over a whole parameter grid and masks its
+right-hand side.  Every power is Python's float **: through _pow at a
+point, and on a grid through grid_pow, numpy's object-dtype ufunc loop,
+which calls the same float ** per element, run in C.  So both give the
+same bits.  The point entries own the errors: a grid takes every power at
+every point and raises if any fails, and its caller (harness.sweep_rows)
+then evaluates the points one at a time.
 
 One engine serves both bound kinds.  `SIDES` holds what differs between
 the monogamy and the polygamy side (exponent names and ranges, theorem
@@ -28,9 +27,10 @@ of names are bindings of one side each.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -167,15 +167,6 @@ def _side(kind: str) -> Side:
             f"kind must be 'monogamy' or 'polygamy', got {kind!r}") from None
 
 
-def _check_range(side: Side, num: float, den: float) -> None:
-    oks = side.range_ok(num, den)
-    if not all(oks):
-        failed = [n for n, ok in zip(side.range_names, oks) if not ok]
-        raise PreconditionError(
-            f"{failed} fail for {side.exponents[0]} = {num}, "
-            f"{side.exponents[1]} = {den}")
-
-
 @dataclass(frozen=True)
 class ChainParams:
     """Per-step (t_r, q_r) lists for the chained N-partite bounds.
@@ -214,18 +205,21 @@ class Condition:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Admissibility flags of one point, in Side.condition_names order, and
-    the numbers they compare, (Q_AB^den, Q_AC^den, window lo, window hi),
-    or None when every condition holds vacuously.  The Conditions and
-    their details are formatted the first time they are read."""
+    the correlation values they were evaluated at.  The Conditions and
+    their details, with the powers and window edges they compare, are
+    formatted the first time they are read."""
 
     kind: str
     params: BoundParams
     oks: tuple[bool, ...]
-    numbers: tuple[float, float, float, float] | None
+    q_ab: float
+    q_ac: float
 
     @property
     def vacuous(self) -> bool:
-        return self.numbers is None
+        """_hypotheses' vacuous rule for the theorem."""
+        return (self.q_ab == 0.0 and self.q_ac == 0.0
+                and self.params.den != 0.0)
 
     @property
     def ok(self) -> bool:
@@ -235,9 +229,10 @@ class AdmissibilityReport:
     def conditions(self) -> tuple[Condition, ...]:
         side, p = SIDES[self.kind], self.params
         details = ("vacuous: both correlations zero",) * len(self.oks)
-        if self.numbers is not None:
+        if not self.vacuous:
             num_name, den_name = side.exponents
-            ab, ac, lo, hi = self.numbers
+            ab, ac = _pow(self.q_ab, p.den), _pow(self.q_ac, p.den)
+            _, lo, hi = _window_conditions(ab, ac, p.t, p.q)
             details = (
                 f"{den_name} = {p.den}",
                 f"{num_name} = {p.num}, {den_name} = {p.den}",
@@ -314,35 +309,6 @@ def _window_conditions(ab, ac, t, q):
     return (t >= 1.0, ac >= t * ab * (1.0 - GRACE), win_ok), lo, hi
 
 
-def _admissibility(kind: str, q_ab: float, q_ac: float, params: BoundParams):
-    """Check the arguments of one tightened-bound evaluation and evaluate
-    its admissibility rule once.  Returns (side, oks, numbers) as kept by
-    AdmissibilityReport."""
-    if q_ab < 0 or q_ac < 0:
-        raise BoundsError("correlation values must be nonnegative")
-    side = _side(kind)
-    if not isinstance(params, BoundParams):
-        raise BoundsError(f"{kind} kind requires BoundParams")
-    num, den = params.num, params.den
-    if q_ab == 0.0 and q_ac == 0.0 and den != 0.0:
-        return side, (True,) * len(side.condition_names), None
-    ab, ac = _pow(q_ab, den), _pow(q_ac, den)
-    window_oks, lo, hi = _window_conditions(ab, ac, params.t, params.q)
-    return side, side.range_ok(num, den) + window_oks, (ab, ac, lo, hi)
-
-
-def validate_params(kind: str, q_ab: float, q_ac: float,
-                    params: BoundParams) -> AdmissibilityReport:
-    """Per-condition admissibility report for a bound evaluation.
-
-    kind is "monogamy" or "polygamy".  Both correlation values zero makes
-    every condition pass vacuously (the bound is trivially zero), unless
-    the exponent ratio num/den is undefined.
-    """
-    _, oks, numbers = _admissibility(kind, q_ab, q_ac, params)
-    return AdmissibilityReport(kind, params, oks, numbers)
-
-
 def _lemma_coeff(t, q_power, e, pw=_pow):
     """(1 + t)^e - q^(e-1) t^e, the pair-term coefficient of the bounds,
     from q_power = q^(e-1)."""
@@ -361,6 +327,90 @@ def _two_term_bound(q_ab: float, q_ac: float, exp_num, exp_den, t, q,
             + q_power * pw(q_ac, exp_num))
 
 
+def _hypotheses(side: Side, variant: str, q_ab: float, q_ac: float, num,
+                den, t, q, k, p, a, pw=_pow) -> tuple:
+    """The flags of one variant's hypotheses, in order: the side's exponent
+    ranges, then the theorem's (t, q) window, or a prior's factor >= 1 (a
+    for ref29, k otherwise), its dominance Q_AC^den >= factor Q_AB^den and
+    ref28's limits on p and num/den.
+
+    With both values zero the theorem holds vacuously wherever num/den
+    exists, and a prior needs only the ranges.  Floats at a point with
+    pw = _pow, arrays over a grid with pw = grid_pow."""
+    oks = side.range_ok(num, den)
+    if variant == side.theorem:
+        window_oks, _, _ = _window_conditions(pw(q_ab, den), pw(q_ac, den),
+                                              t, q)
+        if q_ab == 0.0 and q_ac == 0.0:
+            return tuple(ok | (den != 0.0) for ok in oks + window_oks)
+        return oks + window_oks
+    if q_ab == 0.0 and q_ac == 0.0:
+        return oks
+    factor = a if variant == "ref29" else k
+    oks += (factor >= 1.0,
+            pw(q_ac, den) >= factor * pw(q_ab, den) * (1.0 - GRACE))
+    if variant != "ref28":
+        return oks
+    p_lo, p_hi = side.ref28_p
+    return oks + ((p_lo <= p) & (p <= p_hi)
+                  & (num <= den * side.ref28_ratio),)
+
+
+def _rhs(side: Side, variant: str, q_ab: float, q_ac: float, num, den, t, q,
+         k, p, a, pw=_pow):
+    """One variant's right-hand side (see tightened_bound and prior_bound),
+    as floats or arrays like _hypotheses."""
+    if variant == side.theorem:
+        return _two_term_bound(q_ab, q_ac, num, den, t, q, pw)
+    if q_ab == 0.0 and q_ac == 0.0:
+        return 0.0
+    e = num / den
+    if variant == "ref29":
+        return (pw(1.0 + a, e - 1.0) * pw(q_ab, num)
+                + pw(1.0 + 1.0 / a, e - 1.0) * pw(q_ac, num))
+    if variant == "ref16":
+        p = 1.0  # ref16 is ref28 at p = 1, free of ref28's limits
+    coeff = (pw(1.0 + k, e) - pw(p, e)) / pw(k, e)
+    return pw(p, e) * pw(q_ab, num) + coeff * pw(q_ac, num)
+
+
+def _raise_failed(side: Side, variant: str, oks: tuple) -> None:
+    """Raise PreconditionError naming the failed flags of _hypotheses.  A
+    prior's names run to ref28's limits; zip stops at the flags it has."""
+    names = side.condition_names
+    if variant != side.theorem:
+        factor = "a" if variant == "ref29" else "k"
+        names = side.range_names + (f"{factor}_ge_1", "dominance",
+                                    "ref28_limits")
+    failed = [n for n, ok in zip(names, oks) if not ok]
+    raise PreconditionError(f"inadmissible: {failed}")
+
+
+def _theorem_side(kind: str, q_ab: float, q_ac: float,
+                  params: BoundParams) -> Side:
+    """The side of one tightened-bound evaluation, its arguments checked."""
+    if q_ab < 0 or q_ac < 0:
+        raise BoundsError("correlation values must be nonnegative")
+    side = _side(kind)
+    if not isinstance(params, BoundParams):
+        raise BoundsError(f"{kind} kind requires BoundParams")
+    return side
+
+
+def validate_params(kind: str, q_ab: float, q_ac: float,
+                    params: BoundParams) -> AdmissibilityReport:
+    """Per-condition admissibility report for a bound evaluation.
+
+    kind is "monogamy" or "polygamy".  Both correlation values zero makes
+    every condition pass vacuously (the bound is trivially zero), unless
+    the exponent ratio num/den is undefined.
+    """
+    side, p = _theorem_side(kind, q_ab, q_ac, params), params
+    oks = _hypotheses(side, side.theorem, q_ab, q_ac, p.num, p.den, p.t,
+                      p.q, None, None, None)
+    return AdmissibilityReport(kind, p, oks, q_ab, q_ac)
+
+
 def tightened_bound(kind: str, q_ab: float, q_ac: float,
                     p: BoundParams) -> float:
     """Tightened two-term bound of one side, with e = num/den:
@@ -370,11 +420,12 @@ def tightened_bound(kind: str, q_ab: float, q_ac: float,
     Q_A|BC^beta for polygamy.  Raises PreconditionError wherever
     validate_params reports a failed condition.
     """
-    side, oks, _ = _admissibility(kind, q_ab, q_ac, p)
+    side = _theorem_side(kind, q_ab, q_ac, p)
+    oks = _hypotheses(side, side.theorem, q_ab, q_ac, p.num, p.den, p.t, p.q,
+                      None, None, None)
     if not all(oks):
-        failed = [n for n, ok in zip(side.condition_names, oks) if not ok]
-        raise PreconditionError(f"inadmissible: {failed}")
-    return _two_term_bound(q_ab, q_ac, p.num, p.den, p.t, p.q)
+        _raise_failed(side, side.theorem, oks)
+    return _two_term_bound(q_ab, q_ac, p.num, p.den, p.t, p.q)  # its _rhs
 
 
 def thm1_lower_bound(q_ab: float, q_ac: float, p: BoundParams) -> float:
@@ -385,35 +436,6 @@ def thm1_lower_bound(q_ab: float, q_ac: float, p: BoundParams) -> float:
 def thm4_upper_bound(q_ab: float, q_ac: float, p: BoundParams) -> float:
     """Tightened polygamy upper bound, p = (beta, delta, t, q)."""
     return tightened_bound("polygamy", q_ab, q_ac, p)
-
-
-def _prior_dominance_fails(q_ab: float, q_ac: float, power, factor, pw=_pow):
-    """Q_AC^power < factor Q_AB^power, beyond the grace band."""
-    return pw(q_ac, power) < factor * pw(q_ab, power) * (1.0 - GRACE)
-
-
-def _check_prior_dominance(q_ab: float, q_ac: float, power: float,
-                           factor: float, name: str) -> None:
-    if factor < 1.0:
-        raise PreconditionError(f"{name} must be >= 1, got {factor}")
-    if _prior_dominance_fails(q_ab, q_ac, power, factor):
-        raise PreconditionError(
-            f"dominance Q_AC^{power} >= {name} * Q_AB^{power} fails")
-
-
-def _ref28_limits_ok(side: Side, num, den, p):
-    return ((side.ref28_p[0] <= p) & (p <= side.ref28_p[1])
-            & (num <= den * side.ref28_ratio))
-
-
-def _ref29_bound(q_ab: float, q_ac: float, num, e, a, pw=_pow):
-    return (pw(1.0 + a, e - 1.0) * pw(q_ab, num)
-            + pw(1.0 + 1.0 / a, e - 1.0) * pw(q_ac, num))
-
-
-def _ref28_bound(q_ab: float, q_ac: float, num, e, k, p, pw=_pow):
-    coeff = (pw(1.0 + k, e) - pw(p, e)) / pw(k, e)
-    return pw(p, e) * pw(q_ab, num) + coeff * pw(q_ac, num)
 
 
 def prior_bound(kind: str, variant: str, q_ab: float, q_ac: float,
@@ -427,31 +449,22 @@ def prior_bound(kind: str, variant: str, q_ab: float, q_ac: float,
            1/2 <= p <= 1 and alpha <= gamma/2 (monogamy) or 0 <= p <= 1
            (polygamy)
     ref29: (1+a)^(e-1) Q_AB^num + (1 + 1/a)^(e-1) Q_AC^num
+    Each needs its factor k or a >= 1 and Q_AC^den >= factor Q_AB^den,
+    unless both values are zero (the bound is then zero).  Raises
+    PreconditionError naming every failed hypothesis.
     """
     side = _side(kind)
     if q_ab < 0 or q_ac < 0:
         raise BoundsError("correlation values must be nonnegative")
-    _check_range(side, num, den)
     if variant not in PRIOR_VARIANTS:
         raise BoundsError(f"unknown {kind} variant {variant!r}")
-    if q_ab == 0.0 and q_ac == 0.0:
-        return 0.0
-    e = num / den
-    if variant == "ref29":
-        if a is None:
-            raise BoundsError("ref29 requires a")
-        _check_prior_dominance(q_ab, q_ac, den, a, "a")
-        return _ref29_bound(q_ab, q_ac, num, e, a)
-    if k is None or (variant == "ref28" and p is None):
-        raise BoundsError("ref16 requires k, ref28 requires k and p")
-    if variant == "ref16":
-        p = 1.0  # ref16 is ref28 at p = 1, free of ref28's extra limits
-    elif not _ref28_limits_ok(side, num, den, p):
-        raise PreconditionError(
-            f"ref28 limits fail: p = {p}, {side.exponents[0]} = {num}, "
-            f"{side.exponents[1]} = {den}")
-    _check_prior_dominance(q_ab, q_ac, den, k, "k")
-    return _ref28_bound(q_ab, q_ac, num, e, k, p)
+    if ((a if variant == "ref29" else k) is None
+            or p is None and variant == "ref28") and (q_ab or q_ac):
+        raise BoundsError("ref16 requires k, ref28 k and p, ref29 a")
+    oks = _hypotheses(side, variant, q_ab, q_ac, num, den, None, None, k, p, a)
+    if not all(oks):
+        _raise_failed(side, variant, oks)
+    return _rhs(side, variant, q_ab, q_ac, num, den, None, None, k, p, a)
 
 
 def prior_monogamy_bound(variant: str, q_ab: float, q_ac: float, *,
@@ -468,56 +481,46 @@ def prior_polygamy_bound(variant: str, q_ab: float, q_ac: float, *,
     return prior_bound("polygamy", variant, q_ab, q_ac, beta, delta, k, p, a)
 
 
+def bound_point(kind: str, variant: str, q_ab: float, q_ac: float, num: float,
+                den: float, t: float, q: float, k: float, p: float,
+                a: float) -> tuple[float, bool]:
+    """bound_grid at one point, from tightened_bound with
+    BoundParams(num, den, t, q) or prior_bound with k, p and a: (rhs, ok),
+    with rhs nan where a hypothesis fails."""
+    try:
+        if variant == _side(kind).theorem:
+            rhs = tightened_bound(kind, q_ab, q_ac, BoundParams(num, den, t, q))
+        else:
+            rhs = prior_bound(kind, variant, q_ab, q_ac, num, den, k, p, a)
+    except PreconditionError:
+        return math.nan, False
+    return rhs, True
+
+
 def bound_grid(kind: str, variant: str, q_ab: float, q_ac: float, num, den,
                t, q, k, p, a) -> tuple[np.ndarray, np.ndarray]:
-    """One variant of one side over a grid: num, den, t, q, k, p and a are
-    floats or arrays that broadcast together.
+    """bound_point over a grid: num, den, t, q, k, p and a are floats or
+    arrays that broadcast together.
 
-    The side's theorem name evaluates tightened_bound with
-    BoundParams(num, den, t, q); a prior name evaluates prior_bound with
-    k, p and a (p is ignored by ref16 and ref29).  The formulas and checks
-    are theirs.  Returns (rhs, ok): ok is where the scalar entry point
-    evaluates, and rhs is nan elsewhere.  Every power is taken at every
-    point, so the grid raises (BoundsError, OverflowError or TypeError)
-    wherever the scalar entry point raises something other than
-    PreconditionError, and may raise where it does not.
+    Returns (rhs, ok): ok is where the point entries evaluate, and rhs is
+    nan elsewhere.  Every power is taken at every point, so the grid
+    raises (BoundsError, OverflowError or TypeError) wherever the point
+    entries raise something other than PreconditionError, and may raise
+    where they do not.
     """
     side = _side(kind)
     if variant != side.theorem and variant not in PRIOR_VARIANTS:
         raise BoundsError(f"unknown {kind} variant {variant!r}")
     if q_ab < 0 or q_ac < 0:
         raise BoundsError("correlation values must be nonnegative")
-    num, den, t, q, k, p, a = (np.asarray(v, dtype=float)
-                               for v in (num, den, t, q, k, p, a))
+    values = [np.asarray(v, dtype=float) for v in (num, den, t, q, k, p, a)]
+    if variant == side.theorem and not all(np.isfinite(v).all()
+                                           for v in values[:4]):
+        raise BoundsError("num, den, t and q must be finite")
+    args = (side, variant, q_ab, q_ac, *values, grid_pow)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        range_oks = side.range_ok(num, den)
-        ok = range_oks[0] & range_oks[1]
-        if variant == side.theorem:
-            if not np.all(np.isfinite(num) & np.isfinite(den)
-                          & np.isfinite(t) & np.isfinite(q)):
-                raise BoundsError("num, den, t and q must be finite")
-            window_oks, _, _ = _window_conditions(
-                grid_pow(q_ab, den), grid_pow(q_ac, den), t, q)
-            ok = ok & window_oks[0] & window_oks[1] & window_oks[2]
-            if q_ab == 0.0 and q_ac == 0.0:  # vacuous where num/den exists
-                ok = ok | (den != 0.0)
-            rhs = _two_term_bound(q_ab, q_ac, num, den, t, q, grid_pow)
-        elif q_ab == 0.0 and q_ac == 0.0:
-            rhs = 0.0
-        else:
-            e = num / den
-            if variant == "ref29":
-                factor = a
-                rhs = _ref29_bound(q_ab, q_ac, num, e, a, grid_pow)
-            else:
-                factor = k
-                if variant == "ref28":
-                    ok = ok & _ref28_limits_ok(side, num, den, p)
-                rhs = _ref28_bound(q_ab, q_ac, num, e, k,
-                                   1.0 if variant == "ref16" else p, grid_pow)
-            ok = ok & ~(factor < 1.0) & ~_prior_dominance_fails(
-                q_ab, q_ac, den, factor, grid_pow)
-        return np.where(ok, rhs, math.nan), ok
+        ok = reduce(operator.and_, _hypotheses(*args))
+        return np.where(ok, _rhs(*args), math.nan), ok
 
 
 def chain_bound(kind: str, q_pairs, q_residuals, cp: ChainParams,
@@ -530,7 +533,10 @@ def chain_bound(kind: str, q_pairs, q_residuals, cp: ChainParams,
     split_index m, steps 1..m treat the residual as dominant and the
     remaining steps the pair, mirroring the two-regime chained form.
     """
-    _check_range(_side(kind), num, den)
+    side = _side(kind)
+    range_oks = side.range_ok(num, den)
+    if not all(range_oks):
+        _raise_failed(side, side.theorem, range_oks)
     n_steps = len(cp.ts)
     if len(q_pairs) != n_steps + 1:
         raise BoundsError(

@@ -287,22 +287,12 @@ def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
     pre_ok: dict = {}
     gaps: dict = {}
     for v in variants:
-        prior_args = _prior_args(side, v, t_val, k, p, a)
-        try:
-            if v == side.theorem:
-                rhs = bnd.tightened_bound(
-                    kind, q_ab, q_ac,
-                    bnd.BoundParams(exp_num, exp_den, t_val, q_val))
-            else:
-                rhs = bnd.prior_bound(kind, v, q_ab, q_ac, exp_num, exp_den,
-                                      *prior_args)
-        except bnd.PreconditionError:
-            pre_ok[v] = False
-            variant_rhs[v] = float("nan")
-            continue
-        pre_ok[v] = True
+        rhs, pre_ok[v] = bnd.bound_point(
+            kind, v, q_ab, q_ac, exp_num, exp_den, t_val, q_val,
+            *_prior_args(side, v, t_val, k, p, a))
         variant_rhs[v] = float(rhs)
-        gaps[v] = side.gap(lhs, rhs)
+        if pre_ok[v]:
+            gaps[v] = side.gap(lhs, rhs)
     return bnd.BoundReport(kind, lhs, variant_rhs, pre_ok, gaps)
 
 

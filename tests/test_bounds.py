@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from entbounds.bounds import (
+    PRIOR_VARIANTS,
+    SIDES,
     WINDOW_CONDITIONS,
     BoundParams,
     BoundReport,
@@ -19,11 +21,13 @@ from entbounds.bounds import (
     _side,
     _two_term_bound,
     _window_conditions,
+    bound_grid,
     grid_pow,
     chain_monogamy_bound,
     chain_polygamy_bound,
     lemma1_check,
     lemma1_f,
+    prior_bound,
     prior_monogamy_bound,
     prior_polygamy_bound,
     thm1_lower_bound,
@@ -31,6 +35,8 @@ from entbounds.bounds import (
     tightened_bound,
     validate_params,
 )
+from entbounds.harness import verify_lemma1
+from entbounds.states import make_rng
 
 S6 = np.sqrt(6.0)
 
@@ -87,6 +93,26 @@ def test_lemma1_check_interior_counterexamples():
     f_x = lemma1_f(3.0, 0.7, 1.4)
     f_t = lemma1_f(1.5, 0.7, 1.4)
     assert f_x - f_t == pytest.approx(-0.00994, abs=1e-4)
+
+
+def test_lemma1_holds_at_the_window_top_on_acceptance_5_draws():
+    # acceptance 5 draws q across the paper's window [1 + 1/x, 1 + 1/t]
+    # and finds violations; at its top edge q = 1 + 1/t, where f runs the
+    # claimed way on [t, x], the same (x, t, exponent) draws give none
+    trials, seed = 100000, 20240817
+    rng = make_rng(seed)  # verify_lemma1's draws, in its order
+    t = rng.uniform(1.0, 50.0, trials)
+    x = rng.uniform(t, 50.0)
+    q_window = rng.uniform(1.0 + 1.0 / x, 1.0 + 1.0 / t)
+    m = rng.uniform(0.0, 1.0, trials)
+    n = rng.uniform(1.0, 10.0, trials)
+    window_violations = (
+        np.sum(lemma1_f(x, m, q_window) - lemma1_f(t, m, q_window) < -1e-12)
+        + np.sum(lemma1_f(t, n, q_window) - lemma1_f(x, n, q_window) < -1e-12))
+    assert window_violations == verify_lemma1(trials, seed)["violations"] > 0
+    q = 1.0 + 1.0 / t
+    assert np.min(lemma1_f(x, m, q) - lemma1_f(t, m, q)) >= -1e-12
+    assert np.min(lemma1_f(t, n, q) - lemma1_f(x, n, q)) >= -1e-12
 
 
 def test_lemma1_check_preconditions_distinct():
@@ -465,6 +491,101 @@ def test_validate_params_argument_errors_match_eager_oracle(args):
             entry(*args)
         assert (type(new.value), str(new.value)) == (
             type(old.value), str(old.value))
+
+
+# -- one definition, two engines ----------------------------------------------
+
+def point_entries(kind, variant, q_ab, q_ac, num, den, t, q, k, p, a):
+    """tightened_bound or prior_bound at every point of 1-d arrays: (rhs,
+    ok), with nan and False where they raise PreconditionError."""
+    rhs, ok = np.full(num.shape, np.nan), np.zeros(num.shape, dtype=bool)
+    for i, (n, d, tt, qq, kk, pp, aa) in enumerate(zip(
+            *(v.tolist() for v in (num, den, t, q, k, p, a)))):
+        try:
+            if variant == SIDES[kind].theorem:
+                rhs[i] = tightened_bound(kind, q_ab, q_ac,
+                                         BoundParams(n, d, tt, qq))
+            else:
+                rhs[i] = prior_bound(kind, variant, q_ab, q_ac, n, d, kk, pp,
+                                     aa)
+            ok[i] = True
+        except PreconditionError:
+            pass
+    return rhs, ok
+
+
+def same_bits(x, y):
+    return np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def uniform_or_edge(rng, lo, hi, edge, size=2400):
+    """Uniform draws in [lo, hi), a quarter of them replaced by edge."""
+    return np.where(rng.random(size) < 0.25, edge, rng.uniform(lo, hi, size))
+
+
+@pytest.mark.parametrize("kind", list(SIDES))
+def test_bound_grid_matches_point_entries_on_every_variant(kind):
+    # num, den, t, q, k, p and a straddle every range edge, and a quarter
+    # of them sit on one (num = den, t = k = a = p = 1, q = 1 + 1/t); den
+    # stays near 0.6 ... 3, since den near 0 overflows e = num/den, and
+    # p >= 0, since p < 0 makes ref28's unused power complex and its grid
+    # raise
+    rng = np.random.default_rng(20240817)
+    admissible = 0
+    for variant, (q_ab, q_ac) in itertools.product(
+            (SIDES[kind].theorem,) + PRIOR_VARIANTS,
+            ((0.25, 0.5), (0.5, 0.25), (0.0, 0.6), (0.0, 0.0), (0.3, 0.3))):
+        den = (rng.choice([0.6, 0.8, 1.0, 2.0, 2.5, 3.0], 2400)
+               + rng.uniform(-0.2, 0.2, 2400))
+        t = uniform_or_edge(rng, 0.5, 3.0, 1.0)
+        args = (uniform_or_edge(rng, -0.5, 4.0, den), den, t,
+                uniform_or_edge(rng, 0.8, 3.0, 1.0 + 1.0 / t),
+                uniform_or_edge(rng, 0.5, 3.0, 1.0),
+                uniform_or_edge(rng, 0.0, 1.5, 1.0),
+                uniform_or_edge(rng, 0.5, 3.0, 1.0))
+        rhs, ok = point_entries(kind, variant, q_ab, q_ac, *args)
+        grid_rhs, grid_ok = bound_grid(kind, variant, q_ab, q_ac, *args)
+        point = (kind, variant, q_ab, q_ac)
+        assert np.array_equal(np.broadcast_to(grid_ok, ok.shape), ok), point
+        assert same_bits(np.broadcast_to(grid_rhs, rhs.shape), rhs), point
+        assert ok.any() or (q_ab, q_ac) == (0.5, 0.25), point
+        admissible += int(ok.sum())
+    assert admissible > 5000
+
+
+@pytest.mark.parametrize("kind", list(SIDES))
+def test_theorem_at_window_top_is_ref29_on_both_engines(kind):
+    # at q = 1 + 1/t the lemma coefficient (1+t)^e - (1+1/t)^(e-1) t^e is
+    # (1+t)^(e-1), so the theorem is ref29 with a = t: relative to 1e-13,
+    # on 20000 admissible points, with the grid's bits those of the points
+    side = SIDES[kind]
+    rng = np.random.default_rng(20240817)
+    checked = 0
+    while checked < 20000:
+        q_ab = rng.uniform(0.01, 1.0)
+        q_ac = rng.uniform(q_ab, 1.0)
+        if side.lower:
+            den = rng.uniform(2.0, 10.0, 1000)
+            num = rng.uniform(0.0, den)
+        else:
+            den = rng.uniform(0.2, 1.0, 1000)
+            num = den + rng.uniform(0.0, 2.0, 1000)
+        t = rng.uniform(1.0, np.minimum((q_ac / q_ab) ** den, 10.0))
+        args = (num, den, t, 1.0 + 1.0 / t, t, 1.0, t)
+        thm, thm_ok = bound_grid(kind, side.theorem, q_ab, q_ac, *args)
+        ref, ref_ok = bound_grid(kind, "ref29", q_ab, q_ac, *args)
+        both = thm_ok & ref_ok
+        thm, ref = thm[both], ref[both]
+        assert np.all(np.abs(thm - ref) <= 1e-13 * np.abs(ref)), kind
+        picked = tuple(v[both] for v in (num, den, t))
+        point_thm = [tightened_bound(kind, q_ab, q_ac,
+                                     BoundParams(n, d, tt, 1.0 + 1.0 / tt))
+                     for n, d, tt in zip(*(v.tolist() for v in picked))]
+        point_ref = [prior_bound(kind, "ref29", q_ab, q_ac, n, d, a=tt)
+                     for n, d, tt in zip(*(v.tolist() for v in picked))]
+        assert same_bits(thm, np.array(point_thm)), kind
+        assert same_bits(ref, np.array(point_ref)), kind
+        checked += int(both.sum())
 
 
 # -- special-case identities and monotonicity --------------------------------

@@ -543,6 +543,22 @@ def test_figures_and_regular_sweeps_stay_on_the_grid(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name][1]
 
 
+def test_point_cases_leave_the_grid(capsys, monkeypatch):
+    # the array pass of each POINT_CASES sweep raises, and the sweep
+    # evaluates its points one at a time
+    calls, real_point_report = [], h._point_report
+
+    def point_report(*args):
+        calls.append(args)
+        return real_point_report(*args)
+
+    monkeypatch.setattr(h, "_point_report", point_report)
+    for name in sorted(POINT_CASES):
+        del calls[:]
+        cli_outcome(grid_case_args(name), capsys)
+        assert len(calls) == 1, name
+
+
 def test_sweep_grid_rows_match_scalar_rows():
     # the rows themselves, cell types included, not only their CSV text
     for fig_id in (1, 4, 5):
