@@ -233,9 +233,6 @@ class PureStateFunctional:
 
     split: tuple[int, ...]
 
-    def __call__(self, psi: PureState) -> float:
-        return concurrence_pure(psi, self.split)
-
 
 def concurrence_functional(split: Sequence[int] = (0,)) -> PureStateFunctional:
     return PureStateFunctional(tuple(int(i) for i in split))
@@ -938,40 +935,35 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     return RoofResult(value, ens, restarts_used, best_conv, lower)
 
 
-def scren(rho: DensityMatrix, cfg: RoofConfig | None = None) -> float:
-    """Square of convex-roof extended negativity, cren(rho)^2 (exact).
-
-    cfg is accepted for call compatibility and ignored.
-    """
+def scren(rho: DensityMatrix) -> float:
+    """Square of convex-roof extended negativity, cren(rho)^2 (exact)."""
     return cren(rho) ** 2
 
 
 def screnoa(rho: DensityMatrix, cfg: RoofConfig | None = None) -> float:
     """Square of convex-roof extended negativity of assistance,
-    crenoa(rho)^2 (exact).
-
-    cfg is accepted for call compatibility and ignored.
+    crenoa(rho)^2 (exact).  cfg is accepted for call compatibility and
+    ignored.
     """
     return crenoa(rho) ** 2
 
 
-def cren(rho: DensityMatrix, cfg: RoofConfig | None = None) -> float:
+def cren(rho: DensityMatrix) -> float:
     """Convex-roof extended negativity of a two-qubit state.
 
     Equal to the Wootters concurrence (Lee, Kim, Park, Lee, PRA 68,
     062304, 2003), so the value is exact rather than a one-sided roof
-    estimate.  cfg is accepted for call compatibility and ignored.
+    estimate.
     """
     return concurrence_wootters(rho)
 
 
-def crenoa(rho: DensityMatrix, cfg: RoofConfig | None = None) -> float:
+def crenoa(rho: DensityMatrix) -> float:
     """Convex-roof extended negativity of assistance of a two-qubit state.
 
     Equal to the concurrence of assistance sum_i mu_i over the Wootters
     spectrum (Laustsen, Verstraete, van Enk, QIC 3, 64, 2003), so the
-    value is exact rather than a one-sided roof estimate.  cfg is
-    accepted for call compatibility and ignored.
+    value is exact rather than a one-sided roof estimate.
     """
     _require_two_qubit(rho)
     return float(_wootters_mu(rho.mat).sum())
