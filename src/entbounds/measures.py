@@ -18,10 +18,9 @@ on its eigendecomposition ensemble, m = r^2.  For any split, C^2 =
 4 sum |2 x 2 minors|^2 (Cauchy-Binet; Wootters, PRL 80, 2245, 1998), and
 each member's minors are one quadratic form u_i^T Q u_i, so Q gives the
 objective, closed-form Givens-rotation line searches and the
-Levenberg-Marquardt polish.  A sweep visits every row pair once, in the
-rounds of disjoint pairs of the circle method (Brent and Luk, SIAM J. Sci.
-Stat. Comput. 6, 69, 1985), each round one stacked pass: an m-member
-ensemble takes m - 1 passes (m when m is odd), not m (m - 1) / 2.
+Levenberg-Marquardt polish.  A sweep visits every row pair once, one
+pair at a time, in the order of the rounds of disjoint pairs of the circle
+method (Brent and Luk, SIAM J. Sci. Stat. Comput. 6, 69, 1985).
 Restarts derive independent sub-seeds from the configured seed and run
 one at a time (first-best wins), so results are reproducible and safe
 for concurrent use; RoofConfig sets only their number and seed.  One
@@ -267,11 +266,10 @@ def _minor_form(rows: np.ndarray, dims: tuple[int, ...],
 
 
 def _member_minors(u: np.ndarray, qf: np.ndarray):
-    """(Q u_i of shape (..., m, r, K), minors u_i^T Q u_i of shape
-    (..., m, K)), with qf = Q flattened to (r, r * K); leading axes of u
-    stack independent sets of rows, such as a sweep's rotated pairs."""
+    """(Q u_i of shape (m, r, K), minors u_i^T Q u_i of shape (m, K)) of
+    the rows u (m, r), with qf = Q flattened to (r, r * K)."""
     qu = (u @ qf).reshape(*u.shape, -1)
-    return qu, np.einsum("...il,...ilk->...ik", u, qu)
+    return qu, np.einsum("il,ilk->ik", u, qu)
 
 
 def _weights(mu: np.ndarray) -> np.ndarray:
@@ -280,30 +278,29 @@ def _weights(mu: np.ndarray) -> np.ndarray:
 
 
 def _givens_grid(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Coefficients (..., 2, N, 3) of the rotated rows' minors on a grid;
-    leading axes of thetas and phis stack independent grids.
+    """Coefficients (2, N, 3) of the rotated rows' minors on the grid of
+    every theta with every phi, N = len(thetas) * len(phis).
 
     The rotation a' = c a + s b, b' = -conj(s) a + c b with c = cos(theta)
     and s = e^{i phi} sin(theta) maps the quadratic minors to
     mu(a') = c^2 mu_a + cs (2 a^T Q b) + s^2 mu_b and
     mu(b') = conj(s)^2 mu_a - c conj(s) (2 a^T Q b) + c^2 mu_b.
     """
-    c = np.cos(thetas).repeat(phis.shape[-1], axis=-1)
-    s = (np.sin(thetas)[..., :, None]
-         * np.exp(1j * phis)[..., None, :]).reshape(c.shape)
+    c = np.cos(thetas).repeat(len(phis))
+    s = (np.sin(thetas)[:, None] * np.exp(1j * phis)).ravel()
     sc = s.conj()
-    grid = np.empty(c.shape[:-1] + (2, c.shape[-1], 3), dtype=complex)
-    grid[..., 0, :, 0] = grid[..., 1, :, 2] = c * c
-    grid[..., 0, :, 1], grid[..., 0, :, 2] = c * s, s * s
-    grid[..., 1, :, 0], grid[..., 1, :, 1] = sc * sc, -c * sc
+    grid = np.empty((2, len(c), 3), dtype=complex)
+    grid[0, :, 0] = grid[1, :, 2] = c * c
+    grid[0, :, 1], grid[0, :, 2] = c * s, s * s
+    grid[1, :, 0], grid[1, :, 1] = sc * sc, -c * sc
     return grid
 
 
 def _givens_values(coef: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Pair objective at every grid point; coef (..., 3, K) stacks mu_a,
+    """Pair objective at every grid point; coef (3, K) stacks mu_a,
     2 a^T Q b and mu_b."""
-    w = _weights(grid @ coef[..., None, :, :])
-    return w[..., 0, :] + w[..., 1, :]
+    w = _weights(grid @ coef)
+    return w[0] + w[1]
 
 
 # coarse rotation angles plus a geometric ladder of small angles so that
@@ -357,7 +354,9 @@ def _rounds(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Row pairs (a, b), a < b, of an m-member ensemble in the rounds of
     the circle method: m - 1 rounds of m / 2 disjoint pairs for even m, m
     rounds of (m - 1) / 2 for odd m (a dummy row sits out each round), so
-    that every pair appears once.  Each round is (a, b) as index arrays."""
+    that every pair appears once.  Each round is (a, b) as index arrays.
+    A sweep visits the pairs in this order; every recorded roof value was
+    computed in it, and any other order would move those values' bits."""
     n = m + m % 2  # players, the dummy row m included when m is odd
     rounds = []
     for r in range(n - 1):
@@ -372,66 +371,45 @@ def _rounds(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _sweep(u, qu, mu, w, qf):
-    """One Givens line search per row pair of the isometry u, in place;
-    returns the summed improvement.
-
-    The pair objective w_a + w_b reads rows a and b alone, so pairs with no
-    common row do not interact: the disjoint pairs of each round of
-    _rounds(m) run as one stacked pass, with the pairs in the leading axis,
-    and the result is bit for bit the loop over one pair at a time in round
-    order.  Improvements add up in that order too."""
-    rounds = _rounds(len(u))
-    gains = np.zeros((len(rounds), len(rounds[0][0])))
-    for r, (a, b) in enumerate(rounds):
-        coef = np.concatenate([mu[a, None], 2.0 * (u[a, None] @ qu[b]),
-                               mu[b, None]], axis=1)
-        cur = w[a] + w[b]
-        # the coarse grid with its zoom ladder; pairs that improve on it go
-        # on to five shrinking 7 x 7 refinements
-        vals = _givens_values(coef, _COARSE_GRID)
-        k = vals.argmin(axis=-1)
-        best = vals[np.arange(len(k)), k]
-        f = (best < cur - 1e-15).nonzero()[0]
-        if not f.size:
-            continue
-        if f.size < len(k):
-            coef, cur, best, k = coef[f], cur[f], best[f], k[f]
-        at = np.arange(len(f))
-        t0, p0, dt = _COARSE_START[:, k]
-        dp = 2 * np.pi / len(_PHIS)
-        for _zoom in range(5):
-            thetas = t0[:, None] + dt[:, None] * _ZOOM
-            phis = p0[:, None] + dp * _ZOOM
-            dp /= 3.0
-            vals = _givens_values(coef, _givens_grid(thetas, phis))
-            k = vals.argmin(axis=-1)
-            v = vals[at, k]
-            up = v < best - 1e-15
-            ti, pi = np.divmod(k, len(_ZOOM))
-            best = np.where(up, v, best)
-            t0 = np.where(up, thetas[at, ti], t0)
-            p0 = np.where(up, phis[at, pi], p0)
-            dt = np.where(up, np.maximum(dt / 3.0, np.abs(t0) * 1e-3 + 1e-6),
-                          dt / 3.0)
-        c = np.cos(t0)[:, None, None]
-        s = (np.sin(t0) * np.exp(1j * p0))[:, None, None]
-        ra, rb = a[f], b[f]
-        ua, ub = u[ra, None], u[rb, None]
-        rows = np.concatenate([c * ua + s * ub, c * ub - s.conj() * ua], axis=1)
-        qu_ab, mu_ab = _member_minors(rows, qf)
-        w_ab = _weights(mu_ab)
-        new = w_ab[:, 0] + w_ab[:, 1]
-        keep = new < cur
-        pairs = (u, rows), (qu, qu_ab), (mu, mu_ab), (w, w_ab)
-        if np.count_nonzero(keep) < len(keep):
-            f, ra, rb = f[keep], ra[keep], rb[keep]
-            cur, new = cur[keep], new[keep]
-            pairs = [(x, x_ab[keep]) for x, x_ab in pairs]
-        for x, x_ab in pairs:
-            x[ra], x[rb] = x_ab[:, 0], x_ab[:, 1]
-        gains[r, f] = cur - new
-    # a running sum, so the additions happen in round order
-    return np.add.accumulate(gains.ravel())[-1]
+    """One Givens line search per row pair of the isometry u, in place, the
+    pairs one at a time in the order of _rounds(m); returns the summed
+    improvement, added up in that order."""
+    gain = 0.0
+    for ra, rb in _rounds(len(u)):
+        for a, b in zip(ra.tolist(), rb.tolist()):
+            cur = w[a] + w[b]
+            coef = np.array([mu[a], 2.0 * (u[a] @ qu[b]), mu[b]])
+            # the coarse grid with its zoom ladder; a pair that improves on
+            # it goes on to five shrinking 7 x 7 refinements
+            vals = _givens_values(coef, _COARSE_GRID)
+            k = vals.argmin()
+            best = vals[k]
+            if not best < cur - 1e-15:
+                continue
+            t0, p0, dt = _COARSE_START[:, k]
+            dp = 2 * np.pi / len(_PHIS)
+            for _zoom in range(5):
+                thetas, phis = t0 + dt * _ZOOM, p0 + dp * _ZOOM
+                dp /= 3.0
+                vals = _givens_values(coef, _givens_grid(thetas, phis))
+                k = vals.argmin()
+                if vals[k] < best - 1e-15:
+                    best = vals[k]
+                    ti, pi = divmod(k, len(_ZOOM))
+                    t0, p0 = thetas[ti], phis[pi]
+                    dt = max(dt / 3.0, abs(t0) * 1e-3 + 1e-6)
+                else:
+                    dt /= 3.0
+            c, s = np.cos(t0), np.sin(t0) * np.exp(1j * p0)
+            rows = np.array([c * u[a] + s * u[b], c * u[b] - s.conj() * u[a]])
+            qu_ab, mu_ab = _member_minors(rows, qf)
+            w_ab = _weights(mu_ab)
+            new = w_ab[0] + w_ab[1]
+            if new < cur:
+                for x, x_ab in (u, rows), (qu, qu_ab), (mu, mu_ab), (w, w_ab):
+                    x[a], x[b] = x_ab
+                gain += cur - new
+    return gain
 
 
 def _qr_retract(x: np.ndarray) -> np.ndarray:
@@ -841,7 +819,7 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     the best by more than STEP_TOLERANCE.  Restarts run one at a time
     (_restart, whose polishes all run inside it), the rule is checked
     after each, and restarts_used counts those that ran.  Each sweep runs
-    the row pairs in the stacked rounds of _rounds(m).  A state is NPT
+    the row pairs one at a time in the order of _rounds(m).  A state is NPT
     when its partial transpose over the split has an eigenvalue below
     -1e-10.  The split names subsystems of rho.sig.dims.
     """

@@ -766,10 +766,8 @@ def test_plane_excess_finds_cone_points(rng):
 
 # -- the sequential optimizer, kept as convex_roof's oracle --------------------
 #
-# convex_roof's sweeps run the disjoint row pairs of each round as one stacked
-# pass; this is the pair-at-a-time optimizer they replaced, with the restarts
-# one at a time as convex_roof runs them, and convex_roof must match it bit
-# for bit.
+# An independent pair-at-a-time optimizer, with the restarts one at a time
+# as convex_roof runs them; convex_roof must match it bit for bit.
 
 def seq_member_minors(u, qf):
     qu = (u @ qf).reshape(u.shape[0], u.shape[1], -1)
@@ -799,7 +797,7 @@ def seq_optimize_ensemble(u, qf, max_iters):
     u = u.copy()
     qu, mu = seq_member_minors(u, qf)
     w = msr._weights(mu)
-    # the pairs one at a time, in the order of the stacked rounds
+    # the pairs one at a time, in the order of the rounds of _rounds(m)
     order = [(int(a), int(b)) for rnd in msr._rounds(u.shape[0])
              for a, b in zip(*rnd)]
     converged = False
@@ -1004,7 +1002,7 @@ ORACLE_CASES = [
     ("d4", "min", 32, 500), ("d4", "min", 1, 1),
     ("d8", "min", 32, 500), ("d8", "min", 4, 16),
     ("q2r3", "min", 4, 16), ("q2r4", "min", 2, 1),
-    # an ensemble of 16 members: 15 stacked rounds of 8 disjoint pairs
+    # an ensemble of 16 members: 15 rounds of 8 disjoint pairs
     ("q2r4", "min", 2, 16),
     # restart 0's sweeps miss the Wootters certificate and its polish
     # meets it
@@ -1039,14 +1037,13 @@ def test_stacked_roof_matches_sequential_oracle(name, direction, restarts,
 
 def test_sweeps_match_the_oracle_when_moves_are_rejected(monkeypatch):
     # a move whose recomputed pair objective is not lower is dropped;
-    # rejecting by the rotated rows' own bytes forces that path, and a
-    # stacked round must drop the same moves as the oracle's pairs one at a
-    # time
+    # rejecting by the rotated rows' own bytes forces that path, and the
+    # sweep must drop the same moves as the oracle
     weights, rejected = msr._weights, []
 
     def rejecting(mu):
         w = weights(mu)
-        if mu.shape[-2] == 2:  # a rotated pair's minors, stacked or alone
+        if mu.shape[-2] == 2:  # a rotated pair's minors
             for i, pair in enumerate(mu.reshape(-1, 2, mu.shape[-1])):
                 if zlib.crc32(pair.tobytes()) % 3 == 0:
                     w.reshape(-1, 2)[i] += 1.0
