@@ -317,6 +317,8 @@ def cmd_bound(args) -> tuple[str, int]:
     if getattr(args, num_name) is None or getattr(args, den_name) is None:
         raise UsageError(
             f"{args.kind} bounds need --{num_name} and --{den_name}")
+    _check_read(args.kind, [n for n in EXPONENT_NAMES
+                            if getattr(args, n) is not None])
     obj = load_input_state(args)
     lhs_base, q_ab, q_ac = _measured_inputs(obj, args.kind)
     variants = _parse_variants(args)
@@ -337,7 +339,15 @@ def cmd_bound(args) -> tuple[str, int]:
 # sweep and figures
 # ---------------------------------------------------------------------------
 
-AXIS_NAMES = ("alpha", "gamma", "beta", "delta", "t", "q")
+EXPONENT_NAMES = ("alpha", "gamma", "beta", "delta")
+AXIS_NAMES = EXPONENT_NAMES + ("t", "q")
+
+
+def _check_read(kind: str, names) -> None:
+    """Naming an exponent that kind's bounds do not read is a usage error."""
+    for name in names:
+        if name in EXPONENT_NAMES and name not in bnd.SIDES[kind].exponents:
+            raise UsageError(f"{kind} bounds do not read {name}")
 
 
 @dataclass
@@ -355,6 +365,7 @@ class SweepSpec:
             raise UsageError(f"bad sweep kind {self.kind!r}")
         if not 1 <= len(self.axes) <= 2:
             raise UsageError("sweep needs one or two axes")
+        _check_read(self.kind, [a[0] for a in self.axes] + list(self.fixed))
         seen = set()
         for name, start, stop, steps in self.axes:
             if name not in AXIS_NAMES:

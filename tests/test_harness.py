@@ -117,7 +117,7 @@ def test_measure_runs_no_roof_on_two_qubit_inputs(tmp_path, capsys,
     inputs = (["--state", str(path)],
               ["--builder", EX2_BUILDER, "--keep", "0,2"])
     for state in inputs:
-        for name in CLOSED_FORM_NAMES:
+        for name in CLOSED_FORM_NAMES + ("concurrence",):
             code, out = run_cli(["measure"] + state + ["--measure", name],
                                 capsys)
             assert code == 0
@@ -788,6 +788,28 @@ def test_sweep_rejects_a_repeated_fix(capsys):
                        "--axis", "alpha:0:2:3", "--fix", "gamma=2",
                        "--fix", "gamma=3"], capsys)
     assert "gamma" in err
+
+
+@pytest.mark.parametrize("kind", list(h.bnd.SIDES))
+def test_bound_and_sweep_reject_an_exponent_the_kind_does_not_read(capsys,
+                                                                   kind):
+    # each exited 0 with the exponent ignored; an axis on it printed
+    # identical rows
+    value = {"alpha": "1", "gamma": "2", "beta": "1", "delta": "0.8"}
+    num, den = h.bnd.SIDES[kind].exponents
+    state = ["--builder", WCLASS_CKW, "--kind", kind]
+    for name in sorted(set(value) - {num, den}):
+        bound = ["bound"] + state + [f"--{num}", value[num], f"--{den}",
+                                     value[den], f"--{name}", "1"]
+        axis = ["sweep"] + state + ["--axis", f"{name}:0:2:3",
+                                    "--fix", f"{num}={value[num]}",
+                                    "--fix", f"{den}={value[den]}"]
+        fixed = ["sweep"] + state + ["--axis", f"{num}:0.5:2:3",
+                                     "--fix", f"{den}={value[den]}",
+                                     "--fix", f"{name}=7"]
+        for args in (bound, axis, fixed):
+            assert usage_error(args, capsys) == (
+                f"entbounds: error: {kind} bounds do not read {name}")
 
 
 @pytest.mark.parametrize("variants", [",", "", " , "])
