@@ -202,12 +202,14 @@ class Condition:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdmissibilityReport:
     """Admissibility flags of one point, in Side.condition_names order, and
     the correlation values they were evaluated at.  The Conditions and
     their details, with the powers and window edges they compare, are
-    formatted the first time they are read."""
+    formatted the first time they are read.  Not frozen: a frozen
+    dataclass's __init__ sets each field through object.__setattr__, and
+    validate_params builds one report per call."""
 
     kind: str
     params: BoundParams

@@ -668,6 +668,35 @@ def test_thm4_monotone_nondecreasing_in_q():
     assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
 
 
+@pytest.mark.parametrize("kind", list(SIDES))
+def test_theorem_is_monotone_in_q_across_the_window(kind):
+    # on 2000 random admissible points, 64 values of q from the window's
+    # edge 1 + 1/x to its top 1 + 1/t: the right-hand side never rises with
+    # q where e = num/den <= 1 (monogamy) and never falls where e >= 1
+    # (polygamy), up to rounding
+    side = SIDES[kind]
+    rng = np.random.default_rng(20240817)
+    sign = -1.0 if side.lower else 1.0
+    for _ in range(20):
+        q_ab = rng.uniform(0.01, 1.0)
+        q_ac = rng.uniform(q_ab, 1.0)
+        if side.lower:
+            den = rng.uniform(2.0, 10.0, (100, 1))
+            num = rng.uniform(0.0, den)
+        else:
+            den = rng.uniform(0.2, 1.0, (100, 1))
+            num = den + rng.uniform(0.0, 2.0, (100, 1))
+        x = (q_ac / q_ab) ** den
+        t = rng.uniform(1.0, np.minimum(x, 10.0))
+        edge, top = 1.0 + 1.0 / x, 1.0 + 1.0 / t
+        q = edge + (top - edge) * np.linspace(0.0, 1.0, 64)
+        rhs, ok = bound_grid(kind, side.theorem, q_ab, q_ac, num, den, t, q,
+                             t, 1.0, t)
+        assert ok.all()
+        steps = sign * np.diff(rhs, axis=1)
+        assert np.all(steps >= -4 * np.finfo(float).eps * rhs[:, 1:]), kind
+
+
 # -- chained bounds -----------------------------------------------------------
 
 def test_chain_single_step_matches_thm1():
