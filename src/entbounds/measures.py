@@ -39,9 +39,10 @@ The polish works on one isometry at a time, inside a restart, and looks
 for a split-product ensemble, a zero roof.  A state whose partial
 transpose over the split has an eigenvalue below -1e-10 is NPT, hence
 entangled (Peres), and has none: each of its restarts is one run of
-sweeps, followed on a (2, 2) signature by one polish, which lands it on
-the Wootters value; elsewhere the polish's objective does not share the
-roof's minimizers and none runs.
+sweeps, followed on a (2, 2) signature by one polish that stops within
+POLISH_TOLERANCE of the Wootters lower end, and is skipped when the
+sweeps already end there; elsewhere the polish's objective does not
+share the roof's minimizers and none runs.
 
 A split is the first block of a bipartition: indices into the dims of a
 density matrix or the qubits of a pure state, checked by _check_split.
@@ -330,6 +331,9 @@ STALL_RESTARTS = 3
 # the polish ends a restart after an accepted step that lowers its cost by
 # at most this share of it: the cost is then flat to rounding
 POLISH_MIN_REDUCTION = 1e-15
+# a two-qubit NPT restart whose total is within this of the Wootters lower
+# end skips its polish, and a polish stops there: nothing more is to gain
+POLISH_TOLERANCE = 1e-13
 
 
 def _optimize_ensemble(u, qf, iters):
@@ -447,7 +451,7 @@ def _stiefel_tangent_basis(u: np.ndarray) -> np.ndarray:
     return np.concatenate([u @ _skew_basis(r), perp])
 
 
-def _product_polish(u, qf):
+def _product_polish(u, qf, target=None):
     """Levenberg-Marquardt on the minors over the isometry manifold.
 
     The residuals are every member's minors u_i^T Q u_i and the Jacobian
@@ -457,9 +461,11 @@ def _product_polish(u, qf):
     quadratically instead.  Steps are solved in an explicit tangent basis
     so the QR retraction only contributes second-order corrections.  u is
     one isometry (m, r).  The polish stops after 40 iterations, once the
-    cost is below 1e-30, after 8 failed tries at one step, or after an
+    cost is below 1e-30, after 8 failed tries at one step, after an
     accepted step that lowers the cost by at most POLISH_MIN_REDUCTION
-    times the cost (the relative-reduction test of MINPACK's lmder).
+    times the cost (the relative-reduction test of MINPACK's lmder), or,
+    given a certified lower end target of the roof, after an accepted step
+    whose total is within POLISH_TOLERANCE of it.
     """
     qu, mu = _member_minors(u, qf)
     cost = float(np.sum(mu.real ** 2 + mu.imag ** 2))
@@ -487,40 +493,45 @@ def _product_polish(u, qf):
         flat_step = cost - cost_c <= POLISH_MIN_REDUCTION * cost
         u, qu, mu, cost = cand, qu_c, mu_c, cost_c
         lam = max(lam * 0.25, 1e-14)
-        if flat_step:
+        if flat_step or (target is not None
+                         and _weights(mu).sum() - target <= POLISH_TOLERANCE):
             break
     return u
 
 
-def _try_polish(total, u, qf):
-    """(total, u, kept) after polishing the isometry u (m, r): the polish
-    is kept only when it lowers the total."""
-    cand = _product_polish(u, qf)
+def _try_polish(total, u, qf, target=None):
+    """(total, u, kept) after polishing the isometry u (m, r), stopped at
+    the lower end target if given: the polish is kept only when it lowers
+    the total."""
+    cand = _product_polish(u, qf, target)
     t_c = _weights(_member_minors(cand, qf)[1]).sum()
     if t_c < total:
         return t_c, cand, True
     return total, u, False
 
 
-def _restart(u, qf, ppt, two_qubit):
+def _restart(u, qf, ppt, target):
     """Total, isometry and converged flag of the restart that starts at the
     isometry u (m, r).  A polish is kept only when it lowers the total, and
     a kept polish marks the restart converged.
 
     An NPT state (not ppt) is entangled (Peres) and has no split-product
     ensemble, so the restart is one run of up to MAX_SWEEPS sweeps, then
-    one polish on a (2, 2) signature and none elsewhere.  With one minor
-    per member the polish's sum of |minor|^2 is at least (sum |minor|)^2 /
-    m, with equality at Wootters' equal-concurrence optimal ensembles, so
-    it shares the roof's minimizers; with more minors per member it does
-    not.  A PPT state sweeps 15 times and tries the zero-roof polish (the
+    one polish on a (2, 2) signature, where target is the Wootters lower
+    end, and none elsewhere (target None).  With one minor per member the
+    polish's sum of |minor|^2 is at least (sum |minor|)^2 / m, with
+    equality at Wootters' equal-concurrence optimal ensembles, so it
+    shares the roof's minimizers; with more minors per member it does not.
+    A swept total within POLISH_TOLERANCE of target skips the polish, and
+    the polish stops there: the certificate leaves nothing more to gain.
+    A PPT state sweeps 15 times and tries the zero-roof polish (the
     concurrence vanishes exactly on split-product states); after a kept
     polish 10 consolidating sweeps are enough, none at a zero roof,
     otherwise the remaining sweeps run, then one more polish."""
     if not ppt:
         total, u, conv = _optimize_ensemble(u, qf, MAX_SWEEPS)
-        if two_qubit:
-            total, u, kept = _try_polish(total, u, qf)
+        if target is not None and total - target > POLISH_TOLERANCE:
+            total, u, kept = _try_polish(total, u, qf, target)
             conv = conv or kept
         return total, u, conv
     total, u, conv = _optimize_ensemble(u, qf, 15)
@@ -874,7 +885,7 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
             rng = np.random.Generator(np.random.PCG64(seeds[j]))
             gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
             u = np.linalg.qr(gauss)[0][:, :rank]
-        total, u, conv = _restart(u, qf, ppt, two_qubit)
+        total, u, conv = _restart(u, qf, ppt, lower if two_qubit else None)
         restarts_used = j + 1
         # off a (2, 2) signature a rank-2 state is certified from restart
         # 0's ensemble

@@ -860,7 +860,7 @@ def seq_tangent_basis(u):
     return np.concatenate([basis, perp])
 
 
-def seq_product_polish(u, qf):
+def seq_product_polish(u, qf, target=None):
     qu, mu = seq_member_minors(u, qf)
     cost = float(np.sum(mu.real ** 2 + mu.imag ** 2))
     lam = 1e-4
@@ -889,6 +889,10 @@ def seq_product_polish(u, qf):
             lam = min(lam * 8.0, 1e8)
         if not moved or flat_step:
             break
+        # stopped at the certified lower end
+        if (target is not None and float(msr._weights(mu).sum()) - target
+                <= msr.POLISH_TOLERANCE):
+            break
     return u
 
 
@@ -904,12 +908,13 @@ def sequential_convex_roof(rho, cfg):
     scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
     qf = msr._minor_form(scaled, (2,) * n_qubits, (0,)).reshape(rank, -1)
     # an NPT state (Peres: entangled) polishes once at the end of each
-    # restart, and only on two qubits
+    # restart, and only on two qubits, unless its sweeps already end within
+    # POLISH_TOLERANCE of the Wootters lower end, where the polish stops
     npt = np.linalg.eigvalsh(
         transpose_subsystem(rho.mat, rho.sig.dims, 0))[0] <= -1e-10
 
-    def try_polish(total, u, conv):
-        cand = seq_product_polish(u, qf)
+    def try_polish(total, u, conv, target=None):
+        cand = seq_product_polish(u, qf, target)
         total_c = float(msr._weights(seq_member_minors(cand, qf)[1]).sum())
         if total_c < total:
             return total_c, cand, True
@@ -933,7 +938,8 @@ def sequential_convex_roof(rho, cfg):
         stage1 = msr.MAX_SWEEPS if npt else 15
         total, u, conv = seq_optimize_ensemble(u, qf, stage1)
         if npt and n_qubits == 2:
-            total, u, conv = try_polish(total, u, conv)
+            if total - lower > msr.POLISH_TOLERANCE:
+                total, u, conv = try_polish(total, u, conv, lower)
         elif not npt:
             t2, u2, c2 = try_polish(total, u, conv)
             if t2 < total:
@@ -1202,7 +1208,7 @@ def test_multi_qubit_npt_winner_polish_is_not_kept(name):
     assert np.linalg.eigvalsh(transpose_subsystem(
         rho.mat, rho.sig.dims, 0))[0] <= -1e-10  # NPT
     qf, starts = npt_restart_starts(rho, cfg)
-    totals, us, _ = zip(*(msr._restart(u, qf, False, False) for u in starts))
+    totals, us, _ = zip(*(msr._restart(u, qf, False, None) for u in starts))
     best = int(np.argmin(totals))
     total, u, kept = msr._try_polish(totals[best], us[best], qf)
     assert not kept
@@ -1222,8 +1228,9 @@ def test_npt_restart_converges_on_its_first_sweep_without_gain(monkeypatch):
 
     monkeypatch.setattr(msr, "_sweep", stub)
     cfg = RoofConfig(restarts=4, seed=11)
-    qf, starts = npt_restart_starts(oracle_states()["d4"], cfg)
-    total, u, conv = msr._restart(starts[0], qf, False, True)
+    rho = oracle_states()["d4"]
+    qf, starts = npt_restart_starts(rho, cfg)
+    total, u, conv = msr._restart(starts[0], qf, False, wootters_lower(rho))
     assert conv is True
     assert len(sweeps) == 16
 
@@ -1238,3 +1245,76 @@ def test_two_qubit_npt_roof_stops_at_its_polished_first_restart(name):
                       "min", cfg)
     assert res.restarts_used == 1
     assert 0.0 <= res.value - res.lower <= msr.STEP_TOLERANCE
+
+
+def test_two_qubit_npt_restart_polishes_only_off_the_certificate(monkeypatch):
+    # the acceptance-7 inputs, all NPT: a restart polishes exactly when its
+    # swept total misses the Wootters lower end by more than
+    # POLISH_TOLERANCE, and the roof ends within that of the Wootters value
+    # (about half of the restarts skip the polish)
+    optimize, polish, events = msr._optimize_ensemble, msr._product_polish, []
+
+    def recorded_optimize(*args):
+        out = optimize(*args)
+        events.append(out[0])
+        return out
+
+    def recorded_polish(u, qf, target=None):
+        events.append(("polish", target))
+        return polish(u, qf, target)
+
+    monkeypatch.setattr(msr, "_optimize_ensemble", recorded_optimize)
+    monkeypatch.setattr(msr, "_product_polish", recorded_polish)
+    root = np.random.SeedSequence(20240817)
+    polished = skipped = 0
+    for child in root.spawn(50):
+        rng = np.random.Generator(np.random.PCG64(child))
+        rho = reduce_pair(to_density(haar_random_from(rng, 3)), 1)
+        assert np.linalg.eigvalsh(transpose_subsystem(
+            rho.mat, rho.sig.dims, 0))[0] <= -1e-10  # NPT
+        cfg = RoofConfig(restarts=32, seed=int(child.generate_state(1)[0]))
+        events.clear()
+        res = convex_roof(rho, concurrence_functional((0,)), "min", cfg)
+        target = wootters_lower(rho)
+        want = []
+        for total in [e for e in events if not isinstance(e, tuple)]:
+            want.append(total)
+            if total - target > msr.POLISH_TOLERANCE:
+                want.append(("polish", target))
+                polished += 1
+            else:
+                skipped += 1
+        assert events == want
+        assert abs(res.value - concurrence_wootters(rho)) <= msr.POLISH_TOLERANCE
+        assert 0.0 <= res.value - res.lower
+    assert polished > 0 and skipped > 0
+
+
+def test_polish_stops_at_the_first_step_that_meets_its_target(monkeypatch):
+    # q2r3's swept restart 0 sits 1.4e-8 above the Wootters value; the
+    # polish given the lower end returns the first accepted iterate within
+    # POLISH_TOLERANCE of it, bit for bit the iterate the unstopped polish
+    # passes through, after fewer iterations
+    rho = oracle_states()["q2r3"]
+    qf, starts = npt_restart_starts(rho, RoofConfig(restarts=4, seed=11))
+    _, u, _ = msr._optimize_ensemble(starts[0], qf, msr.MAX_SWEEPS)
+    target = wootters_lower(rho)
+    basis, iterates = msr._stiefel_tangent_basis, []
+
+    def recorded(v):  # called once per iteration, on its starting iterate
+        iterates.append(v)
+        return basis(v)
+
+    monkeypatch.setattr(msr, "_stiefel_tangent_basis", recorded)
+
+    def total(v):
+        return msr._weights(msr._member_minors(v, qf)[1]).sum()
+
+    free = msr._product_polish(u, qf)
+    path, iterates = iterates + [free], []
+    stopped = msr._product_polish(u, qf, target)
+    assert total(u) - target > msr.POLISH_TOLERANCE
+    first = next(k for k, v in enumerate(path)
+                 if k > 0 and total(v) - target <= msr.POLISH_TOLERANCE)
+    assert np.array_equal(stopped, path[first])
+    assert len(iterates) == first < len(path) - 1
