@@ -1016,7 +1016,7 @@ GOLDEN = {
     # min roofs on two-qubit marginals checked against Wootters
     "verify-roof-oracle": (
         ["verify", "--suite", "roof-oracle", "--trials", "8", "--seed", "3"],
-        "f54e708dbb0d22e6542a95db5f11eb1a8fa52061114945700712f5fed93176f5", 0),
+        "d1234449e5ac680ac5087d382e8a193a64f6aba910bea30e0e05355012eb1341", 0),
     # the exact two-qubit closed forms on one W-class marginal, with no
     # optimizer block
     "measure-wclass-scren": (
