@@ -531,7 +531,7 @@ def test_certificate_needs_a_two_qubit_signature():
     # same matrix with signature (4,) has one subsystem and so no split
     rho = reduce_pair(to_density(haar_random_pure(3, 700)), 1)
     res = convex_roof(rho, concurrence_functional((0,)), "min", RoofConfig(seed=1))
-    assert res.value.hex() == "0x1.94807f61aad5ap-3"
+    assert res.value.hex() == "0x1.94807f61ab06ap-3"
     assert res.lower == wootters_lower(rho)
     assert res.restarts_used == 1
     flat = DensityMatrix(rho.mat, SystemSignature((4,)))
