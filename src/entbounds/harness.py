@@ -275,6 +275,7 @@ def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
     if side is None:
         raise UsageError(f"kind must be monogamy or polygamy, got {kind!r}")
     given = {"alpha": alpha, "gamma": gamma, "beta": beta, "delta": delta}
+    _check_read(kind, [name for name, value in given.items() if value is not None])
     num_name, den_name = side.exponents
     exp_num, exp_den = float(given[num_name]), float(given[den_name])
     _check_finite({num_name: exp_num, den_name: exp_den,

@@ -810,6 +810,12 @@ def test_bound_and_sweep_reject_an_exponent_the_kind_does_not_read(capsys,
         for args in (bound, axis, fixed):
             assert usage_error(args, capsys) == (
                 f"entbounds: error: {kind} bounds do not read {name}")
+        # the library entry behind bound returned the report without it
+        given = {n: float(value[n]) for n in (num, den, name)}
+        with pytest.raises(h.UsageError, match=f"{kind} bounds do not read {name}"):
+            h.evaluate_bound_report(kind, 0.5, 0.2, 0.3,
+                                    variants=[h.bnd.SIDES[kind].theorem, "ref29"],
+                                    **given)
 
 
 @pytest.mark.parametrize("variants", [",", "", " , "])
