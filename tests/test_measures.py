@@ -1238,8 +1238,9 @@ def test_npt_restart_converges_on_its_first_sweep_without_gain(monkeypatch):
 @pytest.mark.parametrize("name", ["q2r3", "q2r4"])
 def test_two_qubit_npt_roof_stops_at_its_polished_first_restart(name):
     # restart 0's sweeps end 1.4e-8 (q2r3) and 1.4e-6 (q2r4) above the
-    # Wootters value, and its polish lands within 1.3e-14 of it; the
-    # stopping rule judges the polished total and ends the roof there
+    # Wootters value, and its polish stops within POLISH_TOLERANCE of it
+    # (4.1e-14 above on q2r4); the stopping rule judges the polished total
+    # and ends the roof there
     cfg = RoofConfig(restarts=8, seed=11)
     res = convex_roof(oracle_states()[name], concurrence_functional((0,)),
                       "min", cfg)
