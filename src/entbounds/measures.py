@@ -696,6 +696,47 @@ def _fit_plane(quad, p: np.ndarray, r: np.ndarray, target: np.ndarray):
     return best[1], best[2]
 
 
+def _bisect(above, lo, hi, iters=128):
+    """Midpoints of [lo, hi] after iters halvings, keeping the half where
+    above(mid) says the sought point lies above mid."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        up = above(mid)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _secular_points(mu: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Points r = -gt / (mu - lam) (n, 3) at every root lam of
+    phi(lam) = sum_i gt_i^2 / (mu_i - lam)^2 = 1, mu ascending.
+
+    phi is convex between poles, so it is monotone on each ray beyond the
+    end poles and on each side of its minimum between two poles; on each
+    such piece lam is found by bisection in its offset x from a pole, and
+    mu_i - lam is taken as (mu_i - mu_k) - x, which keeps its relative
+    accuracy however close the poles are.  A piece without a root ends at
+    one of its edges: a pole, whose point is not finite and is dropped, or
+    phi's minimum, an extra point."""
+    w2 = gt * gt
+    gn = float(np.sqrt(w2.sum()))
+    # (pole k, x range, phi increasing in x); at a root every |r_i| <= 1,
+    # so |mu_i - lam| >= |gt_i| and the rays end within |gt| of their pole
+    pieces = [(0, -gn, 0.0, True), (2, 0.0, gn, False)]
+    with np.errstate(all="ignore"):
+        e = mu[None, :] - mu[:2, None]  # offsets from poles 0 and 1
+        gap = np.diag(e, 1)
+        xm = _bisect(lambda x: (w2 / (e - x[:, None]) ** 3).sum(axis=1) < 0.0,
+                     np.zeros(2), gap)
+        for j in (0, 1):
+            pieces += [(j, 0.0, xm[j], False), (j, xm[j], gap[j], True)]
+        k, lo, hi, inc = (np.array(c) for c in zip(*pieces))
+        e = mu[None, :] - mu[k][:, None]
+        x = _bisect(lambda x: ((w2 / (e - x[:, None]) ** 2).sum(axis=1) < 1.0) == inc,
+                    lo, hi)
+        pts = -gt / (e - x[:, None])
+    return pts[np.isfinite(pts).all(axis=1)]
+
+
 def _sphere_stationary(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Unit points (n, 3) that include every stationary point of
     r^T m r + 2 g^T r on S^2.
@@ -708,7 +749,15 @@ def _sphere_stationary(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     points r_i = -g~_i / (mu_i - mu_j), i != j, r_j = +-sqrt(1 - sum r_i^2)
     are added; these are added for every j, stationary or not, as are
     the points of eigenvalues with an imaginary part below 1e-6 of the
-    scale: extra points only make the check stricter."""
+    scale: extra points only make the check stricter.
+
+    Two eigenvalues at most 64 |g~| apart over their eigenspace, where
+    that |g~| is at most 1e-3 of the scale, act as one eigenspace: the
+    lam near them come out of the eigenproblem too inexactly and the
+    hard-case points divide by their gap, so both can miss the minimizer
+    (by 6.8e-2 on m = diag(-0.5481250002175433, -0.5481250002118575,
+    0.8165114466047447), g = (2.356e-10, -2.816e-10, 0.334)).  Then every
+    root of the secular equation is added as well (_secular_points)."""
     mu, q = np.linalg.eigh(m)
     gt = q.T @ g
     big = np.zeros((6, 6))
@@ -726,7 +775,11 @@ def _sphere_stationary(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     other = np.where(ok, -gt / np.where(ok, den, 1.0), 0.0)  # row j: r_i, r_j = 0
     room = 1.0 - (other ** 2).sum(axis=1)
     up = np.sqrt(np.maximum(room, 0.0))[:, None] * np.eye(3)
-    pts = np.concatenate([pts, (other + up)[room >= 0], (other - up)[room >= 0]])
+    pts = [pts, (other + up)[room >= 0], (other - up)[room >= 0]]
+    pair = np.hypot(gt[:-1], gt[1:])
+    if np.any((np.diff(mu) <= 64 * pair) & (pair <= 1e-3 * scale)):
+        pts.append(_secular_points(mu, gt))
+    pts = np.concatenate(pts)
     norm = np.linalg.norm(pts, axis=1)
     return (pts[norm > 0] / norm[norm > 0, None]) @ q.T
 

@@ -764,6 +764,96 @@ def test_plane_excess_finds_cone_points(rng):
             assert not msr._plane_holds(quad, a, beta, excess)
 
 
+def sphere_quadratic(m, g, pts):
+    return np.einsum("ij,jk,ik->i", pts, m, pts) + 2 * pts @ g
+
+
+def multistart_extremes(m, g, starts=24, seed=0):
+    """(min, max) of r^T m r + 2 g^T r on S^2 from Newton on the sphere,
+    started at random points: gradient steps where the tangent Hessian is
+    not positive definite, steps of at most 0.2, each kept only when it
+    does not raise the value."""
+    out = []
+    for sign in (1.0, -1.0):
+        ms, gs = sign * m, sign * g
+        r = np.random.default_rng(seed).standard_normal((starts, 3))
+        r /= np.linalg.norm(r, axis=1)[:, None]
+        for _ in range(60):
+            grad = 2 * (r @ ms + gs)
+            lam = np.einsum("ij,ij->i", r, grad) / 2
+            e = msr._tangent_bases(r)
+            gt = np.einsum("kip,ki->kp", e, grad)
+            hess = (2 * np.einsum("kip,ij,kjq->kpq", e, ms, e)
+                    - 2 * lam[:, None, None] * np.eye(2))
+            pd = np.linalg.eigvalsh(hess)[:, 0] > 1e-14
+            newton = -np.linalg.solve(hess + (~pd)[:, None, None] * np.eye(2),
+                                      gt[..., None])[..., 0]
+            step = np.where(pd[:, None], newton, -0.1 * gt)
+            size = np.linalg.norm(step, axis=1)
+            step *= np.minimum(1.0, 0.2 / np.maximum(size, 1e-300))[:, None]
+            cand = r + np.einsum("kip,kp->ki", e, step)
+            cand /= np.linalg.norm(cand, axis=1)[:, None]
+            keep = (sphere_quadratic(ms, gs, cand)
+                    <= sphere_quadratic(ms, gs, r) + 1e-18)
+            r = np.where(keep[:, None], cand, r)
+        out.append(sign * sphere_quadratic(ms, gs, r).min())
+    return tuple(out)
+
+
+def dual_extremes(m, g):
+    """(min, max) of r^T m r + 2 g^T r on S^2 from its Lagrangian dual: for
+    lam below every eigenvalue mu_i of m, lam - sum_i g~_i^2 / (mu_i - lam)
+    is at most the minimum, with equality at its maximum (strong duality
+    of the trust-region subproblem), and the dual is concave in lam.  The
+    maximum is found on a log grid of offsets below the least eigenvalue,
+    then by golden-section search."""
+    out = []
+    for sign in (1.0, -1.0):
+        mu, q = np.linalg.eigh(sign * m)
+        w2, d = (q.T @ (sign * g)) ** 2, mu - mu[0]
+
+        def dual(x):  # x = mu_0 - lam > 0
+            return mu[0] - x - np.sum(w2 / (d + np.atleast_1d(x)[:, None]), axis=1)
+
+        grid = np.logspace(-20, 1, 2000)
+        k = int(np.argmax(dual(grid)))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        for _ in range(100):
+            a, b = hi - 0.618 * (hi - lo), lo + 0.618 * (hi - lo)
+            if dual(a)[0] >= dual(b)[0]:
+                hi = b
+            else:
+                lo = a
+        out.append(sign * max(dual(grid).max(), dual(0.5 * (lo + hi))[0]))
+    return tuple(out)
+
+
+def test_sphere_stationary_points_near_a_double_eigenvalue():
+    # eigenvalues 1e-12 to 1e-4 apart with g's components along their
+    # eigenvectors 1e-10 to 1e-5, and the repro where the returned points
+    # missed the minimum by 6.8e-2: the extremes over the returned points
+    # meet the dual bounds within 1e-12, and Newton from random starts
+    # finds nothing beyond them
+    rng = np.random.default_rng(3)
+    cases = [(np.diag([-0.5481250002175433, -0.5481250002118575,
+                       0.8165114466047447]),
+              np.array([2.356e-10, -2.816e-10, 0.33402928900005446]))]
+    for _ in range(40):
+        mu = rng.uniform(-1, 1, 3)
+        mu[1] = mu[0] + 10 ** rng.uniform(-12, -4)
+        gt = np.append(rng.choice([-1, 1], 2) * 10 ** rng.uniform(-10, -5, 2),
+                       rng.uniform(-1, 1))
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        cases.append((q @ np.diag(mu) @ q.T, q @ gt))
+    for m, g in cases:
+        vals = sphere_quadratic(m, g, msr._sphere_stationary(m, g))
+        low, high = dual_extremes(m, g)
+        assert low - 1e-12 <= vals.min() <= low + 1e-12
+        assert high - 1e-12 <= vals.max() <= high + 1e-12
+        low, high = multistart_extremes(m, g)
+        assert vals.min() <= low + 1e-14 and vals.max() >= high - 1e-14
+
+
 # -- the sequential optimizer, kept as convex_roof's oracle --------------------
 #
 # An independent pair-at-a-time optimizer, with the restarts one at a time
