@@ -866,6 +866,12 @@ def _rank2_lower(evals: np.ndarray, vecs: np.ndarray, coef: np.ndarray,
     return max(0.0, float(low - slack))
 
 
+def _restart_seed(seed: int, j: int) -> np.random.SeedSequence:
+    """Sub-seed of restart j: SeedSequence(seed).spawn(n)[j] for any n > j,
+    built alone, so that only restarts that run derive one."""
+    return np.random.SeedSequence(seed, spawn_key=(j,))
+
+
 def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
                 direction: str, cfg: RoofConfig | None = None) -> RoofResult:
     """Minimize the ensemble average of the concurrence over decompositions
@@ -917,7 +923,6 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     u0 = np.eye(m, rank, dtype=complex)
     eigen_avg = float(_weights(_member_minors(u0, qf)[1]).sum())
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_total = best_u = None
     best_conv = False
     stalled = 0
@@ -935,7 +940,7 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
         if j == 0:
             u = u0
         else:
-            rng = np.random.Generator(np.random.PCG64(seeds[j]))
+            rng = np.random.Generator(np.random.PCG64(_restart_seed(cfg.seed, j)))
             gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
             u = np.linalg.qr(gauss)[0][:, :rank]
         total, u, conv = _restart(u, qf, ppt, lower if two_qubit else None)

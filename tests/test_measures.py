@@ -525,6 +525,15 @@ def test_stopping_rule_on_roof_oracle_inputs(monkeypatch):
     assert alone > 0
 
 
+@pytest.mark.parametrize("seed", [0, 11, 2 ** 40 + 3])
+def test_restart_seeds_are_the_spawned_children(seed):
+    # convex_roof derives restart j's sub-seed alone, when restart j runs;
+    # it must be the child that spawning them all at once gives
+    for j, child in enumerate(np.random.SeedSequence(seed).spawn(32)):
+        alone = msr._restart_seed(seed, j)
+        assert np.array_equal(alone.generate_state(8), child.generate_state(8))
+
+
 def test_certificate_needs_a_two_qubit_signature():
     # the certificate is concurrence_wootters on a (2, 2) signature, where
     # the roof stops at restart 0 with its value pinned as float.hex; the
