@@ -21,28 +21,31 @@ objective, closed-form Givens-rotation line searches and the
 Levenberg-Marquardt polish.  A sweep visits every row pair once, one
 pair at a time, in the order of the rounds of disjoint pairs of the circle
 method (Brent and Luk, SIAM J. Sci. Stat. Comput. 6, 69, 1985).
-Restarts derive independent sub-seeds from the configured seed and run
-one at a time (first-best wins), so results are reproducible and safe
+Restarts derive independent sub-seeds from the configured seed, each as
+it starts, and run one at a time (first-best wins), so results are reproducible and safe
 for concurrent use; RoofConfig sets only their number and seed.  One
 stop rule ends the restarts at a certified lower end: once the best
 value is within STEP_TOLERANCE of it, no restart can gain more.  On a
 (2, 2) signature the Wootters concurrence is the exact roof and that
-lower end.  Any other rank-2 state gets one from restart 0's ensemble:
-its support states are the Bloch sphere, on which the squared
-concurrence h is a quadratic, the plane of the roof's LP dual is fitted
-to the ensemble by Newton on the KKT system, and its excess over sqrt(h)
-is found exactly from the stationary points of a quadratic on the
-sphere (a 6 x 6 eigenproblem, Gander, Golub and von Matt, LAA 114/115,
-815, 1989), rounded outward.  A roof certified at
-restart 0 has restarts_used 1.
+lower end.  Any other rank-2 state gets one at restart 0: its support
+states are the Bloch sphere, on which the squared concurrence h is a
+quadratic; the plane of the roof's LP dual and a decomposition are
+fitted together to restart 0's ensemble by Newton on the KKT system, and
+the plane's excess over sqrt(h) is found exactly from the stationary
+points of a quadratic on the sphere (a 6 x 6 eigenproblem, Gander, Golub
+and von Matt, LAA 114/115, 815, 1989, and near a double eigenvalue the
+secular equation by bisection), rounded outward.  On an NPT state
+restart 0 sweeps once before the fit, and a fit that converges gives
+restart 0's ensemble, whose value then lies within the rounding margin
+of that lower end.  A roof certified at restart 0 has restarts_used 1.
 The polish works on one isometry at a time, inside a restart, and looks
 for a split-product ensemble, a zero roof.  A state whose partial
 transpose over the split has an eigenvalue below -1e-10 is NPT, hence
-entangled (Peres), and has none: each of its restarts is one run of
-sweeps, followed on a (2, 2) signature by one polish that stops within
-POLISH_TOLERANCE of the Wootters lower end, and is skipped when the
-sweeps already end there; elsewhere the polish's objective does not
-share the roof's minimizers and none runs.
+entangled (Peres), and has none: each of its restarts (but a fitted
+restart 0) is one run of sweeps, followed on a (2, 2) signature by one
+polish that stops within POLISH_TOLERANCE of the Wootters lower end, and
+is skipped when the sweeps already end there; elsewhere the polish's
+objective does not share the roof's minimizers and none runs.
 
 A split is the first block of a bipartition: indices into the dims of a
 density matrix or the qubits of a pure state, checked by _check_split.
@@ -210,13 +213,13 @@ class RoofResult:
 
     lower is a certified lower end of the roof where one is known: the
     value itself at rank 1, the Wootters concurrence, rounded down, on a
-    (2, 2) signature, the rank-2 certificate of restart 0's ensemble on
-    any other rank-2 state, whether or not the value met it (None if its
-    exact check failed), and None at higher rank.  A roof certified at
-    restart 0 has restarts_used 1.  converged says only that the best
-    restart's last sweep gained less than STEP_TOLERANCE or that a polish
-    of it was kept; it does not mean the value is settled, as other
-    restarts may end in other local minima."""
+    (2, 2) signature, the rank-2 certificate of restart 0 on any other
+    rank-2 state, whether or not the value met it (None if its exact
+    check failed), and None at higher rank.  A roof certified at restart
+    0 has restarts_used 1.  converged says only that the best restart's
+    last sweep gained less than STEP_TOLERANCE, that a polish of it was
+    kept or that it is a fitted restart 0; it does not mean the value is
+    settled, as other restarts may end in other local minima."""
 
     value: float
     ensemble: Ensemble
@@ -576,6 +579,9 @@ RANK2_MARGIN = 2.0 ** -40
 # Newton steps of the plane fit at most; it takes 2 or 3 on the three-qubit
 # marginals of four-qubit Haar states
 FIT_ITERS = 8
+# the fit's decomposition replaces restart 0's ensemble only when its KKT
+# residual is at most this
+FIT_RESIDUAL = 1e-13
 
 
 def _bloch_quadratic(vecs: np.ndarray, dims: tuple[int, ...],
@@ -623,9 +629,10 @@ def _tangent_bases(r: np.ndarray) -> np.ndarray:
     return np.stack([e1, cross(r, e1)], axis=2)
 
 
-def _fit_plane(quad, p: np.ndarray, r: np.ndarray, target: np.ndarray):
-    """(a, beta) of the dual plane fitted to a decomposition (p, r) of the
-    point target = (sum p, sum p r).
+def _kkt_fit(quad, p: np.ndarray, r: np.ndarray, target: np.ndarray):
+    """(residual, a, beta, p, r) of the dual plane and the decomposition
+    fitted together, from a decomposition (p, r) of the point target =
+    (sum p, sum p r).
 
     Newton on the KKT system of min sum p_i sqrt(h(r_i)): the plane
     touches sqrt(h) at each member, l(r_i) = sqrt(h(r_i)), with a matching
@@ -636,12 +643,13 @@ def _fit_plane(quad, p: np.ndarray, r: np.ndarray, target: np.ndarray):
     through the singular systems of decompositions that are not unique
     (two-qubit states, flat roofs).  The plane may be off the optimum: only
     the exact check decides what it certifies.  Returns the iterate with
-    the smallest residual."""
+    the smallest residual, the largest absolute entry of the KKT system's
+    residual vector (inf if no iterate had a finite one)."""
     h_mat, g, c = quad
     k = len(p)
     n = 4 + 3 * k
     ar = np.arange(k)
-    best = (np.inf, 0.0, np.zeros(3))
+    best = (np.inf, 0.0, np.zeros(3), p, r)
     a = beta = None
     with np.errstate(all="ignore"):  # a diverging fit ends on its best step
         for _ in range(FIT_ITERS):
@@ -666,7 +674,7 @@ def _fit_plane(quad, p: np.ndarray, r: np.ndarray, target: np.ndarray):
             err = np.abs(res).max()
             if not err < best[0]:  # also stops on a non-finite residual
                 break
-            best = (err, a, beta)
+            best = (err, a, beta, p, r)
             if err <= 1e-15:
                 break
             jac = np.zeros((n, n))
@@ -693,7 +701,13 @@ def _fit_plane(quad, p: np.ndarray, r: np.ndarray, target: np.ndarray):
             a, beta, p = a + step[0], beta + step[1:4], p + step[4:4 + k]
             r = r + np.einsum("kip,kp->ki", e, step[4 + k:].reshape(k, 2))
             r /= np.linalg.norm(r, axis=1)[:, None]
-    return best[1], best[2]
+    return best
+
+
+def _fit_plane(quad, p: np.ndarray, r: np.ndarray, target: np.ndarray):
+    """(a, beta) of the dual plane fitted to a decomposition (p, r) of the
+    point target = (sum p, sum p r) (_kkt_fit)."""
+    return _kkt_fit(quad, p, r, target)[1:3]
 
 
 def _bisect(above, lo, hi, iters=128):
@@ -842,28 +856,78 @@ def _plane_holds(quad, a, beta, eps) -> bool:
     return bool(np.all(f[inside] >= 64 * np.finfo(float).eps * scale))
 
 
-def _rank2_lower(evals: np.ndarray, vecs: np.ndarray, coef: np.ndarray,
-                 dims: tuple[int, ...], split: tuple[int, ...]) -> float | None:
-    """Certified lower end of the concurrence roof of the rank-2 state
-    with support eigenvalues evals (2,) and orthonormal eigenvectors vecs
-    (d, 2), from the plane fitted to a decomposition with coordinates
-    coef (m, 2) in that eigenbasis: l(r_rho) - eps, eps the plane's
-    excess (_plane_excess) raised by the least margin from RANK2_MARGIN on
-    that passes the exact check (_plane_holds), rounded down and at least
-    0.  None if no margin up to 1e-6 passes."""
+def _rank2_fit(evals: np.ndarray, vecs: np.ndarray, coef: np.ndarray,
+               dims: tuple[int, ...], split: tuple[int, ...]):
+    """(lower, fit): the certified lower end of the concurrence roof of the
+    rank-2 state with support eigenvalues evals (2,) and orthonormal
+    eigenvectors vecs (d, 2), and the KKT fit (_kkt_fit) it comes from,
+    started at a decomposition with coordinates coef (m, 2) in that
+    eigenbasis.  lower is l(r_rho) - eps, eps the fitted plane's excess
+    (_plane_excess) raised by the least margin from RANK2_MARGIN on that
+    passes the exact check (_plane_holds), rounded down and at least 0;
+    None if no margin up to 1e-6 passes."""
     quad = _bloch_quadratic(vecs, dims, split)
     total, z = float(evals.sum()), float(evals[0] - evals[1])
-    p, r = _bloch_points(coef)
-    a, beta = _fit_plane(quad, p, r, np.array([total, 0.0, 0.0, z]))
+    fit = _kkt_fit(quad, *_bloch_points(coef), np.array([total, 0.0, 0.0, z]))
+    a, beta = fit[1:3]
     excess, margin = _plane_excess(quad, a, beta), RANK2_MARGIN
     while not _plane_holds(quad, a, beta, excess + margin):
         margin *= 16.0
         if margin > 1e-6:
-            return None
+            return None, fit
     eps = excess + margin
     low = (a - eps) * total + beta[2] * z
     slack = 8 * np.finfo(float).eps * ((abs(a) + eps) * total + abs(beta[2] * z))
-    return max(0.0, float(low - slack))
+    return max(0.0, float(low - slack)), fit
+
+
+def _rank2_lower(evals: np.ndarray, vecs: np.ndarray, coef: np.ndarray,
+                 dims: tuple[int, ...], split: tuple[int, ...]) -> float | None:
+    """The certified lower end of _rank2_fit alone."""
+    return _rank2_fit(evals, vecs, coef, dims, split)[0]
+
+
+def _bloch_coef(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Coordinates (k, 2) in the support eigenbasis of members of weights
+    p at unit Bloch points r: sqrt(p) (c_0, c_1) with c_0 = sqrt((1 + z) /
+    2) and c_1 = (x + iy) / (2 c_0), or, where z < 0, c_1 = sqrt((1 - z) /
+    2) and c_0 = (x - iy) / (2 c_1), the other pole's chart, so that a
+    member at either pole stays finite.  The inverse of _bloch_points up
+    to each member's phase."""
+    x, y, z = r.T
+    pole = np.sqrt((1.0 + np.abs(z)) / 2.0)
+    off = (x + 1j * y) / (2.0 * pole)
+    north = z >= 0
+    coef = np.stack([np.where(north, pole, off.conj()),
+                     np.where(north, off, pole)], axis=1)
+    return np.sqrt(p)[:, None] * coef
+
+
+def _rank2_restart(u, qf, ppt, evals, vecs, dims, split):
+    """(total, u, converged, lower) of restart 0, from the isometry u (m,
+    2), of a rank-2 roof off a (2, 2) signature.
+
+    An NPT state runs one sweep and fits the dual plane and its
+    decomposition to the swept ensemble by Newton on the KKT system
+    (_rank2_fit), which gives the lower end.  When the fit's residual is
+    at most FIT_RESIDUAL and every weight is positive, its decomposition
+    is the ensemble of the isometry it defines (_bloch_coef), kept when
+    its recomputed total is at most the swept one, and the restart is
+    converged.  Otherwise, and on a PPT state, the restart runs as any
+    other from u (_restart), certified from its own ensemble."""
+    scale = np.sqrt(evals)
+    if not ppt:
+        swept_total, swept, _ = _optimize_ensemble(u, qf, 1)
+        lower, (err, _, _, p, r) = _rank2_fit(evals, vecs, swept * scale,
+                                              dims, split)
+        if err <= FIT_RESIDUAL and np.all(p > 0):
+            fitted = np.zeros_like(u)
+            fitted[:len(p)] = _bloch_coef(p, r) / scale
+            total = _weights(_member_minors(fitted, qf)[1]).sum()
+            if total <= swept_total:
+                return total, fitted, True, lower
+    total, u, conv = _restart(u, qf, ppt, None)
+    return total, u, conv, _rank2_lower(evals, vecs, u * scale, dims, split)
 
 
 def _restart_seed(seed: int, j: int) -> np.random.SeedSequence:
@@ -883,12 +947,14 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     at Haar-random isometries.  At most cfg.restarts restarts run: the
     loop stops once the best is within STEP_TOLERANCE of a certified lower
     end (RoofResult.lower), the Wootters concurrence on a (2, 2)
-    signature, else at rank 2 the plane certificate fitted to restart 0's
-    ensemble (_rank2_lower).  Otherwise, and as fallbacks, it stops once
-    the roof reaches zero or after STALL_RESTARTS in a row fail to lower
-    the best by more than STEP_TOLERANCE.  Restarts run one at a time
-    (_restart, whose polishes all run inside it), the rule is checked
-    after each, and restarts_used counts those that ran.  Each sweep runs
+    signature, else at rank 2 the plane certificate fitted at restart 0
+    (_rank2_restart), whose fitted ensemble, when kept, ends the roof
+    there.  Otherwise, and as fallbacks, it stops once the roof reaches
+    zero or after STALL_RESTARTS in a row fail to lower the best by more
+    than STEP_TOLERANCE.  Restarts run one at a time (_restart, whose
+    polishes all run inside it), each deriving its sub-seed only when it
+    runs (_restart_seed); the rule is checked after each, and
+    restarts_used counts those that ran.  Each sweep runs
     the row pairs one at a time in the order of _rounds(m).  A state is NPT
     when its partial transpose over the split has an eigenvalue below
     -1e-10.  The split names subsystems of rho.sig.dims.
@@ -943,13 +1009,13 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
             rng = np.random.Generator(np.random.PCG64(_restart_seed(cfg.seed, j)))
             gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
             u = np.linalg.qr(gauss)[0][:, :rank]
-        total, u, conv = _restart(u, qf, ppt, lower if two_qubit else None)
-        restarts_used = j + 1
-        # off a (2, 2) signature a rank-2 state is certified from restart
-        # 0's ensemble
+        # off a (2, 2) signature a rank-2 state is certified at restart 0
         if j == 0 and rank == 2 and not two_qubit:
-            lower = _rank2_lower(evals[idx], vecs[:, idx],
-                                 u * np.sqrt(evals[idx]), dims, split)
+            total, u, conv, lower = _rank2_restart(
+                u, qf, ppt, evals[idx], vecs[:, idx], dims, split)
+        else:
+            total, u, conv = _restart(u, qf, ppt, lower if two_qubit else None)
+        restarts_used = j + 1
         if best_total is None or total < best_total - STEP_TOLERANCE:
             stalled = 0
         else:

@@ -634,6 +634,94 @@ def test_rank2_certificate_brackets_w_class_residuals(rng):
         assert rank2_lower(rho, ensemble_rows(res)) == res.lower
 
 
+def chain_marginal(s):
+    """The A,B,C marginal of haar_random_pure(4, s), whose A | BC roof is
+    verify chain's residual."""
+    return partial_trace(to_density(haar_random_pure(4, s)), (0, 1, 2))
+
+
+def chain_roof(s):
+    return convex_roof(chain_marginal(s), concurrence_functional((0,)), "min",
+                       RoofConfig(restarts=8, seed=s))
+
+
+def test_rank2_roofs_end_at_restart_0_on_the_fitted_ensemble():
+    # restart 0 sweeps once and the KKT fit to that ensemble is accepted:
+    # the fitted ensemble closes the bracket to the rounding margin and the
+    # roof stops there
+    for s in range(1, 41):
+        res = chain_roof(s)
+        assert (res.restarts_used, res.converged) == (1, True)
+        assert 0.0 < res.value - res.lower <= 1e-12
+
+
+@pytest.mark.parametrize("keep", [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+def test_rank2_roof_meets_the_w_class_closed_form(keep, rng):
+    # the marginal on qubits keep of c_0|1000> + c_1|0100> + c_2|0010> +
+    # c_3|0001> has the exact residual 2 |c_0| sqrt(sum_{j in K} |c_j|^2)
+    # across qubit 0, K the other kept qubits
+    for k in range(5):
+        c = np.abs(rng.standard_normal(4)) * np.exp(2j * np.pi * rng.random(4))
+        c /= np.linalg.norm(c)
+        amps = np.zeros(16, dtype=complex)
+        amps[[8, 4, 2, 1]] = c
+        rho = partial_trace(to_density(PureState(amps, 4)), keep)
+        exact = 2 * abs(c[0]) * np.linalg.norm(c[list(keep[1:])])
+        res = convex_roof(rho, concurrence_functional((0,)), "min",
+                          RoofConfig(restarts=8, seed=k))
+        assert abs(res.value - exact) <= 1e-12
+        assert 0.0 < res.value - res.lower <= 1e-12
+        assert res.restarts_used == 1
+
+
+def force_fit_failure(monkeypatch, how):
+    """Makes every KKT fit report a residual of 1 ("residual") or its
+    first weight negated ("weight"), its plane unchanged."""
+    fit = msr._kkt_fit
+
+    def failed(*args):
+        err, a, beta, p, r = fit(*args)
+        if how == "residual":
+            return 1.0, a, beta, p, r
+        return err, a, beta, np.concatenate([-p[:1], p[1:]]), r
+
+    monkeypatch.setattr(msr, "_kkt_fit", failed)
+
+
+def test_fitted_roof_is_never_above_its_fallback(monkeypatch):
+    fitted = [chain_roof(s).value for s in range(1, 41)]
+    force_fit_failure(monkeypatch, "residual")
+    swept = [chain_roof(s).value for s in range(1, 41)]
+    assert all(f <= v for f, v in zip(fitted, swept))
+    assert sum(f < v for f, v in zip(fitted, swept)) > 30
+
+
+# the chain-residual roofs of D8_RESIDUAL_BITS when restart 0 keeps its
+# swept ensemble, as every rank-2 roof did before the KKT fit's ensemble
+# was kept: the value as float.hex, the SHA-256 of the ensemble rows and
+# restarts_used.  9 is certified at restart 2 and 21 and 33 at restart 0;
+# 8 is not certified (value - lower = 1.1e-9), so it runs the stall rule
+D8_FALLBACK_BITS = {
+    8: ("0x1.4a155f699155ap-1",
+        "55a53e7af4cc946f2e72be3068a7ecb52fe43dec1e8630446bbe9c90c8424a74", 4),
+    9: ("0x1.90a575bb16bdcp-1",
+        "d7cebad4161c681e18df3b22b5aa2548d520a91ba4324ba3b33544a0427423d6", 2),
+    21: ("0x1.8748b1fd55d42p-1",
+         "df3aaedcf4b7127343b3f837c4cd3bee2ac04d597bd4fd7a162e894b5e35f458", 1),
+    33: ("0x1.69a3916be1200p-1",
+         "7044e97474a5af5cbdf5a21e94a645137643ea5c637197260bb25d2bc2fbf5e5", 1),
+}
+
+
+@pytest.mark.parametrize("how", ["residual", "weight"])
+@pytest.mark.parametrize("s", list(D8_FALLBACK_BITS))
+def test_failed_fit_falls_back_to_the_swept_restart(monkeypatch, s, how):
+    force_fit_failure(monkeypatch, how)
+    res = chain_roof(s)
+    digest = hashlib.sha256(ensemble_rows(res).tobytes()).hexdigest()
+    assert (res.value.hex(), digest, res.restarts_used) == D8_FALLBACK_BITS[s]
+
+
 def test_a_lifted_plane_fails_the_exact_check():
     for s in (9, 21, 33):
         quad, a, beta, _ = d8_plane(s)
