@@ -23,6 +23,8 @@ from entbounds.states import (
     w_class_state,
 )
 
+from conftest import rand_density
+
 S6 = float(np.sqrt(6.0) / 6.0)
 EX1_BUILDER = f"schmidt:0.5,{S6!r},{S6!r},0.5,{S6!r}"
 EX2_BUILDER = "wclass:0.5,0.5,0.7071067811865476"
@@ -924,13 +926,17 @@ def test_out_file_writing(tmp_path, capsys):
 
 def test_roof_restarts_only_on_measure(tmp_path, capsys):
     # only measure runs a roof that the flag can size: the concurrence of a
-    # density matrix other than 2 x 2.  The A,B,C marginal of seed 8 misses
-    # its rank-2 certificate at restart 0 and meets it at restart 1, so the
-    # flag caps it; seed 21's is certified at restart 0 under any cap
-    for s, flag, used in ((8, "1", 1), (8, "2", 2), (21, "2", 1)):
-        path = tmp_path / f"marginal{s}.json"
-        save_state(partial_trace(to_density(haar_random_pure(4, s)), (0, 1, 2)),
-                   str(path))
+    # density matrix other than 2 x 2.  A rank-3 three-qubit state has no
+    # certified lower end, so the flag caps its restarts; the rank-2 A,B,C
+    # marginals of seeds 8 and 21 are certified at restart 0 under any cap
+    rank3 = rand_density(np.random.default_rng(0), (2, 2, 2), rank=3)
+    marginals = {s: partial_trace(to_density(haar_random_pure(4, s)), (0, 1, 2))
+                 for s in (8, 21)}
+    for name, rho, flag, used in (("rank3", rank3, "1", 1), ("rank3", rank3, "2", 2),
+                                  ("marginal8", marginals[8], "2", 1),
+                                  ("marginal21", marginals[21], "2", 1)):
+        path = tmp_path / f"{name}.json"
+        save_state(rho, str(path))
         code, out = run_cli(["measure", "--state", str(path), "--measure",
                              "concurrence", "--roof-restarts", flag], capsys)
         assert code == 0
@@ -1003,10 +1009,12 @@ GOLDEN = {
         ["bound", "--builder", EX2_BUILDER, "--kind", "polygamy",
          "--beta", "1", "--delta", "0.8"],
         "dcc54c152e4687c1bb9b1c06d70470bf8d136150837899bf033149868e98406d", 0),
-    # min-roof residuals at the suite's fixed restart count
+    # min-roof residuals at the suite's fixed restart count, recorded when
+    # rank-2 roofs came to keep the KKT fit's ensemble (min_slack moved by
+    # 9.8e-13)
     "verify-chain": (
         ["verify", "--suite", "chain", "--trials", "4", "--seed", "13"],
-        "8fdc3f011637a4340de077ee4a686c304413cb8ff99cdd8f79df82bcb7c28b8c", 0),
+        "39b95a5fd2bd46f4a23a644064c55db6ac951713c77b2d181b30d2b34d9f01c7", 0),
     # additive SCRENoA polygamy on Haar and W-class states
     "verify-polygamy": (
         ["verify", "--suite", "polygamy", "--trials", "40", "--seed", "7"],

@@ -760,7 +760,8 @@ def test_rank2_margin_grows_16_fold_per_failed_check(monkeypatch):
 def test_rank2_roof_without_a_certificate_runs_the_stall_rule(monkeypatch):
     # no margin up to 1e-6 passes after six checks (2^-40 ... 2^-20): no
     # lower end, and the roof stops on the stall rule instead, the
-    # STALL_RESTARTS after its best restart, the one the certificate met
+    # STALL_RESTARTS after its best restart, restart 0, which keeps the
+    # KKT fit's ensemble whether or not its plane passes the check
     rho = oracle_states()["d8"]
     cfg = RoofConfig(restarts=8, seed=11)
     certified = convex_roof(rho, concurrence_functional((0,)), "min", cfg)
@@ -775,7 +776,7 @@ def test_rank2_roof_without_a_certificate_runs_the_stall_rule(monkeypatch):
     assert len(checked) == 6
     res = convex_roof(rho, concurrence_functional((0,)), "min", cfg)
     assert res.lower is None and certified.lower is not None
-    assert certified.restarts_used == 3
+    assert certified.restarts_used == 1
     assert res.restarts_used == certified.restarts_used + msr.STALL_RESTARTS
     assert res.value == certified.value
 
@@ -1083,6 +1084,20 @@ def seq_product_polish(u, qf, target=None):
     return u
 
 
+def seq_bloch_coef(p, r):
+    """Rows sqrt(p_i) (c_0, c_1) of the members at Bloch points r_i, each
+    in the chart of its nearer pole."""
+    rows = np.zeros((len(p), 2), dtype=complex)
+    for i, (x, y, z) in enumerate(r):
+        if z >= 0:
+            c0 = np.sqrt((1.0 + z) / 2.0)
+            rows[i] = [c0, (x + 1j * y) / (2.0 * c0)]
+        else:
+            c1 = np.sqrt((1.0 - z) / 2.0)
+            rows[i] = [(x - 1j * y) / (2.0 * c1), c1]
+    return np.sqrt(p)[:, None] * rows
+
+
 def sequential_convex_roof(rho, cfg):
     """(value, ensemble rows sqrt(p_i) psi_i, restarts_used, converged,
     lower) of the concurrence roof over split (0,), restarts run one at a
@@ -1107,21 +1122,8 @@ def sequential_convex_roof(rho, cfg):
             return total_c, cand, True
         return total, u, conv
 
-    # on two qubits the Wootters concurrence certifies the roof from below,
-    # elsewhere at rank 2 the plane fitted to restart 0's ensemble does
-    lower = wootters_lower(rho) if n_qubits == 2 else None
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    best_total = best_u = None
-    best_conv = False
-    restarts_used = stalled = 0
-    for j in range(cfg.restarts):
-        restarts_used = j + 1
-        if j == 0:
-            u = np.eye(m, rank, dtype=complex)
-        else:
-            rng = np.random.Generator(np.random.PCG64(seeds[j]))
-            gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-            u = np.linalg.qr(gauss)[0][:, :rank]
+    def swept_restart(u):
+        """Total, isometry and converged flag of a restart from u."""
         stage1 = msr.MAX_SWEEPS if npt else 15
         total, u, conv = seq_optimize_ensemble(u, qf, stage1)
         if npt and n_qubits == 2:
@@ -1141,10 +1143,46 @@ def sequential_convex_roof(rho, cfg):
                 if t3 < total:
                     total, u, conv = t3, u3, c3
                 total, u, conv = try_polish(total, u, conv)
-        if j == 0 and rank == 2 and n_qubits > 2:
-            lower = msr._rank2_lower(evals[idx], vecs[:, idx],
-                                     u * np.sqrt(evals[idx]),
-                                     (2,) * n_qubits, (0,))
+        return total, u, conv
+
+    # on two qubits the Wootters concurrence certifies the roof from below,
+    # elsewhere at rank 2 the plane fitted to restart 0's ensemble does
+    lower = wootters_lower(rho) if n_qubits == 2 else None
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    best_total = best_u = None
+    best_conv = False
+    restarts_used = stalled = 0
+    for j in range(cfg.restarts):
+        restarts_used = j + 1
+        if j == 0:
+            u = np.eye(m, rank, dtype=complex)
+        else:
+            rng = np.random.Generator(np.random.PCG64(seeds[j]))
+            gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+            u = np.linalg.qr(gauss)[0][:, :rank]
+        certified_here = j == 0 and rank == 2 and n_qubits > 2
+        fitted = None
+        if certified_here and npt:
+            # one sweep, then the KKT fit to that ensemble; a converged fit
+            # with positive weights gives the ensemble when it is no worse
+            swept_total, swept, _ = seq_optimize_ensemble(u, qf, 1)
+            lower, (err, _, _, p, r) = msr._rank2_fit(
+                evals[idx], vecs[:, idx], swept * np.sqrt(evals[idx]),
+                (2,) * n_qubits, (0,))
+            if err <= 1e-13 and np.all(p > 0):
+                fitted = np.zeros_like(u)
+                fitted[:len(p)] = seq_bloch_coef(p, r) / np.sqrt(evals[idx])
+                total = float(msr._weights(seq_member_minors(fitted, qf)[1]).sum())
+                if total > swept_total:
+                    fitted = None
+        if fitted is not None:
+            u, conv = fitted, True
+        else:
+            total, u, conv = swept_restart(u)
+            if certified_here:
+                lower = msr._rank2_lower(evals[idx], vecs[:, idx],
+                                         u * np.sqrt(evals[idx]),
+                                         (2,) * n_qubits, (0,))
         if best_total is None or total < best_total - msr.STEP_TOLERANCE:
             stalled = 0
         else:
@@ -1267,8 +1305,8 @@ def test_min_roof_polishes_inside_each_restart(monkeypatch, max_sweeps):
     # rule judges polished totals; on more qubits no polish runs at all.
     # PPT states (separable, or Horodecki's) still polish every restart.
     # With its polish restart 0 meets the Wootters certificate on d4 and
-    # q2r3; d8's rank-2 certificate, missed at restart 0, is met at
-    # restart 2
+    # q2r3; d8's restart 0 sweeps once and keeps the KKT fit's ensemble,
+    # which meets its rank-2 certificate
     calls = []
     optimize, polish = msr._optimize_ensemble, msr._product_polish
 
@@ -1293,7 +1331,7 @@ def test_min_roof_polishes_inside_each_restart(monkeypatch, max_sweeps):
             assert calls == ["sweep"] * res.restarts_used
         else:
             assert calls == ["sweep", "polish"] * res.restarts_used
-    assert used == {"d4": 1, "q2r3": 1, "d8": 3}
+    assert used == {"d4": 1, "q2r3": 1, "d8": 1}
     max_sweeps(15)  # the budget of the PPT oracle cases
     for name in ("sep", "ppt"):
         calls.clear()
@@ -1324,21 +1362,19 @@ def test_rounds_cover_every_pair_once_in_disjoint_rounds(m):
 
 # chain-residual min roofs, A|BC of haar_random_pure(4, s) with verify
 # chain's 8 restarts: the value as float.hex, the SHA-256 of the ensemble
-# rows and restarts_used, recorded with the rank-2 certificate.  9 is
-# certified at restart 2 and 21 at restart 0, each within STEP_TOLERANCE
-# of its lower end and so at most that far above the earlier 4- and
-# 5-restart values; 33 is certified at restart 0, which was already the
-# best.  8 is not certified (value - lower = 1.1e-9), so it runs the stall
-# rule and keeps the bits it had without the certificate
+# rows and restarts_used, recorded when restart 0 came to keep the KKT
+# fit's ensemble.  Each roof is certified at restart 0, 9.1e-13 above its
+# lower end, and each value is 3.5e-13 to 1.1e-9 below its swept one
+# (D8_FALLBACK_BITS), of which 8 was not certified and 9 only at restart 2
 D8_RESIDUAL_BITS = {
-    8: ("0x1.4a155f699155ap-1",
-        "55a53e7af4cc946f2e72be3068a7ecb52fe43dec1e8630446bbe9c90c8424a74", 4),
-    9: ("0x1.90a575bb16bdcp-1",
-        "d7cebad4161c681e18df3b22b5aa2548d520a91ba4324ba3b33544a0427423d6", 2),
-    21: ("0x1.8748b1fd55d42p-1",
-         "df3aaedcf4b7127343b3f837c4cd3bee2ac04d597bd4fd7a162e894b5e35f458", 1),
-    33: ("0x1.69a3916be1200p-1",
-         "7044e97474a5af5cbdf5a21e94a645137643ea5c637197260bb25d2bc2fbf5e5", 1),
+    8: ("0x1.4a155f60286c4p-1",
+        "791b6c1a87e5c1138ddcac18c696cb4bc386133a4cd934453b238658386a7329", 1),
+    9: ("0x1.90a575b550acap-1",
+        "c003b64db9686b39e789b1147c21f4c8dea852e038e1271fcd3ab7812e45bbbf", 1),
+    21: ("0x1.8748b1fb72ca0p-1",
+         "fd7e8de140a9e0b1037033d316a54682d8ec2f2f733766379a8c7e8af5abb3eb", 1),
+    33: ("0x1.69a3916bdff9cp-1",
+         "cc496a1201a0c3a2470ace19d2a8255e1a3017c6f84b50e29bc444d6e2bf4f0d", 1),
 }
 
 
@@ -1350,8 +1386,8 @@ def test_chain_residual_roofs_keep_their_bits(s):
     digest = hashlib.sha256(ensemble_rows(res).tobytes()).hexdigest()
     assert (res.value.hex(), digest, res.restarts_used) == D8_RESIDUAL_BITS[s]
     assert 0.0 < res.lower <= res.value
-    # certified exactly when the rule stopped on the lower end
-    assert (res.value - res.lower <= msr.STEP_TOLERANCE) == (s != 8)
+    # certified to the rounding margin by the fitted ensemble
+    assert res.value - res.lower <= 1e-12
 
 
 def npt_restart_starts(rho, cfg):
