@@ -22,8 +22,9 @@ Levenberg-Marquardt polish.  A sweep visits every row pair once, one
 pair at a time, in the order of the rounds of disjoint pairs of the circle
 method (Brent and Luk, SIAM J. Sci. Stat. Comput. 6, 69, 1985).
 Restarts derive independent sub-seeds from the configured seed, each as
-it starts, and run one at a time (first-best wins), so results are reproducible and safe
-for concurrent use; RoofConfig sets only their number and seed.  One
+it starts, and run one at a time (first-best wins), so results are
+reproducible and safe for concurrent use; RoofConfig sets only their
+number and seed.  One
 stop rule ends the restarts at a certified lower end: once the best
 value is within STEP_TOLERANCE of it, no restart can gain more.  On a
 (2, 2) signature the Wootters concurrence is the exact roof and that
@@ -739,14 +740,19 @@ def _secular_points(mu: np.ndarray, gt: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         e = mu[None, :] - mu[:2, None]  # offsets from poles 0 and 1
         gap = np.diag(e, 1)
+        # phi's minimum between poles j and j + 1 lies above x where
+        # phi'(x) = 2 sum w2 / (e - x)^3 < 0
         xm = _bisect(lambda x: (w2 / (e - x[:, None]) ** 3).sum(axis=1) < 0.0,
                      np.zeros(2), gap)
         for j in (0, 1):
             pieces += [(j, 0.0, xm[j], False), (j, xm[j], gap[j], True)]
         k, lo, hi, inc = (np.array(c) for c in zip(*pieces))
         e = mu[None, :] - mu[k][:, None]
-        x = _bisect(lambda x: ((w2 / (e - x[:, None]) ** 2).sum(axis=1) < 1.0) == inc,
-                    lo, hi)
+
+        def above(x):  # the root lies above x: phi < 1 there iff it rises
+            return ((w2 / (e - x[:, None]) ** 2).sum(axis=1) < 1.0) == inc
+
+        x = _bisect(above, lo, hi)
         pts = -gt / (e - x[:, None])
     return pts[np.isfinite(pts).all(axis=1)]
 

@@ -655,6 +655,18 @@ def test_rank2_roofs_end_at_restart_0_on_the_fitted_ensemble():
         assert 0.0 < res.value - res.lower <= 1e-12
 
 
+@pytest.mark.parametrize("s", [3, 8, 9, 21, 33])
+def test_rank2_roof_agrees_across_splits_of_one_cut(s):
+    # (0,) and (1, 2) name the same A | BC cut; both roofs end on the
+    # fitted ensemble, within the rounding margin of the same roof (swept
+    # to a 1e-9 stop, seed 9's values differed by 2.1e-10)
+    rho = chain_marginal(s)
+    a, b = (convex_roof(rho, concurrence_functional(split), "min",
+                        RoofConfig(restarts=8, seed=1)).value
+            for split in ((0,), (1, 2)))
+    assert abs(a - b) <= 2e-12
+
+
 @pytest.mark.parametrize("keep", [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
 def test_rank2_roof_meets_the_w_class_closed_form(keep, rng):
     # the marginal on qubits keep of c_0|1000> + c_1|0100> + c_2|0010> +
