@@ -711,10 +711,10 @@ def _fit_plane(quad, p: np.ndarray, r: np.ndarray, target: np.ndarray):
     return _kkt_fit(quad, p, r, target)[1:3]
 
 
-def _bisect(above, lo, hi, iters=128):
-    """Midpoints of [lo, hi] after iters halvings, keeping the half where
-    above(mid) says the sought point lies above mid."""
-    for _ in range(iters):
+def _bisect(above, lo, hi):
+    """Midpoints of [lo, hi] after 128 halvings (a factor 3e-39), keeping
+    the half where above(mid) says the sought point lies above mid."""
+    for _ in range(128):
         mid = 0.5 * (lo + hi)
         up = above(mid)
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
