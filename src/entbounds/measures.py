@@ -17,10 +17,11 @@ formula.  Decompositions of a rank-r state are m x r isometries u acting
 on its eigendecomposition ensemble, m = r^2.  For any split, C^2 =
 4 sum |2 x 2 minors|^2 (Cauchy-Binet; Wootters, PRL 80, 2245, 1998), and
 each member's minors are one quadratic form u_i^T Q u_i, so Q gives the
-objective, closed-form Givens-rotation line searches and the
-Levenberg-Marquardt polish.  A sweep visits every row pair once, one
-pair at a time, in the order of the rounds of disjoint pairs of the circle
-method (Brent and Luk, SIAM J. Sci. Stat. Comput. 6, 69, 1985).
+objective, closed-form Givens-rotation line searches, the closed-form
+derivatives of a Newton step on one row pair and the Levenberg-Marquardt
+polish.  A sweep visits every row pair once, one pair at a time, in the
+order of the rounds of disjoint pairs of the circle method (Brent and
+Luk, SIAM J. Sci. Stat. Comput. 6, 69, 1985).
 Restarts derive independent sub-seeds from the configured seed, each as
 it starts, and run one at a time (first-best wins), so results are
 reproducible and safe for concurrent use; RoofConfig sets only their
@@ -43,10 +44,12 @@ The polish works on one isometry at a time, inside a restart, and looks
 for a split-product ensemble, a zero roof.  A state whose partial
 transpose over the split has an eigenvalue below -1e-10 is NPT, hence
 entangled (Peres), and has none: each of its restarts (but a fitted
-restart 0) is one run of sweeps, followed on a (2, 2) signature by one
-polish that stops within POLISH_TOLERANCE of the Wootters lower end, and
-is skipped when the sweeps already end there; elsewhere the polish's
-objective does not share the roof's minimizers and none runs.
+restart 0) is one run of sweeps.  On a (2, 2) signature a restart whose
+sweeps end more than POLISH_TOLERANCE above the Wootters lower end then
+runs a Newton pass on its row pairs, whose optimum lies in a valley too
+flat for the sweeps' finest angle, and, if that still misses, one polish;
+both stop within POLISH_TOLERANCE of that end.  Elsewhere the polish's
+objective does not share the roof's minimizers and neither runs.
 
 A split is the first block of a bipartition: indices into the dims of a
 density matrix or the qubits of a pure state, checked by _check_split.
@@ -113,12 +116,16 @@ def _wootters_mu(rho_mat: np.ndarray) -> np.ndarray:
     ~1e-14 (the direct Hermitian pipeline turns eigenvalue noise into
     sqrt-scale errors on the zero modes).  Missing values are exact zeros.
     """
-    evals, vecs = np.linalg.eigh(rho_mat)
+    return _wootters_spectrum(*np.linalg.eigh(rho_mat))
+
+
+def _wootters_spectrum(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """_wootters_mu from the eigendecomposition (evals, vecs) of rho."""
     idx = evals > 1e-14
     psi = vecs[:, idx] * np.sqrt(evals[idx])
     tau = psi.T @ _YY @ psi
     sv = np.linalg.svd(tau, compute_uv=False)
-    mu = np.zeros(rho_mat.shape[0])
+    mu = np.zeros(len(evals))
     mu[: len(sv)] = np.sort(sv)[::-1]
     return mu
 
@@ -218,9 +225,10 @@ class RoofResult:
     rank-2 state, whether or not the value met it (None if its exact
     check failed), and None at higher rank.  A roof certified at restart
     0 has restarts_used 1.  converged says only that the best restart's
-    last sweep gained less than STEP_TOLERANCE, that a polish of it was
-    kept or that it is a fitted restart 0; it does not mean the value is
-    settled, as other restarts may end in other local minima."""
+    last sweep gained less than STEP_TOLERANCE, that a Newton pass or a
+    polish of it was kept or that it is a fitted restart 0; it does not
+    mean the value is settled, as other restarts may end in other local
+    minima."""
 
     value: float
     ensemble: Ensemble
@@ -336,8 +344,13 @@ STALL_RESTARTS = 3
 # at most this share of it: the cost is then flat to rounding
 POLISH_MIN_REDUCTION = 1e-15
 # a two-qubit NPT restart whose total is within this of the Wootters lower
-# end skips its polish, and a polish stops there: nothing more is to gain
+# end skips its Newton pass and polish, and each stops there: nothing more
+# is to gain
 POLISH_TOLERANCE = 1e-13
+# a two-qubit NPT restart's Newton pass visits the row pairs this many
+# times at most, each pair taking this many Newton steps at most
+NEWTON_PASSES = 2
+NEWTON_STEPS = 3
 
 
 def _optimize_ensemble(u, qf, iters):
@@ -408,16 +421,100 @@ def _sweep(u, qu, mu, w, qf):
                     dt = max(dt / 3.0, abs(t0) * 1e-3 + 1e-6)
                 else:
                     dt /= 3.0
-            c, s = np.cos(t0), np.sin(t0) * np.exp(1j * p0)
-            rows = np.array([c * u[a] + s * u[b], c * u[b] - s.conj() * u[a]])
-            qu_ab, mu_ab = _member_minors(rows, qf)
-            w_ab = _weights(mu_ab)
-            new = w_ab[0] + w_ab[1]
-            if new < cur:
-                for x, x_ab in (u, rows), (qu, qu_ab), (mu, mu_ab), (w, w_ab):
-                    x[a], x[b] = x_ab
-                gain += cur - new
+            gain += _rotate_pair(u, qu, mu, w, qf, a, b,
+                                 np.cos(t0), np.sin(t0) * np.exp(1j * p0))
     return gain
+
+
+def _rotate_pair(u, qu, mu, w, qf, a, b, c, s):
+    """Rotate rows a and b of the isometry u in place to c u_a + s u_b and
+    c u_b - conj(s) u_a, with their qu, mu and w, when the recomputed pair
+    objective falls; returns how much it fell, else 0.0."""
+    cur = w[a] + w[b]
+    rows = np.array([c * u[a] + s * u[b], c * u[b] - s.conj() * u[a]])
+    qu_ab, mu_ab = _member_minors(rows, qf)
+    w_ab = _weights(mu_ab)
+    new = w_ab[0] + w_ab[1]
+    if not new < cur:
+        return 0.0
+    for x, x_ab in (u, rows), (qu, qu_ab), (mu, mu_ab), (w, w_ab):
+        x[a], x[b] = x_ab
+    return cur - new
+
+
+def _pair_derivatives(coef):
+    """Gradient (2,) and Hessian (2, 2) of ||P|| + ||R||, half the pair
+    objective of _givens_values, in (x, y) at s = x + iy = 0, where the
+    rotation of _givens_grid has c = sqrt(1 - |s|^2); coef (3, K) stacks
+    A = mu_a, X = 2 a^T Q b and B = mu_b.
+
+    P = c^2 A + cs X + s^2 B has P_x = X, P_y = iX, P_xx = 2(B - A), P_yy
+    = -2(A + B) and P_xy = 2iB at s = 0; R = conj(s)^2 A - c conj(s) X +
+    c^2 B has R_x = -X, R_y = iX, R_xx = 2(A - B), R_yy = -2(A + B) and
+    R_xy = -2iA.  Both members need ||P||, ||R|| > 0."""
+    a, x, b = coef
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    ab, xa, xb = np.vdot(a, b), np.vdot(a, x), np.vdot(b, x)
+    xx = np.vdot(x, x).real
+    # Re <P, P_ij> + <P_i, P_j> without the -2 ||P||^2 I, shared by R
+    shared = np.array([[xx + 2 * ab.real, -2 * ab.imag],
+                       [-2 * ab.imag, xx - 2 * ab.real]])
+    ga = np.array([xa.real, -xa.imag]) / na
+    gb = np.array([-xb.real, -xb.imag]) / nb
+    hess = ((shared - 2 * na * na * np.eye(2) - np.outer(ga, ga)) / na
+            + (shared - 2 * nb * nb * np.eye(2) - np.outer(gb, gb)) / nb)
+    return ga + gb, hess
+
+
+def _newton_pass(total, u, qf, target):
+    """(total, u, kept) after Newton steps on the row pairs of the
+    isometry u (m, r) at the total its sweeps reached, kept only when a
+    step was taken and the total fell; works on a copy of u.
+
+    At most NEWTON_PASSES passes visit the row pairs in the order of
+    _rounds(m), each pair whose two weights are above 0 (a zero row and a
+    product member have no smooth pair objective) taking up to
+    NEWTON_STEPS steps.  A step solves the pair's 2 x 2 Newton system
+    (_pair_derivatives) by pseudo-inverse: eigenvalues of the Hessian below
+    1e-6 of the largest, the flat valley of the optimum, are dropped.  A
+    step of |s| >= 0.5 is rejected, and a step is kept only when the
+    recomputed pair objective falls (_rotate_pair).  The pass stops once
+    the total is within POLISH_TOLERANCE of target, or after a pass that
+    gains nothing."""
+    v = u.copy()
+    qu, mu = _member_minors(v, qf)
+    w = _weights(mu)
+    pairs = [(a, b) for ra, rb in _rounds(len(v))
+             for a, b in zip(ra.tolist(), rb.tolist())]
+    moved = False
+    for _ in range(NEWTON_PASSES):
+        gain = 0.0
+        for a, b in pairs:
+            for _step in range(NEWTON_STEPS):
+                if (not (w[a] > 0 and w[b] > 0)
+                        or w.sum() - target <= POLISH_TOLERANCE):
+                    break
+                grad, hess = _pair_derivatives(
+                    np.array([mu[a], 2.0 * (v[a] @ qu[b]), mu[b]]))
+                lam, vec = np.linalg.eigh(hess)
+                if not lam[-1] > 0:
+                    break
+                keep = lam > 1e-6 * lam[-1]
+                step = -vec[:, keep] @ ((vec[:, keep].T @ grad) / lam[keep])
+                s = step[0] + 1j * step[1]
+                if not abs(s) < 0.5:
+                    break
+                fell = _rotate_pair(v, qu, mu, w, qf, a, b,
+                                    np.sqrt(1.0 - abs(s) ** 2), s)
+                if not fell > 0:
+                    break
+                gain += fell
+        moved = moved or gain > 0
+        if not gain > 0 or w.sum() - target <= POLISH_TOLERANCE:
+            break
+    if moved and w.sum() < total:
+        return w.sum(), v, True
+    return total, u, False
 
 
 def _qr_retract(x: np.ndarray) -> np.ndarray:
@@ -469,7 +566,10 @@ def _product_polish(u, qf, target=None):
     accepted step that lowers the cost by at most POLISH_MIN_REDUCTION
     times the cost (the relative-reduction test of MINPACK's lmder), or,
     given a certified lower end target of the roof, after an accepted step
-    whose total is within POLISH_TOLERANCE of it.
+    whose total is within POLISH_TOLERANCE of it.  Its objective is not
+    the roof's: on a restart near the roof's minimum its first accepted
+    step can lift the total and the rest crawl back, so a two-qubit NPT
+    restart runs it only where its Newton pass (_newton_pass) misses.
     """
     qu, mu = _member_minors(u, qf)
     cost = float(np.sum(mu.real ** 2 + mu.imag ** 2))
@@ -516,18 +616,23 @@ def _try_polish(total, u, qf, target=None):
 
 def _restart(u, qf, ppt, target):
     """Total, isometry and converged flag of the restart that starts at the
-    isometry u (m, r).  A polish is kept only when it lowers the total, and
-    a kept polish marks the restart converged.
+    isometry u (m, r).  A Newton pass or a polish is kept only when it
+    lowers the total, and a kept one marks the restart converged.
 
     An NPT state (not ppt) is entangled (Peres) and has no split-product
     ensemble, so the restart is one run of up to MAX_SWEEPS sweeps, then
-    one polish on a (2, 2) signature, where target is the Wootters lower
-    end, and none elsewhere (target None).  With one minor per member the
-    polish's sum of |minor|^2 is at least (sum |minor|)^2 / m, with
-    equality at Wootters' equal-concurrence optimal ensembles, so it
-    shares the roof's minimizers; with more minors per member it does not.
-    A swept total within POLISH_TOLERANCE of target skips the polish, and
-    the polish stops there: the certificate leaves nothing more to gain.
+    on a (2, 2) signature, where target is the Wootters lower end, a
+    Newton pass on the row pairs (_newton_pass) and one polish, and
+    neither elsewhere (target None).  The sweeps stall 1e-12 to 1e-9 above
+    a rank-2 state's roof, in a valley of the pair objective too flat for
+    their finest angle, where Newton ends within rounding; a rank-3 or
+    rank-4 state's pairs are coupled, and its polish finishes.  With one
+    minor per member the polish's sum of |minor|^2 is at least (sum
+    |minor|)^2 / m, with equality at Wootters' equal-concurrence optimal
+    ensembles, so it shares the roof's minimizers; with more minors per
+    member it does not.  Each runs only while the total is more than
+    POLISH_TOLERANCE above target, and stops there: the certificate
+    leaves nothing more to gain.
     A PPT state sweeps 15 times and tries the zero-roof polish (the
     concurrence vanishes exactly on split-product states); after a kept
     polish 10 consolidating sweeps are enough, none at a zero roof,
@@ -535,8 +640,11 @@ def _restart(u, qf, ppt, target):
     if not ppt:
         total, u, conv = _optimize_ensemble(u, qf, MAX_SWEEPS)
         if target is not None and total - target > POLISH_TOLERANCE:
-            total, u, kept = _try_polish(total, u, qf, target)
+            total, u, kept = _newton_pass(total, u, qf, target)
             conv = conv or kept
+            if total - target > POLISH_TOLERANCE:
+                total, u, kept = _try_polish(total, u, qf, target)
+                conv = conv or kept
         return total, u, conv
     total, u, conv = _optimize_ensemble(u, qf, 15)
     total, u, kept = _try_polish(total, u, qf)
@@ -958,9 +1066,9 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     there.  Otherwise, and as fallbacks, it stops once the roof reaches
     zero or after STALL_RESTARTS in a row fail to lower the best by more
     than STEP_TOLERANCE.  Restarts run one at a time (_restart, whose
-    polishes all run inside it), each deriving its sub-seed only when it
-    runs (_restart_seed); the rule is checked after each, and
-    restarts_used counts those that ran.  Each sweep runs
+    Newton passes and polishes all run inside it), each deriving its
+    sub-seed only when it runs (_restart_seed); the rule is checked after
+    each, and restarts_used counts those that ran.  Each sweep runs
     the row pairs one at a time in the order of _rounds(m).  A state is NPT
     when its partial transpose over the split has an eigenvalue below
     -1e-10.  The split names subsystems of rho.sig.dims.
@@ -1004,7 +1112,7 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
         # the Wootters value rounded down by 64 ulp of sum mu: rounding
         # put the roof's value below it by up to 3 ulp of sum mu on the
         # acceptance-7 and roof-min inputs
-        mu = _wootters_mu(rho.mat)
+        mu = _wootters_spectrum(evals, vecs)
         lower = max(0.0, float(2.0 * mu[0] - mu.sum()
                                - 64 * np.finfo(float).eps * mu.sum()))
     ppt = bool(np.linalg.eigvalsh(_transpose_split(rho, split))[0] > -1e-10)

@@ -1096,6 +1096,66 @@ def seq_product_polish(u, qf, target=None):
     return u
 
 
+def seq_newton_step(u, qu, mu, a, b):
+    """Newton step s = x + iy of the pair (a, b) at s = 0, or None."""
+    pa, x, pb = mu[a], 2.0 * (u[a] @ qu[b]), mu[b]
+    na, nb = np.linalg.norm(pa), np.linalg.norm(pb)
+    ab, xa, xb = np.vdot(pa, pb), np.vdot(pa, x), np.vdot(pb, x)
+    xx = np.vdot(x, x).real
+    shared = np.array([[xx + 2 * ab.real, -2 * ab.imag],
+                       [-2 * ab.imag, xx - 2 * ab.real]])
+    grad_a = np.array([xa.real, -xa.imag]) / na
+    grad_b = np.array([-xb.real, -xb.imag]) / nb
+    hess_a = (shared - 2 * na * na * np.eye(2) - np.outer(grad_a, grad_a)) / na
+    hess_b = (shared - 2 * nb * nb * np.eye(2) - np.outer(grad_b, grad_b)) / nb
+    lam, vec = np.linalg.eigh(hess_a + hess_b)
+    if lam[-1] <= 0:
+        return None
+    # the flat valley: eigenvalues below 1e-6 of the largest are dropped
+    kept = lam > 1e-6 * lam[-1]
+    step = -vec[:, kept] @ ((vec[:, kept].T @ (grad_a + grad_b)) / lam[kept])
+    s = step[0] + 1j * step[1]
+    return s if abs(s) < 0.5 else None
+
+
+def seq_newton_pass(total, u, qf, target):
+    """(total, u, moved) after at most 2 passes of up to 3 Newton steps per
+    row pair, pairs in the order of _rounds(m), stopped at target."""
+    v = u.copy()
+    qu, mu = seq_member_minors(v, qf)
+    w = msr._weights(mu)
+    order = [(int(a), int(b)) for rnd in msr._rounds(v.shape[0])
+             for a, b in zip(*rnd)]
+    moved = False
+    for _pass in range(2):
+        gain = 0.0
+        for a, b in order:
+            for _step in range(3):
+                if w[a] <= 0 or w[b] <= 0:
+                    break
+                if w.sum() - target <= msr.POLISH_TOLERANCE:
+                    break
+                s = seq_newton_step(v, qu, mu, a, b)
+                if s is None:
+                    break
+                c = np.sqrt(1.0 - abs(s) ** 2)
+                rows = np.array([c * v[a] + s * v[b], c * v[b] - s.conj() * v[a]])
+                qu_ab, mu_ab = seq_member_minors(rows, qf)
+                w_ab = msr._weights(mu_ab)
+                cur, new = w[a] + w[b], w_ab[0] + w_ab[1]
+                if new >= cur:
+                    break
+                v[[a, b]], qu[[a, b]], mu[[a, b]], w[[a, b]] = (
+                    rows, qu_ab, mu_ab, w_ab)
+                gain += cur - new
+        moved |= gain > 0
+        if gain <= 0 or w.sum() - target <= msr.POLISH_TOLERANCE:
+            break
+    if moved and w.sum() < total:
+        return float(w.sum()), v, True
+    return total, u, False
+
+
 def seq_bloch_coef(p, r):
     """Rows sqrt(p_i) (c_0, c_1) of the members at Bloch points r_i, each
     in the chart of its nearer pole."""
@@ -1121,9 +1181,10 @@ def sequential_convex_roof(rho, cfg):
     m = rank * rank
     scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
     qf = msr._minor_form(scaled, (2,) * n_qubits, (0,)).reshape(rank, -1)
-    # an NPT state (Peres: entangled) polishes once at the end of each
-    # restart, and only on two qubits, unless its sweeps already end within
-    # POLISH_TOLERANCE of the Wootters lower end, where the polish stops
+    # an NPT state (Peres: entangled) runs a Newton pass and then polishes
+    # once at the end of each restart, and only on two qubits, each step
+    # only while the restart is more than POLISH_TOLERANCE above the
+    # Wootters lower end, where both stop
     npt = np.linalg.eigvalsh(
         transpose_subsystem(rho.mat, rho.sig.dims, 0))[0] <= -1e-10
 
@@ -1139,6 +1200,9 @@ def sequential_convex_roof(rho, cfg):
         stage1 = msr.MAX_SWEEPS if npt else 15
         total, u, conv = seq_optimize_ensemble(u, qf, stage1)
         if npt and n_qubits == 2:
+            if total - lower > msr.POLISH_TOLERANCE:
+                total, u, moved = seq_newton_pass(total, u, qf, lower)
+                conv = conv or moved
             if total - lower > msr.POLISH_TOLERANCE:
                 total, u, conv = try_polish(total, u, conv, lower)
         elif not npt:
@@ -1247,8 +1311,8 @@ ORACLE_CASES = [
     ("q2r3", "min", 4, 16), ("q2r4", "min", 2, 1),
     # an ensemble of 16 members: 15 rounds of 8 disjoint pairs
     ("q2r4", "min", 2, 16),
-    # restart 0's sweeps miss the Wootters certificate and its polish
-    # meets it
+    # restart 0's sweeps and Newton pass miss the Wootters certificate
+    # and its polish meets it
     ("q2r3", "min", 8, 500),
     # restart 0 of q3r4 converges; a random start of its 16-member
     # ensemble runs hundreds of sweeps
@@ -1313,36 +1377,42 @@ def test_sweeps_match_the_oracle_when_moves_are_rejected(monkeypatch):
 
 def test_min_roof_polishes_inside_each_restart(monkeypatch, max_sweeps):
     # an NPT state has no split-product ensemble: on two qubits each
-    # restart is one run of sweeps and then one polish, so the stopping
-    # rule judges polished totals; on more qubits no polish runs at all.
-    # PPT states (separable, or Horodecki's) still polish every restart.
-    # With its polish restart 0 meets the Wootters certificate on d4 and
-    # q2r3; d8's restart 0 sweeps once and keeps the KKT fit's ensemble,
-    # which meets its rank-2 certificate
+    # restart is one run of sweeps, then a Newton pass on its row pairs and
+    # a polish, each only while the restart misses the Wootters lower end,
+    # so the stopping rule judges refined totals; on more qubits neither
+    # runs.  PPT states (separable, or Horodecki's) still polish every
+    # restart.  Restart 0 meets the Wootters certificate with its Newton
+    # pass on d4, and on q2r3, whose rank-3 pairs are coupled, only with
+    # the polish after it; d8's restart 0 sweeps once and keeps the KKT
+    # fit's ensemble, which meets its rank-2 certificate
     calls = []
-    optimize, polish = msr._optimize_ensemble, msr._product_polish
+    optimize, newton = msr._optimize_ensemble, msr._newton_pass
+    polish = msr._product_polish
 
     def counted_optimize(*args):
         calls.append("sweep")
         return optimize(*args)
+
+    def counted_newton(*args):
+        calls.append("newton")
+        return newton(*args)
 
     def counted_polish(*args):
         calls.append("polish")
         return polish(*args)
 
     monkeypatch.setattr(msr, "_optimize_ensemble", counted_optimize)
+    monkeypatch.setattr(msr, "_newton_pass", counted_newton)
     monkeypatch.setattr(msr, "_product_polish", counted_polish)
     states = oracle_states()
-    used = {}
+    used, per_restart = {}, {"d4": ["sweep", "newton"], "d8": ["sweep"],
+                             "q2r3": ["sweep", "newton", "polish"]}
     for name in ("d4", "d8", "q2r3"):
         calls.clear()
         res = convex_roof(states[name], concurrence_functional((0,)), "min",
                           RoofConfig(restarts=8, seed=11))
         used[name] = res.restarts_used
-        if name == "d8":
-            assert calls == ["sweep"] * res.restarts_used
-        else:
-            assert calls == ["sweep", "polish"] * res.restarts_used
+        assert calls == per_restart[name] * res.restarts_used
     assert used == {"d4": 1, "q2r3": 1, "d8": 1}
     max_sweeps(15)  # the budget of the PPT oracle cases
     for name in ("sep", "ppt"):
@@ -1454,7 +1524,7 @@ def test_multi_qubit_npt_winner_polish_is_not_kept(name):
 def test_npt_restart_converges_on_its_first_sweep_without_gain(monkeypatch):
     # an NPT restart is one run of up to MAX_SWEEPS sweeps, as in the
     # sequential oracle: a restart whose 16th sweep gains nothing has
-    # converged, and its two-qubit polish runs after that sweep
+    # converged, and its two-qubit Newton pass runs after that sweep
     sweeps = []
 
     def stub(u, qu, mu, w, qf):
@@ -1473,9 +1543,10 @@ def test_npt_restart_converges_on_its_first_sweep_without_gain(monkeypatch):
 @pytest.mark.parametrize("name", ["q2r3", "q2r4"])
 def test_two_qubit_npt_roof_stops_at_its_polished_first_restart(name):
     # restart 0's sweeps end 1.4e-8 (q2r3) and 1.4e-6 (q2r4) above the
-    # Wootters value, and its polish stops within POLISH_TOLERANCE of it
-    # (4.1e-14 above on q2r4); the stopping rule judges the polished total
-    # and ends the roof there
+    # Wootters value and its Newton pass 5.2e-9 and 1.4e-6, as these
+    # states' pairs are coupled; its polish then stops within
+    # POLISH_TOLERANCE of it (5.3e-14 above on q2r4), and the stopping
+    # rule judges the polished total and ends the roof there
     cfg = RoofConfig(restarts=8, seed=11)
     res = convex_roof(oracle_states()[name], concurrence_functional((0,)),
                       "min", cfg)
@@ -1484,25 +1555,32 @@ def test_two_qubit_npt_roof_stops_at_its_polished_first_restart(name):
 
 
 def test_two_qubit_npt_restart_polishes_only_off_the_certificate(monkeypatch):
-    # the acceptance-7 inputs, all NPT: a restart polishes exactly when its
-    # swept total misses the Wootters lower end by more than
-    # POLISH_TOLERANCE, and the roof ends within that of the Wootters value
-    # (about half of the restarts skip the polish)
-    optimize, polish, events = msr._optimize_ensemble, msr._product_polish, []
+    # the acceptance-7 inputs, all NPT: a restart runs its Newton pass
+    # exactly when its swept total misses the Wootters lower end by more
+    # than POLISH_TOLERANCE, the pass meets it and no polish follows, and
+    # the roof ends within that of the Wootters value (about half of the
+    # restarts skip the pass)
+    optimize, newton, events = msr._optimize_ensemble, msr._newton_pass, []
+    polish = msr._product_polish
 
     def recorded_optimize(*args):
         out = optimize(*args)
         events.append(out[0])
         return out
 
+    def recorded_newton(total, u, qf, target):
+        events.append(("newton", target))
+        return newton(total, u, qf, target)
+
     def recorded_polish(u, qf, target=None):
         events.append(("polish", target))
         return polish(u, qf, target)
 
     monkeypatch.setattr(msr, "_optimize_ensemble", recorded_optimize)
+    monkeypatch.setattr(msr, "_newton_pass", recorded_newton)
     monkeypatch.setattr(msr, "_product_polish", recorded_polish)
     root = np.random.SeedSequence(20240817)
-    polished = skipped = 0
+    refined = skipped = 0
     for child in root.spawn(50):
         rng = np.random.Generator(np.random.PCG64(child))
         rho = reduce_pair(to_density(haar_random_from(rng, 3)), 1)
@@ -1516,14 +1594,14 @@ def test_two_qubit_npt_restart_polishes_only_off_the_certificate(monkeypatch):
         for total in [e for e in events if not isinstance(e, tuple)]:
             want.append(total)
             if total - target > msr.POLISH_TOLERANCE:
-                want.append(("polish", target))
-                polished += 1
+                want.append(("newton", target))
+                refined += 1
             else:
                 skipped += 1
         assert events == want
         assert abs(res.value - concurrence_wootters(rho)) <= msr.POLISH_TOLERANCE
         assert 0.0 <= res.value - res.lower
-    assert polished > 0 and skipped > 0
+    assert refined > 0 and skipped > 0
 
 
 def test_polish_stops_at_the_first_step_that_meets_its_target(monkeypatch):
@@ -1554,3 +1632,177 @@ def test_polish_stops_at_the_first_step_that_meets_its_target(monkeypatch):
                  if k > 0 and total(v) - target <= msr.POLISH_TOLERANCE)
     assert np.array_equal(stopped, path[first])
     assert len(iterates) == first < len(path) - 1
+
+
+# -- the two-qubit Newton pass --------------------------------------------------
+
+def half_pair_objective(coef, s):
+    """||P|| + ||R|| of the rotation by s = x + iy, c = sqrt(1 - |s|^2)."""
+    grid = msr._givens_grid(np.array([np.arcsin(abs(s))]), np.array([np.angle(s)]))
+    return msr._givens_values(coef, grid)[0] / 2.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1, 3])
+def test_pair_derivatives_match_finite_differences(rng, k):
+    # the closed-form gradient and Hessian at s = 0 against central
+    # differences of the pair objective the sweeps minimize
+    h = 1e-4
+    for _ in range(5):
+        coef = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+        grad, hess = msr._pair_derivatives(coef)
+
+        def f(x, y):
+            return half_pair_objective(coef, x + 1j * y)
+
+        num_grad = [(f(h, 0) - f(-h, 0)) / (2 * h), (f(0, h) - f(0, -h)) / (2 * h)]
+        f0 = f(0, 0)
+        num_hess = np.array([
+            [(f(h, 0) - 2 * f0 + f(-h, 0)) / h ** 2,
+             (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4 * h * h)],
+            [0.0, (f(0, h) - 2 * f0 + f(0, -h)) / h ** 2]])
+        num_hess[1, 0] = num_hess[0, 1]
+        scale = 1.0 + np.abs(hess).max()
+        assert np.abs(grad - num_grad).max() <= 1e-6 * scale
+        assert np.abs(hess - num_hess).max() <= 1e-5 * scale
+
+
+def support_rows(rho):
+    """The scaled eigenvector rows sqrt(ev) * eigvec of rho and their minor
+    form over split (0,), as convex_roof builds them."""
+    evals, vecs = np.linalg.eigh(rho.mat)
+    idx = evals > msr.RANK_TOL
+    scaled = (vecs[:, idx] * np.sqrt(evals[idx])).T
+    return scaled, msr._minor_form(scaled, (2, 2), (0,)).reshape(len(scaled), -1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_newton_pass_never_raises_a_pair_total(monkeypatch, rng, rank):
+    # every kept step lowers its pair's total, from sweeps that ended off
+    # the certificate as from random isometries, and the rows stay an
+    # isometry whose ensemble reconstructs rho
+    rotate, steps = msr._rotate_pair, []
+
+    def recorded(u, qu, mu, w, qf, a, b, c, s):
+        before = w[a] + w[b]
+        fell = rotate(u, qu, mu, w, qf, a, b, c, s)
+        steps.append((before, w[a] + w[b], fell))
+        return fell
+
+    monkeypatch.setattr(msr, "_rotate_pair", recorded)
+    moved = 0
+    for _ in range(4):
+        rho = rand_density(rng, (2, 2), rank=rank)
+        scaled, qf = support_rows(rho)
+        m = rank * rank
+        gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        start = np.linalg.qr(gauss)[0]
+        for u in (start, msr._optimize_ensemble(start, qf, 3)[1]):
+            total = msr._weights(msr._member_minors(u, qf)[1]).sum()
+            new, v, kept = msr._newton_pass(total, u, qf, wootters_lower(rho))
+            moved += kept
+            assert new <= total
+            assert (new < total) == kept
+            assert np.abs(v.conj().T @ v - np.eye(rank)).max() <= 1e-12
+            rows = v @ scaled
+            assert np.abs(rows.T @ rows.conj() - rho.mat).max() <= 1e-12
+    assert moved > 0 and steps
+    for before, after, fell in steps:
+        assert after <= before
+        assert (fell > 0) == (after < before)
+
+
+@pytest.mark.filterwarnings("error")
+def test_newton_pass_leaves_zero_and_product_rows(monkeypatch):
+    # |00> (a product member, minor exactly 0) and the W-like (|01> +
+    # |10>) / sqrt(2) with two zero rows: every pair has a member of weight
+    # 0, whose pair objective has no gradient, so nothing moves
+    monkeypatch.setattr(msr, "_rotate_pair", lambda *args: pytest.fail("rotated"))
+    scaled = np.zeros((2, 4), dtype=complex)
+    scaled[0, 0] = np.sqrt(0.3)
+    scaled[1, 1] = scaled[1, 2] = np.sqrt(0.35)
+    qf = msr._minor_form(scaled, (2, 2), (0,)).reshape(2, -1)
+    u = np.eye(4, 2, dtype=complex)
+    w = msr._weights(msr._member_minors(u, qf)[1])
+    assert w[0] == 0.0 and w[1] > 0.0 and not w[2:].any()
+    total, v, kept = msr._newton_pass(w.sum(), u, qf, 0.0)
+    assert (total, kept) == (w.sum(), False)
+    assert v is u
+
+
+def roof_min_pool_pairs(seeds):
+    """The two-qubit marginals of the benchmark's roof-min pools of the
+    given seeds, with their roof seeds: per seed, 16 Haar states, three in
+    four of three qubits, each followed by its roof seed draw."""
+    for seed in seeds:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for k in range(16):
+            psi = haar_random_from(rng, 4 if k % 4 == 0 else 3)
+            roof_seed = int(rng.integers(2 ** 32))
+            if k % 4:
+                yield partial_trace(to_density(psi), (0, 1)), roof_seed
+
+
+def acceptance_7_inputs():
+    root = np.random.SeedSequence(20240817)
+    for child in root.spawn(50):
+        rng = np.random.Generator(np.random.PCG64(child))
+        yield (reduce_pair(to_density(haar_random_from(rng, 3)), 1),
+               int(child.generate_state(1)[0]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_rank2_two_qubit_roofs_end_by_newton_without_a_polish(monkeypatch):
+    # on the acceptance-7 inputs and the roof-min pools of seeds 1-10 every
+    # rank-2 NPT roof ends within POLISH_TOLERANCE of the Wootters lower
+    # end, its lower end under its value, with no LM polish: the Newton
+    # pass closes what the sweeps leave (it runs on about 40% of them)
+    newton, polish, calls = msr._newton_pass, msr._product_polish, []
+
+    def counted_newton(*args):
+        calls.append("newton")
+        return newton(*args)
+
+    def counted_polish(*args):
+        calls.append("polish")
+        return polish(*args)
+
+    monkeypatch.setattr(msr, "_newton_pass", counted_newton)
+    monkeypatch.setattr(msr, "_product_polish", counted_polish)
+    roofs = 0
+    for rho, seed in [*acceptance_7_inputs(), *roof_min_pool_pairs(range(1, 11))]:
+        if np.linalg.eigvalsh(transpose_subsystem(rho.mat, rho.sig.dims, 0))[0] > -1e-10:
+            continue  # PPT: the zero-roof polish is another path
+        assert np.count_nonzero(np.linalg.eigvalsh(rho.mat) > msr.RANK_TOL) == 2
+        roofs += 1
+        res = convex_roof(rho, concurrence_functional((0,)), "min",
+                          RoofConfig(restarts=32, seed=seed))
+        assert res.lower == wootters_lower(rho)
+        assert 0.0 <= res.value - res.lower <= msr.POLISH_TOLERANCE
+    assert "polish" not in calls
+    assert roofs >= 160 and len(calls) >= 70
+
+
+def test_q2r4_reaches_the_polish_after_its_newton_pass(monkeypatch):
+    # a rank-4 state's row pairs are coupled: its Newton pass lowers
+    # restart 0 but leaves it 1.4e-6 above the Wootters lower end, so the
+    # LM polish still runs after it and meets the certificate
+    newton, polish, events = msr._newton_pass, msr._product_polish, []
+
+    def recorded_newton(total, u, qf, target):
+        out = newton(total, u, qf, target)
+        events.append(("newton", out[2], out[0] - target > msr.POLISH_TOLERANCE))
+        return out
+
+    def recorded_polish(*args):
+        events.append("polish")
+        return polish(*args)
+
+    monkeypatch.setattr(msr, "_newton_pass", recorded_newton)
+    monkeypatch.setattr(msr, "_product_polish", recorded_polish)
+    res = convex_roof(oracle_states()["q2r4"], concurrence_functional((0,)),
+                      "min", RoofConfig(restarts=8, seed=11))
+    assert events == [("newton", True, True), "polish"]
+    assert res.restarts_used == 1 and res.converged
+    assert 0.0 <= res.value - res.lower <= msr.POLISH_TOLERANCE
