@@ -536,11 +536,13 @@ def test_restart_seeds_are_the_spawned_children(seed):
 
 def test_certificate_needs_a_two_qubit_signature():
     # the certificate is concurrence_wootters on a (2, 2) signature, where
-    # the roof stops at restart 0 with its value pinned as float.hex; the
-    # same matrix with signature (4,) has one subsystem and so no split
+    # the roof stops at restart 0 with its value pinned as float.hex
+    # (recorded when the restart came to end by a Newton pass, 2.8e-17
+    # above the Wootters value); the same matrix with signature (4,) has
+    # one subsystem and so no split
     rho = reduce_pair(to_density(haar_random_pure(3, 700)), 1)
     res = convex_roof(rho, concurrence_functional((0,)), "min", RoofConfig(seed=1))
-    assert res.value.hex() == "0x1.94807f61ab06ap-3"
+    assert res.value.hex() == "0x1.94807f61aad59p-3"
     assert res.lower == wootters_lower(rho)
     assert res.restarts_used == 1
     flat = DensityMatrix(rho.mat, SystemSignature((4,)))
