@@ -623,10 +623,10 @@ def _restart(u, qf, ppt, target):
     ensemble, so the restart is one run of up to MAX_SWEEPS sweeps, then
     on a (2, 2) signature, where target is the Wootters lower end, a
     Newton pass on the row pairs (_newton_pass) and one polish, and
-    neither elsewhere (target None).  The sweeps stall 1e-12 to 1e-9 above
-    a rank-2 state's roof, in a valley of the pair objective too flat for
-    their finest angle, where Newton ends within rounding; a rank-3 or
-    rank-4 state's pairs are coupled, and its polish finishes.  With one
+    neither elsewhere (target None).  The sweeps stall up to about 1e-9
+    above a rank-2 state's roof, in a valley of the pair objective too
+    flat for their finest angle, where Newton ends within rounding; a
+    rank-3 or rank-4 state's pairs are coupled, and its polish finishes.  With one
     minor per member the polish's sum of |minor|^2 is at least (sum
     |minor|)^2 / m, with equality at Wootters' equal-concurrence optimal
     ensembles, so it shares the roof's minimizers; with more minors per
