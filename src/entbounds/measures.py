@@ -11,25 +11,26 @@ PRA 68, 062304, 2003) and CRENoA the concurrence of assistance sum_i mu_i
 screnoa evaluate these directly.
 
 The concurrence roof, minimized over decompositions, serves what has no
-closed form here: states other than 2 x 2 (the three-qubit chain residual
-among them) and the roof-oracle suite that checks it against the Wootters
-formula.  Decompositions of a rank-r state are m x r isometries u acting
-on its eigendecomposition ensemble, m = r^2.  For any split, C^2 =
-4 sum |2 x 2 minors|^2 (Cauchy-Binet; Wootters, PRL 80, 2245, 1998), and
-each member's minors are one quadratic form u_i^T Q u_i, so Q gives the
-objective, closed-form Givens-rotation line searches, the closed-form
-derivatives of a Newton step on one row pair and the Levenberg-Marquardt
-polish.  A sweep visits every row pair once, one pair at a time, in the
-order of the rounds of disjoint pairs of the circle method (Brent and
-Luk, SIAM J. Sci. Stat. Comput. 6, 69, 1985).
+closed form here: states other than 2 x 2, the three-qubit chain residual
+among them.  On a (2, 2) signature of rank >= 2, as in the roof-oracle
+suite, convex_roof returns Wootters' own optimal ensemble (PRL 80, 2245,
+1998), built in closed form by _wootters_isometry, and runs no restart;
+the Wootters concurrence, rounded down, is its lower end.  Elsewhere
+decompositions of a rank-r state are m x r isometries u acting on its
+eigendecomposition ensemble, m = r^2.  For any split, C^2 = 4 sum |2 x 2
+minors|^2 (Cauchy-Binet; Wootters), and each member's minors are one
+quadratic form u_i^T Q u_i, so Q gives the objective, closed-form
+Givens-rotation line searches and the Levenberg-Marquardt polish.  A
+sweep visits every row pair once, one pair at a time, in the order of
+the rounds of disjoint pairs of the circle method (Brent and Luk, SIAM
+J. Sci. Stat. Comput. 6, 69, 1985).
 Restarts derive independent sub-seeds from the configured seed, each as
 it starts, and run one at a time (first-best wins), so results are
 reproducible and safe for concurrent use; RoofConfig sets only their
 number and seed.  One
 stop rule ends the restarts at a certified lower end: once the best
-value is within STEP_TOLERANCE of it, no restart can gain more.  On a
-(2, 2) signature the Wootters concurrence is the exact roof and that
-lower end.  Any other rank-2 state gets one at restart 0: its support
+value is within STEP_TOLERANCE of it, no restart can gain more.  A
+rank-2 state gets one at restart 0: its support
 states are the Bloch sphere, on which the squared concurrence h is a
 quadratic; the plane of the roof's LP dual and a decomposition are
 fitted together to restart 0's ensemble by Newton on the KKT system, and
@@ -44,12 +45,8 @@ The polish works on one isometry at a time, inside a restart, and looks
 for a split-product ensemble, a zero roof.  A state whose partial
 transpose over the split has an eigenvalue below -1e-10 is NPT, hence
 entangled (Peres), and has none: each of its restarts (but a fitted
-restart 0) is one run of sweeps.  On a (2, 2) signature a restart whose
-sweeps end more than POLISH_TOLERANCE above the Wootters lower end then
-runs a Newton pass on its row pairs, whose optimum lies in a valley too
-flat for the sweeps' finest angle, and, if that still misses, one polish;
-both stop within POLISH_TOLERANCE of that end.  Elsewhere the polish's
-objective does not share the roof's minimizers and neither runs.
+restart 0) is one run of sweeps, with no polish, whose objective does
+not share the roof's minimizers there.
 
 A split is the first block of a bipartition: indices into the dims of a
 density matrix or the qubits of a pure state, checked by _check_split.
@@ -77,6 +74,9 @@ RANK_TOL = 1e-10
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SY, _SY)
+# the 4 x 4 Hadamard mix of Wootters' separable ensemble, rows orthonormal
+_HADAMARD = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1],
+                      [1, -1, -1, 1]]) / 2.0
 
 
 class MeasureError(ValueError):
@@ -183,6 +183,8 @@ class RoofConfig:
     random starts derived from seed.  The rest of the optimizer is fixed:
     a rank-r state's ensembles have r^2 members, STEP_TOLERANCE and
     MAX_SWEEPS bound each run of sweeps, and STALL_RESTARTS the restarts.
+    A (2, 2) signature runs no restart and reads neither field: its
+    Wootters ensemble has r members, or 4 on a separable state.
     """
 
     restarts: int = 32
@@ -224,11 +226,12 @@ class RoofResult:
     (2, 2) signature, the rank-2 certificate of restart 0 on any other
     rank-2 state, whether or not the value met it (None if its exact
     check failed), and None at higher rank.  A roof certified at restart
-    0 has restarts_used 1.  converged says only that the best restart's
-    last sweep gained less than STEP_TOLERANCE, that a Newton pass or a
-    polish of it was kept or that it is a fitted restart 0; it does not
-    mean the value is settled, as other restarts may end in other local
-    minima."""
+    0 has restarts_used 1, as has a (2, 2) roof of rank >= 2, whose
+    Wootters ensemble is exact and converged.  Elsewhere converged says
+    only that the best restart's last sweep gained less than
+    STEP_TOLERANCE, that a polish of it was kept or that it is a fitted
+    restart 0; it does not mean the value is settled, as other restarts
+    may end in other local minima."""
 
     value: float
     ensemble: Ensemble
@@ -343,14 +346,6 @@ STALL_RESTARTS = 3
 # the polish ends a restart after an accepted step that lowers its cost by
 # at most this share of it: the cost is then flat to rounding
 POLISH_MIN_REDUCTION = 1e-15
-# a two-qubit NPT restart whose total is within this of the Wootters lower
-# end skips its Newton pass and polish, and each stops there: nothing more
-# is to gain
-POLISH_TOLERANCE = 1e-13
-# a two-qubit NPT restart's Newton pass visits the row pairs this many
-# times at most, each pair taking this many Newton steps at most
-NEWTON_PASSES = 2
-NEWTON_STEPS = 3
 
 
 def _optimize_ensemble(u, qf, iters):
@@ -442,81 +437,6 @@ def _rotate_pair(u, qu, mu, w, qf, a, b, c, s):
     return cur - new
 
 
-def _pair_derivatives(coef):
-    """Gradient (2,) and Hessian (2, 2) of ||P|| + ||R||, half the pair
-    objective of _givens_values, in (x, y) at s = x + iy = 0, where the
-    rotation of _givens_grid has c = sqrt(1 - |s|^2); coef (3, K) stacks
-    A = mu_a, X = 2 a^T Q b and B = mu_b.
-
-    P = c^2 A + cs X + s^2 B has P_x = X, P_y = iX, P_xx = 2(B - A), P_yy
-    = -2(A + B) and P_xy = 2iB at s = 0; R = conj(s)^2 A - c conj(s) X +
-    c^2 B has R_x = -X, R_y = iX, R_xx = 2(A - B), R_yy = -2(A + B) and
-    R_xy = -2iA.  Both members need ||P||, ||R|| > 0."""
-    a, x, b = coef
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    ab, xa, xb = np.vdot(a, b), np.vdot(a, x), np.vdot(b, x)
-    xx = np.vdot(x, x).real
-    # Re <P, P_ij> + <P_i, P_j> without the -2 ||P||^2 I, shared by R
-    shared = np.array([[xx + 2 * ab.real, -2 * ab.imag],
-                       [-2 * ab.imag, xx - 2 * ab.real]])
-    ga = np.array([xa.real, -xa.imag]) / na
-    gb = np.array([-xb.real, -xb.imag]) / nb
-    hess = ((shared - 2 * na * na * np.eye(2) - np.outer(ga, ga)) / na
-            + (shared - 2 * nb * nb * np.eye(2) - np.outer(gb, gb)) / nb)
-    return ga + gb, hess
-
-
-def _newton_pass(total, u, qf, target):
-    """(total, u, kept) after Newton steps on the row pairs of the
-    isometry u (m, r) at the total its sweeps reached, kept only when a
-    step was taken and the total fell; works on a copy of u.
-
-    At most NEWTON_PASSES passes visit the row pairs in the order of
-    _rounds(m), each pair whose two weights are above 0 (a zero row and a
-    product member have no smooth pair objective) taking up to
-    NEWTON_STEPS steps.  A step solves the pair's 2 x 2 Newton system
-    (_pair_derivatives) by pseudo-inverse: eigenvalues of the Hessian below
-    1e-6 of the largest, the flat valley of the optimum, are dropped.  A
-    step of |s| >= 0.5 is rejected, and a step is kept only when the
-    recomputed pair objective falls (_rotate_pair).  The pass stops once
-    the total is within POLISH_TOLERANCE of target, or after a pass that
-    gains nothing."""
-    v = u.copy()
-    qu, mu = _member_minors(v, qf)
-    w = _weights(mu)
-    pairs = [(a, b) for ra, rb in _rounds(len(v))
-             for a, b in zip(ra.tolist(), rb.tolist())]
-    moved = False
-    for _ in range(NEWTON_PASSES):
-        gain = 0.0
-        for a, b in pairs:
-            for _step in range(NEWTON_STEPS):
-                if (not (w[a] > 0 and w[b] > 0)
-                        or w.sum() - target <= POLISH_TOLERANCE):
-                    break
-                grad, hess = _pair_derivatives(
-                    np.array([mu[a], 2.0 * (v[a] @ qu[b]), mu[b]]))
-                lam, vec = np.linalg.eigh(hess)
-                if not lam[-1] > 0:
-                    break
-                keep = lam > 1e-6 * lam[-1]
-                step = -vec[:, keep] @ ((vec[:, keep].T @ grad) / lam[keep])
-                s = step[0] + 1j * step[1]
-                if not abs(s) < 0.5:
-                    break
-                fell = _rotate_pair(v, qu, mu, w, qf, a, b,
-                                    np.sqrt(1.0 - abs(s) ** 2), s)
-                if not fell > 0:
-                    break
-                gain += fell
-        moved = moved or gain > 0
-        if not gain > 0 or w.sum() - target <= POLISH_TOLERANCE:
-            break
-    if moved and w.sum() < total:
-        return w.sum(), v, True
-    return total, u, False
-
-
 def _qr_retract(x: np.ndarray) -> np.ndarray:
     """Nearest isometry to x via QR with a deterministic sign convention."""
     q, r = np.linalg.qr(x)
@@ -552,7 +472,7 @@ def _stiefel_tangent_basis(u: np.ndarray) -> np.ndarray:
     return np.concatenate([u @ _skew_basis(r), perp])
 
 
-def _product_polish(u, qf, target=None):
+def _product_polish(u, qf):
     """Levenberg-Marquardt on the minors over the isometry manifold.
 
     The residuals are every member's minors u_i^T Q u_i and the Jacobian
@@ -562,14 +482,11 @@ def _product_polish(u, qf, target=None):
     quadratically instead.  Steps are solved in an explicit tangent basis
     so the QR retraction only contributes second-order corrections.  u is
     one isometry (m, r).  The polish stops after 40 iterations, once the
-    cost is below 1e-30, after 8 failed tries at one step, after an
+    cost is below 1e-30, after 8 failed tries at one step, or after an
     accepted step that lowers the cost by at most POLISH_MIN_REDUCTION
-    times the cost (the relative-reduction test of MINPACK's lmder), or,
-    given a certified lower end target of the roof, after an accepted step
-    whose total is within POLISH_TOLERANCE of it.  Its objective is not
-    the roof's: on a restart near the roof's minimum its first accepted
-    step can lift the total and the rest crawl back, so a two-qubit NPT
-    restart runs it only where its Newton pass (_newton_pass) misses.
+    times the cost (the relative-reduction test of MINPACK's lmder).  Its
+    objective is not the roof's, so only PPT restarts, which look for a
+    zero roof, run it.
     """
     qu, mu = _member_minors(u, qf)
     cost = float(np.sum(mu.real ** 2 + mu.imag ** 2))
@@ -597,55 +514,36 @@ def _product_polish(u, qf, target=None):
         flat_step = cost - cost_c <= POLISH_MIN_REDUCTION * cost
         u, qu, mu, cost = cand, qu_c, mu_c, cost_c
         lam = max(lam * 0.25, 1e-14)
-        if flat_step or (target is not None
-                         and _weights(mu).sum() - target <= POLISH_TOLERANCE):
+        if flat_step:
             break
     return u
 
 
-def _try_polish(total, u, qf, target=None):
-    """(total, u, kept) after polishing the isometry u (m, r), stopped at
-    the lower end target if given: the polish is kept only when it lowers
-    the total."""
-    cand = _product_polish(u, qf, target)
+def _try_polish(total, u, qf):
+    """(total, u, kept) after polishing the isometry u (m, r): the polish
+    is kept only when it lowers the total."""
+    cand = _product_polish(u, qf)
     t_c = _weights(_member_minors(cand, qf)[1]).sum()
     if t_c < total:
         return t_c, cand, True
     return total, u, False
 
 
-def _restart(u, qf, ppt, target):
+def _restart(u, qf, ppt):
     """Total, isometry and converged flag of the restart that starts at the
-    isometry u (m, r).  A Newton pass or a polish is kept only when it
-    lowers the total, and a kept one marks the restart converged.
+    isometry u (m, r).  A polish is kept only when it lowers the total,
+    and a kept one marks the restart converged.
 
     An NPT state (not ppt) is entangled (Peres) and has no split-product
-    ensemble, so the restart is one run of up to MAX_SWEEPS sweeps, then
-    on a (2, 2) signature, where target is the Wootters lower end, a
-    Newton pass on the row pairs (_newton_pass) and one polish, and
-    neither elsewhere (target None).  The sweeps stall up to about 1e-9
-    above a rank-2 state's roof, in a valley of the pair objective too
-    flat for their finest angle, where Newton ends within rounding; a
-    rank-3 or rank-4 state's pairs are coupled, and its polish finishes.  With one
-    minor per member the polish's sum of |minor|^2 is at least (sum
-    |minor|)^2 / m, with equality at Wootters' equal-concurrence optimal
-    ensembles, so it shares the roof's minimizers; with more minors per
-    member it does not.  Each runs only while the total is more than
-    POLISH_TOLERANCE above target, and stops there: the certificate
-    leaves nothing more to gain.
+    ensemble, so the restart is one run of up to MAX_SWEEPS sweeps and no
+    polish: with more than one minor per member the polish's sum of
+    |minor|^2 does not share the roof's minimizers.
     A PPT state sweeps 15 times and tries the zero-roof polish (the
     concurrence vanishes exactly on split-product states); after a kept
     polish 10 consolidating sweeps are enough, none at a zero roof,
     otherwise the remaining sweeps run, then one more polish."""
     if not ppt:
-        total, u, conv = _optimize_ensemble(u, qf, MAX_SWEEPS)
-        if target is not None and total - target > POLISH_TOLERANCE:
-            total, u, kept = _newton_pass(total, u, qf, target)
-            conv = conv or kept
-            if total - target > POLISH_TOLERANCE:
-                total, u, kept = _try_polish(total, u, qf, target)
-                conv = conv or kept
-        return total, u, conv
+        return _optimize_ensemble(u, qf, MAX_SWEEPS)
     total, u, conv = _optimize_ensemble(u, qf, 15)
     total, u, kept = _try_polish(total, u, qf)
     conv = conv or kept
@@ -665,6 +563,70 @@ def _ensemble_average(members, dims: tuple[int, ...],
     form = _minor_form(np.array([psi.amps for _, psi in members]), dims, split)
     probs = np.array([p for p, _ in members])
     return float(probs @ _weights(np.einsum("iik->ik", form)))
+
+
+def _wootters_isometry(rows: np.ndarray) -> np.ndarray:
+    """Isometry u (n, r) whose rows u @ rows are Wootters' optimal ensemble
+    (PRL 80, 2245, 1998) of the two-qubit state sum_k rows_k rows_k^H,
+    rows (r, 4) its support rows sqrt(ev) * eigvec, r >= 2: n = r members
+    of concurrence C each on an entangled state, n = 4 of concurrence 0
+    on a separable one.
+
+    1. Takagi: tau = rows Y rows^T, Y = sy x sy, is complex symmetric;
+       tau = U diag(lam) U^T with lam descending and U unitary.  With tau =
+       A + iB, u_k = p_k + i q_k solves tau conj(u_k) = lam_k u_k exactly
+       when (p_k, q_k) is an eigenvector of the real symmetric [[A, B], [B,
+       -A]] for lam_k; its spectrum is +-lam, as (-q_k, p_k) belongs to
+       -lam_k.  So eigh gives orthonormal u_k within a block of equal lam,
+       and the u_k of distinct positive lam are orthogonal.  The QR step
+       (_qr_retract) completes the columns of zero lam to a unitary.  The
+       rows x = U^H rows then have x_i^T Y x_j = lam_i delta_ij.
+    2. C = lam_1 - sum_{j>1} lam_j > 0: y = diag(1, i, i, i) x has y_i^T
+       Y y_i = +-lam_i, summing to C, and for real orthogonal O the rows z
+       = O y have z_k^T Y z_k = (O D O^T)_kk and ||z_k||^2 = (O G O^T)_kk,
+       D = diag(lam_1, -lam_2, ...) and G = Re(conj(y) y^T).  M = D - C G is
+       traceless, and r - 1 plane rotations zero its diagonal: each zeroes
+       the largest entry d_i against the smallest d_j by the positive root
+       of d_i + 2 m_ij tan t + d_j tan^2 t = 0.  Every member then has
+       concurrence exactly C.
+    3. C <= 0: phases theta_j with sum e^{i theta_j} lam_j = 0 close the
+       triangle of sides lam_1, lam_2 and lam_3 + lam_4 (theta_3 =
+       theta_4); the Hadamard mix of the rows e^{i theta_j / 2} x_j, the
+       rows beyond r zero, has z_k^T Y z_k = sum_j e^{i theta_j} lam_j / 4
+       = 0 for every member."""
+    r = len(rows)
+    tau = rows @ _YY @ rows.T
+    lam, vec = np.linalg.eigh(np.block([[tau.real, tau.imag],
+                                        [tau.imag, -tau.real]]))
+    lam, vec = np.maximum(lam[:-r - 1:-1], 0.0), vec[:, :-r - 1:-1]
+    x = _qr_retract(vec[:r] + 1j * vec[r:]).conj().T
+    c = lam[0] - lam[1:].sum()
+    if c > 0:
+        first = np.arange(r) == 0
+        y = np.where(first, 1.0, 1j)[:, None] * x
+        yr = y @ rows
+        m = np.diag(np.where(first, lam, -lam)) - c * (yr.conj() @ yr.T).real
+        o = np.eye(r)
+        for _ in range(r - 1):
+            d = np.diagonal(m)
+            i, j = d.argmax(), d.argmin()
+            if not d[i] > 0 > d[j]:
+                break
+            mij = m[i, j]
+            root = np.sqrt(mij * mij - d[i] * d[j])
+            tan = d[i] / (root - mij) if mij <= 0 else (mij + root) / -d[j]
+            rot = np.eye(r)
+            rot[[i, j], [i, j]] = 1.0 / np.hypot(1.0, tan)
+            rot[i, j] = tan * rot[i, i]
+            rot[j, i] = -rot[i, j]
+            m, o = rot @ m @ rot.T, rot @ o
+        return o @ y
+    a, b, rest = lam[0], lam[1], lam[2:].sum()
+    cos2 = (rest * rest - a * a - b * b) / (2 * a * b) if a * b > 0 else -1.0
+    theta2 = np.arccos(np.clip(cos2, -1.0, 1.0))
+    theta3 = np.angle(-(a + b * np.exp(1j * theta2)))
+    theta = np.array([0.0, theta2, theta3, theta3])[:r]
+    return _HADAMARD[:, :r] @ (np.exp(0.5j * theta)[:, None] * x)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,7 +1002,7 @@ def _rank2_restart(u, qf, ppt, evals, vecs, dims, split):
             total = _weights(_member_minors(fitted, qf)[1]).sum()
             if total <= swept_total:
                 return total, fitted, True, lower
-    total, u, conv = _restart(u, qf, ppt, None)
+    total, u, conv = _restart(u, qf, ppt)
     return total, u, conv, _rank2_lower(evals, vecs, u * scale, dims, split)
 
 
@@ -1055,23 +1017,28 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     """Minimize the ensemble average of the concurrence over decompositions
     of rho; the roof value is then an upper bound on the true minimum.
 
-    direction must be "min", the only roof offered.  Decompositions are
+    direction must be "min", the only roof offered.  A state of rank 1 is
+    its own ensemble.  On a (2, 2) signature of rank >= 2 the roof is
+    Wootters' optimal ensemble (_wootters_isometry), exact up to rounding:
+    no restart runs, restarts_used is 1, converged True and the lower end
+    the Wootters concurrence, rounded down.  Elsewhere decompositions are
     generated from the eigendecomposition via m x r isometries, m = r^2;
     restart 0 starts at the eigendecomposition ensemble itself, the rest
     at Haar-random isometries.  At most cfg.restarts restarts run: the
     loop stops once the best is within STEP_TOLERANCE of a certified lower
-    end (RoofResult.lower), the Wootters concurrence on a (2, 2)
-    signature, else at rank 2 the plane certificate fitted at restart 0
-    (_rank2_restart), whose fitted ensemble, when kept, ends the roof
-    there.  Otherwise, and as fallbacks, it stops once the roof reaches
-    zero or after STALL_RESTARTS in a row fail to lower the best by more
-    than STEP_TOLERANCE.  Restarts run one at a time (_restart, whose
-    Newton passes and polishes all run inside it), each deriving its
-    sub-seed only when it runs (_restart_seed); the rule is checked after
-    each, and restarts_used counts those that ran.  Each sweep runs
-    the row pairs one at a time in the order of _rounds(m).  A state is NPT
-    when its partial transpose over the split has an eigenvalue below
-    -1e-10.  The split names subsystems of rho.sig.dims.
+    end (RoofResult.lower), at rank 2 the plane certificate fitted at
+    restart 0 (_rank2_restart), whose fitted ensemble, when kept, ends the
+    roof there.  Otherwise, and as fallbacks, it stops once the roof
+    reaches zero or after STALL_RESTARTS in a row fail to lower the best
+    by more than STEP_TOLERANCE.  Restarts run one at a time (_restart,
+    whose polishes all run inside it), each deriving its sub-seed only
+    when it runs (_restart_seed); the rule is checked after each, and
+    restarts_used counts those that ran.  Each sweep runs the row pairs
+    one at a time in the order of _rounds(m).  A state is NPT when its
+    partial transpose over the split has an eigenvalue below -1e-10.
+    Every roof's value is checked against the eigendecomposition
+    ensemble's average and its own ensemble's, which must reconstruct
+    rho.  The split names subsystems of rho.sig.dims.
     """
     if direction != "min":
         raise ValueError(f"direction must be 'min', got {direction!r}")
@@ -1103,46 +1070,52 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     u0 = np.eye(m, rank, dtype=complex)
     eigen_avg = float(_weights(_member_minors(u0, qf)[1]).sum())
 
-    best_total = best_u = None
-    best_conv = False
-    stalled = 0
-    two_qubit = dims == (2, 2)
-    lower = None
-    if two_qubit:
-        # the Wootters value rounded down by 64 ulp of sum mu: rounding
-        # put the roof's value below it by up to 3 ulp of sum mu on the
-        # acceptance-7 and roof-min inputs
+    if dims == (2, 2):
+        # Wootters' ensemble is the roof's minimum and the Wootters value
+        # its lower end, rounded down by 64 ulp of sum mu: rounding put
+        # the ensemble's value below it by up to 4.9 ulp of sum mu on the
+        # acceptance-7 and roof-min inputs and 1,700 random states
         mu = _wootters_spectrum(evals, vecs)
         lower = max(0.0, float(2.0 * mu[0] - mu.sum()
                                - 64 * np.finfo(float).eps * mu.sum()))
-    ppt = bool(np.linalg.eigvalsh(_transpose_split(rho, split))[0] > -1e-10)
-    for j in range(cfg.restarts):
-        if j == 0:
-            u = u0
-        else:
-            rng = np.random.Generator(np.random.PCG64(_restart_seed(cfg.seed, j)))
-            gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-            u = np.linalg.qr(gauss)[0][:, :rank]
-        # off a (2, 2) signature a rank-2 state is certified at restart 0
-        if j == 0 and rank == 2 and not two_qubit:
-            total, u, conv, lower = _rank2_restart(
-                u, qf, ppt, evals[idx], vecs[:, idx], dims, split)
-        else:
-            total, u, conv = _restart(u, qf, ppt, lower if two_qubit else None)
-        restarts_used = j + 1
-        if best_total is None or total < best_total - STEP_TOLERANCE:
-            stalled = 0
-        else:
-            stalled += 1
-        if best_total is None or total < best_total:
-            best_total, best_u, best_conv = total, u, conv
-        if ((lower is not None and best_total - lower <= STEP_TOLERANCE)
-                or best_total <= 1e-12 or stalled >= STALL_RESTARTS):
-            break
+        best_u = _wootters_isometry(scaled)
+        best_total = _weights(_member_minors(best_u, qf)[1]).sum()
+        restarts_used, best_conv = 1, True
+    else:
+        best_total = best_u = lower = None
+        best_conv = False
+        stalled = 0
+        ppt = bool(np.linalg.eigvalsh(_transpose_split(rho, split))[0] > -1e-10)
+        for j in range(cfg.restarts):
+            if j == 0:
+                u = u0
+            else:
+                rng = np.random.Generator(
+                    np.random.PCG64(_restart_seed(cfg.seed, j)))
+                gauss = (rng.standard_normal((m, rank))
+                         + 1j * rng.standard_normal((m, rank)))
+                u = np.linalg.qr(gauss)[0][:, :rank]
+            # a rank-2 state is certified at restart 0
+            if j == 0 and rank == 2:
+                total, u, conv, lower = _rank2_restart(
+                    u, qf, ppt, evals[idx], vecs[:, idx], dims, split)
+            else:
+                total, u, conv = _restart(u, qf, ppt)
+            restarts_used = j + 1
+            if best_total is None or total < best_total - STEP_TOLERANCE:
+                stalled = 0
+            else:
+                stalled += 1
+            if best_total is None or total < best_total:
+                best_total, best_u, best_conv = total, u, conv
+            if ((lower is not None and best_total - lower <= STEP_TOLERANCE)
+                    or best_total <= 1e-12 or stalled >= STALL_RESTARTS):
+                break
 
     value = float(best_total)
     # one-sidedness guard: restart 0 only ever improves on the
-    # eigendecomposition ensemble, so this holds by construction
+    # eigendecomposition ensemble, and Wootters' ensemble is the minimum,
+    # so this holds by construction
     if value > eigen_avg + 1e-9:
         raise RuntimeError("roof minimum exceeded eigendecomposition average")
 

@@ -22,18 +22,20 @@ def rand_pure(rng, n_qubits):
     return PureState(v / np.linalg.norm(v), n_qubits)
 
 
-def rand_product_mixture(rng, n_terms=3):
-    """Two-qubit separable state: convex mixture of random product states."""
-    d = 4
+def rand_product_mixture(rng, n_terms=3, n_qubits=2):
+    """Separable state: convex mixture of random product states of
+    n_qubits qubits."""
+    d = 2 ** n_qubits
     mat = np.zeros((d, d), dtype=complex)
     probs = rng.uniform(0.1, 1.0, n_terms)
     probs /= probs.sum()
     for p in probs:
-        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        v = np.ones(1)
+        for _ in range(n_qubits):
+            a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v = np.kron(v, a / np.linalg.norm(a))
         mat += p * np.outer(v, v.conj())
-    return DensityMatrix(mat, SystemSignature((2, 2)))
+    return DensityMatrix(mat, SystemSignature((2,) * n_qubits))
 
 
 @pytest.fixture
