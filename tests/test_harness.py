@@ -1028,11 +1028,11 @@ GOLDEN = {
         ["verify", "--suite", "monogamy", "--trials", "200", "--seed", "5"],
         "758595245cad0a278e6ba7246cac8c1a65675cd9e41c02c2fd3eae3634177157", 0),
     # min roofs on two-qubit marginals checked against Wootters, recorded
-    # when two-qubit restarts came to end by a Newton pass on their row
-    # pairs (max_abs_diff moved from 7.6e-14 to 4.5e-14)
+    # when two-qubit roofs came to return Wootters' explicit optimal
+    # ensemble (max_abs_diff moved from 4.5e-14 to 5.6e-16)
     "verify-roof-oracle": (
         ["verify", "--suite", "roof-oracle", "--trials", "8", "--seed", "3"],
-        "9aeb599871fab19bb0b14bb0195fed8e86f51e0a8a4354a2d9c90a3b77b6d435", 0),
+        "f54e708dbb0d22e6542a95db5f11eb1a8fa52061114945700712f5fed93176f5", 0),
     # the exact two-qubit closed forms on one W-class marginal, with no
     # optimizer block
     "measure-wclass-scren": (
