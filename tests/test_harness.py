@@ -1081,7 +1081,8 @@ def test_python_dash_m_runs_main(capsys):
 def test_no_scipy_behind_the_harness():
     # numpy is the one declared dependency (pyproject.toml); scipy may sit
     # beside it, where an import of it would pass unnoticed.  The roof of
-    # a rank-2 three-qubit state runs its certificate too
+    # a rank-2 three-qubit state runs its certificate too, and a two-qubit
+    # roof its Takagi factorization
     code = ("import sys\n"
             "import entbounds.harness\n"
             "from entbounds import measures as m, states as s\n"
@@ -1089,6 +1090,8 @@ def test_no_scipy_behind_the_harness():
             "rho = partial_trace(s.to_density(s.haar_random_pure(4, 9)), (0, 1, 2))\n"
             "m.convex_roof(rho, m.concurrence_functional((0,)), 'min',\n"
             "              m.RoofConfig(restarts=2, seed=1))\n"
+            "rho = partial_trace(s.to_density(s.haar_random_pure(3, 9)), (0, 1))\n"
+            "m.convex_roof(rho, m.concurrence_functional((0,)), 'min')\n"
             "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n")
     src = str(Path(h.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1437,3 +1437,83 @@ def acceptance_7_inputs():
         rng = np.random.Generator(np.random.PCG64(child))
         yield (reduce_pair(to_density(haar_random_from(rng, 3)), 1),
                int(child.generate_state(1)[0]))
+
+
+# -- two-qubit roofs: Wootters' optimal ensemble -------------------------------
+
+def near_werner_state(p, eps, rng):
+    """werner_state(p) moved by eps times a random positive matrix: a
+    Wootters spectrum that is degenerate up to eps."""
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    mat = werner_state(p).mat + eps * (g @ g.conj().T)
+    return DensityMatrix(mat / np.trace(mat).real, SystemSignature((2, 2)))
+
+
+def two_qubit_inputs(family):
+    """The two-qubit states of one family.  rank-1 ... rank-4 and product
+    are drawn in that order from one generator, as are the near-Werner
+    states from another; werner has the degenerate Wootters spectra and
+    the C = 0 edge at p = 1/3."""
+    if family == "oracle":
+        return [oracle_states()[k] for k in ("d4", "q2r3", "q2r4", "sep")]
+    if family == "acceptance-7":
+        return [rho for rho, _ in acceptance_7_inputs()]
+    if family == "roof-min":
+        return [rho for rho, _ in roof_min_pool_pairs(range(1, 11))]
+    if family == "werner":
+        return [werner_state(p) for p in (0.0, 1 / 3, 1.0)]
+    if family == "diagonal":
+        mats = [np.diag([0.4, 0.3, 0.2, 0.1]), np.diag([0.5, 0.0, 0.0, 0.5])]
+        return [DensityMatrix(m.astype(complex), SystemSignature((2, 2)))
+                for m in mats]
+    if family == "near-werner":
+        rng = np.random.default_rng(5)
+        return [near_werner_state(p, eps, rng) for eps in 10.0 ** -np.arange(6, 16, 2)
+                for p in (0.0, 1 / 3, 0.5)]
+    rng = np.random.default_rng(99)
+    drawn = {f"rank-{r}": [rand_density(rng, (2, 2), r) for _ in range(100)]
+             for r in (1, 2, 3, 4)}
+    drawn["product"] = [rand_product_mixture(rng, 3) for _ in range(50)]
+    return drawn[family]
+
+
+TWO_QUBIT_FAMILIES = ["oracle", "acceptance-7", "roof-min", "rank-1", "rank-2", "rank-3",
+                      "rank-4", "product", "werner", "diagonal", "near-werner"]
+
+
+@pytest.mark.parametrize("family", TWO_QUBIT_FAMILIES)
+def test_two_qubit_roof_is_wootters_ensemble(family):
+    # each member has the Wootters concurrence C, from its own amplitudes
+    # (|psi^T Y psi|), the ensemble reconstructs rho and its average is C
+    # to rounding, above the certified lower end; at rank >= 2 no restart
+    # runs, and a rank-1 state is its own ensemble
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    for rho in two_qubit_inputs(family):
+        exact = concurrence_wootters(rho)
+        res = convex_roof(rho, concurrence_functional((0,)), "min",
+                          RoofConfig(seed=1))
+        assert abs(res.value - exact) <= 1e-13
+        for _, psi in res.ensemble.members:
+            assert abs(abs(psi.amps @ yy @ psi.amps) - exact) <= 1e-13
+        res.ensemble.validate_against(rho, tol=1e-13)
+        assert res.converged
+        rank = np.count_nonzero(np.linalg.eigvalsh(rho.mat) > msr.RANK_TOL)
+        if rank == 1:
+            assert (res.restarts_used, res.lower) == (0, res.value)
+            continue
+        assert 0.0 <= res.value - res.lower
+        assert res.lower == wootters_lower(rho)
+        assert res.restarts_used == 1
+        # r members of concurrence C; a separable state's rounding may
+        # leave C a few ulp above 0 there, else it has 4 members
+        assert len(res.ensemble.members) in ((rank,) if exact > 1e-9 else (rank, 4))
+
+
+def test_a_two_qubit_ensemble_that_misses_rho_raises(monkeypatch):
+    # the reconstruction guard runs on the constructed ensemble too: one
+    # member dropped lowers the value, so only that guard can see it
+    build = msr._wootters_isometry
+    monkeypatch.setattr(msr, "_wootters_isometry", lambda rows: build(rows)[:-1])
+    rho = oracle_states()["q2r3"]
+    with pytest.raises(MeasureError, match="ensemble probabilities"):
+        convex_roof(rho, concurrence_functional((0,)), "min", RoofConfig(seed=1))
