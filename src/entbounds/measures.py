@@ -1073,8 +1073,8 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
     if dims == (2, 2):
         # Wootters' ensemble is the roof's minimum and the Wootters value
         # its lower end, rounded down by 64 ulp of sum mu: rounding put
-        # the ensemble's value below it by up to 4.9 ulp of sum mu on the
-        # acceptance-7 and roof-min inputs and 1,700 random states
+        # the ensemble's value below it by up to 4.9 ulp of sum mu on
+        # 1,947 states, the acceptance-7 and roof-min inputs among them
         mu = _wootters_spectrum(evals, vecs)
         lower = max(0.0, float(2.0 * mu[0] - mu.sum()
                                - 64 * np.finfo(float).eps * mu.sum()))

@@ -567,7 +567,7 @@ def test_rank2_certificate_under_wootters_on_oracle_inputs():
     # the acceptance-7 inputs, rank-2 two-qubit marginals: the certificate
     # fitted to the roof's own ensemble stays under the Wootters value, the
     # exact roof, and within STEP_TOLERANCE of it; the roof's value may
-    # undercut Wootters by rounding, by up to 5.6e-16 on 28 of the 50
+    # undercut Wootters by rounding, by up to 4.4e-16 on 20 of the 50
     root = np.random.SeedSequence(20240817)
     for child in root.spawn(50):
         rng = np.random.Generator(np.random.PCG64(child))
