@@ -1418,6 +1418,18 @@ def test_npt_restart_converges_on_its_first_sweep_without_gain(monkeypatch):
     assert len(sweeps) == 16
 
 
+@pytest.mark.parametrize("name", ["q2r3", "q2r4"])
+def test_two_qubit_npt_roof_stops_at_its_polished_first_restart(name):
+    # these coupled states once took restart 0's sweeps and a polish to come
+    # within STEP_TOLERANCE of the Wootters value; Wootters' constructed
+    # ensemble now counts as that one restart and meets the same bound
+    cfg = RoofConfig(restarts=8, seed=11)
+    res = convex_roof(oracle_states()[name], concurrence_functional((0,)),
+                      "min", cfg)
+    assert res.restarts_used == 1
+    assert 0.0 <= res.value - res.lower <= msr.STEP_TOLERANCE
+
+
 def roof_min_pool_pairs(seeds):
     """The two-qubit marginals of the benchmark's roof-min pools of the
     given seeds, with their roof seeds: per seed, 16 Haar states, three in
