@@ -896,6 +896,45 @@ def test_verify_chain_small(capsys):
     assert rep["checks"] > 0
 
 
+def _scaled_lhs(factor):
+    real = h._measured_inputs
+
+    def measured_inputs(obj, kind):
+        lhs, q_ab, q_ac = real(obj, kind)
+        return lhs * factor, q_ab, q_ac
+    return measured_inputs
+
+
+_wootters, _pure = msr.concurrence_wootters, msr.concurrence_pure
+
+# suites forced to fail, with the SHA-256 of json.dumps(report,
+# sort_keys=True) and the violation count: the passing GOLDEN runs never
+# print a counterexample, so these pin the violation records
+FORCED_FAILURES = {
+    "monogamy": (h, "_measured_inputs", _scaled_lhs(0.5), 30, 5, 26 + 206,
+                 "fb0dae3ca0c72d1618f0bbfd80f3ee93bebc2fd4e93b2a2780896613f2304a98"),
+    "polygamy": (h, "_measured_inputs", _scaled_lhs(2.0), 20, 7, 24,
+                 "830b1fce5b5bf55c7ebab38fda208967df2af2114ceafa19b5dfb74aa42063c6"),
+    "roof-oracle": (msr, "concurrence_wootters",
+                    lambda rho: _wootters(rho) + 0.01, 7, 3, 7,
+                    "f86c82c9c681d17744e3ba7e9dda5603e3c54746a1545409c49ffa8f19e87a18"),
+    "chain": (msr, "concurrence_pure",
+              lambda psi, split=(0,): 0.3 * _pure(psi, split), 8, 13, 3,
+              "2c88dd30928c4e92f5ea923f3976525fb00c80925c2c4f5cc71d6a755ab01afd"),
+}
+
+
+@pytest.mark.parametrize("suite", list(FORCED_FAILURES))
+def test_forced_failure_reports(monkeypatch, suite):
+    module, name, fake, trials, seed, violations, digest = FORCED_FAILURES[suite]
+    monkeypatch.setattr(module, name, fake)
+    rep = h.VERIFY_SUITES[suite][0](trials, seed)
+    assert (rep["violations"], rep["ok"]) == (violations, False)
+    assert len(rep["counterexamples"]) == min(violations, 5)
+    text = json.dumps(rep, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # -- determinism and plumbing -------------------------------------------------
 
 def test_byte_identical_outputs(tmp_path, capsys):
