@@ -612,11 +612,30 @@ def _trials(seed: int, trials: int):
         yield i, child, np.random.Generator(np.random.PCG64(child))
 
 
-def _suite_report(suite: str, seed: int, trials: int, violations: list,
+class _Checks:
+    """The tally of one relation a suite checks: how many checks ran, the
+    least slack, and a record of each failure, a slack below -tol."""
+
+    def __init__(self, tol: float):
+        self.tol, self.count, self.least, self.failures = tol, 0, np.inf, []
+
+    def add(self, slack, trial: int, psi: PureState, /, **fields) -> None:
+        """Count one check of the state psi of the given trial; fields
+        complete its record if it fails."""
+        self.count += 1
+        self.least = min(self.least, slack)
+        if slack < -self.tol:
+            self.failures.append({"trial": trial,
+                                  "state": st.pure_state_to_json(psi), **fields})
+
+
+def _suite_report(suite: str, seed: int, trials: int, *checks: _Checks,
                   **fields) -> dict:
     """A suite's report: the keys every randomized suite shares (suite,
     seed, trials, the number of violations, the first five of them as
-    counterexamples, and ok when there are none) plus its own fields."""
+    counterexamples, and ok when there are none) plus its own fields.
+    Violations are the checks' failures, taken in argument order."""
+    violations = [rec for c in checks for rec in c.failures]
     return {"suite": suite, "seed": seed, "trials": trials,
             "violations": len(violations), "counterexamples": violations[:5],
             "ok": not violations, **fields}
@@ -681,16 +700,12 @@ def verify_monogamy(trials: int, seed: int) -> dict:
     base relation (alpha = 2) and the tightened lower bound across the
     alpha grid wherever its hypotheses hold."""
     gamma = 2.0
-    ckw_viol, thm_viol, checks = [], [], 0
-    min_ckw, min_thm = np.inf, np.inf
+    ckw, thm = _Checks(1e-9), _Checks(1e-9)
     for i, _, rng in _trials(seed, trials):
         psi = st.haar_random_from(rng, 3)
         lhs, c_b, c_c = _measured_inputs(psi, "monogamy")
         ckw_slack = lhs ** 2 - c_b ** 2 - c_c ** 2
-        min_ckw = min(min_ckw, ckw_slack)
-        if ckw_slack < -1e-9:
-            ckw_viol.append({"trial": i, "state": st.pure_state_to_json(psi),
-                             "ckw_slack": float(ckw_slack)})
+        ckw.add(ckw_slack, i, psi, ckw_slack=float(ckw_slack))
         q_small, q_big = sorted((c_b, c_c))
         if q_big <= 0.0:
             continue
@@ -705,19 +720,13 @@ def verify_monogamy(trials: int, seed: int) -> dict:
             except bnd.PreconditionError:  # outside the theorem's hypotheses
                 continue
             slack = lhs ** alpha - rhs
-            checks += 1
-            min_thm = min(min_thm, slack)
-            if slack < -1e-9:
-                thm_viol.append({
-                    "trial": i, "state": st.pure_state_to_json(psi),
-                    "alpha": float(alpha), "gamma": gamma, "t": t, "q": q,
-                    "q_ab": q_small, "q_ac": q_big,
-                    "lhs": float(lhs ** alpha), "rhs": float(rhs),
-                    "slack": float(slack)})
+            thm.add(slack, i, psi, alpha=float(alpha), gamma=gamma, t=t, q=q,
+                    q_ab=q_small, q_ac=q_big, lhs=float(lhs ** alpha),
+                    rhs=float(rhs), slack=float(slack))
     return _suite_report(
-        "monogamy", seed, trials, ckw_viol + thm_viol, bound_checks=checks,
-        ckw_violations=len(ckw_viol), thm1_violations=len(thm_viol),
-        min_ckw_slack=float(min_ckw), min_thm1_slack=float(min_thm))
+        "monogamy", seed, trials, ckw, thm, bound_checks=thm.count,
+        ckw_violations=len(ckw.failures), thm1_violations=len(thm.failures),
+        min_ckw_slack=float(ckw.least), min_thm1_slack=float(thm.least))
 
 
 POLY_BETAS = (0.2, 0.5, 1.0)
@@ -728,9 +737,7 @@ def verify_polygamy(trials: int, seed: int) -> dict:
     states.  Pair values are the exact two-qubit closed form (sum mu_i)^2
     and the LHS the exact pure-state value, so a failure beyond the
     tolerance is a genuine violation."""
-    tol = 2e-3
-    viol, checks = [], 0
-    min_slack = np.inf
+    poly = _Checks(2e-3)
     for i, _, rng in _trials(seed, trials):
         if i % 5 == 0:
             # W-class states sit at the additivity boundary at beta = 1
@@ -741,17 +748,12 @@ def verify_polygamy(trials: int, seed: int) -> dict:
             psi = st.haar_random_from(rng, 3)
         lhs_base, n_ab, n_ac = _measured_inputs(psi, "polygamy")
         for beta in POLY_BETAS:
-            slack = (bnd._pow(n_ab, beta) + bnd._pow(n_ac, beta)
-                     - bnd._pow(lhs_base, beta))
-            checks += 1
-            min_slack = min(min_slack, slack)
-            if slack < -tol:
-                viol.append({
-                    "trial": i, "state": st.pure_state_to_json(psi),
-                    "beta": beta, "lhs": float(bnd._pow(lhs_base, beta)),
-                    "n_ab": n_ab, "n_ac": n_ac, "slack": float(slack)})
-    return _suite_report("polygamy", seed, trials, viol, checks=checks,
-                         min_slack=float(min_slack), tolerance=tol)
+            lhs = bnd._pow(lhs_base, beta)
+            slack = bnd._pow(n_ab, beta) + bnd._pow(n_ac, beta) - lhs
+            poly.add(slack, i, psi, beta=beta, lhs=float(lhs), n_ab=n_ab,
+                     n_ac=n_ac, slack=float(slack))
+    return _suite_report("polygamy", seed, trials, poly, checks=poly.count,
+                         min_slack=float(poly.least), tolerance=poly.tol)
 
 
 # fixed roof budgets of the roof-based suites: a suite's output is a
@@ -766,8 +768,7 @@ def verify_roof_oracle(trials: int, seed: int) -> dict:
     states convex_roof returns Wootters' constructed optimal ensemble, so
     the suite checks that construction, and the fixed restart budget it
     passes is not read."""
-    worst = 0.0
-    viol = []
+    oracle = _Checks(1e-3)
     for i, child, rng in _trials(seed, trials):
         psi = st.haar_random_from(rng, 3)
         rho = st.reduce_pair(st.to_density(psi), 1)
@@ -776,12 +777,9 @@ def verify_roof_oracle(trials: int, seed: int) -> dict:
                          seed=int(child.generate_state(1)[0]))
         res = msr.convex_roof(rho, msr.concurrence_functional((0,)), "min", cfg)
         diff = abs(res.value - exact)
-        worst = max(worst, diff)
-        if diff > 1e-3:
-            viol.append({"trial": i, "state": st.pure_state_to_json(psi),
-                         "exact": exact, "roof": res.value, "diff": diff})
-    return _suite_report("roof-oracle", seed, trials, viol,
-                         max_abs_diff=worst, tolerance=1e-3)
+        oracle.add(-diff, i, psi, exact=exact, roof=res.value, diff=diff)
+    return _suite_report("roof-oracle", seed, trials, oracle,
+                         max_abs_diff=-oracle.least, tolerance=oracle.tol)
 
 
 def verify_chain(trials: int, seed: int) -> dict:
@@ -792,8 +790,7 @@ def verify_chain(trials: int, seed: int) -> dict:
     hypotheses), and peel order puts the weakest pair first.
     """
     gamma = 2.0
-    viol, skipped, checks = [], 0, 0
-    min_slack = np.inf
+    chain, skipped = _Checks(1e-6), 0
     for i, child, rng in _trials(seed, trials):
         psi = st.haar_random_from(rng, 4)
         rho = st.to_density(psi)
@@ -827,17 +824,12 @@ def verify_chain(trials: int, seed: int) -> dict:
             skipped += 1
             continue
         slack = lhs ** alpha - rhs
-        checks += 1
-        min_slack = min(min_slack, slack)
-        if slack < -1e-6:
-            viol.append({
-                "trial": i, "state": st.pure_state_to_json(psi),
-                "alpha": alpha, "ts": ts, "qs": qs, "pairs": pairs,
-                "residuals": residuals, "lhs": float(lhs ** alpha),
-                "rhs": float(rhs), "slack": float(slack)})
-    return _suite_report("chain", seed, trials, viol, checks=checks,
-                         skipped=skipped,
-                         min_slack=float(min_slack if checks else np.nan))
+        chain.add(slack, i, psi, alpha=alpha, ts=ts, qs=qs, pairs=pairs,
+                  residuals=residuals, lhs=float(lhs ** alpha),
+                  rhs=float(rhs), slack=float(slack))
+    return _suite_report(
+        "chain", seed, trials, chain, checks=chain.count, skipped=skipped,
+        min_slack=float(chain.least if chain.count else np.nan))
 
 
 VERIFY_SUITES = {

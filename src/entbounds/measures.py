@@ -775,12 +775,6 @@ def _kkt_fit(quad, p: np.ndarray, r: np.ndarray, target: np.ndarray):
     return best
 
 
-def _fit_plane(quad, p: np.ndarray, r: np.ndarray, target: np.ndarray):
-    """(a, beta) of the dual plane fitted to a decomposition (p, r) of the
-    point target = (sum p, sum p r) (_kkt_fit)."""
-    return _kkt_fit(quad, p, r, target)[1:3]
-
-
 def _bisect(above, lo, hi):
     """Midpoints of [lo, hi] after 128 halvings (a factor 3e-39), keeping
     the half where above(mid) says the sought point lies above mid."""
@@ -957,12 +951,6 @@ def _rank2_fit(evals: np.ndarray, vecs: np.ndarray, coef: np.ndarray,
     return max(0.0, float(low - slack)), fit
 
 
-def _rank2_lower(evals: np.ndarray, vecs: np.ndarray, coef: np.ndarray,
-                 dims: tuple[int, ...], split: tuple[int, ...]) -> float | None:
-    """The certified lower end of _rank2_fit alone."""
-    return _rank2_fit(evals, vecs, coef, dims, split)[0]
-
-
 def _bloch_coef(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Coordinates (k, 2) in the support eigenbasis of members of weights
     p at unit Bloch points r: sqrt(p) (c_0, c_1) with c_0 = sqrt((1 + z) /
@@ -1003,7 +991,7 @@ def _rank2_restart(u, qf, ppt, evals, vecs, dims, split):
             if total <= swept_total:
                 return total, fitted, True, lower
     total, u, conv = _restart(u, qf, ppt)
-    return total, u, conv, _rank2_lower(evals, vecs, u * scale, dims, split)
+    return total, u, conv, _rank2_fit(evals, vecs, u * scale, dims, split)[0]
 
 
 def _restart_seed(seed: int, j: int) -> np.random.SeedSequence:
@@ -1074,8 +1062,11 @@ def convex_roof(rho: DensityMatrix, functional: PureStateFunctional,
         # Wootters' ensemble is the roof's minimum and the Wootters value
         # its lower end, rounded down by 64 ulp of sum mu: rounding put
         # the ensemble's value below it by up to 4.9 ulp of sum mu on
-        # 1,947 states, the acceptance-7 and roof-min inputs among them
-        mu = _wootters_spectrum(evals, vecs)
+        # 1,947 states, the acceptance-7 and roof-min inputs among them.
+        # Both read the RANK_TOL support: the closed form's own 1e-14 cut
+        # counts eigenvalues the ensemble drops, which can lift the lower
+        # end above the value
+        mu = _wootters_spectrum(evals[idx], vecs[:, idx])
         lower = max(0.0, float(2.0 * mu[0] - mu.sum()
                                - 64 * np.finfo(float).eps * mu.sum()))
         best_u = _wootters_isometry(scaled)

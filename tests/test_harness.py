@@ -1093,6 +1093,14 @@ def test_golden_output_bytes(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_every_verify_suite_has_a_golden_digest():
+    # a new suite lands with its recorded output
+    missing = [name for name in h.VERIFY_SUITES if f"verify-{name}" not in GOLDEN]
+    assert missing == []
+    for name in h.VERIFY_SUITES:
+        assert GOLDEN[f"verify-{name}"][0][:3] == ["verify", "--suite", name]
+
+
 def test_verify_chain_golden_run_fields(capsys):
     # the golden verify-chain run, field by field: its min-roof residual
     # may move in the last digits when the roof kernel does, nothing else

@@ -534,7 +534,7 @@ def rank2_lower(rho, rows):
     """The rank-2 certificate of rho over split (0,), fitted to the
     decomposition with rows sqrt(p_i) psi_i."""
     evals, vecs = support(rho)
-    return msr._rank2_lower(evals, vecs, rows @ vecs.conj(), rho.sig.dims, (0,))
+    return msr._rank2_fit(evals, vecs, rows @ vecs.conj(), rho.sig.dims, (0,))[0]
 
 
 def d8_plane(s):
@@ -546,8 +546,8 @@ def d8_plane(s):
     evals, vecs = support(rho)
     quad = msr._bloch_quadratic(vecs, (2, 2, 2), (0,))
     p, r = msr._bloch_points(ensemble_rows(res) @ vecs.conj())
-    a, beta = msr._fit_plane(quad, p, r, np.array(
-        [evals.sum(), 0.0, 0.0, evals[0] - evals[1]]))
+    a, beta = msr._kkt_fit(quad, p, r, np.array(
+        [evals.sum(), 0.0, 0.0, evals[0] - evals[1]]))[1:3]
     return quad, a, beta, vecs
 
 
@@ -1152,9 +1152,9 @@ def sequential_convex_roof(rho, cfg):
         else:
             total, u, conv = swept_restart(u)
             if certified_here:
-                lower = msr._rank2_lower(evals[idx], vecs[:, idx],
-                                         u * np.sqrt(evals[idx]),
-                                         (2,) * n_qubits, (0,))
+                lower = msr._rank2_fit(evals[idx], vecs[:, idx],
+                                       u * np.sqrt(evals[idx]),
+                                       (2,) * n_qubits, (0,))[0]
         if best_total is None or total < best_total - msr.STEP_TOLERANCE:
             stalled = 0
         else:
@@ -1519,6 +1519,23 @@ def test_two_qubit_roof_is_wootters_ensemble(family):
         # r members of concurrence C; a separable state's rounding may
         # leave C a few ulp above 0 there, else it has 4 members
         assert len(res.ensemble.members) in ((rank,) if exact > 1e-9 else (rank, 4))
+
+
+def test_two_qubit_lower_end_near_the_rank_tolerance():
+    # rank-2 states with a third eigenvalue near RANK_TOL: the ensemble is
+    # built on the support above RANK_TOL, and the lower end must be too
+    # (from the closed form's 1e-14 support, one of these 1,000 roofs had
+    # value - lower = -5.6e-13)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            rho = rand_density(rng, (2, 2), 2)
+            phi = rand_pure(rng, 2).amps
+            w = 10 ** rng.uniform(-13.5, -10.5)
+            mat = (1 - w) * rho.mat + w * np.outer(phi, phi.conj())
+            res = convex_roof(DensityMatrix(mat, rho.sig),
+                              concurrence_functional((0,)), "min", RoofConfig(seed=1))
+            assert res.lower <= res.value
 
 
 def test_a_two_qubit_ensemble_that_misses_rho_raises(monkeypatch):
