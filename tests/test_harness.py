@@ -1095,8 +1095,6 @@ def test_golden_output_bytes(capsys, name):
 
 def test_every_verify_suite_has_a_golden_digest():
     # a new suite lands with its recorded output
-    missing = [name for name in h.VERIFY_SUITES if f"verify-{name}" not in GOLDEN]
-    assert missing == []
     for name in h.VERIFY_SUITES:
         assert GOLDEN[f"verify-{name}"][0][:3] == ["verify", "--suite", name]
 
