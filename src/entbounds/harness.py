@@ -726,7 +726,8 @@ def verify_monogamy(trials: int, seed: int) -> dict:
     return _suite_report(
         "monogamy", seed, trials, ckw, thm, bound_checks=thm.count,
         ckw_violations=len(ckw.failures), thm1_violations=len(thm.failures),
-        min_ckw_slack=float(ckw.least), min_thm1_slack=float(thm.least))
+        min_ckw_slack=float(ckw.least),
+        min_thm1_slack=float(thm.least if thm.count else np.nan))
 
 
 POLY_BETAS = (0.2, 0.5, 1.0)

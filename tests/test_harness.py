@@ -935,6 +935,75 @@ def test_forced_failure_reports(monkeypatch, suite):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _no_window_where(skip):
+    """_sample_window with no window wherever skip(q_small) holds: decided
+    by its inputs, so each trial's skip does not depend on the trials
+    before it."""
+    real = h._sample_window
+
+    def sample_window(rng, q_small, q_big, power):
+        return None if skip(q_small) else real(rng, q_small, q_big, power)
+    return sample_window
+
+
+def _no_chain_bound_at(bad_alpha):
+    """chain_monogamy_bound failing its hypotheses at one alpha."""
+    real = h.bnd.chain_monogamy_bound
+
+    def chain_monogamy_bound(pairs, residuals, cp, alpha, gamma):
+        if alpha == bad_alpha:
+            raise h.bnd.PreconditionError(f"no chain bound at alpha = {alpha}")
+        return real(pairs, residuals, cp, alpha, gamma)
+    return chain_monogamy_bound
+
+
+# the skip paths of the suites that sample a window, which no unpatched
+# run takes: the suite, the patch, trials, seed, the report fields it
+# must read and the SHA-256 of json.dumps(report, sort_keys=True)
+SKIP_PATHS = {
+    "chain-some-windows": (
+        "chain", (h, "_sample_window", _no_window_where(lambda q: 0.2 < q < 0.35)),
+        8, 13, {"checks": 6, "skipped": 2},
+        "3e4319e743fc6c844fedbc4e5dd81ae2eb83febd24454ef77a47f353dddd84ad"),
+    "chain-no-window": (
+        "chain", (h, "_sample_window", _no_window_where(lambda q: True)),
+        5, 2, {"checks": 0, "skipped": 5},
+        "b507ca26ea0d7e8db314310cda4459811a4885b04f2035719f6eed2afe74a7e8"),
+    "chain-no-bound": (
+        "chain", (h.bnd, "chain_monogamy_bound", _no_chain_bound_at(2.0)),
+        8, 13, {"checks": 7, "skipped": 1},
+        "5631cf0cd9e6c2f08f26107112afdb43096e576a6172d834f4abb659cdebb281"),
+    "monogamy-some-windows": (
+        "monogamy",
+        (h, "_sample_window", _no_window_where(lambda q: 0.2 < q < 0.35)),
+        40, 5, {"bound_checks": 234},
+        "123bd8e09bf37decdb5f7cf2005a62d27cd023041e46a5bb1d54f3cc009d1855"),
+}
+
+
+@pytest.mark.parametrize("name", list(SKIP_PATHS))
+def test_skip_path_reports(monkeypatch, name):
+    suite, patch, trials, seed, fields, digest = SKIP_PATHS[name]
+    monkeypatch.setattr(*patch)
+    rep = h.VERIFY_SUITES[suite][0](trials, seed)
+    assert {key: rep[key] for key in fields} == fields
+    assert (rep["violations"], rep["ok"]) == (0, True)
+    if suite == "chain" and not rep["checks"]:
+        assert np.isnan(rep["min_slack"])
+    text = json.dumps(rep, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_monogamy_without_bound_checks_reports_nan(monkeypatch):
+    # no thm1 check ran, so there is no least slack: nan, as chain's
+    # min_slack, not the inf the tally starts from
+    monkeypatch.setattr(h, "_sample_window", _no_window_where(lambda q: True))
+    rep = h.verify_monogamy(5, 2)
+    assert (rep["bound_checks"], rep["ok"]) == (0, True)
+    assert np.isnan(rep["min_thm1_slack"])
+    assert rep["min_ckw_slack"] == pytest.approx(0.0925631717617693, abs=1e-12)
+
+
 # -- determinism and plumbing -------------------------------------------------
 
 def test_byte_identical_outputs(tmp_path, capsys):
