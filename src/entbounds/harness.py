@@ -194,7 +194,7 @@ def _measured_inputs(obj, kind: str):
     return lhs_base, q_ab, q_ac
 
 
-def _resolve_q(qspec, t, q_ab: float, q_ac: float, power, pw=bnd._pow):
+def _resolve_q(qspec, t, q_ab: float, q_ac: float, power, pw):
     """q may be numeric, 'edge' (data-dependent lower edge) or 'top'; on a
     grid also an array of values, with t and power arrays as well."""
     if isinstance(qspec, np.ndarray):
@@ -228,7 +228,7 @@ def _window_value(name: str, text: str):
         raise UsageError(f"{name} must be {want}, got {text!r}") from None
 
 
-def _resolve_t(tspec, q_ab: float, q_ac: float, power, pw=bnd._pow):
+def _resolve_t(tspec, q_ab: float, q_ac: float, power, pw):
     """t may be numeric or 'sqrt': the square root of (Q_AC/Q_AB)^power,
     floored at 1; on a grid also an array of values."""
     if isinstance(tspec, np.ndarray):
@@ -266,6 +266,21 @@ def _prior_args(side: bnd.Side, variant: str, t, k, p, a) -> tuple:
             t if a is None else a)
 
 
+def _evaluate(kind: str, variants, lhs_base, q_ab: float, q_ac: float, num,
+              den, t, q, k, p, a, pw=bnd._pow, bound=bnd.bound_point):
+    """The report of the variants at one point, or over broadcast grid
+    arrays with pw=bnd.grid_pow and bound=bnd.bound_grid: the LHS power
+    and each variant's (rhs, ok).  It resolves t, then q, then takes the
+    LHS power, then evaluates the variants in order, so a point raises the
+    first error on that path."""
+    side = bnd.SIDES[kind]
+    t = _resolve_t(t, q_ab, q_ac, den, pw)
+    q = _resolve_q(q, t, q_ab, q_ac, den, pw)
+    return pw(lhs_base, num), [
+        bound(kind, v, q_ab, q_ac, num, den, t, q,
+              *_prior_args(side, v, t, k, p, a)) for v in variants]
+
+
 def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
                           *, variants, alpha=None, gamma=None, beta=None,
                           delta=None, t="sqrt", q="edge", k=None, p=None,
@@ -280,19 +295,12 @@ def evaluate_bound_report(kind: str, lhs_base: float, q_ab: float, q_ac: float,
     exp_num, exp_den = float(given[num_name]), float(given[den_name])
     _check_finite({num_name: exp_num, den_name: exp_den,
                    "t": t, "q": q, "k": k, "p": p, "a": a})
-    t_val = _resolve_t(t, q_ab, q_ac, exp_den)
-    q_val = _resolve_q(q, t_val, q_ab, q_ac, exp_den)
-    lhs = bnd._pow(lhs_base, exp_num)
-
-    variant_rhs: dict = {}
-    pre_ok: dict = {}
-    gaps: dict = {}
-    for v in variants:
-        rhs, pre_ok[v] = bnd.bound_point(
-            kind, v, q_ab, q_ac, exp_num, exp_den, t_val, q_val,
-            *_prior_args(side, v, t_val, k, p, a))
-        variant_rhs[v] = float(rhs)
-        if pre_ok[v]:
+    lhs, results = _evaluate(kind, variants, lhs_base, q_ab, q_ac, exp_num,
+                             exp_den, t, q, k, p, a)
+    variant_rhs, pre_ok, gaps = {}, {}, {}
+    for v, (rhs, ok) in zip(variants, results):
+        variant_rhs[v], pre_ok[v] = float(rhs), ok
+        if ok:
             gaps[v] = side.gap(lhs, rhs)
     return bnd.BoundReport(kind, lhs, variant_rhs, pre_ok, gaps)
 
@@ -423,14 +431,20 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
     if side.blank_num_below_den:
         blank = np.broadcast_to(np.less(num, den), shape)
     try:
-        lhs, rhs, admissible = _grid_report(spec, side, lhs_base, q_ab, q_ac,
-                                            values)
+        with np.errstate(over="ignore"):  # 1 / t is inf at a subnormal t
+            lhs, results = _evaluate(
+                spec.kind, spec.variants, lhs_base, q_ab, q_ac, num, den,
+                values.get("t", "sqrt"), values.get("q", "edge"),
+                values.get("k"), values.get("p"), values.get("a"),
+                bnd.grid_pow, bnd.bound_grid)
     except (UsageError, bnd.BoundsError, OverflowError, TypeError):
-        lhs, rhs, admissible = _point_report(spec, side, lhs_base, q_ab, q_ac,
-                                             axis_vals, blank)
+        lhs, results = _point_report(spec, lhs_base, q_ab, q_ac, axis_vals,
+                                     blank)
     lhs = np.where(blank, np.nan, lhs)
-    rhs = [np.where(blank, np.nan, r) for r in rhs]
-    admissible = ~blank & admissible
+    rhs = [np.where(blank, np.nan, r) for r, _ in results]
+    admissible = ~blank
+    for _, ok in results:
+        admissible = admissible & ok
     if side.theorem in spec.variants and "ref29" in spec.variants:
         gap = side.gap(rhs[spec.variants.index(side.theorem)],
                        rhs[spec.variants.index("ref29")])
@@ -444,52 +458,24 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
                         admissible.ravel().tolist())]
 
 
-def _grid_report(spec: SweepSpec, side: bnd.Side, lhs_base: float,
-                 q_ab: float, q_ac: float, values: dict):
-    """evaluate_bound_report over broadcast grid values: (lhs, per-variant
-    rhs, admissible).  Raises wherever the scalar engine raises at some
-    point, and may raise where it does not (a power that overflows only
-    where the window fails)."""
-    num_name, den_name = side.exponents
-    num = np.asarray(values[num_name], dtype=float)
-    den = np.asarray(values[den_name], dtype=float)
-    t = _resolve_t(values.get("t", "sqrt"), q_ab, q_ac, den, bnd.grid_pow)
-    with np.errstate(over="ignore"):  # 1 / t is inf at a subnormal t
-        q = _resolve_q(values.get("q", "edge"), t, q_ab, q_ac, den,
-                       bnd.grid_pow)
-    rhs, admissible = [], np.bool_(True)
-    for v in spec.variants:
-        prior_args = _prior_args(side, v, t, values.get("k"), values.get("p"),
-                                 values.get("a"))
-        r, ok = bnd.bound_grid(spec.kind, v, q_ab, q_ac, num, den, t, q,
-                               *prior_args)
-        rhs.append(r)
-        admissible = admissible & ok
-    return bnd.grid_pow(lhs_base, num), rhs, admissible
-
-
-def _point_report(spec: SweepSpec, side: bnd.Side, lhs_base: float,
-                  q_ab: float, q_ac: float, axis_vals: list, blank):
-    """_grid_report from one evaluate_bound_report per point that is not
-    blank, in row order; nan and not admissible where blank."""
+def _point_report(spec: SweepSpec, lhs_base: float, q_ab: float,
+                  q_ac: float, axis_vals: list, blank):
+    """The grid's (lhs, per-variant (rhs, ok)) from one
+    evaluate_bound_report per point that is not blank, in row order; nan
+    and not ok where blank."""
     lhs = np.full(blank.shape, np.nan)
-    rhs = [np.full(blank.shape, np.nan) for _ in spec.variants]
-    admissible = np.zeros(blank.shape, dtype=bool)
-    num_name, den_name = side.exponents
+    results = [(np.full(blank.shape, np.nan), np.zeros(blank.shape, dtype=bool))
+               for _ in spec.variants]
     for idx in zip(*np.nonzero(~blank)):
         point = dict(spec.fixed)
         for (name, a), i in zip(axis_vals, idx):
             point[name] = float(a[i])
-        report = evaluate_bound_report(
-            spec.kind, lhs_base, q_ab, q_ac, variants=spec.variants,
-            t=point.get("t", "sqrt"), q=point.get("q", "edge"),
-            k=point.get("k"), p=point.get("p"), a=point.get("a"),
-            **{num_name: point[num_name], den_name: point[den_name]})
+        report = evaluate_bound_report(spec.kind, lhs_base, q_ab, q_ac,
+                                       variants=spec.variants, **point)
         lhs[idx] = report.lhs
-        for r, v in zip(rhs, spec.variants):
-            r[idx] = report.variant_rhs[v]
-        admissible[idx] = all(report.preconditions_ok.values())
-    return lhs, rhs, admissible
+        for (rhs, ok), v in zip(results, spec.variants):
+            rhs[idx], ok[idx] = report.variant_rhs[v], report.preconditions_ok[v]
+    return lhs, results
 
 
 def rows_to_csv(header, rows) -> str:
@@ -522,13 +508,16 @@ def _column_reprs(column):
     return map(memo.__getitem__, column)
 
 
+# each figure's kind, its axes (name, start, stop) and the fixed slice it
+# plots: figure 2 is the gamma = 20 slice of 1, figure 5 the delta = 0.8
+# slice of 4
 FIGURE_SPECS = {
-    1: ("monogamy", [("alpha", 0.0, 2.0, None), ("gamma", 2.0, 20.0, None)]),
-    2: ("monogamy", [("alpha", 0.0, 2.0, None)]),
-    3: ("monogamy", [("alpha", 0.0, 2.0, None), ("gamma", 2.0, 20.0, None)]),
-    4: ("polygamy", [("delta", 0.6, 1.0, None), ("beta", 0.6, 3.0, None)]),
-    5: ("polygamy", [("beta", 0.6, 3.0, None)]),
-    6: ("polygamy", [("delta", 0.6, 1.0, None), ("beta", 0.6, 3.0, None)]),
+    1: ("monogamy", [("alpha", 0.0, 2.0), ("gamma", 2.0, 20.0)], {}),
+    2: ("monogamy", [("alpha", 0.0, 2.0)], {"gamma": 20.0}),
+    3: ("monogamy", [("alpha", 0.0, 2.0), ("gamma", 2.0, 20.0)], {}),
+    4: ("polygamy", [("delta", 0.6, 1.0), ("beta", 0.6, 3.0)], {}),
+    5: ("polygamy", [("beta", 0.6, 3.0)], {"delta": 0.8}),
+    6: ("polygamy", [("delta", 0.6, 1.0), ("beta", 0.6, 3.0)], {}),
 }
 
 
@@ -536,16 +525,14 @@ def figure_spec(fig_id: int, resolution: int = 101) -> tuple[SweepSpec, dict]:
     """Sweep specification and example data behind one figure id.
 
     Figures 1-3 plot the tightened and prior lower bounds on the
-    generalized-Schmidt example (figure 2 is the gamma = 20 slice); figures
-    4-6 mirror this for the W-class SCRENoA example (figure 5 is the
-    delta = 0.8 slice).  Both use the data-edge q choice.
+    generalized-Schmidt example; figures 4-6 mirror this for the W-class
+    SCRENoA example.  Both use the data-edge q choice.
     """
     if fig_id not in FIGURE_SPECS:
         raise UsageError(f"figure id must be 1..6, got {fig_id}")
     if resolution < 2:
         raise UsageError("resolution must be >= 2")
-    kind, axes = FIGURE_SPECS[fig_id]
-    axes = [(n, a, b, resolution) for n, a, b, _ in axes]
+    kind, axes, fixed = FIGURE_SPECS[fig_id]
     if kind == "monogamy":
         lhs_base, q_ab, q_ac = _measured_inputs(
             build_state(FIG_MONO_BUILDER), "monogamy")
@@ -553,12 +540,9 @@ def figure_spec(fig_id: int, resolution: int = 101) -> tuple[SweepSpec, dict]:
                 "t": FIG_MONO_T}
     else:
         data = dict(FIG_POLY)
-    fixed = {"t": data["t"], "q": "edge"}
-    if fig_id == 2:
-        fixed["gamma"] = 20.0
-    if fig_id == 5:
-        fixed["delta"] = 0.8
-    spec = SweepSpec(kind, axes, fixed, DEFAULT_VARIANTS[kind].split(","))
+    spec = SweepSpec(kind, [(*axis, resolution) for axis in axes],
+                     {"t": data["t"], "q": "edge", **fixed},
+                     DEFAULT_VARIANTS[kind].split(","))
     return spec, data
 
 

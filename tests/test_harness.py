@@ -1168,6 +1168,13 @@ def test_every_verify_suite_has_a_golden_digest():
         assert GOLDEN[f"verify-{name}"][0][:3] == ["verify", "--suite", name]
 
 
+def test_every_figure_has_golden_digests():
+    # a new figure lands with its recorded output, small and full size
+    for fig_id in h.FIGURE_SPECS:
+        assert GOLDEN[f"figure{fig_id}"][0][:3] == ["figure", "--id", str(fig_id)]
+    assert set(FULL_FIGURE_GOLDEN) == set(h.FIGURE_SPECS)
+
+
 def test_verify_chain_golden_run_fields(capsys):
     # the golden verify-chain run, field by field: its min-roof residual
     # may move in the last digits when the roof kernel does, nothing else
