@@ -848,6 +848,42 @@ def test_sweep_validation(capsys):
     assert code == 2  # gamma missing
 
 
+POLY_BOUND = ["--kind", "polygamy", "--beta", "1", "--delta", "0.8"]
+POLY_SWEEP = ["sweep", "--builder", EX2_BUILDER, "--kind", "polygamy"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["measure", "--builder", EX2_BUILDER, "--measure", "concurrence",
+      "--split", "A|B-C"], "bad split character '-'"),
+    (["measure", "--builder", "wclass:a,b,c", "--measure", "concurrence"],
+     "bad builder values in 'wclass:a,b,c': could not convert string to "
+     "float: 'a'"),
+    (["measure", "--builder", "wclass:0.6,0.8", "--measure", "concurrence"],
+     "wclass builder needs exactly 3 coefficients"),
+    (["measure", "--builder", EX2_BUILDER, "--measure", "scren"],
+     "scren needs a two-qubit state, got (2, 2, 2)"),
+    (["bound", "--builder", EX2_BUILDER, "--keep", "0,1"] + POLY_BOUND,
+     "bound evaluation needs a pure total state"),
+    (["bound", "--state", "{four_qubits}"] + POLY_BOUND,
+     "bound evaluation handles three-qubit states; use the chain verify "
+     "suite for larger registers"),
+    (POLY_SWEEP + ["--axis", "beta:1:2:3", "--axis", "delta:0.5:1:3",
+                   "--axis", "t:1:2:3"], "sweep needs one or two axes"),
+    (POLY_SWEEP + ["--axis", "zeta:0:1:3", "--fix", "beta=1",
+                   "--fix", "delta=0.8"], "unknown axis 'zeta'"),
+    (POLY_SWEEP + ["--axis", "beta:0:1", "--fix", "delta=0.8"],
+     "bad axis 'beta:0:1', want name:start:stop:steps"),
+    (POLY_SWEEP + ["--axis", "beta:1:2:3", "--fix", "delta=0.8",
+                   "--fix", "zeta=1"], "cannot fix unknown parameter 'zeta'"),
+    (["verify", "--suite", "chain", "--trials", "0"], "trials must be >= 1"),
+])
+def test_cli_usage_errors(tmp_path, capsys, args, message):
+    path = tmp_path / "four_qubits.json"
+    save_state(haar_random_pure(4, 3), str(path))
+    args = [arg.format(four_qubits=path) for arg in args]
+    assert usage_error(args, capsys) == f"entbounds: error: {message}"
+
+
 # -- verify -------------------------------------------------------------------
 
 def test_verify_lemma1_reports_violations(capsys):

@@ -123,6 +123,16 @@ def test_trace_norm_basics():
         trace_norm(np.array([[np.inf, 0], [0, 1]]))
 
 
+def test_trace_norm_of_a_non_hermitian_matrix():
+    # the M^dag M route: the singular values of a random complex matrix
+    rng = np.random.default_rng(0)
+    mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    assert np.abs(mat - mat.conj().T).max() > 1.0
+    assert trace_norm(mat) == pytest.approx(
+        np.linalg.svd(mat, compute_uv=False).sum(), rel=1e-13)
+    assert trace_norm(mat) == pytest.approx(7.9661137455306, abs=1e-12)
+
+
 def test_trace_norm_of_density_is_one(rng):
     for dims in [(2,), (2, 2), (2, 2, 2)]:
         rho = rand_density(rng, dims)

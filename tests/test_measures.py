@@ -143,6 +143,13 @@ def test_negativity_mixed_rejects_degenerate_splits():
         negativity_mixed(rho, (2,))
 
 
+def test_convex_roof_needs_qubit_registers():
+    # the ensemble's members are PureState qubit registers
+    rho = DensityMatrix(np.eye(6) / 6, (2, 3))
+    with pytest.raises(MeasureError, match="requires qubit registers"):
+        convex_roof(rho, concurrence_functional((0,)), "min")
+
+
 BAD_SPLITS = {"empty": (), "repeated": (1, 1), "out-of-range": (3,),
               "whole-register": (2, 0, 1)}
 
