@@ -398,7 +398,11 @@ class SweepSpec:
 
 def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
                seed: int):
-    """Grid-evaluate the requested variants; returns (header_lines, rows).
+    """Grid-evaluate the requested variants; returns (header_lines,
+    columns): one array per header column, in header order, each
+    broadcastable to the grid shape.  An axis or fixed-value column keeps
+    its one-axis or 0-d shape, and so does lhs where nothing is blank; the
+    last column is the bool admissible mask.
 
     The grid is one array pass through bnd.bound_grid.  Where it raises
     (an overflowing or complex power, an unknown variant, q top at t = 0,
@@ -427,9 +431,7 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
     for i, (name, a) in enumerate(axis_vals):
         values[name] = a.reshape([-1 if j == i else 1 for j in range(len(shape))])
     num, den = values[num_name], values[den_name]
-    blank = np.zeros(shape, dtype=bool)
-    if side.blank_num_below_den:
-        blank = np.broadcast_to(np.less(num, den), shape)
+    blank = np.less(num, den) if side.blank_num_below_den else np.False_
     try:
         with np.errstate(over="ignore"):  # 1 / t is inf at a subnormal t
             lhs, results = _evaluate(
@@ -439,7 +441,7 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
                 bnd.grid_pow, bnd.bound_grid)
     except (UsageError, bnd.BoundsError, OverflowError, TypeError):
         lhs, results = _point_report(spec, lhs_base, q_ab, q_ac, axis_vals,
-                                     blank)
+                                     np.broadcast_to(blank, shape))
     lhs = np.where(blank, np.nan, lhs)
     rhs = [np.where(blank, np.nan, r) for r, _ in results]
     admissible = ~blank
@@ -450,12 +452,9 @@ def sweep_rows(spec: SweepSpec, lhs_base: float, q_ab: float, q_ac: float,
                        rhs[spec.variants.index("ref29")])
         gap = np.where(admissible, gap, np.nan)
     else:
-        gap = np.full(shape, np.nan)
-    lead = [np.broadcast_to(values.get(c, np.nan), shape) for c in value_cols]
-    table = np.stack(lead + [lhs] + rhs + [gap], axis=-1)
-    return header, [row + [adm] for row, adm in
-                    zip(table.reshape(-1, table.shape[-1]).tolist(),
-                        admissible.ravel().tolist())]
+        gap = np.array(np.nan)
+    lead = [np.asarray(values.get(c, np.nan), dtype=float) for c in value_cols]
+    return header, lead + [lhs] + rhs + [gap, admissible]
 
 
 def _point_report(spec: SweepSpec, lhs_base: float, q_ab: float,
@@ -478,34 +477,25 @@ def _point_report(spec: SweepSpec, lhs_base: float, q_ab: float,
     return lhs, results
 
 
-def rows_to_csv(header, rows) -> str:
-    """CSV text of sweep_rows output: float cells as their shortest
-    round-trip repr, then the admissible flag as 1 or 0.
+def rows_to_csv(header, columns) -> str:
+    """CSV text of sweep_rows output: one line per grid point in row order,
+    the float columns as their shortest round-trip repr, then the
+    admissible mask as 1 or 0.
 
-    The rows are read by column: a column with few distinct values (a grid
-    axis, or the lhs that depends on one axis) formats each value once."""
-    if not rows:
-        return "\n".join(header) + "\n"
-    *columns, flags = zip(*rows)
-    cells = [_column_reprs(c) for c in columns]
-    cells.append(map(("0", "1").__getitem__, map(bool, flags)))
-    return "\n".join([*header, *map(",".join, zip(*cells))]) + "\n"
-
-
-def _column_reprs(column):
-    """The reprs of one column of float cells, lazily.  When at most half
-    the cells are distinct, each distinct value is formatted once and looked
-    up.  0.0 and -0.0 are one dict key with two reprs, so a column holding
-    both formats every cell.  A nan equals nothing, so each nan cell is its
-    own key, found again by identity."""
-    memo = dict.fromkeys(column)
-    if 2 * len(memo) > len(column) or (
-            0.0 in memo
-            and len({math.copysign(1.0, v) for v in column if v == 0.0}) > 1):
-        return map(repr, column)
-    for v in memo:
-        memo[v] = repr(v)
-    return map(memo.__getitem__, column)
+    Each float column formats each of its distinct bit patterns once, so
+    0.0 and -0.0 keep their own reprs, and an axis column costs as many
+    reprs as the axis has values."""
+    *values, flags = columns
+    shape = np.broadcast_shapes(*map(np.shape, columns))
+    cells = []
+    for column in values:
+        column = np.asarray(column, dtype=float)
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        reprs = np.array([*map(repr, bits.view(float).tolist())], dtype=object)
+        cells.append(reprs[inverse.reshape(column.shape)])
+    cells.append(np.where(flags, "1", "0"))
+    lines = zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in cells))
+    return "\n".join([*header, *map(",".join, lines)]) + "\n"
 
 
 # each figure's kind, its axes (name, start, stop) and the fixed slice it

@@ -58,6 +58,13 @@ def example2_state():
     return w_class_state(0.5, 0.5, np.sqrt(2.0) / 2.0)
 
 
+def grid_cells(columns, i):
+    """Column i of sweep_rows output as a list, one cell per grid point in
+    row order."""
+    shape = np.broadcast_shapes(*map(np.shape, columns))
+    return np.broadcast_to(columns[i], shape).ravel().tolist()
+
+
 def report(num, ok, detail, elapsed, budget):
     status = "PASS" if ok and elapsed < budget else "FAIL"
     print(f"ACCEPTANCE {num} [{status}] {detail} ({elapsed:.2f}s / {budget:.0f}s)")
@@ -92,9 +99,9 @@ def test_criterion_2_example1_bound_ordering():
     ref29 = prior_monogamy_bound("ref29", q_ab, q_ac, alpha=1.0, gamma=2.0, a=t)
 
     spec, data = h.figure_spec(3, 101)
-    _, rows = h.sweep_rows(spec, data["lhs_base"], data["q_ab"],
-                           data["q_ac"], 0)
-    min_gap = min(row[-2] for row in rows)
+    _, columns = h.sweep_rows(spec, data["lhs_base"], data["q_ab"],
+                              data["q_ac"], 0)
+    min_gap = min(grid_cells(columns, -2))
     elapsed = time.perf_counter() - t0
     ok = (abs(thm1 - EX1_THM1) <= 1e-6
           and abs(ref29 - EX1_REF29) <= 1e-6
@@ -129,9 +136,11 @@ def test_criterion_4_example2_bound_ordering():
     w1 = prior_polygamy_bound("ref29", 0.25, 0.5, beta=1.0, delta=0.8, a=t)
 
     spec, data = h.figure_spec(6, 101)
-    _, rows = h.sweep_rows(spec, data["lhs_base"], data["q_ab"],
-                           data["q_ac"], 0)
-    gaps = [row[-2] for row in rows if row[-1]]
+    _, columns = h.sweep_rows(spec, data["lhs_base"], data["q_ab"],
+                              data["q_ac"], 0)
+    gaps = [gap for gap, admissible in zip(grid_cells(columns, -2),
+                                           grid_cells(columns, -1))
+            if admissible]
     elapsed = time.perf_counter() - t0
     ok = (abs(w2 - 0.8813) <= 1e-3
           and abs(w1 - 0.8825) <= 1e-3

@@ -335,8 +335,9 @@ def test_sweep_top_q_identity(capsys):
 
 
 def scalar_sweep_rows(spec, lhs_base, q_ab, q_ac, seed):
-    """sweep_rows point by point: one evaluate_bound_report per grid point.
-    The reference the grid evaluation must match bit for bit."""
+    """sweep_rows point by point: one evaluate_bound_report per grid point,
+    its rows turned into full-grid columns only at the end.  The reference
+    the grid evaluation must match bit for bit."""
     axis_vals = [(name, np.linspace(start, stop, steps))
                  for name, start, stop, steps in spec.axes]
     grid_desc = "x".join(f"{name}[{float(a[0])!r},{float(a[-1])!r},{len(a)}]"
@@ -377,7 +378,8 @@ def scalar_sweep_rows(spec, lhs_base, q_ab, q_ac, seed):
                            rhs_vals[spec.variants.index("ref29")])
         lead = [float(values.get(c, float("nan"))) for c in value_cols]
         rows.append(lead + [lhs] + rhs_vals + [gap, admissible])
-    return header, rows
+    shape = tuple(len(a) for _, a in axis_vals)
+    return header, [np.array(c).reshape(shape) for c in zip(*rows)]
 
 
 def cli_outcome(args, capsys):
@@ -562,15 +564,48 @@ def test_point_cases_leave_the_grid(capsys, monkeypatch):
 
 
 def test_sweep_grid_rows_match_scalar_rows():
-    # the rows themselves, cell types included, not only their CSV text
+    # the cells themselves, float or bool, column by column, not only
+    # their CSV text
     for fig_id in (1, 4, 5):
         spec, data = h.figure_spec(fig_id, 21)
         inputs = (data["lhs_base"], data["q_ab"], data["q_ac"], 3)
         grid = h.sweep_rows(spec, *inputs)
         scalar = scalar_sweep_rows(spec, *inputs)
         assert grid[0] == scalar[0]
-        assert ([[(type(v), repr(v)) for v in row] for row in grid[1]]
-                == [[(type(v), repr(v)) for v in row] for row in scalar[1]])
+        shape = scalar[1][0].shape
+        assert np.broadcast_shapes(*map(np.shape, grid[1])) == shape
+        assert len(grid[1]) == len(scalar[1])
+        for got, want in zip(grid[1], scalar[1]):
+            got = np.broadcast_to(got, shape).ravel().tolist()
+            assert ([(type(v), repr(v)) for v in got]
+                    == [(type(v), repr(v)) for v in want.ravel().tolist()])
+
+
+def test_figure_csv_formats_each_distinct_value_once(capsys, monkeypatch):
+    # formatting every cell prints the same bytes as formatting each
+    # distinct bit pattern of a column once, and costs about twice as much
+    # on a figure, so it would show only in run time: here it fails the
+    # count of the writer's repr calls
+    spec, data = h.figure_spec(1)
+    _, columns = h.sweep_rows(spec, data["lhs_base"], data["q_ab"],
+                              data["q_ac"], 0)
+    # alpha, gamma and lhs keep the shape of their axis
+    assert [np.shape(c) for c in columns[:3]] == [(101, 1), (1, 101), (101, 1)]
+    distinct = [len(np.unique(np.asarray(c, dtype=float).view(np.int64)))
+                for c in columns[:-1]]
+    assert distinct[:3] == [101, 101, 101]
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(h, "repr", counting, raising=False)
+    code, out = run_cli(["figure", "--id", "1"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN["figure1-full"][1]
+    # more than the three axis-shaped columns: the writer's reprs are seen
+    assert 3 * 101 < len(calls) <= sum(distinct)
 
 
 def oracle_rows_to_csv(header, rows) -> str:
@@ -582,9 +617,30 @@ def oracle_rows_to_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def row_columns(rows):
+    """The rows of a CSV case as rows_to_csv columns: one float array per
+    value column and a bool admissible array, zero-length with no rows."""
+    columns = list(zip(*rows)) or [()] * len(CSV_HEADER[1].split(","))
+    return ([np.array(c, dtype=float) for c in columns[:-1]]
+            + [np.array(columns[-1], dtype=bool)])
+
+
+def column_rows(columns):
+    """The grid columns of a CSV case as rows of Python floats and bools."""
+    shape = np.broadcast_shapes(*map(np.shape, columns))
+    return [list(row) for row in
+            zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in columns))]
+
+
 NAN, INF = float("nan"), float("inf")
 SUBNORMALS = [5e-324, 2.2250738585072014e-308 / 3, -1e-310]
+# quiet and signalling payloads, with and without the sign bit
+NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+                dtype=np.uint64).view(float).tolist()
+SIGNED_ZEROS = np.array([0.0, -0.0, 0.0, -0.0, 0.5, -0.0])
 CSV_HEADER = ["# seed=1 grid=x[0.0,1.0,2]", "a,b,c,lhs,admissible"]
+# cases given as rows, fed to the writer by row_columns
 CSV_CASES = {
     # equal and hash-equal, but two reprs: a memo must keep them apart
     "signed-zeros": [[0.0 if i % 3 else -0.0, -0.0, 0.0, float(i % 2),
@@ -600,14 +656,34 @@ CSV_CASES = {
                             for i in range(49)],
     "one-row": [[-0.0, NAN, 5e-324, 1.5, False]],
     "empty": [],
+    # five bit patterns that all print nan
+    "nan-payloads": [[NANS[i % 5], NANS[(i // 5) % 5], -0.0 if i % 2 else NAN,
+                      NANS[i % 3], i % 3 == 0] for i in range(40)],
+}
+# cases given as grid columns, the shapes sweep_rows returns
+CSV_GRID_CASES = {
+    # both zeros on a (1, n) and on an (n, 1) axis
+    "signed-zero-axes": [SIGNED_ZEROS[None, :], SIGNED_ZEROS[::-1, None],
+                         np.outer(SIGNED_ZEROS, SIGNED_ZEROS),
+                         SIGNED_ZEROS[:, None] - 1.0,
+                         np.add.outer(SIGNED_ZEROS, SIGNED_ZEROS) >= 0.5],
+    # a 0-d fixed value beside one axis
+    "fixed-value": [np.array(20.0), np.linspace(0.0, 2.0, 5),
+                    np.linspace(0.0, 2.0, 5) ** 2, np.array(np.nan),
+                    np.array([True, False, True, True, False])],
 }
 
 
-@pytest.mark.parametrize("name", list(CSV_CASES))
+@pytest.mark.parametrize("name", [*CSV_CASES, *CSV_GRID_CASES])
 def test_rows_to_csv_matches_row_oracle(name):
-    rows = CSV_CASES[name]
-    assert h.rows_to_csv(CSV_HEADER, rows) == oracle_rows_to_csv(CSV_HEADER,
-                                                                  rows)
+    if name in CSV_CASES:
+        rows = CSV_CASES[name]
+        columns = row_columns(rows)
+    else:
+        columns = CSV_GRID_CASES[name]
+        rows = column_rows(columns)
+    assert h.rows_to_csv(CSV_HEADER, columns) == oracle_rows_to_csv(
+        CSV_HEADER, rows)
 
 
 def usage_error(args, capsys) -> str:
