@@ -1,9 +1,10 @@
 """Monogamy and polygamy bound families for bipartite correlation values.
 
-The tightened two-term lower/upper bounds with the (t, q) window, the
-three prior bound families they are compared against, the N-partite
-chained forms, and a detailed admissibility checker.  All correlation
-values (pairwise and residual) are supplied by the caller.
+The N-partite chained bounds, each step of which is one two-term step
+(_step) under the (t, q) window, the tightened bounds, which are that
+step applied once, the three prior bound families they are compared
+against, and a detailed admissibility checker.  All correlation values
+(pairwise and residual) are supplied by the caller.
 
 Each variant's hypotheses (_hypotheses, as flags) and right-hand side
 (_rhs) are written once, for floats and numpy arrays alike.  The point
@@ -159,12 +160,23 @@ PRIOR_VARIANTS = ("ref16", "ref28", "ref29")
 WINDOW_CONDITIONS = ("t_ge_1", "dominance", "q_window")
 
 
-def _side(kind: str) -> Side:
+def _side(kind: str, variant: str | None = None, values=(),
+          priors_only: bool = False) -> Side:
+    """SIDES[kind], after the argument checks the entries share: the
+    correlation values are nonnegative and variant, where given, names a
+    prior or (unless priors_only) the side's theorem."""
+    for v in values:
+        if v < 0:
+            raise BoundsError("correlation values must be nonnegative")
     try:
-        return SIDES[kind]
+        side = SIDES[kind]
     except KeyError:
         raise BoundsError(
             f"kind must be 'monogamy' or 'polygamy', got {kind!r}") from None
+    if variant is not None and variant not in PRIOR_VARIANTS and (
+            priors_only or variant != side.theorem):
+        raise BoundsError(f"unknown {kind} variant {variant!r}")
+    return side
 
 
 @dataclass(frozen=True)
@@ -311,22 +323,20 @@ def _window_conditions(ab, ac, t, q):
     return (t >= 1.0, ac >= t * ab * (1.0 - GRACE), win_ok), lo, hi
 
 
-def _lemma_coeff(t, q_power, e, pw=_pow):
-    """(1 + t)^e - q^(e-1) t^e, the pair-term coefficient of the bounds,
-    from q_power = q^(e-1)."""
-    return pw(1.0 + t, e) - q_power * pw(t, e)
-
-
-def _two_term_bound(q_ab: float, q_ac: float, exp_num, exp_den, t, q,
-                    pw=_pow):
-    e = exp_num / exp_den
-    if q_ab == 0.0 and q_ac == 0.0:
-        return 0.0
+def _step(total, prefix, pair, t, q, e, num, forward, pw=_pow):
+    """One two-term step of the bounds, with c = (1+t)^e - q^(e-1) t^e:
+    a forward step adds prefix c pair^num and passes q^(e-1) on, a
+    reversed one adds prefix q^(e-1) pair^num and passes c on; a zero pair
+    adds nothing.  Returns the new (total, prefix), as floats or arrays."""
     q_power = pw(q, e - 1.0)
-    if q_ab == 0.0:
-        return q_power * pw(q_ac, exp_num)
-    return (_lemma_coeff(t, q_power, e, pw) * pw(q_ab, exp_num)
-            + q_power * pw(q_ac, exp_num))
+    if forward:
+        if pair > 0.0:
+            total += (prefix * (pw(1.0 + t, e) - q_power * pw(t, e))
+                      * pw(pair, num))
+        return total, prefix * q_power
+    if pair > 0.0:
+        total += prefix * q_power * pw(pair, num)
+    return total, prefix * (pw(1.0 + t, e) - q_power * pw(t, e))
 
 
 def _hypotheses(side: Side, variant: str, q_ab: float, q_ac: float, num,
@@ -362,11 +372,12 @@ def _rhs(side: Side, variant: str, q_ab: float, q_ac: float, num, den, t, q,
          k, p, a, pw=_pow):
     """One variant's right-hand side (see tightened_bound and prior_bound),
     as floats or arrays like _hypotheses."""
-    if variant == side.theorem:
-        return _two_term_bound(q_ab, q_ac, num, den, t, q, pw)
     if q_ab == 0.0 and q_ac == 0.0:
         return 0.0
     e = num / den
+    if variant == side.theorem:  # the one forward step of chain_bound
+        total, prefix = _step(0.0, 1.0, q_ab, t, q, e, num, True, pw)
+        return total + prefix * pw(q_ac, num)
     if variant == "ref29":
         return (pw(1.0 + a, e - 1.0) * pw(q_ab, num)
                 + pw(1.0 + 1.0 / a, e - 1.0) * pw(q_ac, num))
@@ -388,17 +399,6 @@ def _raise_failed(side: Side, variant: str, oks: tuple) -> None:
     raise PreconditionError(f"inadmissible: {failed}")
 
 
-def _theorem_side(kind: str, q_ab: float, q_ac: float,
-                  params: BoundParams) -> Side:
-    """The side of one tightened-bound evaluation, its arguments checked."""
-    if q_ab < 0 or q_ac < 0:
-        raise BoundsError("correlation values must be nonnegative")
-    side = _side(kind)
-    if not isinstance(params, BoundParams):
-        raise BoundsError(f"{kind} kind requires BoundParams")
-    return side
-
-
 def validate_params(kind: str, q_ab: float, q_ac: float,
                     params: BoundParams) -> AdmissibilityReport:
     """Per-condition admissibility report for a bound evaluation.
@@ -407,7 +407,9 @@ def validate_params(kind: str, q_ab: float, q_ac: float,
     every condition pass vacuously (the bound is trivially zero), unless
     the exponent ratio num/den is undefined.
     """
-    side, p = _theorem_side(kind, q_ab, q_ac, params), params
+    side, p = _side(kind, values=(q_ab, q_ac)), params
+    if not isinstance(p, BoundParams):
+        raise BoundsError(f"{kind} kind requires BoundParams")
     oks = _hypotheses(side, side.theorem, q_ab, q_ac, p.num, p.den, p.t,
                       p.q, None, None, None)
     return AdmissibilityReport(kind, p, oks, q_ab, q_ac)
@@ -415,19 +417,22 @@ def validate_params(kind: str, q_ab: float, q_ac: float,
 
 def tightened_bound(kind: str, q_ab: float, q_ac: float,
                     p: BoundParams) -> float:
-    """Tightened two-term bound of one side, with e = num/den:
-    ((1+t)^e - q^(e-1) t^e) Q_AB^num + q^(e-1) Q_AC^num.
+    """Tightened bound of one side, chain_bound's one forward step, with
+    e = num/den: ((1+t)^e - q^(e-1) t^e) Q_AB^num + q^(e-1) Q_AC^num.
 
     A lower bound on Q_A|BC^alpha for monogamy, an upper bound on
     Q_A|BC^beta for polygamy.  Raises PreconditionError wherever
     validate_params reports a failed condition.
     """
-    side = _theorem_side(kind, q_ab, q_ac, p)
+    side = _side(kind, values=(q_ab, q_ac))
+    if not isinstance(p, BoundParams):
+        raise BoundsError(f"{kind} kind requires BoundParams")
     oks = _hypotheses(side, side.theorem, q_ab, q_ac, p.num, p.den, p.t, p.q,
                       None, None, None)
     if not all(oks):
         _raise_failed(side, side.theorem, oks)
-    return _two_term_bound(q_ab, q_ac, p.num, p.den, p.t, p.q)  # its _rhs
+    return _rhs(side, side.theorem, q_ab, q_ac, p.num, p.den, p.t, p.q,
+                None, None, None)
 
 
 def thm1_lower_bound(q_ab: float, q_ac: float, p: BoundParams) -> float:
@@ -455,11 +460,7 @@ def prior_bound(kind: str, variant: str, q_ab: float, q_ac: float,
     unless both values are zero (the bound is then zero).  Raises
     PreconditionError naming every failed hypothesis.
     """
-    side = _side(kind)
-    if q_ab < 0 or q_ac < 0:
-        raise BoundsError("correlation values must be nonnegative")
-    if variant not in PRIOR_VARIANTS:
-        raise BoundsError(f"unknown {kind} variant {variant!r}")
+    side = _side(kind, variant, (q_ab, q_ac), priors_only=True)
     if ((a if variant == "ref29" else k) is None
             or p is None and variant == "ref28") and (q_ab or q_ac):
         raise BoundsError("ref16 requires k, ref28 k and p, ref29 a")
@@ -510,11 +511,7 @@ def bound_grid(kind: str, variant: str, q_ab: float, q_ac: float, num, den,
     entries raise something other than PreconditionError, and may raise
     where they do not.
     """
-    side = _side(kind)
-    if variant != side.theorem and variant not in PRIOR_VARIANTS:
-        raise BoundsError(f"unknown {kind} variant {variant!r}")
-    if q_ab < 0 or q_ac < 0:
-        raise BoundsError("correlation values must be nonnegative")
+    side = _side(kind, variant, (q_ab, q_ac))
     values = [np.asarray(v, dtype=float) for v in (num, den, t, q, k, p, a)]
     if variant == side.theorem and not all(np.isfinite(v).all()
                                            for v in values[:4]):
@@ -535,7 +532,7 @@ def chain_bound(kind: str, q_pairs, q_residuals, cp: ChainParams,
     split_index m, steps 1..m treat the residual as dominant and the
     remaining steps the pair, mirroring the two-regime chained form.
     """
-    side = _side(kind)
+    side = _side(kind, values=(*q_pairs, *q_residuals))
     range_oks = side.range_ok(num, den)
     if not all(range_oks):
         _raise_failed(side, side.theorem, range_oks)
@@ -546,8 +543,6 @@ def chain_bound(kind: str, q_pairs, q_residuals, cp: ChainParams,
     if len(q_residuals) != n_steps:
         raise BoundsError(
             f"{n_steps} steps require {n_steps} residual values, got {len(q_residuals)}")
-    if any(v < 0 for v in q_pairs) or any(v < 0 for v in q_residuals):
-        raise BoundsError("correlation values must be nonnegative")
     if all(v == 0.0 for v in q_pairs):
         return 0.0
     e = num / den
@@ -567,17 +562,7 @@ def chain_bound(kind: str, q_pairs, q_residuals, cp: ChainParams,
             raise ChainStepError(
                 r + 1, f"need t >= 1, {lp} >= t * {sp} and q in [{lo}, {hi}]; "
                        f"got t = {t_r}, q = {q_r}")
-        q_power = _pow(q_r, e - 1.0)
-        if forward:
-            # pair term carries the lemma coefficient, residual the q power
-            if pair > 0.0:
-                total += (prefix * _lemma_coeff(t_r, q_power, e)
-                          * _pow(pair, num))
-            prefix *= q_power
-        else:
-            if pair > 0.0:
-                total += prefix * q_power * _pow(pair, num)
-            prefix *= _lemma_coeff(t_r, q_power, e)
+        total, prefix = _step(total, prefix, pair, t_r, q_r, e, num, forward)
         if resid == 0.0:
             return total
     last = q_pairs[-1]

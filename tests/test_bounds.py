@@ -1,9 +1,12 @@
+import ast
+import inspect
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from entbounds import bounds
 from entbounds.bounds import (
     PRIOR_VARIANTS,
     SIDES,
@@ -19,10 +22,10 @@ from entbounds.bounds import (
     PreconditionError,
     _pow,
     _side,
-    _two_term_bound,
     _window_conditions,
     bound_grid,
     grid_pow,
+    chain_bound,
     chain_monogamy_bound,
     chain_polygamy_bound,
     lemma1_check,
@@ -279,6 +282,27 @@ def test_grid_pow_matches_pointwise_pow(name):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_every_power_goes_through_pow_or_grid_pow():
+    """The grid and the point engine give the same bits only while every
+    power in bounds.py is Python's float **, taken through _pow or
+    grid_pow: no ** outside _pow and lemma1_f, no np.power outside
+    grid_pow."""
+    tree = ast.parse(inspect.getsource(bounds))
+    stray = []
+    for top in tree.body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Pow)
+                    and name not in ("_pow", "lemma1_f")):
+                stray.append(("**", name, node.lineno))
+            if (isinstance(node, ast.Attribute) and node.attr == "power"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "np" and name != "grid_pow"):
+                stray.append(("np.power", name, node.lineno))
+    assert stray == []
+
+
 def test_prior_polygamy_values():
     w1 = prior_polygamy_bound("ref29", EX2["q_ab"], EX2["q_ac"],
                               beta=1.0, delta=0.8, a=EX2["t"])
@@ -467,7 +491,10 @@ def test_validate_params_matches_eager_oracle(kind):
                 "conditions": [{"name": c.name, "ok": c.ok, "detail": c.detail}
                                for c in old.conditions]}, point
             if old.ok:
-                rhs = _two_term_bound(q_ab, q_ac, num, den, t, q)
+                # the theorem is the chain's one forward step
+                rhs = 0.0 if old.vacuous else chain_bound(
+                    kind, [q_ab, q_ac], [q_ac], ChainParams((t,), (q,)), num,
+                    den)
                 assert theorem(q_ab, q_ac, p).hex() == rhs.hex(), point
                 continue
             inadmissible += 1
@@ -491,6 +518,45 @@ def test_validate_params_argument_errors_match_eager_oracle(args):
             entry(*args)
         assert (type(new.value), str(new.value)) == (
             type(old.value), str(old.value))
+
+
+ENTRIES = {
+    # each entry at a point its other arguments make valid
+    "validate_params": lambda kind, v: validate_params(
+        kind, v, 0.5, BoundParams(1.0, 2.0, 1.0, 1.5)),
+    "tightened_bound": lambda kind, v: tightened_bound(
+        kind, v, 0.5, BoundParams(1.0, 2.0, 1.0, 1.5)),
+    "prior_bound": lambda kind, v: prior_bound(kind, "ref29", v, 0.5, 1.0,
+                                               2.0, a=1.0),
+    "bound_grid": lambda kind, v: bound_grid(kind, "ref29", v, 0.5, 1.0, 2.0,
+                                             1.0, 1.5, 1.0, 1.0, 1.0),
+    "chain_bound": lambda kind, v: chain_bound(
+        kind, [v, 0.5], [0.5], ChainParams((1.0,), (1.5,)), 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_entries_share_argument_checks(entry):
+    call = ENTRIES[entry]
+    call("monogamy", 0.25)
+    with pytest.raises(BoundsError,
+                       match="^correlation values must be nonnegative$"):
+        call("monogamy", -0.1)
+    with pytest.raises(BoundsError, match="^kind must be 'monogamy' or "
+                                          "'polygamy', got 'bogus'$"):
+        call("bogus", 0.25)
+
+
+def test_prior_bound_rejects_the_theorem_and_bound_grid_takes_it():
+    with pytest.raises(BoundsError, match="^unknown monogamy variant 'thm1'$"):
+        prior_bound("monogamy", "thm1", 0.25, 0.5, 1.0, 2.0, k=1.0)
+    with pytest.raises(BoundsError, match="^unknown polygamy variant 'refXX'$"):
+        bound_grid("polygamy", "refXX", 0.25, 0.5, 1.0, 0.8, 1.0, 1.5, 1.0,
+                   1.0, 1.0)
+    rhs, ok = bound_grid("monogamy", "thm1", 0.25, 0.5, 1.0, 2.0, 1.0, 1.5,
+                         1.0, 1.0, 1.0)
+    assert ok and rhs == thm1_lower_bound(0.25, 0.5,
+                                          BoundParams(1.0, 2.0, 1.0, 1.5))
 
 
 # -- one definition, two engines ----------------------------------------------
@@ -699,27 +765,82 @@ def test_theorem_is_monotone_in_q_across_the_window(kind):
 
 # -- chained bounds -----------------------------------------------------------
 
+def single_step_draws(kind, n, seed):
+    """n seeded draws (q_ab, q_ac, BoundParams) of one side: exponents in
+    range, Q_AB = 0 at one draw in 20, t in [0.8, 3] and q uniform on the
+    (t, q) window widened by half its width each way."""
+    rng = make_rng(seed)
+    for _ in range(n):
+        if kind == "monogamy":
+            den = rng.uniform(2.0, 6.0)
+            num = rng.uniform(0.0, den)
+        else:
+            den = rng.uniform(0.1, 1.0)
+            num = rng.uniform(den, 3.0)
+        q_ab = 0.0 if rng.random() < 0.05 else rng.random()
+        q_ac, t = rng.random(), rng.uniform(0.8, 3.0)
+        lo, hi = sorted((1.0 + q_ab ** den / q_ac ** den, 1.0 + 1.0 / t))
+        q = rng.uniform(lo - (hi - lo) / 2, hi + (hi - lo) / 2)
+        yield q_ab, q_ac, BoundParams(num, den, t, q)
+
+
+def assert_single_step_is_theorem(kind, seed, n=20_000):
+    """The one-step chain and the tightened bound agree on admissibility
+    at every draw and give the same bits wherever it holds."""
+    admissible = 0
+    for q_ab, q_ac, p in single_step_draws(kind, n, seed):
+        cp = ChainParams((p.t,), (p.q,))
+        try:
+            single = tightened_bound(kind, q_ab, q_ac, p)
+        except PreconditionError:
+            single = None
+        try:
+            chain = chain_bound(kind, [q_ab, q_ac], [q_ac], cp, p.num, p.den)
+        except PreconditionError:
+            chain = None
+        point = (q_ab, q_ac, p)
+        assert (single is None) == (chain is None), point
+        if single is not None:
+            admissible += 1
+            assert single.hex() == chain.hex(), point
+    assert n // 20 < admissible < n - n // 20  # both outcomes well drawn
+
+
 def test_chain_single_step_matches_thm1():
-    cp = ChainParams((EX1["t"],), (EX1["q"],))
-    chain = chain_monogamy_bound([EX1["q_ab"], EX1["q_ac"]], [EX1["q_ac"]],
-                                 cp, 1.0, 2.0)
-    single = thm1_lower_bound(EX1["q_ab"], EX1["q_ac"],
-                              MonogamyParams(1.0, 2.0, EX1["t"], EX1["q"]))
-    assert chain == single  # identical arithmetic path
+    assert_single_step_is_theorem("monogamy", seed=1)
 
 
 def test_chain_single_step_matches_thm4():
-    cp = ChainParams((EX2["t"],), (EX2["q"],))
-    chain = chain_polygamy_bound([EX2["q_ab"], EX2["q_ac"]], [EX2["q_ac"]],
-                                 cp, 1.0, 0.8)
-    single = thm4_upper_bound(EX2["q_ab"], EX2["q_ac"],
-                              PolygamyParams(1.0, 0.8, EX2["t"], EX2["q"]))
-    assert chain == single
+    assert_single_step_is_theorem("polygamy", seed=4)
 
 
 def test_chain_all_zero_pairs():
     cp = ChainParams((1.0, 1.0), (1.5, 1.5))
     assert chain_monogamy_bound([0.0, 0.0, 0.0], [0.0, 0.0], cp, 1.0, 2.0) == 0.0
+    # all-zero pairs return before any step is checked: t = 0.5 fails
+    cp = ChainParams((0.5, 1.0), (9.0, 1.5))
+    assert chain_monogamy_bound([0.0, 0.0, 0.0], [0.4, 0.0], cp, 1.0, 2.0) == 0.0
+
+
+def test_chain_stops_at_a_zero_residual():
+    # step 1 has pair and residual zero; step 2 (t = 0.5) is never checked
+    cp = ChainParams((1.0, 0.5), (1.5, 9.0))
+    assert chain_monogamy_bound([0.0, 0.3, 0.2], [0.0, 0.5], cp, 1.0,
+                                2.0) == 0.0
+
+
+def test_chain_step_vacuous_rule_differs_from_theorem():
+    # a chain step with pair and residual zero still needs t >= 1
+    with pytest.raises(ChainStepError) as err:
+        chain_monogamy_bound([0.0, 0.0, 0.3], [0.0, 0.3],
+                             ChainParams((0.5, 1.0), (1.5, 1.5)), 1.0, 2.0)
+    assert err.value.step == 1
+    # the theorem at Q_AB = Q_AC = 0 passes even gamma < 2; the chain does not
+    p = BoundParams(1.0, 1.5, 1.0, 1.5)
+    assert thm1_lower_bound(0.0, 0.0, p) == 0.0
+    with pytest.raises(PreconditionError, match=r"\['gamma_ge_2'\]"):
+        chain_monogamy_bound([0.0, 0.0], [0.0], ChainParams((1.0,), (1.5,)),
+                             1.0, 1.5)
 
 
 def test_chain_forward_matches_hand_rolled():
